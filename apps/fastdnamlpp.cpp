@@ -173,10 +173,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(role.foreman->rounds),
                     static_cast<unsigned long long>(role.foreman->tasks_completed),
                     static_cast<unsigned long long>(role.foreman->quarantines));
-      } else if (role.monitor.has_value()) {
-        std::printf("monitor: %llu rounds, %llu completions\n",
-                    static_cast<unsigned long long>(role.monitor->rounds),
-                    static_cast<unsigned long long>(role.monitor->completions));
       } else if (role.worker.has_value()) {
         std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
                     static_cast<unsigned long long>(role.worker->tasks_evaluated),
@@ -355,24 +351,38 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", args.get("svg", "").c_str());
   }
   if (cluster != nullptr) {
-    const MonitorReport report = cluster->monitor_report();
-    std::printf("\nmonitor: %llu rounds, %llu tasks, %llu requeues\n",
-                static_cast<unsigned long long>(report.rounds),
-                static_cast<unsigned long long>(report.completions),
-                static_cast<unsigned long long>(report.requeues));
+    // Joining every role first makes the counters and the workers' final
+    // telemetry frames complete before anything is printed.
+    cluster->shutdown();
+    const ForemanStats& foreman = cluster->foreman_stats();
+    double worker_cpu = 0.0;
+    for (const SearchResult& run : jumbled.runs) {
+      worker_cpu += run.trace.total_task_seconds();
+    }
+    std::printf("\ncluster: %llu rounds, %llu tasks (%.2fs worker CPU), "
+                "%llu requeues, %llu delinquencies\n%s",
+                static_cast<unsigned long long>(foreman.rounds),
+                static_cast<unsigned long long>(foreman.tasks_completed),
+                worker_cpu, static_cast<unsigned long long>(foreman.requeues),
+                static_cast<unsigned long long>(foreman.delinquencies),
+                render_worker_totals(cluster->telemetry()).c_str());
   }
   if (socket_cluster != nullptr) {
     socket_cluster->shutdown();  // drain the peers before reading stats
     const SocketFabricStats fabric = socket_cluster->fabric_stats();
     std::printf("\nfabric: %llu frames out / %llu in, %llu peer deaths, "
-                "%llu dropped\n",
+                "%llu dropped\n%s",
                 static_cast<unsigned long long>(fabric.frames_sent),
                 static_cast<unsigned long long>(fabric.frames_received),
                 static_cast<unsigned long long>(fabric.peer_deaths),
-                static_cast<unsigned long long>(fabric.frames_dropped));
+                static_cast<unsigned long long>(fabric.frames_dropped),
+                render_worker_totals(socket_cluster->telemetry()).c_str());
+  }
+  if (cluster != nullptr || socket_cluster != nullptr) {
+    std::printf("(utilization and barrier slack: run with --trace-out=FILE, "
+                "then trace_report FILE)\n");
   }
   if (!trace_out.empty()) {
-    if (cluster != nullptr) cluster->shutdown();  // stable final spans
     obs::Tracer::instance().disable();
     const obs::TraceLog log = obs::Tracer::instance().drain();
     std::ofstream out(trace_out);

@@ -100,9 +100,9 @@ SocketRunOptions socket_options_from_args(const CliArgs& args) {
     options.foreman.heartbeat_interval =
         std::chrono::milliseconds(args.get_int("heartbeat-ms", 0));
   }
-  // --telemetry-ms=N turns on the telemetry plane: every non-master rank
-  // ships metric deltas to the hub each period. 0 (the default) keeps the
-  // fabric byte-for-byte identical to a telemetry-free build.
+  // --telemetry-ms=N turns on the live telemetry plane: every non-master
+  // rank ships metric deltas to the hub each period. With 0 (the default)
+  // the only frames are each worker's final totals at shutdown.
   options.telemetry_interval =
       std::chrono::milliseconds(args.get_int("telemetry-ms", 0));
   return options;

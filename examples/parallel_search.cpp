@@ -19,9 +19,10 @@
 //   # 3..=workers); scripts/launch_cluster.sh spawns all of them.
 //   ./parallel_search --transport=socket --rank=N --port=P --fabric-size=6
 //
-// Prints the result plus the monitor's instrumentation: per-worker task
-// counts, round count, and the barrier slack that limits scalability (the
-// paper's "loosely synchronized" comparison barriers).
+// Prints the result plus a run report from the foreman's counters, the
+// search trace and each worker's final telemetry frame. The barrier slack
+// that limits scalability (the paper's "loosely synchronized" comparison
+// barriers) comes from trace_report on the --trace-out file.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -136,11 +137,6 @@ int run_socket_peer(const CliArgs& args, const PatternAlignment& data,
                 static_cast<unsigned long long>(role.foreman->tasks_completed),
                 static_cast<unsigned long long>(role.foreman->requeues),
                 static_cast<unsigned long long>(role.foreman->quarantines));
-  } else if (role.monitor.has_value()) {
-    std::printf("monitor: %llu rounds, %llu completions, %.2fs worker CPU\n",
-                static_cast<unsigned long long>(role.monitor->rounds),
-                static_cast<unsigned long long>(role.monitor->completions),
-                role.monitor->total_worker_cpu_seconds);
   } else if (role.worker.has_value()) {
     std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
                 static_cast<unsigned long long>(role.worker->tasks_evaluated),
@@ -185,13 +181,14 @@ int run_socket_master(const CliArgs& args, const PatternAlignment& data,
               result.best_log_likelihood, result.trees_evaluated, wall);
   const SocketFabricStats fabric = cluster.fabric_stats();
   std::printf("fabric traffic: %llu frames out / %llu in, %llu bytes out / "
-              "%llu in, %llu peer deaths, %llu dropped\n",
+              "%llu in, %llu peer deaths, %llu dropped\n%s",
               static_cast<unsigned long long>(fabric.frames_sent),
               static_cast<unsigned long long>(fabric.frames_received),
               static_cast<unsigned long long>(fabric.bytes_sent),
               static_cast<unsigned long long>(fabric.bytes_received),
               static_cast<unsigned long long>(fabric.peer_deaths),
-              static_cast<unsigned long long>(fabric.frames_dropped));
+              static_cast<unsigned long long>(fabric.frames_dropped),
+              render_worker_totals(cluster.telemetry()).c_str());
   const MasterStats master = cluster.master_stats();
   if (master.serial_fallbacks > 0 || master.rounds_failed > 0) {
     std::printf("degradation: %llu failed rounds, %llu serial fallbacks\n",
@@ -302,29 +299,22 @@ int main(int argc, char** argv) {
   std::printf("\nBest ln L = %.4f after %zu candidate trees in %.2fs wall\n",
               result.best_log_likelihood, result.trees_evaluated, wall);
 
-  const MonitorReport report = cluster.monitor_report();
-  std::printf("\nMonitor report\n");
+  const ForemanStats& foreman = cluster.foreman_stats();
+  std::printf("\nRun report\n");
   std::printf("  rounds (barriers):      %llu\n",
-              static_cast<unsigned long long>(report.rounds));
+              static_cast<unsigned long long>(foreman.rounds));
   std::printf("  tasks completed:        %llu\n",
-              static_cast<unsigned long long>(report.completions));
-  std::printf("  worker CPU total:       %.2fs\n", report.total_worker_cpu_seconds);
+              static_cast<unsigned long long>(foreman.tasks_completed));
+  std::printf("  worker CPU total:       %.2fs\n",
+              result.trace.total_task_seconds());
   std::printf("  requeues / delinquent:  %llu / %llu\n",
-              static_cast<unsigned long long>(report.requeues),
-              static_cast<unsigned long long>(report.delinquencies));
-  double slack = 0.0;
-  for (double s : report.round_slack_seconds) slack += s;
-  if (!report.round_slack_seconds.empty()) {
-    slack /= static_cast<double>(report.round_slack_seconds.size());
-  }
-  std::printf("  mean barrier slack:     %.4fs\n", slack);
-  std::printf("  tasks per worker:      ");
-  for (const auto& [worker, count] : report.tasks_per_worker) {
-    std::printf(" w%d:%llu", worker, static_cast<unsigned long long>(count));
-  }
-  std::printf("\n  fabric traffic:         %llu messages, %llu bytes\n",
+              static_cast<unsigned long long>(foreman.requeues),
+              static_cast<unsigned long long>(foreman.delinquencies));
+  std::printf("  fabric traffic:         %llu messages, %llu bytes\n%s",
               static_cast<unsigned long long>(cluster.fabric_messages()),
-              static_cast<unsigned long long>(cluster.fabric_bytes()));
+              static_cast<unsigned long long>(cluster.fabric_bytes()),
+              render_worker_totals(cluster.telemetry()).c_str());
+  std::printf("  barrier slack:          trace_report on the --trace-out file\n");
 
   if (const auto totals = cluster.chaos_totals()) {
     std::printf("\nChaos harness (%s)\n",

@@ -1,7 +1,7 @@
 // Deterministic chaos engineering for the parallel runtime.
 //
-// ChaosTransport grows FaultyTransport's predicate hooks into a seeded,
-// scriptable fault injector: drop, delay (deferred redelivery), duplicate,
+// ChaosTransport is the runtime's one message-level fault injector: a
+// seeded, scriptable decorator for drop, delay (deferred redelivery), duplicate,
 // reorder, payload corruption, and crash-at-message-N worker death. Every
 // fault decision is a pure function of (plan seed, rank, message index), so
 // a failing schedule is replayable from its FaultPlan alone — the property
@@ -12,7 +12,7 @@
 // geographically distributed PVM deployments:
 //   - drop:      the message silently never arrives (lossy link).
 //   - delay:     the message arrives late, via a background delivery thread;
-//                the sender never blocks (satellite fix over FaultyTransport).
+//                the sender never blocks (a slow network, not a frozen host).
 //   - duplicate: the message arrives twice (retransmit storm).
 //   - reorder:   the message is held for a short window so later traffic
 //                overtakes it (out-of-order fabric).

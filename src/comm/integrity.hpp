@@ -51,10 +51,8 @@ inline bool tag_is_sealed(MessageTag tag) {
     case MessageTag::kResult:
     case MessageTag::kRound:
     case MessageTag::kRoundDone:
-    case MessageTag::kMonitorEvent:
     case MessageTag::kProgress:
     case MessageTag::kRoundFailed:
-    case MessageTag::kGoodbye:
     case MessageTag::kTelemetry:
     case MessageTag::kMetricsReply:
       return true;

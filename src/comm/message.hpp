@@ -18,15 +18,12 @@ enum class MessageTag : std::uint8_t {
   kResult = 3,       ///< worker -> foreman: optimized tree + lnL
   kRound = 4,        ///< master -> foreman: a round of tasks
   kRoundDone = 5,    ///< foreman -> master: best tree + per-task stats
-  kMonitorEvent = 6, ///< foreman -> monitor: instrumentation record
   kShutdown = 7,     ///< master -> everyone: terminate cleanly
   kProgress = 8,     ///< foreman -> master: round liveness heartbeat
   kRoundFailed = 9,  ///< foreman -> master: round cannot complete
   kNack = 10,        ///< worker -> foreman: received task was malformed
   kPing = 11,        ///< foreman -> worker: announce yourself (a revived
                      ///< foreman rebuilding its worker list after a crash)
-  kGoodbye = 12,     ///< worker -> foreman: end-of-run report (tasks done,
-                     ///< CPU time, kernel counters) sent on shutdown
   // Service-plane tags (src/service/): client <-> fdmld job traffic. These
   // ride the same wire framing but never cross the foreman/worker fabric.
   kSubmit = 13,       ///< client -> service: submit a search job
@@ -35,11 +32,12 @@ enum class MessageTag : std::uint8_t {
   kJobDone = 16,      ///< service -> client: outcome (tree, lnL, status)
   kStatsQuery = 17,   ///< client -> service: request a metrics snapshot
   kStatsReply = 18,   ///< service -> client: metrics snapshot JSON
-  // Telemetry plane (PR 10): periodic per-rank metric deltas ride the
-  // fabric to rank 0; scrape clients pull Prometheus text over the
-  // service wire.
-  kTelemetry = 19,    ///< worker/foreman -> master: periodic MetricsRegistry
-                      ///< delta frame (obs/telemetry.hpp codec)
+  // Telemetry plane: per-rank metric deltas ride the fabric to rank 0 (the
+  // run's only accounting channel); scrape clients pull Prometheus text
+  // over the service wire.
+  kTelemetry = 19,    ///< worker/foreman -> master: MetricsRegistry delta
+                      ///< frame (obs/telemetry.hpp codec), periodic and a
+                      ///< final one from each worker on shutdown
   kMetricsQuery = 20, ///< client -> service: request Prometheus exposition
   kMetricsReply = 21, ///< service -> client: Prometheus text format
 };

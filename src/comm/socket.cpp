@@ -741,7 +741,8 @@ void SocketFabric::close() {
   closing_.store(true, std::memory_order_release);
 
   // Flush first: closing an outbound channel lets its writer drain every
-  // queued frame (a worker's goodbye, the foreman's last round report)
+  // queued frame (a worker's final telemetry frame, the foreman's last
+  // round report)
   // before the socket goes away.
   for (auto& peer : peers_) {
     if (peer) peer->outbound.close();

@@ -211,6 +211,11 @@ TelemetryApply TelemetryAggregator::apply(
   return TelemetryApply::kApplied;
 }
 
+std::uint64_t RankTelemetry::counter(std::string_view name) const {
+  const auto it = counters.find(std::string(name));
+  return it == counters.end() ? 0 : it->second;
+}
+
 std::vector<RankTelemetry> TelemetryAggregator::ranks(
     std::chrono::steady_clock::time_point now) const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -1,9 +1,9 @@
 // The live telemetry plane (DESIGN.md §5i).
 //
 // Long fdmld runs host many concurrent searches for days; point-in-time
-// stats queries only see the hub process's registry, and worker-rank kernel
-// counters used to arrive only in the kGoodbye report at job end. This
-// module makes the cluster observable *while it runs*:
+// stats queries only see the hub process's registry. This module carries
+// every rank's registry to rank 0 — the run's one accounting channel — and
+// makes the cluster observable *while it runs*:
 //
 //   - TelemetryEmitter: each rank periodically snapshots its local
 //     MetricsRegistry, diffs it against the previous snapshot, and ships
@@ -30,6 +30,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -118,6 +119,9 @@ struct RankTelemetry {
   std::map<std::string, std::uint64_t> counters;  // summed deltas
   std::map<std::string, std::int64_t> gauges;     // newest values
   std::vector<HistogramDelta> histograms;         // summed deltas
+
+  /// Summed counter by name; 0 when the rank never reported it.
+  std::uint64_t counter(std::string_view name) const;
 };
 
 /// One cluster rollup sample (recorded per applied frame).

@@ -1,9 +1,11 @@
 #include "parallel/cluster.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "parallel/monitor.hpp"
 #include "parallel/protocol.hpp"
 
 namespace fdml {
@@ -31,6 +33,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   master_ = std::make_unique<ParallelMaster>(*master_endpoint_,
                                              options_.num_workers,
                                              options_.master);
+  master_->set_telemetry(&telemetry_);
   // Degraded mode: when the parallel fabric cannot finish a round (all
   // workers dead, foreman wedged), evaluate it in-process — same evaluator
   // the workers run, so the search result is unchanged.
@@ -52,7 +55,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   // Monitor thread.
   threads_.emplace_back([this] {
     auto endpoint = fabric_.endpoint(kMonitorRank);
-    monitor_main(*endpoint, board_);
+    monitor_main(*endpoint);
   });
   // Worker threads.
   for (int w = 0; w < options_.num_workers; ++w) {
@@ -127,7 +130,24 @@ void InProcessCluster::shutdown() {
     master_endpoint_->send(kMonitorRank, MessageTag::kShutdown, {});
   }
   for (auto& thread : threads_) thread.join();
+  master_->pump();  // the workers' final telemetry frames
   fabric_.close();
+}
+
+std::string render_worker_totals(const obs::TelemetryAggregator& telemetry) {
+  std::string out;
+  for (const obs::RankTelemetry& row : telemetry.ranks()) {
+    if (row.rank < kFirstWorkerRank) continue;
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "  worker %d: %llu tasks, %llu CLV computations\n", row.rank,
+                  static_cast<unsigned long long>(
+                      row.counter("worker.tasks_evaluated")),
+                  static_cast<unsigned long long>(
+                      row.counter("kernel.clv_computations")));
+    out += line;
+  }
+  return out;
 }
 
 }  // namespace fdml

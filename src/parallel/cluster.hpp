@@ -17,15 +17,16 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/chaos.hpp"
 #include "comm/transport.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
-#include "parallel/monitor.hpp"
 #include "parallel/worker.hpp"
 #include "search/runner.hpp"
 
@@ -68,8 +69,6 @@ class InProcessCluster {
 
   int num_workers() const { return options_.num_workers; }
 
-  /// Live instrumentation (thread-safe snapshot).
-  MonitorReport monitor_report() const { return board_.snapshot(); }
   /// Foreman counters; valid after shutdown().
   const ForemanStats& foreman_stats() const { return foreman_stats_; }
   /// Master-side counters (watchdog trips, failed rounds, fallbacks).
@@ -80,11 +79,16 @@ class InProcessCluster {
   std::uint64_t fabric_messages() const { return fabric_.messages_sent(); }
   std::uint64_t fabric_bytes() const { return fabric_.bytes_sent(); }
 
-  /// The registry every role's counters live in (master, foreman, kernel
-  /// and per-worker totals). Role stats structs above are delta views over
-  /// it; this is the cumulative whole-run truth.
+  /// The registry the master's and foreman's counters live in. Role stats
+  /// structs above are delta views over it; this is the cumulative
+  /// whole-run truth.
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
+
+  /// Per-worker totals (kernel.*, worker.*) as their kTelemetry frames
+  /// delivered them to the master: one row per worker rank once shutdown()
+  /// has returned, the same view SocketCluster::telemetry() gives.
+  const obs::TelemetryAggregator& telemetry() const { return telemetry_; }
 
   /// Sends shutdown and joins every role thread (idempotent; the
   /// destructor calls it).
@@ -113,8 +117,9 @@ class InProcessCluster {
   /// Owned registry shared by every role (declared before master_, which
   /// holds counter references into it).
   obs::MetricsRegistry metrics_;
+  /// Declared before master_, which holds a pointer to it.
+  obs::TelemetryAggregator telemetry_;
   ThreadFabric fabric_;
-  MonitorBoard board_;
   ForemanStats foreman_stats_;
   std::shared_ptr<ChaosTotals> chaos_totals_;
   std::unique_ptr<Transport> master_endpoint_;
@@ -132,5 +137,9 @@ class InProcessCluster {
   std::vector<std::thread> threads_;
   bool shut_down_ = false;
 };
+
+/// One line per worker rank (tasks evaluated, CLV computations) from the
+/// totals its telemetry frames delivered; works for either cluster backend.
+std::string render_worker_totals(const obs::TelemetryAggregator& telemetry);
 
 }  // namespace fdml

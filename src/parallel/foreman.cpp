@@ -14,7 +14,6 @@
 #include "parallel/protocol.hpp"
 #include "search/runner.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace fdml {
 
@@ -51,14 +50,7 @@ struct ForemanCounters {
   obs::Counter& journal_replayed;
   obs::Counter& journal_appended;
   obs::Counter& journal_write_failures;
-  obs::Counter& goodbyes_received;
   obs::Counter& heartbeat_pings;
-  /// Worker-side kernel work accumulated from per-result deltas (registry
-  /// only; not part of the ForemanStats view).
-  obs::Counter& kernel_clv_computations;
-  obs::Counter& kernel_edge_evaluations;
-  obs::Counter& kernel_transition_hits;
-  obs::Counter& kernel_transition_misses;
 
   explicit ForemanCounters(obs::MetricsRegistry& r)
       : rounds(r.counter("foreman.rounds")),
@@ -81,12 +73,7 @@ struct ForemanCounters {
         journal_replayed(r.counter("foreman.journal_replayed")),
         journal_appended(r.counter("foreman.journal_appended")),
         journal_write_failures(r.counter("foreman.journal_write_failures")),
-        goodbyes_received(r.counter("foreman.goodbyes_received")),
-        heartbeat_pings(r.counter("foreman.heartbeat_pings")),
-        kernel_clv_computations(r.counter("kernel.clv_computations")),
-        kernel_edge_evaluations(r.counter("kernel.edge_evaluations")),
-        kernel_transition_hits(r.counter("kernel.transition_hits")),
-        kernel_transition_misses(r.counter("kernel.transition_misses")) {}
+        heartbeat_pings(r.counter("foreman.heartbeat_pings")) {}
 
   ForemanStats read() const {
     ForemanStats s;
@@ -110,7 +97,6 @@ struct ForemanCounters {
     s.journal_replayed = journal_replayed.value();
     s.journal_appended = journal_appended.value();
     s.journal_write_failures = journal_write_failures.value();
-    s.goodbyes_received = goodbyes_received.value();
     s.heartbeat_pings = heartbeat_pings.value();
     return s;
   }
@@ -140,7 +126,6 @@ ForemanStats stats_delta(const ForemanStats& end, const ForemanStats& start) {
   d.journal_appended = end.journal_appended - start.journal_appended;
   d.journal_write_failures =
       end.journal_write_failures - start.journal_write_failures;
-  d.goodbyes_received = end.goodbyes_received - start.goodbyes_received;
   d.heartbeat_pings = end.heartbeat_pings - start.heartbeat_pings;
   return d;
 }
@@ -250,13 +235,7 @@ class Foreman {
           break;
         case MessageTag::kShutdown:
           broadcast_shutdown();
-          collect_goodbyes();
           return finish();
-        case MessageTag::kGoodbye:
-          // A worker exiting early (it saw the fabric close or a direct
-          // shutdown); take its report now rather than in the grace window.
-          handle_goodbye(message->source, std::move(message->payload));
-          break;
         default:
           counters_.unexpected_tags.add();
           FDML_WARN("foreman") << "unexpected tag "
@@ -399,7 +378,6 @@ class Foreman {
     if (still_needed) {
       work_queue_.push_front(task);
       counters_.requeues.add();
-      notify(MonitorEventKind::kRequeue, task.task_id, worker);
       obs::instant("foreman", "requeue", "task",
                    static_cast<std::int64_t>(task.task_id), "worker", worker);
       trace_queue_depth();
@@ -428,10 +406,8 @@ class Foreman {
       counters_.delinquencies.add();
       if (was_probe) {
         counters_.probation_failures.add();
-        notify(MonitorEventKind::kProbeFail, 0, worker);
         obs::instant("foreman", "probe_fail", "worker", worker);
       }
-      notify(MonitorEventKind::kDelinquent, 0, worker);
       obs::instant("foreman", "delinquent", "worker", worker, "strikes",
                    h.strikes);
     }
@@ -439,9 +415,8 @@ class Foreman {
 
   /// Moves a worker into the probation queue: it will receive one probe
   /// task after its exponential backoff, and rejoins the ready queue only
-  /// when the probe completes within its deadline. `task_id` labels the
-  /// monitor event (the monitor treats task 0 as an initial hello).
-  void enter_probation(int worker, bool quarantine, std::uint64_t task_id) {
+  /// when the probe completes within its deadline.
+  void enter_probation(int worker, bool quarantine) {
     WorkerHealth& h = health(worker);
     h.state = WorkerState::kProbation;
     h.awaiting_contact = false;  // entered via an actual message
@@ -453,9 +428,7 @@ class Foreman {
     } else {
       // The paper's reinstatement path: a delinquent worker finally replied.
       counters_.reinstatements.add();
-      notify(MonitorEventKind::kReinstate, task_id, worker);
     }
-    notify(MonitorEventKind::kProbation, task_id, worker);
     obs::instant("foreman", quarantine ? "quarantine" : "probation", "worker",
                  worker, "strikes", h.strikes);
   }
@@ -463,7 +436,6 @@ class Foreman {
   /// Malformed payload: count, quarantine a worker sender, never die.
   void handle_corrupt(int sender) {
     counters_.corrupt_messages.add();
-    notify(MonitorEventKind::kCorrupt, 0, sender);
     obs::instant("foreman", "corrupt", "worker", sender);
     FDML_WARN("foreman") << "malformed payload from rank " << sender;
     if (sender < kFirstWorkerRank) return;  // master/monitor: count only
@@ -472,17 +444,16 @@ class Foreman {
     }
     ready_.erase(std::remove(ready_.begin(), ready_.end(), sender), ready_.end());
     ++health(sender).strikes;
-    enter_probation(sender, /*quarantine=*/true, 0);
+    enter_probation(sender, /*quarantine=*/true);
     dispatch_work();
   }
 
   void handle_hello(int worker) {
     WorkerHealth& h = health(worker);
     if (h.state == WorkerState::kSuspect) {
-      enter_probation(worker, /*quarantine=*/false, 0);
+      enter_probation(worker, /*quarantine=*/false);
     } else if (h.state == WorkerState::kHealthy) {
       mark_ready(worker);
-      notify(MonitorEventKind::kReinstate, 0, worker);
     }
     dispatch_work();
   }
@@ -524,13 +495,11 @@ class Foreman {
         h.eligible_at = Clock::now() + backoff_for(h.strikes);
         h.awaiting_contact = true;
         counters_.probations.add();
-        notify(MonitorEventKind::kProbation, 0, worker);
         obs::instant("foreman", "probation", "worker", worker, "strikes",
                      h.strikes);
       }
     }
     counters_.rounds.add();
-    notify(MonitorEventKind::kRoundBegin, 0, -1);
     begin_round_span(round_.round_id, static_cast<std::int64_t>(round_.expected));
     std::vector<std::uint64_t> digests;
     digests.reserve(message.tasks.size());
@@ -585,7 +554,6 @@ class Foreman {
     Packer packer;
     task.pack(packer);
     send_sealed(worker, MessageTag::kTask, packer.take());
-    notify(MonitorEventKind::kDispatch, task.task_id, worker);
     counters_.tasks_dispatched.add();
     // Flow-begin on the foreman side of the dispatch->execute->result arc;
     // the worker's execute span adds the step and accept() closes it.
@@ -612,7 +580,6 @@ class Foreman {
       if (in_flight_.count(worker) != 0) continue;
       if (now < h.eligible_at) continue;
       counters_.probation_probes.add();
-      notify(MonitorEventKind::kProbation, work_queue_.front().task_id, worker);
       dispatch_to(worker, /*probe=*/true);
     }
   }
@@ -634,13 +601,12 @@ class Foreman {
   /// worker in rotation — the corruption happened in transit, not in it.
   void handle_nack(int worker) {
     counters_.task_nacks.add();
-    notify(MonitorEventKind::kNack, 0, worker);
     obs::instant("foreman", "nack", "worker", worker);
     if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
       requeue_record(it, "rejected a malformed task");
     }
     if (health(worker).state == WorkerState::kSuspect) {
-      enter_probation(worker, /*quarantine=*/false, 0);
+      enter_probation(worker, /*quarantine=*/false);
     } else {
       mark_ready(worker);
     }
@@ -672,7 +638,6 @@ class Foreman {
       // the contact actually happened.
       h.awaiting_contact = false;
       counters_.reinstatements.add();
-      notify(MonitorEventKind::kReinstate, result.task_id, worker);
       obs::instant("foreman", "reinstate", "worker", worker);
     }
     const auto flight = in_flight_.find(worker);
@@ -685,7 +650,6 @@ class Foreman {
           h.state = WorkerState::kHealthy;
           h.strikes = 0;
           counters_.probation_passes.add();
-          notify(MonitorEventKind::kProbePass, result.task_id, worker);
           obs::instant("foreman", "probe_pass", "worker", worker);
         } else {
           h.strikes = 0;
@@ -706,7 +670,7 @@ class Foreman {
     } else if (h.state == WorkerState::kSuspect) {
       // A delinquent worker finally replied: probation, not unconditional
       // reinstatement. Its result may still complete the task below.
-      enter_probation(worker, /*quarantine=*/false, result.task_id);
+      enter_probation(worker, /*quarantine=*/false);
     } else if (h.state == WorkerState::kHealthy) {
       mark_ready(worker);
     }
@@ -729,22 +693,6 @@ class Foreman {
       obs::flow(obs::Phase::kFlowEnd,
                 obs::task_flow_id(result.round_id, result.task_id), "worker",
                 result.worker);
-      // Per-worker kernel attribution from the result's counter deltas (the
-      // goodbye report supersedes these with authoritative lifetime totals).
-      WorkerKernelReport& acc = worker_accum_[result.worker];
-      acc.worker = result.worker;
-      if (!acc.reported) {
-        ++acc.tasks_evaluated;
-        acc.cpu_seconds += result.cpu_seconds;
-        acc.clv_computations += result.clv_computations;
-        acc.edge_evaluations += result.edge_evaluations;
-        acc.transition_hits += result.transition_hits;
-        acc.transition_misses += result.transition_misses;
-      }
-      counters_.kernel_clv_computations.add(result.clv_computations);
-      counters_.kernel_edge_evaluations.add(result.edge_evaluations);
-      counters_.kernel_transition_hits.add(result.transition_hits);
-      counters_.kernel_transition_misses.add(result.transition_misses);
     }
     // Drop every requeued copy still waiting in the queue — repeated
     // timeouts can have queued the same task more than once.
@@ -762,8 +710,6 @@ class Foreman {
     round_.stats.push_back(stat);
     counters_.tasks_completed.add();
     trace_queue_depth();
-    notify(MonitorEventKind::kComplete, result.task_id, result.worker,
-           result.cpu_seconds);
 
     // Write-ahead: the completion is durably journaled before it can decide
     // the round, so a crash after this point never loses it. Replayed
@@ -812,7 +758,6 @@ class Foreman {
       done.best = round_.best;
       done.stats = std::move(round_.stats);
       send_sealed(kMasterRank, MessageTag::kRoundDone, done.pack());
-      notify(MonitorEventKind::kRoundEnd, 0, -1);
       end_round_span(static_cast<std::int64_t>(round_.completed.size()));
       round_active_ = false;
     }
@@ -850,7 +795,6 @@ class Foreman {
     failed.reason = "all workers delinquent";
     send_sealed(kMasterRank, MessageTag::kRoundFailed, failed.pack());
     counters_.rounds_failed.add();
-    notify(MonitorEventKind::kRoundFailed, 0, -1);
     obs::instant("foreman", "round_failed", "round",
                  static_cast<std::int64_t>(round_.round_id));
     end_round_span(static_cast<std::int64_t>(round_.completed.size()));
@@ -859,94 +803,18 @@ class Foreman {
     trace_queue_depth();
   }
 
+  /// Forwards the master's shutdown to the monitor and every worker rank.
   void broadcast_shutdown() {
-    for (int rank = kFirstWorkerRank; rank < transport_.size(); ++rank) {
+    for (int rank = kMonitorRank; rank < transport_.size(); ++rank) {
       transport_.send(rank, MessageTag::kShutdown, {});
     }
-    if (options_.notify_monitor && transport_.size() > kMonitorRank) {
-      transport_.send(kMonitorRank, MessageTag::kShutdown, {});
-    }
   }
 
-  /// After shutdown is broadcast, wait a short grace window for goodbye
-  /// reports from every worker we ever heard from. A crashed worker's
-  /// report never arrives; the per-result accumulation already collected
-  /// its task-level numbers, so the wait is bounded and best-effort.
-  void collect_goodbyes() {
-    if (options_.goodbye_timeout.count() <= 0 || health_.empty()) return;
-    std::set<int> pending;
-    for (const auto& [worker, h] : health_) pending.insert(worker);
-    const auto deadline = Clock::now() + options_.goodbye_timeout;
-    while (!pending.empty()) {
-      const auto now = Clock::now();
-      if (now >= deadline) break;
-      auto message = transport_.recv_for(
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now) +
-          std::chrono::milliseconds(1));
-      if (!message.has_value()) {
-        if (transport_.closed()) break;
-        continue;
-      }
-      if (message->tag != MessageTag::kGoodbye) continue;  // late results etc.
-      if (handle_goodbye(message->source, std::move(message->payload))) {
-        pending.erase(message->source);
-      }
-    }
-  }
-
-  /// Decodes and absorbs one goodbye report; false on a corrupt payload.
-  bool handle_goodbye(int source, std::vector<std::uint8_t> payload) {
-    if (!open_payload(payload)) {
-      counters_.corrupt_messages.add();
-      return false;
-    }
-    WorkerReportMessage report;
-    try {
-      report = WorkerReportMessage::unpack(payload);
-    } catch (const std::exception&) {
-      counters_.corrupt_messages.add();
-      return false;
-    }
-    counters_.goodbyes_received.add();
-    WorkerKernelReport& acc = worker_accum_[source];
-    acc.worker = source;
-    acc.reported = true;
-    acc.tasks_evaluated = report.tasks_evaluated;
-    acc.cpu_seconds = report.cpu_seconds;
-    acc.corrupt_tasks = report.corrupt_tasks;
-    acc.clv_computations = report.clv_computations;
-    acc.clv_rescales = report.clv_rescales;
-    acc.edge_captures = report.edge_captures;
-    acc.edge_evaluations = report.edge_evaluations;
-    acc.transition_hits = report.transition_hits;
-    acc.transition_misses = report.transition_misses;
-    acc.transition_evictions = report.transition_evictions;
-    // Publish the worker's lifetime totals under its own registry prefix
-    // (one goodbye per worker per run, so add() never double-counts).
-    const std::string prefix = "worker." + std::to_string(source) + ".";
-    registry_.counter(prefix + "tasks_evaluated").add(report.tasks_evaluated);
-    registry_.counter(prefix + "clv_computations").add(report.clv_computations);
-    registry_.counter(prefix + "edge_evaluations").add(report.edge_evaluations);
-    registry_.counter(prefix + "transition_hits").add(report.transition_hits);
-    registry_.counter(prefix + "transition_misses")
-        .add(report.transition_misses);
-    registry_.counter(prefix + "transition_evictions")
-        .add(report.transition_evictions);
-    obs::instant("foreman", "goodbye", "worker", source, "tasks",
-                 static_cast<std::int64_t>(report.tasks_evaluated));
-    return true;
-  }
-
-  /// The incarnation's final stats: counter deltas plus per-worker reports.
+  /// The incarnation's final stats: counter deltas since it started.
   ForemanStats finish() {
     if (round_span_open_) end_round_span(
         static_cast<std::int64_t>(round_.completed.size()));
-    ForemanStats stats = stats_delta(counters_.read(), start_);
-    stats.worker_reports.reserve(worker_accum_.size());
-    for (const auto& [worker, report] : worker_accum_) {
-      stats.worker_reports.push_back(report);
-    }
-    return stats;
+    return stats_delta(counters_.read(), start_);
   }
 
   void begin_round_span(std::uint64_t round_id, std::int64_t expected) {
@@ -978,28 +846,13 @@ class Foreman {
     obs::counter("queue_depth", static_cast<std::int64_t>(work_queue_.size()));
   }
 
-  void notify(MonitorEventKind kind, std::uint64_t task_id, int worker,
-              double cpu_seconds = 0.0) {
-    if (!options_.notify_monitor || transport_.size() <= kMonitorRank) return;
-    MonitorEvent event;
-    event.kind = kind;
-    event.round_id = round_.round_id;
-    event.task_id = task_id;
-    event.worker = worker;
-    event.at_seconds = uptime_.seconds();
-    event.cpu_seconds = cpu_seconds;
-    send_sealed(kMonitorRank, MessageTag::kMonitorEvent, event.pack());
-  }
-
   Transport& transport_;
   ForemanOptions options_;
   obs::MetricsRegistry& registry_;
   ForemanCounters counters_;
   /// Counter values at construction; the stats view subtracts these.
   ForemanStats start_;
-  std::map<int, WorkerKernelReport> worker_accum_;
   bool round_span_open_ = false;
-  Timer uptime_;
   std::optional<TaskJournal> journal_;
 
   std::deque<TreeTask> work_queue_;

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "comm/transport.hpp"
 #include "durable/vfs.hpp"
@@ -57,8 +56,6 @@ struct ForemanOptions {
   /// forever. Workers beyond the limit stay suspect so a genuinely dead
   /// fabric fails rounds fast instead of re-probing corpses each round.
   int amnesty_max_strikes = 3;
-  /// Emit instrumentation events to the monitor rank.
-  bool notify_monitor = true;
   /// When non-empty, append every completed task to this durable journal
   /// (write-ahead log). A foreman revived after a crash replays it and
   /// skips the insertions the dead incarnation already finished.
@@ -87,28 +84,6 @@ struct ForemanOptions {
   /// cluster can hand every role one registry and still get exact
   /// per-incarnation stats.
   obs::MetricsRegistry* metrics = nullptr;
-  /// How long to wait after broadcasting shutdown for worker goodbye
-  /// reports (per-worker kernel counters). Zero skips collection.
-  std::chrono::milliseconds goodbye_timeout{250};
-};
-
-/// Per-worker end-of-run accounting: queue-level tallies accumulated from
-/// results as they arrive, upgraded with the worker's authoritative goodbye
-/// report (which adds cache behaviour) when one arrives in time.
-struct WorkerKernelReport {
-  int worker = -1;
-  std::uint64_t tasks_evaluated = 0;
-  double cpu_seconds = 0.0;
-  std::uint64_t corrupt_tasks = 0;
-  std::uint64_t clv_computations = 0;
-  std::uint64_t clv_rescales = 0;
-  std::uint64_t edge_captures = 0;
-  std::uint64_t edge_evaluations = 0;
-  std::uint64_t transition_hits = 0;
-  std::uint64_t transition_misses = 0;
-  std::uint64_t transition_evictions = 0;
-  /// True once the worker's own goodbye report was folded in.
-  bool reported = false;
 };
 
 struct ForemanStats {
@@ -145,13 +120,8 @@ struct ForemanStats {
   /// Journal appends that failed (counted and logged, never fatal: a lost
   /// WAL entry only costs a re-evaluation after the next crash).
   std::uint64_t journal_write_failures = 0;
-  /// Worker goodbye reports received during the shutdown grace window.
-  std::uint64_t goodbyes_received = 0;
   /// Heartbeat pings sent to silent or suspect workers.
   std::uint64_t heartbeat_pings = 0;
-  /// Per-worker kernel-work attribution (satellite of the end-of-run
-  /// report); not part of the counter-delta arithmetic.
-  std::vector<WorkerKernelReport> worker_reports;
 };
 
 /// Runs the foreman loop until a shutdown message arrives (which is

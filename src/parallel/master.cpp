@@ -266,7 +266,15 @@ void ParallelMaster::handle_telemetry(int source,
     counters_.corrupt_messages.add();
     return;
   }
-  if (telemetry_sink_) telemetry_sink_(source, std::move(payload));
+  if (telemetry_ == nullptr) return;
+  // The integrity footer is already verified, so a frame that fails to
+  // decode only comes from a version-skewed peer: drop it.
+  try {
+    telemetry_->apply(obs::TelemetryFrame::unpack(payload));
+  } catch (const std::exception& e) {
+    FDML_WARN("master") << "undecodable telemetry frame from rank " << source
+                        << ": " << e.what();
+  }
 }
 
 std::size_t ParallelMaster::pump() {

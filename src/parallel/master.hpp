@@ -18,6 +18,7 @@
 
 #include "comm/transport.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "search/runner.hpp"
 
 namespace fdml {
@@ -121,13 +122,11 @@ class ParallelMaster final : public TaskRunner {
     reviver_ = std::move(reviver);
   }
 
-  /// Installs the kTelemetry consumer (typically TelemetryAggregator::apply
-  /// behind a decode). Called with the sender rank and the *opened*
-  /// (integrity-verified) frame payload, from whichever thread is receiving
-  /// — mid-round or from pump() — so it must be thread-safe.
-  void set_telemetry_sink(
-      std::function<void(int, std::vector<std::uint8_t>)> sink) {
-    telemetry_sink_ = std::move(sink);
+  /// Installs the kTelemetry consumer: frames arriving mid-round or via
+  /// pump() are verified, decoded and applied to `aggregator` (thread-safe;
+  /// it must outlive the master). Without one, frames are dropped.
+  void set_telemetry(obs::TelemetryAggregator* aggregator) {
+    telemetry_ = aggregator;
   }
 
   /// Drains fabric messages while NO round is in flight (telemetry frames
@@ -171,7 +170,7 @@ class ParallelMaster final : public TaskRunner {
   RoundOutcome attempt_round(std::uint64_t round_id,
                              const std::vector<TreeTask>& tasks);
 
-  /// Verifies and forwards one kTelemetry payload to the sink.
+  /// Verifies, decodes and applies one kTelemetry payload.
   void handle_telemetry(int source, std::vector<std::uint8_t> payload);
 
   Transport& transport_;
@@ -182,7 +181,7 @@ class ParallelMaster final : public TaskRunner {
   MasterStats start_;
   std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback_;
   std::function<bool()> reviver_;
-  std::function<void(int, std::vector<std::uint8_t>)> telemetry_sink_;
+  obs::TelemetryAggregator* telemetry_ = nullptr;
   /// Serializes transport receives between an in-flight round
   /// (attempt_round) and the idle-period pump(); without it the pump could
   /// steal a kRoundDone out from under the round loop.

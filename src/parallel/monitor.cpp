@@ -1,105 +1,13 @@
 #include "parallel/monitor.hpp"
 
-#include "comm/integrity.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace fdml {
 
-void MonitorBoard::apply(const MonitorEvent& event) {
-  std::lock_guard lock(mutex_);
-  switch (event.kind) {
-    case MonitorEventKind::kRoundBegin:
-      ++report_.rounds;
-      round_begin_at_ = event.at_seconds;
-      first_completion_at_ = -1.0;
-      last_completion_at_ = -1.0;
-      break;
-    case MonitorEventKind::kDispatch:
-      ++report_.dispatches;
-      break;
-    case MonitorEventKind::kComplete:
-      ++report_.completions;
-      report_.total_worker_cpu_seconds += event.cpu_seconds;
-      report_.tasks_per_worker[event.worker] += 1;
-      if (first_completion_at_ < 0.0) first_completion_at_ = event.at_seconds;
-      last_completion_at_ = event.at_seconds;
-      break;
-    case MonitorEventKind::kRequeue:
-      ++report_.requeues;
-      break;
-    case MonitorEventKind::kDelinquent:
-      ++report_.delinquencies;
-      break;
-    case MonitorEventKind::kReinstate:
-      // Initial hellos also arrive as reinstatements with task_id 0.
-      if (event.task_id != 0) ++report_.reinstatements;
-      break;
-    case MonitorEventKind::kRoundEnd:
-      if (first_completion_at_ >= 0.0) {
-        report_.round_slack_seconds.push_back(last_completion_at_ -
-                                              first_completion_at_);
-      }
-      report_.round_duration_seconds.push_back(event.at_seconds - round_begin_at_);
-      break;
-    case MonitorEventKind::kCorrupt:
-      ++report_.corrupt_messages;
-      break;
-    case MonitorEventKind::kProbation:
-      ++report_.probations;
-      break;
-    case MonitorEventKind::kProbePass:
-      ++report_.probe_passes;
-      break;
-    case MonitorEventKind::kProbeFail:
-      ++report_.probe_failures;
-      break;
-    case MonitorEventKind::kNack:
-      ++report_.nacks;
-      break;
-    case MonitorEventKind::kRoundFailed:
-      ++report_.rounds_failed;
-      break;
-  }
-}
-
-void MonitorBoard::note_malformed_event() {
-  std::lock_guard lock(mutex_);
-  ++report_.malformed_events;
-}
-
-MonitorReport MonitorBoard::snapshot() const {
-  std::lock_guard lock(mutex_);
-  return report_;
-}
-
-void trace_monitor_event(const MonitorEvent& event) {
-  const char* kind = monitor_event_kind_name(event.kind);
-  obs::instant("monitor", kind, "worker",
-               static_cast<std::int64_t>(event.worker), "task",
-               static_cast<std::int64_t>(event.task_id));
-  FDML_DEBUG("monitor") << kind << " worker=" << event.worker
-                        << " task=" << event.task_id;
-}
-
-void monitor_main(Transport& transport, MonitorBoard& board) {
+void monitor_main(Transport& transport) {
   obs::set_thread_name("monitor");
   while (auto message = transport.recv()) {
     if (message->tag == MessageTag::kShutdown) break;
-    if (message->tag != MessageTag::kMonitorEvent) continue;
-    // Instrumentation is best-effort: a corrupt event is dropped (and
-    // counted), never allowed to take the monitor thread down.
-    if (!open_payload(message->payload)) {
-      board.note_malformed_event();
-      continue;
-    }
-    try {
-      const MonitorEvent event = MonitorEvent::unpack(message->payload);
-      trace_monitor_event(event);
-      board.apply(event);
-    } catch (const std::exception&) {
-      board.note_malformed_event();
-    }
   }
 }
 

@@ -1,73 +1,17 @@
-// The monitor role (the paper's optional fourth module): consumes
-// instrumentation events from the foreman and aggregates utilization and
-// barrier-slack statistics. The paper's real-time viewer watched this kind
-// of stream; here the report also backs tests and the scalability analysis.
+// The monitor role (the paper's optional fourth module). In the paper it fed
+// the foreman's events to a real-time viewer; here every one of those facts
+// is a foreman.* counter in the MetricsRegistry, and a run's timeline is its
+// trace (trace_report computes utilization and barrier slack from it). The
+// rank keeps its slot so the paper's P-3 worker accounting, the simulator
+// and the socket fabric size stay as they are; the role only waits for the
+// foreman's shutdown.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <vector>
-
 #include "comm/transport.hpp"
-#include "parallel/protocol.hpp"
 
 namespace fdml {
 
-struct MonitorReport {
-  std::uint64_t rounds = 0;
-  std::uint64_t dispatches = 0;
-  std::uint64_t completions = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t delinquencies = 0;
-  std::uint64_t reinstatements = 0;
-  /// Malformed payloads the foreman detected (and quarantined the sender).
-  std::uint64_t corrupt_messages = 0;
-  /// Workers that entered the probation queue.
-  std::uint64_t probations = 0;
-  std::uint64_t probe_passes = 0;
-  std::uint64_t probe_failures = 0;
-  /// Workers that reported a malformed task payload.
-  std::uint64_t nacks = 0;
-  /// Rounds the foreman declared unfinishable.
-  std::uint64_t rounds_failed = 0;
-  /// Monitor events that themselves arrived malformed (dropped).
-  std::uint64_t malformed_events = 0;
-  double total_worker_cpu_seconds = 0.0;
-  /// Tasks completed per worker rank.
-  std::map<int, std::uint64_t> tasks_per_worker;
-  /// Per-round barrier slack: time between the first and the last task
-  /// completion of the round (the paper's "loosely synchronized" barriers).
-  std::vector<double> round_slack_seconds;
-  /// Wall-clock duration of each round at the foreman.
-  std::vector<double> round_duration_seconds;
-};
-
-/// Shared, thread-safe report the monitor thread fills in.
-class MonitorBoard {
- public:
-  void apply(const MonitorEvent& event);
-  /// A kMonitorEvent whose payload failed the integrity check (counted so
-  /// even the instrumentation stream is corruption-safe).
-  void note_malformed_event();
-  MonitorReport snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  MonitorReport report_;
-  double round_begin_at_ = 0.0;
-  double first_completion_at_ = -1.0;
-  double last_completion_at_ = -1.0;
-};
-
-/// Re-emits a monitor event as a trace instant (cat "monitor", name =
-/// monitor_event_kind_name) and a debug log line. Chaos runs used to drop
-/// this stream on the floor when nobody polled the board; with tracing on,
-/// every health-state transition now lands in the trace timeline. Split out
-/// of monitor_main so tests can drive it directly.
-void trace_monitor_event(const MonitorEvent& event);
-
-/// Runs the monitor loop until shutdown, applying events to `board`.
-void monitor_main(Transport& transport, MonitorBoard& board);
+/// Blocks until kShutdown arrives or the fabric closes.
+void monitor_main(Transport& transport);
 
 }  // namespace fdml

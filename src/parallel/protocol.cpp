@@ -91,80 +91,4 @@ RoundFailedMessage RoundFailedMessage::unpack(
   return message;
 }
 
-const char* monitor_event_kind_name(MonitorEventKind kind) {
-  switch (kind) {
-    case MonitorEventKind::kRoundBegin: return "round_begin";
-    case MonitorEventKind::kDispatch: return "dispatch";
-    case MonitorEventKind::kComplete: return "complete";
-    case MonitorEventKind::kRequeue: return "requeue";
-    case MonitorEventKind::kDelinquent: return "delinquent";
-    case MonitorEventKind::kReinstate: return "reinstate";
-    case MonitorEventKind::kRoundEnd: return "round_end";
-    case MonitorEventKind::kCorrupt: return "corrupt";
-    case MonitorEventKind::kProbation: return "probation";
-    case MonitorEventKind::kProbePass: return "probe_pass";
-    case MonitorEventKind::kProbeFail: return "probe_fail";
-    case MonitorEventKind::kNack: return "nack";
-    case MonitorEventKind::kRoundFailed: return "round_failed";
-  }
-  return "unknown";
-}
-
-std::vector<std::uint8_t> WorkerReportMessage::pack() const {
-  Packer packer;
-  packer.put_i32(worker);
-  packer.put_u64(tasks_evaluated);
-  packer.put_f64(cpu_seconds);
-  packer.put_u64(corrupt_tasks);
-  packer.put_u64(clv_computations);
-  packer.put_u64(clv_rescales);
-  packer.put_u64(edge_captures);
-  packer.put_u64(edge_evaluations);
-  packer.put_u64(transition_hits);
-  packer.put_u64(transition_misses);
-  packer.put_u64(transition_evictions);
-  return packer.take();
-}
-
-WorkerReportMessage WorkerReportMessage::unpack(
-    const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
-  WorkerReportMessage message;
-  message.worker = unpacker.get_i32();
-  message.tasks_evaluated = unpacker.get_u64();
-  message.cpu_seconds = unpacker.get_f64();
-  message.corrupt_tasks = unpacker.get_u64();
-  message.clv_computations = unpacker.get_u64();
-  message.clv_rescales = unpacker.get_u64();
-  message.edge_captures = unpacker.get_u64();
-  message.edge_evaluations = unpacker.get_u64();
-  message.transition_hits = unpacker.get_u64();
-  message.transition_misses = unpacker.get_u64();
-  message.transition_evictions = unpacker.get_u64();
-  return message;
-}
-
-std::vector<std::uint8_t> MonitorEvent::pack() const {
-  Packer packer;
-  packer.put_u8(static_cast<std::uint8_t>(kind));
-  packer.put_u64(round_id);
-  packer.put_u64(task_id);
-  packer.put_i32(worker);
-  packer.put_f64(at_seconds);
-  packer.put_f64(cpu_seconds);
-  return packer.take();
-}
-
-MonitorEvent MonitorEvent::unpack(const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
-  MonitorEvent event;
-  event.kind = static_cast<MonitorEventKind>(unpacker.get_u8());
-  event.round_id = unpacker.get_u64();
-  event.task_id = unpacker.get_u64();
-  event.worker = unpacker.get_i32();
-  event.at_seconds = unpacker.get_f64();
-  event.cpu_seconds = unpacker.get_f64();
-  return event;
-}
-
 }  // namespace fdml

@@ -11,9 +11,10 @@
 namespace fdml {
 
 /// Fixed rank layout (paper Figure 2): master generates and compares trees,
-/// foreman owns the work/ready queues, monitor instruments, workers
-/// optimize. "The fully instrumented parallel version of fastDNAml requires
-/// a minimum of four processors."
+/// foreman owns the work/ready queues, workers optimize. The monitor rank
+/// keeps its slot — "the fully instrumented parallel version of fastDNAml
+/// requires a minimum of four processors" — but run accounting lives in the
+/// MetricsRegistry and reaches rank 0 in kTelemetry frames.
 inline constexpr int kMasterRank = 0;
 inline constexpr int kForemanRank = 1;
 inline constexpr int kMonitorRank = 2;
@@ -58,70 +59,6 @@ struct RoundFailedMessage {
 
   std::vector<std::uint8_t> pack() const;
   static RoundFailedMessage unpack(const std::vector<std::uint8_t>& payload);
-};
-
-/// foreman -> monitor: instrumentation events.
-enum class MonitorEventKind : std::uint8_t {
-  kRoundBegin = 1,
-  kDispatch = 2,
-  kComplete = 3,
-  kRequeue = 4,
-  kDelinquent = 5,
-  kReinstate = 6,
-  kRoundEnd = 7,
-  /// Malformed payload detected (worker = quarantined sender, or -1).
-  kCorrupt = 8,
-  /// A suspect worker re-entered via the probation queue.
-  kProbation = 9,
-  /// Probation probe completed within its deadline; worker is healthy again.
-  kProbePass = 10,
-  /// Probation probe timed out; worker is suspect again, backoff doubled.
-  kProbeFail = 11,
-  /// A worker reported its task payload arrived malformed.
-  kNack = 12,
-  /// The foreman declared the round unfinishable (all workers dead).
-  kRoundFailed = 13,
-};
-
-/// Static display name for a monitor event kind ("dispatch", "probation",
-/// ...); "unknown" for values outside the enum. Used by the trace
-/// instant-events so a chaos schedule is readable in the timeline.
-const char* monitor_event_kind_name(MonitorEventKind kind);
-
-/// worker -> foreman (kGoodbye): end-of-run self-report sent when the worker
-/// sees kShutdown, so the final report can attribute kernel work (CLV
-/// combines, cache behaviour) per worker instead of only foreman-visible
-/// queue stats.
-struct WorkerReportMessage {
-  int worker = -1;
-  std::uint64_t tasks_evaluated = 0;
-  double cpu_seconds = 0.0;
-  std::uint64_t corrupt_tasks = 0;
-  /// Cumulative engine counters for the worker's whole life (KernelCounters).
-  std::uint64_t clv_computations = 0;
-  std::uint64_t clv_rescales = 0;
-  std::uint64_t edge_captures = 0;
-  std::uint64_t edge_evaluations = 0;
-  std::uint64_t transition_hits = 0;
-  std::uint64_t transition_misses = 0;
-  std::uint64_t transition_evictions = 0;
-
-  std::vector<std::uint8_t> pack() const;
-  static WorkerReportMessage unpack(const std::vector<std::uint8_t>& payload);
-};
-
-struct MonitorEvent {
-  MonitorEventKind kind = MonitorEventKind::kDispatch;
-  std::uint64_t round_id = 0;
-  std::uint64_t task_id = 0;
-  int worker = -1;
-  /// Seconds since the foreman started (event ordering / slack analysis).
-  double at_seconds = 0.0;
-  /// Worker CPU seconds (kComplete only).
-  double cpu_seconds = 0.0;
-
-  std::vector<std::uint8_t> pack() const;
-  static MonitorEvent unpack(const std::vector<std::uint8_t>& payload);
 };
 
 }  // namespace fdml

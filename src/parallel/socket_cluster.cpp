@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "parallel/monitor.hpp"
 #include "parallel/protocol.hpp"
 #include "util/log.hpp"
 
@@ -31,9 +32,7 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
     foreman.telemetry_interval = options.telemetry_interval;
     result.foreman = foreman_main(*endpoint, foreman);
   } else if (rank == kMonitorRank) {
-    MonitorBoard board;
-    monitor_main(*endpoint, board);
-    result.monitor = board.snapshot();
+    monitor_main(*endpoint);
   } else {
     WorkerRunOptions worker;
     worker.optimize = options.optimize;
@@ -41,7 +40,8 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
     result.worker = worker_main(*endpoint, data, model, rates, worker);
   }
   // The role loop saw shutdown (or the hub died). Closing flushes anything
-  // still queued — a worker's goodbye report, the foreman's final round.
+  // still queued — a worker's final telemetry frame, the foreman's final
+  // round.
   fabric.close();
   return result;
 }
@@ -83,18 +83,8 @@ SocketCluster::SocketCluster(const PatternAlignment& data, SubstModel model,
     return serial_fallback_->run_round(tasks);
   });
   // Telemetry frames arriving on the hub (mid-round or via pump) land in
-  // the aggregator; a frame that fails to decode is dropped here — the
-  // integrity footer was already verified, so this only catches a
-  // version-skewed peer.
-  master_->set_telemetry_sink(
-      [this](int source, std::vector<std::uint8_t> payload) {
-        try {
-          telemetry_.apply(obs::TelemetryFrame::unpack(payload));
-        } catch (const std::exception& e) {
-          FDML_WARN("master") << "undecodable telemetry frame from rank "
-                              << source << ": " << e.what();
-        }
-      });
+  // the aggregator.
+  master_->set_telemetry(&telemetry_);
 }
 
 SocketCluster::~SocketCluster() { shutdown(); }
@@ -120,6 +110,7 @@ void SocketCluster::shutdown() {
     FDML_WARN("master") << "socket fabric: peers still connected after "
                            "shutdown grace; closing anyway";
   }
+  master_->pump();  // the workers' final telemetry frames
   fabric_.close();
 }
 

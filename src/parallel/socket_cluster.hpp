@@ -21,7 +21,6 @@
 #include "obs/telemetry.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
-#include "parallel/monitor.hpp"
 #include "parallel/worker.hpp"
 #include "search/runner.hpp"
 
@@ -39,12 +38,12 @@ struct SocketRunOptions {
 };
 
 /// What a non-master rank's role loop produced (only the member matching
-/// the rank is meaningful; the app prints it as the process's exit summary).
+/// the rank is meaningful; the app prints it as the process's exit summary;
+/// the monitor rank produces nothing).
 struct SocketRoleResult {
   int rank = -1;
   std::optional<ForemanStats> foreman;
   std::optional<WorkerStats> worker;
-  std::optional<MonitorReport> monitor;
 };
 
 /// Runs the role loop for options.socket.rank (>= 1) over its own
@@ -80,8 +79,9 @@ class SocketCluster {
   MasterStats master_stats() const { return master_->stats(); }
   SocketFabricStats fabric_stats() const { return fabric_.stats(); }
 
-  /// The hub-side aggregate of every rank's kTelemetry frames (empty until
-  /// emitters are enabled via telemetry_interval).
+  /// The hub-side aggregate of every rank's kTelemetry frames: periodic
+  /// ones when telemetry_interval is set, and each worker's final frame
+  /// once shutdown() has returned.
   obs::TelemetryAggregator& telemetry() { return telemetry_; }
   const obs::TelemetryAggregator& telemetry() const { return telemetry_; }
 

@@ -56,28 +56,6 @@ std::optional<TreeTask> decode_task(std::vector<std::uint8_t> payload) {
   }
 }
 
-/// End-of-run self-report: lifetime stats plus the engine's cumulative
-/// kernel counters, sent to the foreman on shutdown so final reports can
-/// attribute kernel work per worker.
-void send_goodbye(Transport& transport, const WorkerStats& stats,
-                  const KernelCounters& counters) {
-  WorkerReportMessage report;
-  report.worker = transport.rank();
-  report.tasks_evaluated = stats.tasks_evaluated;
-  report.cpu_seconds = stats.cpu_seconds;
-  report.corrupt_tasks = stats.corrupt_tasks;
-  report.clv_computations = counters.clv_computations;
-  report.clv_rescales = counters.clv_rescales;
-  report.edge_captures = counters.edge_captures;
-  report.edge_evaluations = counters.edge_evaluations;
-  report.transition_hits = counters.transition_hits;
-  report.transition_misses = counters.transition_misses;
-  report.transition_evictions = counters.transition_evictions;
-  auto payload = report.pack();
-  seal_payload(payload);
-  transport.send(kForemanRank, MessageTag::kGoodbye, std::move(payload));
-}
-
 }  // namespace
 
 WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
@@ -88,17 +66,18 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
                           options.optimize);
   WorkerStats stats;
 
-  // The telemetry plane: a registry local to this worker incarnation (a
-  // restarted worker process naturally starts from zero; the emitter's
-  // fresh incarnation id tells the aggregator so) diffed into periodic
-  // kTelemetry frames for the master. Interval zero keeps the legacy
-  // blocking-recv loop — no timers, no extra wakeups.
+  // The telemetry plane, the worker's only accounting channel: a registry
+  // local to this worker incarnation (a restarted worker process naturally
+  // starts from zero; the emitter's fresh incarnation id tells the
+  // aggregator so) diffed into kTelemetry frames for the master — one on
+  // shutdown always, plus periodic ones when the interval is set. Interval
+  // zero keeps the blocking-recv loop: no timers, no extra wakeups.
   const bool telemetry_on = options.telemetry_interval.count() > 0;
   obs::MetricsRegistry registry;
   obs::TelemetryEmitter emitter(registry, transport.rank());
   KernelCounters last_counters;
-  obs::Histogram& batch_fill =
-      registry.histogram("kernel.batch_fill", {1, 2, 4, 8, 16, 32});
+  obs::Histogram& task_batch =
+      registry.histogram("worker.task_batch", {1, 2, 4, 8, 16, 32});
   auto next_emit = std::chrono::steady_clock::now() + options.telemetry_interval;
   const auto emit_telemetry = [&] {
     fold_kernel_counters(registry, evaluator.engine().counters(),
@@ -136,8 +115,7 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
     }
     if (!message.has_value()) break;
     if (message->tag == MessageTag::kShutdown) {
-      if (telemetry_on) emit_telemetry();  // final totals beat the goodbye
-      send_goodbye(transport, stats, evaluator.engine().counters());
+      emit_telemetry();  // the final totals
       break;
     }
     if (message->tag == MessageTag::kPing) {
@@ -185,7 +163,7 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
       enqueue(std::move(next));
     }
     if (batch.empty()) continue;  // every drained payload was corrupt
-    batch_fill.observe(static_cast<double>(batch.size()));
+    task_batch.observe(static_cast<double>(batch.size()));
 
     std::vector<TaskResult> results;
     {
@@ -199,14 +177,16 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
         obs::flow(obs::Phase::kFlowStep,
                   obs::task_flow_id(task.round_id, task.task_id));
       }
+      const KernelCounters before = evaluator.engine().counters();
       results = evaluator.evaluate_batch(batch);
-      std::int64_t clv = 0;
-      std::int64_t edge_evals = 0;
-      for (const TaskResult& r : results) {
-        clv += static_cast<std::int64_t>(r.clv_computations);
-        edge_evals += static_cast<std::int64_t>(r.edge_evaluations);
-      }
-      span.set_end_args("clv", clv, "edge_evals", edge_evals);
+      const KernelCounters after = evaluator.engine().counters();
+      span.set_end_args(
+          "clv",
+          static_cast<std::int64_t>(after.clv_computations -
+                                    before.clv_computations),
+          "edge_evals",
+          static_cast<std::int64_t>(after.edge_evaluations -
+                                    before.edge_evaluations));
     }
     for (TaskResult& result : results) {
       result.worker = transport.rank();

@@ -1,6 +1,7 @@
 // The worker role: receive a tree, optimize its branch lengths, return it
-// with its likelihood. Workers talk to the foreman for work and (when the
-// telemetry plane is on) ship periodic metric deltas to the master.
+// with its likelihood. Workers talk to the foreman for work and ship their
+// registry's metric deltas to the master: always once on shutdown, and
+// periodically when the telemetry interval is set.
 #pragma once
 
 #include <chrono>
@@ -28,9 +29,9 @@ struct WorkerStats {
 
 struct WorkerRunOptions {
   OptimizeOptions optimize;
-  /// Period between kTelemetry frames to the master; zero disables the
-  /// telemetry plane entirely (the loop blocks on recv exactly as before,
-  /// so disabled telemetry costs nothing on the hot path).
+  /// Period between kTelemetry frames to the master. Zero turns off the
+  /// periodic frames only (the loop then blocks on recv, so no timers run
+  /// on the hot path); the final frame on shutdown is always sent.
   std::chrono::milliseconds telemetry_interval{0};
 };
 

@@ -6,7 +6,7 @@
 //
 // Matching the paper's protocol, a round returns only the *best* tree (the
 // foreman compares likelihood values; the master never re-evaluates
-// returned trees) plus per-task accounting used by the monitor and the
+// returned trees) plus per-task accounting used by the search trace and the
 // scaling-trace recorder.
 #pragma once
 

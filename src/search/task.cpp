@@ -27,10 +27,6 @@ void TaskResult::pack(Packer& packer) const {
   packer.put_string(newick);
   packer.put_f64(cpu_seconds);
   packer.put_i32(worker);
-  packer.put_u64(clv_computations);
-  packer.put_u64(edge_evaluations);
-  packer.put_u64(transition_hits);
-  packer.put_u64(transition_misses);
 }
 
 TaskResult TaskResult::unpack(Unpacker& unpacker) {
@@ -41,10 +37,6 @@ TaskResult TaskResult::unpack(Unpacker& unpacker) {
   result.newick = unpacker.get_string();
   result.cpu_seconds = unpacker.get_f64();
   result.worker = unpacker.get_i32();
-  result.clv_computations = unpacker.get_u64();
-  result.edge_evaluations = unpacker.get_u64();
-  result.transition_hits = unpacker.get_u64();
-  result.transition_misses = unpacker.get_u64();
   return result;
 }
 

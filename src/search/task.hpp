@@ -40,17 +40,10 @@ struct TaskResult {
   /// Worker thread-CPU seconds spent optimizing (drives the scaling-trace
   /// replays).
   double cpu_seconds = 0.0;
-  /// Rank/id of the worker that produced this result (monitor bookkeeping).
+  /// Rank/id of the worker that produced this result (per-task stats).
+  /// Kernel work is not carried here: each worker's engine counters reach
+  /// rank 0 through its telemetry registry.
   int worker = -1;
-
-  /// Kernel work this task cost (engine counter deltas, see KernelCounters):
-  /// lets the foreman attribute per-worker kernel effort as results arrive
-  /// instead of waiting for the end-of-run goodbye report. Zero for results
-  /// replayed from the journal.
-  std::uint64_t clv_computations = 0;
-  std::uint64_t edge_evaluations = 0;
-  std::uint64_t transition_hits = 0;
-  std::uint64_t transition_misses = 0;
 
   void pack(Packer& packer) const;
   static TaskResult unpack(Unpacker& unpacker);

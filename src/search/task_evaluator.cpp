@@ -194,7 +194,6 @@ void TaskEvaluator::flush_chunk(std::vector<Candidate>& chunk,
 TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
                                              double phase_a_share) {
   LikelihoodEngine& engine = evaluator_.engine();
-  const KernelCounters before = engine.counters();
   CpuTimer timer;
   Tree& ctx = *ctx_base_;
   const TreeTask& task = *c.task;
@@ -233,8 +232,7 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
   ctx.set_length(ins.u, ins.v, original_length);
   engine.restore_clv_validity(ctx_validity_);
 
-  return finish_result(task, lnl, c.tree, timer.seconds() + phase_a_share,
-                       before);
+  return finish_result(task, lnl, c.tree, timer.seconds() + phase_a_share);
 }
 
 double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
@@ -286,7 +284,6 @@ double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
 }
 
 TaskResult TaskEvaluator::evaluate_focus_sequential(const TreeTask& task) {
-  const KernelCounters before = evaluator_.engine().counters();
   CpuTimer timer;
   Tree tree = tree_from_newick(task.newick, data_.names());
   ctx_valid_ = false;  // the engine leaves the context tree
@@ -295,34 +292,26 @@ TaskResult TaskEvaluator::evaluate_focus_sequential(const TreeTask& task) {
   const int junction = tree.neighbor(tip, 0);
   const double lnl = smooth_focus(tree, tip, junction, task.smooth_passes,
                                   /*pre_applied_before=*/-1.0);
-  return finish_result(task, lnl, tree, timer.seconds(), before);
+  return finish_result(task, lnl, tree, timer.seconds());
 }
 
 TaskResult TaskEvaluator::evaluate_full(const TreeTask& task) {
-  const KernelCounters before = evaluator_.engine().counters();
   Tree tree = tree_from_newick(task.newick, data_.names());
   ctx_valid_ = false;  // evaluate() re-attaches the engine
   const Evaluation evaluation = evaluator_.evaluate(tree, task.smooth_passes);
   return finish_result(task, evaluation.log_likelihood, tree,
-                       evaluation.cpu_seconds, before);
+                       evaluation.cpu_seconds);
 }
 
 TaskResult TaskEvaluator::finish_result(const TreeTask& task,
                                         double log_likelihood,
-                                        const Tree& tree, double cpu_seconds,
-                                        const KernelCounters& before) {
+                                        const Tree& tree, double cpu_seconds) {
   TaskResult result;
   result.task_id = task.task_id;
   result.round_id = task.round_id;
   result.log_likelihood = log_likelihood;
   result.newick = to_newick(tree, data_.names(), 17);
   result.cpu_seconds = cpu_seconds;
-  const KernelCounters after = evaluator_.engine().counters();
-  result.clv_computations = after.clv_computations - before.clv_computations;
-  result.edge_evaluations = after.edge_evaluations - before.edge_evaluations;
-  result.transition_hits = after.transition_hits - before.transition_hits;
-  result.transition_misses =
-      after.transition_misses - before.transition_misses;
   return result;
 }
 

@@ -97,8 +97,7 @@ class TaskEvaluator {
   TaskResult evaluate_candidate(Candidate& c, double t1, double phase_a_share);
 
   TaskResult finish_result(const TreeTask& task, double log_likelihood,
-                           const Tree& tree, double cpu_seconds,
-                           const KernelCounters& before);
+                           const Tree& tree, double cpu_seconds);
 
   const PatternAlignment& data_;
   TreeEvaluator evaluator_;

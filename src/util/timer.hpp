@@ -1,4 +1,4 @@
-// Wall-clock and CPU timers used by the monitor instrumentation and the
+// Wall-clock and CPU timers used by the workers' task accounting and the
 // trace recorder.
 #pragma once
 

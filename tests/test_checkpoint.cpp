@@ -2,10 +2,12 @@
 // feature) and the assigned-rates likelihood (fastDNAml's actual
 // per-site-category semantics, completing the DNArates workflow).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "likelihood/site_rates.hpp"
 #include "model/simulate.hpp"
@@ -51,8 +53,9 @@ TEST(Checkpoint, LoadRejectsGarbage) {
 
 TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
   Fixture fx;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fdml_ckpt_test").string();
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("fdml_ckpt_test_" + std::to_string(::getpid())))
+                               .string();
 
   SerialTaskRunner runner(fx.data, SubstModel::jc69(), RateModel::uniform());
   SearchOptions options;

@@ -594,7 +594,6 @@ TEST(ForemanJournal, RevivedForemanReplaysInsteadOfRedispatching) {
   ScratchDir dir("replay");
   ThreadFabric fabric(4);
   ForemanOptions options;
-  options.notify_monitor = false;
   options.journal_path = dir.file("tasks.journal");
 
   auto master = fabric.endpoint(kMasterRank);

@@ -1,7 +1,7 @@
 // Tests for the observability layer: metrics registry consistency under
 // concurrent bumps, span tracer ring semantics, Chrome trace round-trips,
 // flow-arc pairing across a real parallel run, report math against a
-// hand-computed trace, and the worker goodbye-report propagation.
+// hand-computed trace, and per-worker totals reaching rank 0 by telemetry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
-#include "parallel/monitor.hpp"
+#include "parallel/protocol.hpp"
 #include "search/search.hpp"
 #include "simcluster/simulator.hpp"
 #include "tree/random.hpp"
@@ -180,7 +180,7 @@ obs::TraceLog two_worker_trace() {
   log.add(3, obs::Phase::kEnd, 5.0 * s, "worker", "task");
   log.add(4, obs::Phase::kBegin, 1.0 * s, "worker", "task");
   log.add(4, obs::Phase::kEnd, 4.0 * s, "worker", "task");
-  log.add(1, obs::Phase::kInstant, 6.0 * s, "foreman", "goodbye");
+  log.add(1, obs::Phase::kInstant, 6.0 * s, "foreman", "delinquent");
   log.sort_events();
   return log;
 }
@@ -225,7 +225,7 @@ TEST(Report, ScalingRowMath) {
   EXPECT_NE(obs::render_scaling(row).find("speedup"), std::string::npos);
 }
 
-// --- full parallel run: trace shape, flows, worker reports ---
+// --- full parallel run: trace shape, flows, worker totals ---
 
 struct ObsFixture {
   ObsFixture(int taxa = 9, std::size_t sites = 120)
@@ -310,7 +310,9 @@ TEST(Obs, TracedClusterRunHasBalancedSpansAndPairedFlows) {
   EXPECT_EQ(report.flow_begins, report.flow_ends);
 }
 
-TEST(Obs, WorkerKernelReportsReachForeman) {
+// Each worker's registry reaches rank 0 in its final telemetry frame — the
+// only channel for per-worker totals, on the thread backend as on sockets.
+TEST(Obs, WorkerTotalsReachRankZeroByTelemetry) {
   ObsFixture fx;
   SearchOptions options;
   options.seed = 5;
@@ -322,50 +324,29 @@ TEST(Obs, WorkerKernelReportsReachForeman) {
   cluster.shutdown();
 
   const ForemanStats& stats = cluster.foreman_stats();
-  EXPECT_EQ(stats.goodbyes_received, 2u);
-  ASSERT_EQ(stats.worker_reports.size(), 2u);
+  const std::vector<obs::RankTelemetry> rows = cluster.telemetry().ranks();
+  ASSERT_EQ(rows.size(), 2u);
   std::uint64_t tasks = 0;
-  for (const WorkerKernelReport& report : stats.worker_reports) {
-    EXPECT_TRUE(report.reported) << "worker " << report.worker;
-    EXPECT_GT(report.tasks_evaluated, 0u);
-    EXPECT_GT(report.clv_computations, 0u);
-    EXPECT_GT(report.edge_evaluations, 0u);
-    tasks += report.tasks_evaluated;
+  for (const obs::RankTelemetry& row : rows) {
+    EXPECT_GE(row.rank, kFirstWorkerRank);
+    EXPECT_GT(row.counter("kernel.clv_computations"), 0u) << "rank " << row.rank;
+    EXPECT_GT(row.counter("kernel.edge_evaluations"), 0u) << "rank " << row.rank;
+    tasks += row.counter("worker.tasks_evaluated");
+    // The worker histogram is tasks per drained batch; edges per capture
+    // (kernel.batch_fill) belongs to the process registry, not the frames.
+    bool task_batch = false;
+    for (const obs::HistogramDelta& h : row.histograms) {
+      EXPECT_NE(h.name, "kernel.batch_fill") << "rank " << row.rank;
+      if (h.name == "worker.task_batch" && h.count > 0) task_batch = true;
+    }
+    EXPECT_TRUE(task_batch) << "rank " << row.rank;
   }
   EXPECT_EQ(tasks, stats.tasks_completed);
 
-  // The shared registry saw the same totals under per-worker names.
+  // Worker kernel work is not re-counted into the master/foreman registry.
   const obs::MetricsSnapshot snap = cluster.metrics_snapshot();
-  for (const WorkerKernelReport& report : stats.worker_reports) {
-    const std::string prefix =
-        "worker." + std::to_string(report.worker) + ".";
-    EXPECT_EQ(snap.counter(prefix + "tasks_evaluated"),
-              report.tasks_evaluated);
-    EXPECT_EQ(snap.counter(prefix + "clv_computations"),
-              report.clv_computations);
-  }
+  EXPECT_EQ(snap.counter("kernel.clv_computations"), 0u);
   EXPECT_EQ(snap.counter("foreman.tasks_completed"), stats.tasks_completed);
-}
-
-TEST(Obs, MonitorEventsBecomeTraceInstants) {
-  TracerGuard guard;
-  obs::set_thread_name("monitor-test");
-  MonitorEvent event;
-  event.kind = MonitorEventKind::kDelinquent;
-  event.worker = 5;
-  event.task_id = 17;
-  trace_monitor_event(event);
-  const obs::TraceLog log = obs::Tracer::instance().drain();
-  bool found = false;
-  for (const obs::LogEvent& e : log.events) {
-    if (e.cat == "monitor" && e.name == "delinquent") {
-      found = true;
-      EXPECT_EQ(e.arg0_name, "worker");
-      EXPECT_EQ(e.arg0, 5);
-      EXPECT_EQ(e.arg1, 17);
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 // --- simulator trace emission ---

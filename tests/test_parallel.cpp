@@ -1,13 +1,15 @@
 // Tests for the message fabric, the protocol codecs, and the full
 // master/foreman/worker/monitor runtime — including the paper's timeout
-// fault tolerance (requeue, delinquency, reinstatement).
+// fault tolerance (requeue, delinquency, reinstatement), the fabric's
+// traffic contract and per-worker totals reaching rank 0 by telemetry.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 
-#include "comm/fault.hpp"
+#include "comm/chaos.hpp"
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
@@ -97,7 +99,7 @@ TEST(Protocol, RoundMessageRoundTrip) {
   EXPECT_EQ(back.tasks[2].focus_taxon, 2);
 }
 
-TEST(Protocol, RoundDoneAndMonitorEventRoundTrip) {
+TEST(Protocol, RoundDoneRoundTrip) {
   RoundDoneMessage done;
   done.round_id = 5;
   done.best.task_id = 9;
@@ -109,17 +111,6 @@ TEST(Protocol, RoundDoneAndMonitorEventRoundTrip) {
   ASSERT_EQ(back.stats.size(), 1u);
   EXPECT_EQ(back.stats[0].bytes, 512u);
   EXPECT_EQ(back.stats[0].worker, 4);
-
-  MonitorEvent event;
-  event.kind = MonitorEventKind::kRequeue;
-  event.round_id = 5;
-  event.task_id = 9;
-  event.worker = 6;
-  event.at_seconds = 1.5;
-  const MonitorEvent eback = MonitorEvent::unpack(event.pack());
-  EXPECT_EQ(eback.kind, MonitorEventKind::kRequeue);
-  EXPECT_EQ(eback.worker, 6);
-  EXPECT_DOUBLE_EQ(eback.at_seconds, 1.5);
 }
 
 // --- scripted foreman (transport-level) ---
@@ -191,7 +182,6 @@ TEST(Foreman, StaleResultDoesNotDoubleBookWorker) {
   ThreadFabric fabric(4);  // master, foreman, monitor, one worker
   ForemanOptions options;
   options.worker_timeout = std::chrono::milliseconds(400);
-  options.notify_monitor = false;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman(
@@ -324,19 +314,17 @@ TEST(Cluster, FourWorkersFindEquallyGoodTree) {
   EXPECT_NEAR(parallel_result.best_log_likelihood,
               serial_result.best_log_likelihood, 1e-6);
 
-  // Monitor events are asynchronous; shut down (joining the monitor thread,
-  // which drains its queue first) before snapshotting.
   cluster.shutdown();
-  const MonitorReport report = cluster.monitor_report();
-  EXPECT_EQ(report.completions, parallel_result.trees_evaluated);
-  EXPECT_EQ(report.requeues, 0u);
+  const ForemanStats& stats = cluster.foreman_stats();
+  EXPECT_EQ(stats.tasks_completed, parallel_result.trees_evaluated);
+  EXPECT_EQ(stats.requeues, 0u);
+  EXPECT_EQ(stats.rounds, parallel_result.trace.rounds.size());
   // Work actually spread across workers.
   int busy_workers = 0;
-  for (const auto& [worker, count] : report.tasks_per_worker) {
-    if (count > 0) ++busy_workers;
+  for (const obs::RankTelemetry& row : cluster.telemetry().ranks()) {
+    if (row.counter("worker.tasks_evaluated") > 0) ++busy_workers;
   }
   EXPECT_GE(busy_workers, 2);
-  EXPECT_EQ(report.rounds, parallel_result.trace.rounds.size());
 }
 
 TEST(Cluster, WorkerStatsCarriedInTrace) {
@@ -357,25 +345,27 @@ TEST(Cluster, WorkerStatsCarriedInTrace) {
   }
 }
 
+/// Wraps only worker rank 3's endpoint in a ChaosTransport running `plan`;
+/// the other workers stay fault-free.
+std::function<std::unique_ptr<Transport>(int, std::unique_ptr<Transport>)>
+chaos_on_first_worker(FaultPlan plan) {
+  return [plan](int rank, std::unique_ptr<Transport> inner)
+             -> std::unique_ptr<Transport> {
+    if (rank != kFirstWorkerRank) return inner;
+    return std::make_unique<ChaosTransport>(std::move(inner), plan);
+  };
+}
+
 TEST(Cluster, DroppedResultIsRequeuedToAnotherWorker) {
   ParallelFixture fx(8, 120);
   ClusterOptions cluster_options;
   cluster_options.num_workers = 2;
   cluster_options.foreman.worker_timeout = std::chrono::milliseconds(100);
-  // Worker rank 3 silently drops its first result: a "crashed" worker.
-  auto drop_count = std::make_shared<std::atomic<int>>(0);
-  cluster_options.wrap_worker_transport =
-      [drop_count](int rank, std::unique_ptr<Transport> inner)
-      -> std::unique_ptr<Transport> {
-    if (rank != kFirstWorkerRank) return inner;
-    return std::make_unique<FaultyTransport>(
-        std::move(inner),
-        [drop_count](const Message& message) {
-          return message.tag == MessageTag::kResult &&
-                 drop_count->fetch_add(1) == 0;
-        },
-        nullptr);
-  };
+  // Worker rank 3 dies on its second send (the hello is the first), so its
+  // first result never arrives: a crashed worker.
+  FaultPlan crash;
+  crash.crash_after_sends = 2;
+  cluster_options.wrap_worker_transport = chaos_on_first_worker(crash);
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
   SearchOptions options;
@@ -386,8 +376,7 @@ TEST(Cluster, DroppedResultIsRequeuedToAnotherWorker) {
   EXPECT_GE(cluster.foreman_stats().requeues, 1u);
   EXPECT_GE(cluster.foreman_stats().delinquencies, 1u);
   EXPECT_EQ(cluster.foreman_stats().tasks_completed, result.trees_evaluated);
-  const MonitorReport report = cluster.monitor_report();
-  EXPECT_GE(report.requeues, 1u);
+  EXPECT_GE(cluster.metrics_snapshot().counter("foreman.requeues"), 1u);
 }
 
 TEST(Cluster, SlowWorkerIsReinstatedAfterLateReply) {
@@ -395,31 +384,28 @@ TEST(Cluster, SlowWorkerIsReinstatedAfterLateReply) {
   ClusterOptions cluster_options;
   cluster_options.num_workers = 2;
   cluster_options.foreman.worker_timeout = std::chrono::milliseconds(80);
-  // Worker rank 3 delays its first result well past the timeout, then
-  // behaves normally — the paper's geographically-distributed-PVM scenario.
-  auto slow_count = std::make_shared<std::atomic<int>>(0);
-  cluster_options.wrap_worker_transport =
-      [slow_count](int rank, std::unique_ptr<Transport> inner)
-      -> std::unique_ptr<Transport> {
-    if (rank != kFirstWorkerRank) return inner;
-    return std::make_unique<FaultyTransport>(
-        std::move(inner), nullptr, [slow_count](const Message& message) {
-          if (message.tag == MessageTag::kResult &&
-              slow_count->fetch_add(1) == 0) {
-            return std::chrono::milliseconds(250);
-          }
-          return std::chrono::milliseconds(0);
-        });
-  };
+  // Every reply from worker rank 3 arrives 250 ms late, well past the
+  // timeout — the paper's geographically-distributed-PVM scenario.
+  FaultPlan slow;
+  slow.delay = 1.0;
+  slow.delay_min_ms = 250;
+  slow.delay_max_ms = 250;
+  cluster_options.wrap_worker_transport = chaos_on_first_worker(slow);
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
   SearchOptions options;
   options.seed = 13;
   const SearchResult result = StepwiseSearch(fx.data, options).run(cluster.runner());
   EXPECT_LT(result.best_log_likelihood, 0.0);
-  // The search can outrun the delayed reply; give the late result time to
-  // reach the foreman before tearing the cluster down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // The search can outrun the delayed reply; wait (bounded) for a late
+  // result to reach the foreman before tearing the cluster down.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.metrics_snapshot().counter("foreman.late_duplicate_results") <
+             1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   cluster.shutdown();
   EXPECT_GE(cluster.foreman_stats().requeues, 1u);
   EXPECT_GE(cluster.foreman_stats().reinstatements, 1u);
@@ -443,26 +429,30 @@ TEST(Cluster, ShutdownIsIdempotent) {
   cluster.shutdown();  // second call must be a no-op
 }
 
-TEST(Cluster, MonitorMeasuresRoundSlack) {
-  ParallelFixture fx(9, 150);
+// The fabric's traffic contract: a fault-free run sends exactly one task,
+// one result and one progress beat per task, one round and one round-done
+// per round, and a fixed start/stop set — the worker's hello, the three
+// shutdowns (master -> foreman -> monitor and worker) and the worker's
+// final telemetry frame. A side channel that re-counts the registry would
+// break the equality.
+TEST(Cluster, FaultFreeTrafficIsThreeMessagesPerTaskAndTwoPerRound) {
+  ParallelFixture fx;
   ClusterOptions cluster_options;
-  cluster_options.num_workers = 3;
+  cluster_options.num_workers = 1;
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
   SearchOptions options;
-  options.seed = 21;
-  const SearchResult result = StepwiseSearch(fx.data, options).run(cluster.runner());
-  (void)result;
-  cluster.shutdown();  // join the monitor so every event is tallied
-  const MonitorReport report = cluster.monitor_report();
-  EXPECT_EQ(report.round_slack_seconds.size(), report.rounds);
-  EXPECT_EQ(report.round_duration_seconds.size(), report.rounds);
-  for (std::size_t r = 0; r < report.rounds; ++r) {
-    EXPECT_GE(report.round_slack_seconds[r], 0.0);
-    EXPECT_GE(report.round_duration_seconds[r],
-              report.round_slack_seconds[r] - 1e-9)
-        << "slack cannot exceed the round duration";
-  }
+  options.seed = 3;
+  const SearchResult result =
+      StepwiseSearch(fx.data, options).run(cluster.runner());
+  cluster.shutdown();
+
+  const ForemanStats& stats = cluster.foreman_stats();
+  EXPECT_EQ(stats.tasks_dispatched, result.trees_evaluated);
+  EXPECT_EQ(stats.rounds, result.trace.rounds.size());
+  constexpr std::uint64_t kStartStop = 5;
+  EXPECT_EQ(cluster.fabric_messages(),
+            3 * stats.tasks_dispatched + 2 * stats.rounds + kStartStop);
 }
 
 }  // namespace

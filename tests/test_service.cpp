@@ -16,6 +16,7 @@
 
 #include "comm/chaos_proxy.hpp"
 #include "model/simulate.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/socket_cluster.hpp"
 #include "search/search.hpp"
 #include "service/admission.hpp"
@@ -238,8 +239,8 @@ TEST(JobScheduler, OverCapacitySubmissionsAreShedNotQueued) {
 
 TEST(JobScheduler, DrainCheckpointsInFlightAndResumeMatchesBitForBit) {
   namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "fdml_service_drain_test";
+  const fs::path dir = fs::temp_directory_path() /
+                       ("fdml_service_drain_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -393,7 +394,7 @@ TEST(ChaosProxySoak, SearchSurvivesLatencyCorruptionAndMidStreamCloses) {
 }
 
 TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
-  // Satellite: kill a worker mid-run (abrupt connection loss, no goodbye —
+  // Kill a worker mid-run (abrupt connection loss, no final frame —
   // indistinguishable from kill -9 at the hub and foreman), restart it with
   // the same rank, and require the foreman's health machine to walk it
   // through quarantine -> probation -> healthy while the final tree stays
@@ -425,6 +426,18 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
   options.master.watchdog_timeout = std::chrono::milliseconds(8000);
   options.foreman.worker_timeout = std::chrono::milliseconds(600);
   options.foreman.heartbeat_interval = std::chrono::milliseconds(150);
+  // The foreman role runs in this process; its own registry lets the test
+  // stage the kill on the foreman's counters instead of on sleeps.
+  obs::MetricsRegistry foreman_metrics;
+  options.foreman.metrics = &foreman_metrics;
+  const auto wait_for_counter = [&](const char* name, std::uint64_t at_least) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (foreman_metrics.snapshot().counter(name) < at_least &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
 
   SocketCluster cluster(data, model, rates, options);
 
@@ -470,10 +483,13 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
     });
   });
 
-  // Kill worker 4 mid-search, then restart it with the same rank.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Kill worker 4 once the search is under way. Restart it with the same
+  // rank only after the foreman has declared it delinquent: a replacement
+  // that connected first would simply serve the dead worker's next task.
+  wait_for_counter("foreman.tasks_completed", 10);
   proxy.sever_all();
   victim.join();
+  wait_for_counter("foreman.delinquencies", 1);
   std::thread replacement([&] {
     SocketRunOptions role_options = options;
     role_options.socket.rank = 4;  // same rank, fresh connection to the hub

@@ -20,6 +20,7 @@
 #include "comm/socket.hpp"
 #include "comm/wire.hpp"
 #include "model/simulate.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/protocol.hpp"
 #include "parallel/socket_cluster.hpp"
 #include "search/search.hpp"
@@ -544,6 +545,15 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
     cluster.shutdown();
     EXPECT_EQ(cluster.master_stats().serial_fallbacks, 0u);
     EXPECT_EQ(cluster.fabric_stats().peer_deaths, 0u);
+    // Each worker's final telemetry frame carried its totals to the hub.
+    const std::vector<obs::RankTelemetry> rows = cluster.telemetry().ranks();
+    ASSERT_EQ(rows.size(), 2u);
+    std::uint64_t tasks = 0;
+    for (const obs::RankTelemetry& row : rows) {
+      EXPECT_GT(row.counter("kernel.clv_computations"), 0u) << "rank " << row.rank;
+      tasks += row.counter("worker.tasks_evaluated");
+    }
+    EXPECT_EQ(tasks, serial_result.trees_evaluated);
   }
   for (auto& thread : roles) thread.join();
 
@@ -559,18 +569,16 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
 
 TEST(Integrity, SealTableMatchesSenderBehaviour) {
   // Payload-bearing tags travel sealed; empty control tags do not. This
-  // table is the contract; worker.cpp seals its kGoodbye report and the
-  // foreman opens it, so kGoodbye MUST be in the sealed set (regression:
-  // it was missing, so goodbye digests were appended but never verified
-  // or stripped by integrity-checking transports).
+  // table is the contract; worker.cpp seals its kTelemetry frames and the
+  // master opens them, so kTelemetry MUST be in the sealed set (a missing
+  // entry appends digests that integrity-checking transports never verify
+  // or strip).
   EXPECT_TRUE(tag_is_sealed(MessageTag::kTask));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kResult));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRound));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundDone));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kMonitorEvent));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kProgress));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundFailed));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kGoodbye));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kTelemetry));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kMetricsReply));
 
@@ -581,19 +589,18 @@ TEST(Integrity, SealTableMatchesSenderBehaviour) {
   EXPECT_FALSE(tag_is_sealed(MessageTag::kPing));
 }
 
-TEST(Integrity, SealedGoodbyeRoundTrips) {
+TEST(Integrity, SealedFinalTelemetryFrameRoundTrips) {
   // The exact bytes worker_main sends on shutdown must open cleanly.
-  WorkerReportMessage report;
-  report.worker = 4;
-  report.tasks_evaluated = 17;
-  report.cpu_seconds = 1.5;
-  std::vector<std::uint8_t> payload = report.pack();
+  obs::MetricsRegistry registry;
+  registry.counter("worker.tasks_evaluated").add(17);
+  obs::TelemetryEmitter emitter(registry, 4);
+  std::vector<std::uint8_t> payload = emitter.collect().pack();
   seal_payload(payload);
-  ASSERT_TRUE(tag_is_sealed(MessageTag::kGoodbye));
+  ASSERT_TRUE(tag_is_sealed(MessageTag::kTelemetry));
   ASSERT_TRUE(open_payload(payload));
-  const WorkerReportMessage decoded = WorkerReportMessage::unpack(payload);
-  EXPECT_EQ(decoded.worker, 4);
-  EXPECT_EQ(decoded.tasks_evaluated, 17u);
+  const obs::TelemetryFrame decoded = obs::TelemetryFrame::unpack(payload);
+  EXPECT_EQ(decoded.rank, 4);
+  EXPECT_EQ(decoded.counters.at("worker.tasks_evaluated"), 17u);
 }
 
 // ---------------------------------------------------------------------------
@@ -687,27 +694,6 @@ TEST(CorruptWire, RoundFailedMessageCorpus) {
   message.reason = "all workers delinquent";
   run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
     (void)RoundFailedMessage::unpack(b);
-  });
-}
-
-TEST(CorruptWire, WorkerReportMessageCorpus) {
-  WorkerReportMessage message;
-  message.worker = 3;
-  message.tasks_evaluated = 12;
-  message.cpu_seconds = 2.5;
-  run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)WorkerReportMessage::unpack(b);
-  });
-}
-
-TEST(CorruptWire, MonitorEventCorpus) {
-  MonitorEvent event;
-  event.kind = MonitorEventKind::kComplete;
-  event.round_id = 4;
-  event.task_id = 17;
-  event.worker = 3;
-  run_corrupt_corpus(event.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)MonitorEvent::unpack(b);
   });
 }
 
