@@ -1,7 +1,9 @@
 // fastdnaml++ — the command-line program, in the spirit of the original
 // fastDNAml interface: PHYLIP alignment in, maximum-likelihood tree out,
 // with jumbles, bootstrap, rate categories, rearrangement control, and the
-// parallel runtime behind a flag.
+// parallel runtime behind a flag. Like fastDNAml's serial, PVM and MPI
+// builds, the serial, thread-cluster and multi-process runs are one program
+// that differs only in the comm layer underneath.
 //
 //   fastdnamlpp alignment.phy                         # serial, defaults
 //   fastdnamlpp alignment.phy --jumble=10 --seed=3    # 10 addition orders
@@ -9,11 +11,16 @@
 //   fastdnamlpp alignment.phy --bootstrap=100         # bootstrap supports
 //   fastdnamlpp alignment.phy --tstv=2.0 --cross=5 --gamma=0.5 --categories=4
 //   fastdnamlpp alignment.phy --out=best.nwk --svg=compare.svg
+//   fastdnamlpp --taxa=20 --sites=600 --workers=4     # synthetic dataset
+//   fastdnamlpp --taxa=20 --workers=4 --chaos="chaos-plan v1 seed=7 drop=0.05"
+//                                                     # seeded fault injection
+//   scripts/launch_cluster.sh --size=6 -- fastdnamlpp --taxa=16 --sites=400
+//                                                     # one process per rank
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 
-#include "fdml.hpp"
+#include "front_end.hpp"
 #include "util/simd.hpp"
 
 namespace {
@@ -30,6 +37,9 @@ extern "C" void handle_stop_signal(int signal_number) {
 void usage(const char* program) {
   std::printf(
       "usage: %s ALIGNMENT.phy [options]\n"
+      "       %s --taxa=N [--sites=M] [options]\n"
+      "  --taxa=N --sites=M  synthetic paper-like alignment instead of a file\n"
+      "                    (default 300 sites, fixed seed 4242)\n"
       "  --seed=N          random seed for taxon addition order (default 1)\n"
       "  --jumble=N        number of random addition orders (default 1)\n"
       "  --bootstrap=N     bootstrap replicates instead of a plain search\n"
@@ -41,6 +51,8 @@ void usage(const char* program) {
       "  --adaptive=K      escalate stalled rearrangements up to K\n"
       "  --workers=N       run the parallel cluster with N workers\n"
       "  --timeout-ms=T    worker fault-tolerance timeout (default 30000)\n"
+      "  --chaos=PLAN      with --workers: seeded fault injection, e.g.\n"
+      "                    \"chaos-plan v1 seed=7 drop=0.05 delay=0.2\"\n"
       "  --transport=T     thread (default) or socket (multi-process TCP;\n"
       "                    launch one process per rank, see\n"
       "                    scripts/launch_cluster.sh)\n"
@@ -48,18 +60,24 @@ void usage(const char* program) {
       "  --port=P          socket mode: hub TCP port\n"
       "  --host=H          socket mode: hub address (default 127.0.0.1)\n"
       "  --fabric-size=S   socket mode: total process count\n"
+      "  --connect-timeout-ms, --reconnect, --reconnect-budget-ms,\n"
+      "  --heartbeat-ms,\n"
+      "  --telemetry-ms    socket mode: rendezvous and liveness tuning\n"
       "  --checkpoint=FILE write a restart checkpoint after each addition\n"
       "  --checkpoint-keep=K  checkpoint generations retained (default 3)\n"
       "  --resume=FILE     continue an interrupted run from its checkpoint\n"
       "                    (rolls back to the newest valid generation)\n"
-      "  --out=FILE        write the best tree (Newick)\n"
+      "  --out=FILE        write the best tree (Newick) and its ln L\n"
       "  --svg=FILE        write a comparison SVG across jumbles\n"
       "  --trace-out=FILE  write a Chrome trace of the run (chrome://tracing;\n"
       "                    feed it to trace_report for utilization tables)\n"
+      "  --sim-trace-out=FILE  replay the search through the cluster\n"
+      "                    simulator and write its virtual-time trace\n"
+      "  --sim-procs=P     simulated processor count (default 7)\n"
       "  --log-level=L     debug|info|warn|error|off (default warn)\n"
       "  --quiet           suppress the ASCII tree\n"
       "  --version         print version and SIMD kernel backend info\n",
-      program);
+      program, program);
 }
 
 void print_version() {
@@ -79,15 +97,42 @@ void print_version() {
   std::printf("\n");
 }
 
-fdml::SocketRunOptions socket_options_from_args(const fdml::CliArgs& args) {
-  fdml::SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
-  return options;
+void print_chaos_summary(const fdml::InProcessCluster& cluster,
+                         const fdml::FaultPlan& plan) {
+  const auto totals = cluster.chaos_totals();
+  const fdml::ForemanStats& foreman = cluster.foreman_stats();
+  const fdml::MasterStats master = cluster.master_stats();
+  std::printf("chaos (%s):\n"
+              "  dropped/duplicated %llu/%llu, corrupted/task-corrupt "
+              "%llu/%llu, delayed/reordered %llu/%llu, crashes %llu\n"
+              "  quarantines/probations %llu/%llu, rounds failed/fallback "
+              "%llu/%llu\n",
+              plan.serialize().c_str(),
+              static_cast<unsigned long long>(totals->drops.load()),
+              static_cast<unsigned long long>(totals->duplicates.load()),
+              static_cast<unsigned long long>(totals->corruptions.load()),
+              static_cast<unsigned long long>(totals->task_corruptions.load()),
+              static_cast<unsigned long long>(totals->delays.load()),
+              static_cast<unsigned long long>(totals->reorders.load()),
+              static_cast<unsigned long long>(totals->crashes.load()),
+              static_cast<unsigned long long>(foreman.quarantines),
+              static_cast<unsigned long long>(foreman.probations),
+              static_cast<unsigned long long>(master.rounds_failed),
+              static_cast<unsigned long long>(master.serial_fallbacks));
+}
+
+/// Replays the search's recorded trace through the discrete-event cluster
+/// and writes the same Chrome-trace vocabulary with virtual timestamps.
+bool write_sim_trace(const std::string& path, int processors,
+                     const fdml::SearchTrace& trace) {
+  fdml::obs::TraceLog sim_log;
+  fdml::SimClusterConfig config;
+  config.processors = processors;
+  config.trace = &sim_log;
+  const fdml::SimResult sim = fdml::simulate_trace(trace, config);
+  std::printf("simulated %d procs: %.3fs virtual wall, utilization %.2f\n",
+              processors, sim.wall_seconds, sim.worker_utilization);
+  return fdml::front_end::write_trace_file(path, sim_log);
 }
 
 }  // namespace
@@ -99,33 +144,17 @@ int main(int argc, char** argv) {
     print_version();
     return 0;
   }
-  if (args.positional().empty()) {
+  if (!front_end::has_dataset(args)) {
     usage(argv[0]);
     return 2;
   }
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
-  const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty()) obs::Tracer::instance().enable();
+  if (!front_end::init_logging(args)) return 2;
 
-  Alignment alignment;
-  try {
-    alignment = read_phylip_file(args.positional().front());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error reading %s: %s\n",
-                 args.positional().front().c_str(), error.what());
-    return 1;
-  }
-  const PatternAlignment data(alignment);
+  const std::optional<Alignment> alignment = front_end::load_dataset(args);
+  if (!alignment.has_value()) return 1;
+  const PatternAlignment data(*alignment);
   std::printf("fastdnaml++ | %zu taxa x %zu sites -> %zu patterns\n",
-              data.num_taxa(), alignment.num_sites(), data.num_patterns());
+              data.num_taxa(), data.num_sites(), data.num_patterns());
 
   const SubstModel model =
       SubstModel::f84_from_tstv(data.base_frequencies(), args.get_double("tstv", 2.0));
@@ -143,6 +172,15 @@ int main(int argc, char** argv) {
                  transport.c_str());
     return 2;
   }
+  if (args.has("chaos") && (transport == "socket" || !args.has("workers") ||
+                            args.has("bootstrap"))) {
+    // Faults are injected into the in-process cluster's fabric; a run
+    // without one would pass a fault drill with nothing injected.
+    std::fprintf(stderr,
+                 "error: --chaos needs --workers (thread transport, no "
+                 "--bootstrap)\n");
+    return 2;
+  }
   if (transport == "socket") {
     if (!args.has("port") || !args.has("fabric-size")) {
       std::fprintf(stderr,
@@ -156,42 +194,11 @@ int main(int argc, char** argv) {
                    "(run the plain search; bootstrap uses in-process runners)\n");
       return 2;
     }
-    const int rank = static_cast<int>(args.get_int("rank", 0));
-    if (rank != 0) {
-      // Non-master rank: run this process's role loop (foreman / monitor /
-      // worker) until the fabric shuts down, then exit. Every rank loads
-      // the same alignment file and model flags.
-      SocketRoleResult role;
-      try {
-        role = run_socket_role(data, model, rates, socket_options_from_args(args));
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "rank %d: %s\n", rank, error.what());
-        return 1;
-      }
-      if (role.foreman.has_value()) {
-        std::printf("foreman: %llu rounds, %llu tasks, %llu quarantines\n",
-                    static_cast<unsigned long long>(role.foreman->rounds),
-                    static_cast<unsigned long long>(role.foreman->tasks_completed),
-                    static_cast<unsigned long long>(role.foreman->quarantines));
-      } else if (role.worker.has_value()) {
-        std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
-                    static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                    role.worker->cpu_seconds);
-      }
-      if (!trace_out.empty()) {
-        obs::Tracer::instance().disable();
-        const obs::TraceLog log = obs::Tracer::instance().drain();
-        const std::string path = trace_out + ".rank" + std::to_string(rank);
-        std::ofstream out(path);
-        log.write_chrome(out);
-        if (!out) {
-          std::fprintf(stderr, "error writing %s\n", path.c_str());
-          return 1;
-        }
-        std::printf("wrote trace: %s (%zu events)\n", path.c_str(),
-                    log.events.size());
-      }
-      return 0;
+    // Every non-master rank loads the same alignment and model flags, runs
+    // its role loop (foreman / monitor / worker) until the fabric shuts
+    // down, then exits.
+    if (args.get_int("rank", 0) != 0) {
+      return front_end::run_role(args, data, model, rates);
     }
   }
 
@@ -209,7 +216,7 @@ int main(int argc, char** argv) {
     boot.seed = options.seed;
     boot.search = options;
     std::printf("bootstrap: %d replicates...\n", boot.replicates);
-    const BootstrapResult result = run_bootstrap(alignment, model, rates, boot);
+    const BootstrapResult result = run_bootstrap(*alignment, model, rates, boot);
     AsciiOptions ascii;
     ascii.show_support = true;
     std::printf("\nMajority-rule bootstrap consensus "
@@ -229,10 +236,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<SocketCluster> socket_cluster;
   std::unique_ptr<SerialTaskRunner> serial;
   TaskRunner* runner;
+  ClusterOptions cluster_options;
   if (transport == "socket") {
     // Rank 0 of a multi-process run: fabric hub + master, everything else
     // is other OS processes rendezvousing on our port.
-    SocketRunOptions socket_options = socket_options_from_args(args);
+    SocketRunOptions socket_options = front_end::socket_options(args);
     socket_options.socket.rank = 0;
     socket_cluster =
         std::make_unique<SocketCluster>(data, model, rates, socket_options);
@@ -251,10 +259,17 @@ int main(int argc, char** argv) {
                 socket_options.socket.size);
     runner = &socket_cluster->runner();
   } else if (args.has("workers")) {
-    ClusterOptions cluster_options;
     cluster_options.num_workers = static_cast<int>(args.get_int("workers", 4));
-    cluster_options.foreman.worker_timeout =
-        std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
+    cluster_options.foreman = front_end::foreman_options(args);
+    if (args.has("chaos")) {
+      // The same plan line replays the same fault schedule on every run.
+      try {
+        cluster_options.chaos = FaultPlan::parse(args.get("chaos", ""));
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "error: bad --chaos: %s\n", error.what());
+        return 2;
+      }
+    }
     cluster = std::make_unique<InProcessCluster>(data, model, rates, cluster_options);
     runner = &cluster->runner();
     std::printf("parallel: %d workers (+ master/foreman/monitor)\n",
@@ -276,21 +291,13 @@ int main(int argc, char** argv) {
   JumbleResult jumbled;
   try {
     if (args.has("resume")) {
+      // Crash recovery: roll back to the newest valid checkpoint generation
+      // of this dataset and continue; the completed result is bit-for-bit
+      // the uninterrupted run's.
       const std::string resume_path = args.get("resume", "");
-      std::optional<RecoveredCheckpoint> recovered;
-      try {
-        recovered =
-            recover_checkpoint(resume_path, options.dataset_fingerprint);
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     resume_path.c_str(), error.what());
-        return 1;
-      }
-      if (!recovered.has_value()) {
-        std::fprintf(stderr, "error: no usable checkpoint at %s\n",
-                     resume_path.c_str());
-        return 1;
-      }
+      const std::optional<RecoveredCheckpoint> recovered =
+          front_end::recover_for_resume(resume_path, options.dataset_fingerprint);
+      if (!recovered.has_value()) return 1;
       std::printf("resuming from %s (generation %llu, %d of %zu taxa placed)\n",
                   recovered->path.c_str(),
                   static_cast<unsigned long long>(recovered->generation),
@@ -332,10 +339,10 @@ int main(int argc, char** argv) {
   }
   std::printf("Newick: %s\n", to_newick(tree, data.names(), 6).c_str());
 
-  if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << to_newick(tree, data.names(), 10) << "\n";
-    std::printf("wrote %s\n", args.get("out", "").c_str());
+  if (args.has("out") &&
+      !front_end::write_result_file(args.get("out", ""), best.best_newick,
+                                    data, best.best_log_likelihood)) {
+    return 1;
   }
   if (args.has("svg") && jumbles > 1) {
     std::vector<GeneralTree> panels;
@@ -350,6 +357,12 @@ int main(int argc, char** argv) {
     out << render_comparison_svg(panels, {data.names().front()}, titles);
     std::printf("wrote %s\n", args.get("svg", "").c_str());
   }
+  if (args.has("sim-trace-out") &&
+      !write_sim_trace(args.get("sim-trace-out", ""),
+                       static_cast<int>(args.get_int("sim-procs", 7)),
+                       best.trace)) {
+    return 1;
+  }
   if (cluster != nullptr) {
     // Joining every role first makes the counters and the workers' final
     // telemetry frames complete before anything is printed.
@@ -360,40 +373,41 @@ int main(int argc, char** argv) {
       worker_cpu += run.trace.total_task_seconds();
     }
     std::printf("\ncluster: %llu rounds, %llu tasks (%.2fs worker CPU), "
-                "%llu requeues, %llu delinquencies\n%s",
+                "%llu requeues, %llu delinquencies\n"
+                "fabric traffic: %llu messages, %llu bytes\n%s",
                 static_cast<unsigned long long>(foreman.rounds),
                 static_cast<unsigned long long>(foreman.tasks_completed),
                 worker_cpu, static_cast<unsigned long long>(foreman.requeues),
                 static_cast<unsigned long long>(foreman.delinquencies),
+                static_cast<unsigned long long>(cluster->fabric_messages()),
+                static_cast<unsigned long long>(cluster->fabric_bytes()),
                 render_worker_totals(cluster->telemetry()).c_str());
+    if (cluster_options.chaos.has_value()) {
+      print_chaos_summary(*cluster, *cluster_options.chaos);
+    }
   }
   if (socket_cluster != nullptr) {
     socket_cluster->shutdown();  // drain the peers before reading stats
     const SocketFabricStats fabric = socket_cluster->fabric_stats();
-    std::printf("\nfabric: %llu frames out / %llu in, %llu peer deaths, "
-                "%llu dropped\n%s",
+    std::printf("\nfabric: %llu frames out / %llu in, %llu bytes out / "
+                "%llu in, %llu peer deaths, %llu dropped\n%s",
                 static_cast<unsigned long long>(fabric.frames_sent),
                 static_cast<unsigned long long>(fabric.frames_received),
+                static_cast<unsigned long long>(fabric.bytes_sent),
+                static_cast<unsigned long long>(fabric.bytes_received),
                 static_cast<unsigned long long>(fabric.peer_deaths),
                 static_cast<unsigned long long>(fabric.frames_dropped),
                 render_worker_totals(socket_cluster->telemetry()).c_str());
+    const MasterStats master = socket_cluster->master_stats();
+    if (master.rounds_failed > 0 || master.serial_fallbacks > 0) {
+      std::printf("degradation: %llu failed rounds, %llu serial fallbacks\n",
+                  static_cast<unsigned long long>(master.rounds_failed),
+                  static_cast<unsigned long long>(master.serial_fallbacks));
+    }
   }
   if (cluster != nullptr || socket_cluster != nullptr) {
     std::printf("(utilization and barrier slack: run with --trace-out=FILE, "
                 "then trace_report FILE)\n");
   }
-  if (!trace_out.empty()) {
-    obs::Tracer::instance().disable();
-    const obs::TraceLog log = obs::Tracer::instance().drain();
-    std::ofstream out(trace_out);
-    log.write_chrome(out);
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("wrote trace: %s (%zu events, %llu dropped)\n",
-                trace_out.c_str(), log.events.size(),
-                static_cast<unsigned long long>(log.dropped_events));
-  }
-  return 0;
+  return front_end::write_trace(args) ? 0 : 1;
 }

@@ -26,8 +26,8 @@
 //   # per-rank series need the fabric started with --telemetry-ms=N
 //   fdmld --mode=scrape --service-port=7200
 //
-//   # the serial reference for bit-for-bit comparison
-//   fdmld --mode=reference --seed=11 --taxa=12 --sites=300 --out=ref11.nwk
+//   # the serial reference for bit-for-bit comparison is fastdnamlpp:
+//   fastdnamlpp --taxa=12 --sites=300 --seed=11 --out=ref11.nwk
 //
 //   # seeded socket-layer chaos between the ranks and the hub
 //   fdmld --mode=proxy --listen-port=7101 --target-port=7100
@@ -39,7 +39,7 @@
 #include <string>
 #include <thread>
 
-#include "fdml.hpp"
+#include "front_end.hpp"
 
 namespace {
 
@@ -52,60 +52,6 @@ void on_signal(int sig) { g_signal = sig; }
 void install_signal_handlers() {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
-}
-
-/// Every process of a deployment rebuilds the identical dataset from the
-/// same flags (or reads the same file) — the paper's PVM processes each
-/// loading the alignment.
-Alignment dataset_from_args(const CliArgs& args) {
-  const int taxa = static_cast<int>(args.get_int("taxa", 12));
-  const auto sites = static_cast<std::size_t>(args.get_int("sites", 300));
-  return args.has("input") ? read_phylip_file(args.get("input", ""))
-                           : make_paper_like_dataset(taxa, sites, 4242);
-}
-
-/// Canonical result file (same bytes as parallel_search --out and the
-/// soak's serial reference): newick at precision 10, then "lnL %.6f".
-bool write_result_file(const std::string& path, const std::string& newick,
-                       const PatternAlignment& data, double log_likelihood) {
-  const Tree best = tree_from_newick(newick, data.names());
-  std::ofstream out(path);
-  out << to_newick(best, data.names(), 10) << "\n";
-  char lnl[64];
-  std::snprintf(lnl, sizeof lnl, "lnL %.6f\n", log_likelihood);
-  out << lnl;
-  if (!out) {
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-SocketRunOptions socket_options_from_args(const CliArgs& args) {
-  SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.socket.connect_timeout =
-      std::chrono::milliseconds(args.get_int("connect-timeout-ms", 15000));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 8000));
-  if (args.has("reconnect")) {
-    options.socket.reconnect = true;
-    options.socket.reconnect_budget =
-        std::chrono::milliseconds(args.get_int("reconnect-budget-ms", 15000));
-  }
-  if (args.has("heartbeat-ms")) {
-    options.foreman.heartbeat_interval =
-        std::chrono::milliseconds(args.get_int("heartbeat-ms", 0));
-  }
-  // --telemetry-ms=N turns on the live telemetry plane: every non-master
-  // rank ships metric deltas to the hub each period. With 0 (the default)
-  // the only frames are each worker's final totals at shutdown.
-  options.telemetry_interval =
-      std::chrono::milliseconds(args.get_int("telemetry-ms", 0));
-  return options;
 }
 
 /// Starts the rotating trace-segment writer when --trace-dir is given.
@@ -132,13 +78,14 @@ int run_serve(const CliArgs& args) {
   // in the first segment; stopped (final flush) after the drain below so
   // every span has closed by then.
   auto segments = maybe_start_segments(args);
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
+  const std::optional<Alignment> alignment = front_end::load_dataset(args);
+  if (!alignment.has_value()) return 1;
+  const PatternAlignment data(*alignment);
   const SubstModel model =
       SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
   const RateModel rates = RateModel::uniform();
 
-  SocketRunOptions cluster_options = socket_options_from_args(args);
+  SocketRunOptions cluster_options = front_end::socket_options(args);
   cluster_options.socket.rank = 0;
   // The service retries failed rounds (the remote foreman may be riding out
   // an outage) before degrading to in-process evaluation.
@@ -226,36 +173,14 @@ int run_serve(const CliArgs& args) {
 
 int run_role(const CliArgs& args) {
   auto segments = maybe_start_segments(args);
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::uniform();
-  const SocketRunOptions options = socket_options_from_args(args);
-  SocketRoleResult role;
-  try {
-    role = run_socket_role(data, model, rates, options);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "rank %d: %s\n", options.socket.rank, error.what());
-    return 1;
-  }
-  if (role.foreman.has_value()) {
-    std::printf("foreman: %llu rounds, %llu tasks, %llu delinquencies, "
-                "%llu probation passes, %llu heartbeat pings\n",
-                static_cast<unsigned long long>(role.foreman->rounds),
-                static_cast<unsigned long long>(role.foreman->tasks_completed),
-                static_cast<unsigned long long>(role.foreman->delinquencies),
-                static_cast<unsigned long long>(role.foreman->probation_passes),
-                static_cast<unsigned long long>(role.foreman->heartbeat_pings));
-  } else if (role.worker.has_value()) {
-    std::printf("worker %d: %llu tasks, %.2fs CPU, %llu telemetry frames\n",
-                role.rank,
-                static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                role.worker->cpu_seconds,
-                static_cast<unsigned long long>(role.worker->telemetry_frames));
-  }
+  const std::optional<Alignment> alignment = front_end::load_dataset(args);
+  if (!alignment.has_value()) return 1;
+  const PatternAlignment data(*alignment);
+  const int status = front_end::run_role(
+      args, data, SubstModel::f84_from_tstv(data.base_frequencies(), 2.0),
+      RateModel::uniform());
   if (segments) segments->stop();
-  return 0;
+  return status;
 }
 
 int run_submit(const CliArgs& args) {
@@ -290,10 +215,11 @@ int run_submit(const CliArgs& args) {
                 static_cast<unsigned long long>(outcome.job_id),
                 outcome.log_likelihood, outcome.retries);
     if (args.has("out")) {
-      const Alignment alignment = dataset_from_args(args);
-      const PatternAlignment data(alignment);
-      if (!write_result_file(args.get("out", ""), outcome.newick, data,
-                             outcome.log_likelihood)) {
+      const std::optional<Alignment> alignment = front_end::load_dataset(args);
+      if (!alignment.has_value() ||
+          !front_end::write_result_file(args.get("out", ""), outcome.newick,
+                                        PatternAlignment(*alignment),
+                                        outcome.log_likelihood)) {
         return 1;
       }
     }
@@ -311,44 +237,22 @@ int run_submit(const CliArgs& args) {
   return 4;
 }
 
-int run_stats(const CliArgs& args) {
-  const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
-  std::string json;
-  try {
-    json = service_query_stats(host, port, std::chrono::milliseconds(
-                                               args.get_int("wait-timeout-ms",
-                                                            10000)));
-  } catch (const ServiceTimeoutError& error) {
-    std::fprintf(stderr, "stats timed out: %s\n", error.what());
-    return 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "stats failed: %s\n", error.what());
-    return 1;
-  }
-  if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << json;
-    if (!out) return 1;
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
-  return 0;
-}
-
-int run_scrape(const CliArgs& args) {
+/// --mode=stats and --mode=scrape: one service query, its reply written to
+/// --out or stdout.
+int run_query(const CliArgs& args, const char* what,
+              std::string (*query)(const std::string&, std::uint16_t,
+                                   std::chrono::milliseconds)) {
   const std::string host = args.get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
   std::string text;
   try {
-    text = service_scrape(host, port,
-                          std::chrono::milliseconds(
-                              args.get_int("wait-timeout-ms", 10000)));
+    text = query(host, port, std::chrono::milliseconds(
+                                 args.get_int("wait-timeout-ms", 10000)));
   } catch (const ServiceTimeoutError& error) {
-    std::fprintf(stderr, "scrape timed out: %s\n", error.what());
+    std::fprintf(stderr, "%s timed out: %s\n", what, error.what());
     return 1;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "scrape failed: %s\n", error.what());
+    std::fprintf(stderr, "%s failed: %s\n", what, error.what());
     return 1;
   }
   if (args.has("out")) {
@@ -357,31 +261,6 @@ int run_scrape(const CliArgs& args) {
     if (!out) return 1;
   } else {
     std::fputs(text.c_str(), stdout);
-  }
-  return 0;
-}
-
-int run_reference(const CliArgs& args) {
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::uniform();
-  SearchOptions options;
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  options.rearrange_cross = static_cast<int>(args.get_int("cross", 1));
-  options.final_rearrange_cross =
-      static_cast<int>(args.get_int("final-cross", 1));
-  options.record_trace = false;
-  SerialTaskRunner runner(data, model, rates);
-  const SearchResult result = StepwiseSearch(data, options).run(runner);
-  std::printf("reference seed %llu: lnL %.6f\n",
-              static_cast<unsigned long long>(options.seed),
-              result.best_log_likelihood);
-  if (args.has("out") &&
-      !write_result_file(args.get("out", ""), result.best_newick, data,
-                         result.best_log_likelihood)) {
-    return 1;
   }
   return 0;
 }
@@ -422,26 +301,16 @@ int run_proxy(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
+  if (!front_end::init_logging(args)) return 2;
   const std::string mode = args.get("mode", "");
   if (mode == "serve") return run_serve(args);
   if (mode == "role") return run_role(args);
   if (mode == "submit") return run_submit(args);
-  if (mode == "stats") return run_stats(args);
-  if (mode == "scrape") return run_scrape(args);
-  if (mode == "reference") return run_reference(args);
+  if (mode == "stats") return run_query(args, "stats", service_query_stats);
+  if (mode == "scrape") return run_query(args, "scrape", service_scrape);
   if (mode == "proxy") return run_proxy(args);
   std::fprintf(stderr,
-               "usage: fdmld "
-               "--mode=serve|role|submit|stats|scrape|reference|proxy "
+               "usage: fdmld --mode=serve|role|submit|stats|scrape|proxy "
                "[flags]\n");
   return 2;
 }

@@ -18,8 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/report.hpp"
-#include "util/cli.hpp"
+#include "front_end.hpp"
 
 namespace {
 
@@ -95,15 +94,9 @@ int main(int argc, char** argv) {
 
   obs::TraceLog log;
   if (!load(args.positional().front(), log)) return 1;
-  if (args.has("stitch-out")) {
-    const std::string path = args.get("stitch-out", "");
-    std::ofstream out(path);
-    log.write_chrome(out);
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote stitched trace: %s\n", path.c_str());
+  if (args.has("stitch-out") &&
+      !front_end::write_trace_file(args.get("stitch-out", ""), log)) {
+    return 1;
   }
   const int bins = static_cast<int>(args.get_int("bins", 24));
   const obs::TraceReport report = obs::analyze_trace(log, bins);

@@ -5,11 +5,11 @@
 #
 #   scripts/crash_recovery_smoke.sh [BINARY] [ITERATIONS]
 #
-# BINARY defaults to build/examples/parallel_search, ITERATIONS to 10.
+# BINARY defaults to build/apps/fastdnamlpp, ITERATIONS to 10.
 # Exit 0 = every kill/resume cycle converged to the reference result.
 set -u
 
-BINARY=${1:-build/examples/parallel_search}
+BINARY=${1:-build/apps/fastdnamlpp}
 ITERATIONS=${2:-10}
 TAXA=${TAXA:-16}
 SITES=${SITES:-300}

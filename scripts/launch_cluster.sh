@@ -14,9 +14,9 @@
 #
 # Examples:
 #   scripts/launch_cluster.sh --size=6 -- \
-#       build/examples/parallel_search --taxa=12 --sites=300 --out=best.nwk
+#       build/apps/fastdnamlpp --taxa=12 --sites=300 --out=best.nwk
 #   scripts/launch_cluster.sh --size=7 --kill-rank=4 --kill-after=2 -- \
-#       build/examples/parallel_search --taxa=16 --sites=500 --timeout-ms=5000
+#       build/apps/fastdnamlpp --taxa=16 --sites=500 --timeout-ms=5000
 set -u
 
 SIZE=6

@@ -25,10 +25,13 @@ set -u
 
 BUILD_DIR=${1:-build}
 FDMLD=$BUILD_DIR/apps/fdmld
-if [ ! -x "$FDMLD" ]; then
-  echo "service_soak: $FDMLD not built" >&2
-  exit 2
-fi
+FASTDNAMLPP=$BUILD_DIR/apps/fastdnamlpp
+for program in "$FDMLD" "$FASTDNAMLPP"; do
+  if [ ! -x "$program" ]; then
+    echo "service_soak: $program not built" >&2
+    exit 2
+  fi
+done
 
 TAXA=16
 SITES=400
@@ -82,7 +85,7 @@ wait_for_line() {
 # --- serial references, one per seed, before any chaos exists ------------
 for ((i = 0; i < JOBS; ++i)); do
   seed=$((11 + i))
-  "$FDMLD" --mode=reference --seed=$seed --taxa=$TAXA --sites=$SITES \
+  "$FASTDNAMLPP" --taxa=$TAXA --sites=$SITES --seed=$seed --quiet \
       --out="$WORKDIR/ref$seed.nwk" > /dev/null \
       || fail "reference run for seed $seed"
 done

@@ -263,14 +263,11 @@ void ChaosProxy::sever(Conn& conn) {
 }
 
 void ChaosProxy::sever_all() {
-  std::vector<Conn*> live;
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (auto& conn : conns_) {
-      if (!conn->severed.load(std::memory_order_acquire)) live.push_back(conn.get());
-    }
-  }
-  for (Conn* conn : live) {
+  // Sever under the lock: once a pump has severed its own connection the
+  // accept loop may reap (delete) it the moment the lock is released.
+  std::lock_guard lock(conns_mutex_);
+  for (auto& conn : conns_) {
+    if (conn->severed.load(std::memory_order_acquire)) continue;
     severed_.fetch_add(1, std::memory_order_relaxed);
     global_counter("chaosproxy.severed").add();
     sever(*conn);

@@ -173,7 +173,16 @@ void SocketFabric::send_message(int dest, MessageTag tag,
 }
 
 void SocketFabric::start_writer(Peer& peer) {
-  peer.writer = std::thread([this, &peer] { writer_loop(peer); });
+  std::thread writer([this, &peer] { writer_loop(peer); });
+  std::unique_lock lock(conn_mutex_);
+  if (!closing_.load(std::memory_order_acquire)) {
+    peer.writer = std::move(writer);  // close() takes it under this lock
+    return;
+  }
+  // close() is under way and may already have taken the handles. It closes
+  // every outbound channel, so this writer drains and exits on its own.
+  lock.unlock();
+  writer.join();
 }
 
 void SocketFabric::writer_loop(Peer& peer) {
@@ -411,15 +420,23 @@ void SocketFabric::hub_connection(int fd) {
         {
           std::lock_guard lock(conn_mutex_);
           candidate.handshaking = false;
-          const int old = candidate.fd.exchange(fd, std::memory_order_acq_rel);
-          if (old >= 0 && old != fd) retired_fds_.push_back(old);
-          generation =
-              candidate.generation.fetch_add(1, std::memory_order_acq_rel) + 1;
-          candidate.announced.store(true, std::memory_order_release);
-          candidate.dead.store(false, std::memory_order_release);
-          if (!readmission) ++announced_count_;
-          ++live_count_;
+          if (closing_.load(std::memory_order_acquire)) {
+            // close() is under way and shuts down only the descriptors
+            // installed before it looked; refuse this late arrival.
+            why = "fabric closing";
+            fatal = true;
+          } else {
+            const int old = candidate.fd.exchange(fd, std::memory_order_acq_rel);
+            if (old >= 0 && old != fd) retired_fds_.push_back(old);
+            generation =
+                candidate.generation.fetch_add(1, std::memory_order_acq_rel) + 1;
+            candidate.announced.store(true, std::memory_order_release);
+            candidate.dead.store(false, std::memory_order_release);
+            if (!readmission) ++announced_count_;
+            ++live_count_;
+          }
         }
+        if (fatal) break;
         if (!readmission) start_writer(candidate);
         peer = &candidate;
         conn_cv_.notify_all();
@@ -747,9 +764,18 @@ void SocketFabric::close() {
   for (auto& peer : peers_) {
     if (peer) peer->outbound.close();
   }
-  for (auto& peer : peers_) {
-    if (peer && peer->writer.joinable()) peer->writer.join();
+  // A hub connection thread may be installing a writer right now; handles
+  // are assigned and taken only under conn_mutex_ (see start_writer).
+  std::vector<std::thread> writers;
+  {
+    std::lock_guard lock(conn_mutex_);
+    for (auto& peer : peers_) {
+      if (peer && peer->writer.joinable()) {
+        writers.push_back(std::move(peer->writer));
+      }
+    }
   }
+  for (auto& writer : writers) writer.join();
 
   if (options_.rank == 0) {
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);

@@ -70,7 +70,7 @@ struct SocketOptions {
   bool reconnect = false;
   std::chrono::milliseconds reconnect_backoff{50};
   std::chrono::milliseconds reconnect_backoff_max{2000};
-  std::chrono::milliseconds reconnect_budget{10000};
+  std::chrono::milliseconds reconnect_budget{15000};
 };
 
 /// Live traffic/lifecycle counters (fabric-local; the same values are also
@@ -159,6 +159,7 @@ class SocketFabric {
     /// construction so traffic to a rank that has not rendezvoused yet is
     /// buffered, then flushed in order when it announces.
     Channel<std::vector<std::uint8_t>> outbound;
+    /// Assigned and taken only under conn_mutex_ (see start_writer).
     std::thread writer;
   };
 
@@ -184,6 +185,8 @@ class SocketFabric {
   bool reconnect_to_hub();
   void peer_reader_loop();
 
+  /// Starts the peer's writer thread; once close() has begun, the writer
+  /// only drains and is joined here.
   void start_writer(Peer& peer);
   void writer_loop(Peer& peer);
   void mark_peer_dead(Peer& peer, std::uint64_t generation, const char* why);

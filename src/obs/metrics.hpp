@@ -11,8 +11,10 @@
 // foreman revival while the registry accumulates whole-run totals.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,6 +121,66 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+/// One field of a stats struct whose value lives in a registry counter: the
+/// counter's registry name and the struct member it fills.
+template <class Stats>
+struct CounterField {
+  std::string_view name;
+  std::uint64_t Stats::*member;
+};
+
+/// Cached handles to the counters behind a stats struct, built from one
+/// constexpr table of CounterFields. A role bumps counters through
+/// bump<&Stats::field>() and reports since(start), where `start` is a
+/// read() taken when it began.
+template <class Stats, const auto& Fields>
+class CounterSet {
+  static_assert(std::size(Fields) * sizeof(std::uint64_t) == sizeof(Stats),
+                "every stats field needs a registry counter");
+
+ public:
+  explicit CounterSet(MetricsRegistry& registry) {
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      handles_[i] = &registry.counter(Fields[i].name);
+    }
+  }
+
+  /// Adds one to the counter behind `Member`. The table lookup happens at
+  /// compile time, so a bump costs what a named handle would.
+  template <std::uint64_t Stats::*Member>
+  void bump() const {
+    handles_[index_of(Member)]->add();
+  }
+
+  Stats read() const {
+    Stats stats;
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      stats.*Fields[i].member = handles_[i]->value();
+    }
+    return stats;
+  }
+
+  /// The counters' growth since `start`.
+  Stats since(const Stats& start) const {
+    Stats stats = read();
+    for (const CounterField<Stats>& field : Fields) {
+      stats.*field.member -= start.*field.member;
+    }
+    return stats;
+  }
+
+ private:
+  /// Bumping a field missing from the table does not compile.
+  static consteval std::size_t index_of(std::uint64_t Stats::*member) {
+    for (std::size_t i = 0; i < std::size(Fields); ++i) {
+      if (Fields[i].member == member) return i;
+    }
+    throw "stats field missing from its counter table";
+  }
+
+  std::array<Counter*, std::size(Fields)> handles_{};
 };
 
 }  // namespace fdml::obs

@@ -110,8 +110,7 @@ bool InProcessCluster::revive_foreman() {
   // The replacement replays whatever the dead incarnation durably logged
   // and pings the workers to rebuild its (empty) worker list. It runs
   // without the chaos wrapper: the injected crash already happened.
-  revived.journal_resume = true;
-  revived.announce_ping = true;
+  revived.revived = true;
   spawn_foreman(std::move(revived), /*with_chaos=*/false);
   return true;
 }

@@ -25,110 +25,47 @@ using Clock = std::chrono::steady_clock;
 /// rather than evaluated by a live worker this incarnation.
 constexpr int kJournalWorker = -1;
 
-/// Registry-backed counters replacing the old parallel ForemanStats
-/// bookkeeping. ForemanStats is now a *view*: the delta of these counters
-/// since the incarnation started, so a revived foreman still reports only
-/// its own work while the registry accumulates whole-run totals.
-struct ForemanCounters {
-  obs::Counter& rounds;
-  obs::Counter& tasks_dispatched;
-  obs::Counter& tasks_completed;
-  obs::Counter& requeues;
-  obs::Counter& delinquencies;
-  obs::Counter& reinstatements;
-  obs::Counter& late_duplicate_results;
-  obs::Counter& mismatched_results;
-  obs::Counter& corrupt_messages;
-  obs::Counter& quarantines;
-  obs::Counter& probations;
-  obs::Counter& probation_probes;
-  obs::Counter& probation_passes;
-  obs::Counter& probation_failures;
-  obs::Counter& task_nacks;
-  obs::Counter& rounds_failed;
-  obs::Counter& unexpected_tags;
-  obs::Counter& journal_replayed;
-  obs::Counter& journal_appended;
-  obs::Counter& journal_write_failures;
-  obs::Counter& heartbeat_pings;
+/// Adaptive deadlines: EWMA(task duration) x kTimeoutSlack, clamped to
+/// [kTimeoutFloor, worker_timeout]. The floor keeps heterogeneous task
+/// sizes (and sanitizer slowdowns) from triggering spurious delinquencies
+/// after a streak of cheap tasks.
+constexpr double kTimeoutSlack = 4.0;
+constexpr std::chrono::milliseconds kTimeoutFloor{2000};
+constexpr std::chrono::milliseconds kProbationBackoffMax{5000};
+/// New-round amnesty: a suspect with at most this many consecutive strikes
+/// re-enters probation (one probe after its backoff) when the next round
+/// begins — a dropped reply must not exile a live worker forever. Workers
+/// beyond the limit stay suspect so a genuinely dead fabric fails rounds
+/// fast instead of re-probing corpses each round.
+constexpr int kAmnestyMaxStrikes = 3;
 
-  explicit ForemanCounters(obs::MetricsRegistry& r)
-      : rounds(r.counter("foreman.rounds")),
-        tasks_dispatched(r.counter("foreman.tasks_dispatched")),
-        tasks_completed(r.counter("foreman.tasks_completed")),
-        requeues(r.counter("foreman.requeues")),
-        delinquencies(r.counter("foreman.delinquencies")),
-        reinstatements(r.counter("foreman.reinstatements")),
-        late_duplicate_results(r.counter("foreman.late_duplicate_results")),
-        mismatched_results(r.counter("foreman.mismatched_results")),
-        corrupt_messages(r.counter("foreman.corrupt_messages")),
-        quarantines(r.counter("foreman.quarantines")),
-        probations(r.counter("foreman.probations")),
-        probation_probes(r.counter("foreman.probation_probes")),
-        probation_passes(r.counter("foreman.probation_passes")),
-        probation_failures(r.counter("foreman.probation_failures")),
-        task_nacks(r.counter("foreman.task_nacks")),
-        rounds_failed(r.counter("foreman.rounds_failed")),
-        unexpected_tags(r.counter("foreman.unexpected_tags")),
-        journal_replayed(r.counter("foreman.journal_replayed")),
-        journal_appended(r.counter("foreman.journal_appended")),
-        journal_write_failures(r.counter("foreman.journal_write_failures")),
-        heartbeat_pings(r.counter("foreman.heartbeat_pings")) {}
-
-  ForemanStats read() const {
-    ForemanStats s;
-    s.rounds = rounds.value();
-    s.tasks_dispatched = tasks_dispatched.value();
-    s.tasks_completed = tasks_completed.value();
-    s.requeues = requeues.value();
-    s.delinquencies = delinquencies.value();
-    s.reinstatements = reinstatements.value();
-    s.late_duplicate_results = late_duplicate_results.value();
-    s.mismatched_results = mismatched_results.value();
-    s.corrupt_messages = corrupt_messages.value();
-    s.quarantines = quarantines.value();
-    s.probations = probations.value();
-    s.probation_probes = probation_probes.value();
-    s.probation_passes = probation_passes.value();
-    s.probation_failures = probation_failures.value();
-    s.task_nacks = task_nacks.value();
-    s.rounds_failed = rounds_failed.value();
-    s.unexpected_tags = unexpected_tags.value();
-    s.journal_replayed = journal_replayed.value();
-    s.journal_appended = journal_appended.value();
-    s.journal_write_failures = journal_write_failures.value();
-    s.heartbeat_pings = heartbeat_pings.value();
-    return s;
-  }
+/// Where each ForemanStats field lives in the registry. ForemanStats is a
+/// view: the growth of these counters since the incarnation started, so a
+/// revived foreman still reports only its own work while the registry
+/// accumulates whole-run totals.
+constexpr obs::CounterField<ForemanStats> kForemanFields[] = {
+    {"foreman.rounds", &ForemanStats::rounds},
+    {"foreman.tasks_dispatched", &ForemanStats::tasks_dispatched},
+    {"foreman.tasks_completed", &ForemanStats::tasks_completed},
+    {"foreman.requeues", &ForemanStats::requeues},
+    {"foreman.delinquencies", &ForemanStats::delinquencies},
+    {"foreman.reinstatements", &ForemanStats::reinstatements},
+    {"foreman.late_duplicate_results", &ForemanStats::late_duplicate_results},
+    {"foreman.mismatched_results", &ForemanStats::mismatched_results},
+    {"foreman.corrupt_messages", &ForemanStats::corrupt_messages},
+    {"foreman.quarantines", &ForemanStats::quarantines},
+    {"foreman.probations", &ForemanStats::probations},
+    {"foreman.probation_probes", &ForemanStats::probation_probes},
+    {"foreman.probation_passes", &ForemanStats::probation_passes},
+    {"foreman.probation_failures", &ForemanStats::probation_failures},
+    {"foreman.task_nacks", &ForemanStats::task_nacks},
+    {"foreman.rounds_failed", &ForemanStats::rounds_failed},
+    {"foreman.unexpected_tags", &ForemanStats::unexpected_tags},
+    {"foreman.journal_replayed", &ForemanStats::journal_replayed},
+    {"foreman.journal_appended", &ForemanStats::journal_appended},
+    {"foreman.journal_write_failures", &ForemanStats::journal_write_failures},
+    {"foreman.heartbeat_pings", &ForemanStats::heartbeat_pings},
 };
-
-ForemanStats stats_delta(const ForemanStats& end, const ForemanStats& start) {
-  ForemanStats d;
-  d.rounds = end.rounds - start.rounds;
-  d.tasks_dispatched = end.tasks_dispatched - start.tasks_dispatched;
-  d.tasks_completed = end.tasks_completed - start.tasks_completed;
-  d.requeues = end.requeues - start.requeues;
-  d.delinquencies = end.delinquencies - start.delinquencies;
-  d.reinstatements = end.reinstatements - start.reinstatements;
-  d.late_duplicate_results =
-      end.late_duplicate_results - start.late_duplicate_results;
-  d.mismatched_results = end.mismatched_results - start.mismatched_results;
-  d.corrupt_messages = end.corrupt_messages - start.corrupt_messages;
-  d.quarantines = end.quarantines - start.quarantines;
-  d.probations = end.probations - start.probations;
-  d.probation_probes = end.probation_probes - start.probation_probes;
-  d.probation_passes = end.probation_passes - start.probation_passes;
-  d.probation_failures = end.probation_failures - start.probation_failures;
-  d.task_nacks = end.task_nacks - start.task_nacks;
-  d.rounds_failed = end.rounds_failed - start.rounds_failed;
-  d.unexpected_tags = end.unexpected_tags - start.unexpected_tags;
-  d.journal_replayed = end.journal_replayed - start.journal_replayed;
-  d.journal_appended = end.journal_appended - start.journal_appended;
-  d.journal_write_failures =
-      end.journal_write_failures - start.journal_write_failures;
-  d.heartbeat_pings = end.heartbeat_pings - start.heartbeat_pings;
-  return d;
-}
 
 /// Worker health state machine (DESIGN.md "Worker health model"):
 ///   Healthy --timeout/corrupt--> Suspect/quarantine --reply--> Probation
@@ -188,7 +125,7 @@ class Foreman {
     obs::set_thread_name("foreman");
     if (!options_.journal_path.empty()) {
       journal_.emplace(options_.journal_path, options_.vfs);
-      if (options_.journal_resume) {
+      if (options_.revived) {
         const std::size_t replayable = journal_->load();
         if (replayable > 0) {
           FDML_INFO("foreman") << "journal holds " << replayable
@@ -198,7 +135,7 @@ class Foreman {
         journal_->reset();
       }
     }
-    if (options_.announce_ping) {
+    if (options_.revived) {
       // A revived foreman starts with no worker list; ask everyone to
       // re-introduce themselves.
       for (int rank = kFirstWorkerRank; rank < transport_.size(); ++rank) {
@@ -237,7 +174,7 @@ class Foreman {
           broadcast_shutdown();
           return finish();
         default:
-          counters_.unexpected_tags.add();
+          counters_.bump<&ForemanStats::unexpected_tags>();
           FDML_WARN("foreman") << "unexpected tag "
                                << static_cast<int>(message->tag) << " from rank "
                                << message->source;
@@ -298,7 +235,7 @@ class Foreman {
       const bool suspect =
           !silent && it->second.state == WorkerState::kSuspect;
       if (!silent && !suspect) continue;
-      counters_.heartbeat_pings.add();
+      counters_.bump<&ForemanStats::heartbeat_pings>();
       transport_.send(rank, MessageTag::kPing, {});
     }
   }
@@ -329,15 +266,15 @@ class Foreman {
   WorkerHealth& health(int worker) { return health_[worker]; }
 
   /// Adaptive per-worker deadline: EWMA x slack, clamped to
-  /// [timeout_floor, worker_timeout]; flat worker_timeout before any
-  /// observation or when adaptivity is off.
+  /// [kTimeoutFloor, worker_timeout]; flat worker_timeout before any
+  /// observation.
   Clock::duration deadline_for(int worker) {
     const WorkerHealth& h = health(worker);
-    if (!options_.adaptive_timeouts || !h.has_ewma) return options_.worker_timeout;
+    if (!h.has_ewma) return options_.worker_timeout;
     const auto adaptive = std::chrono::milliseconds(
-        static_cast<std::int64_t>(h.ewma_ms * options_.timeout_slack));
+        static_cast<std::int64_t>(h.ewma_ms * kTimeoutSlack));
     return std::min<std::chrono::milliseconds>(
-        std::max<std::chrono::milliseconds>(adaptive, options_.timeout_floor),
+        std::max<std::chrono::milliseconds>(adaptive, kTimeoutFloor),
         options_.worker_timeout);
   }
 
@@ -346,7 +283,7 @@ class Foreman {
     const auto raw = options_.probation_backoff * (1LL << doublings);
     return std::min<std::chrono::milliseconds>(
         std::chrono::duration_cast<std::chrono::milliseconds>(raw),
-        options_.probation_backoff_max);
+        kProbationBackoffMax);
   }
 
   void observe_duration(WorkerHealth& h, Clock::duration elapsed) {
@@ -377,7 +314,7 @@ class Foreman {
                               round_.completed.count(task.task_id) == 0;
     if (still_needed) {
       work_queue_.push_front(task);
-      counters_.requeues.add();
+      counters_.bump<&ForemanStats::requeues>();
       obs::instant("foreman", "requeue", "task",
                    static_cast<std::int64_t>(task.task_id), "worker", worker);
       trace_queue_depth();
@@ -403,9 +340,9 @@ class Foreman {
       h.suspect_since = now;
       h.awaiting_contact = false;  // timed out again without a word
       ++h.strikes;
-      counters_.delinquencies.add();
+      counters_.bump<&ForemanStats::delinquencies>();
       if (was_probe) {
-        counters_.probation_failures.add();
+        counters_.bump<&ForemanStats::probation_failures>();
         obs::instant("foreman", "probe_fail", "worker", worker);
       }
       obs::instant("foreman", "delinquent", "worker", worker, "strikes",
@@ -422,12 +359,12 @@ class Foreman {
     h.awaiting_contact = false;  // entered via an actual message
     if (h.strikes < 1) h.strikes = 1;
     h.eligible_at = Clock::now() + backoff_for(h.strikes);
-    counters_.probations.add();
+    counters_.bump<&ForemanStats::probations>();
     if (quarantine) {
-      counters_.quarantines.add();
+      counters_.bump<&ForemanStats::quarantines>();
     } else {
       // The paper's reinstatement path: a delinquent worker finally replied.
-      counters_.reinstatements.add();
+      counters_.bump<&ForemanStats::reinstatements>();
     }
     obs::instant("foreman", quarantine ? "quarantine" : "probation", "worker",
                  worker, "strikes", h.strikes);
@@ -435,7 +372,7 @@ class Foreman {
 
   /// Malformed payload: count, quarantine a worker sender, never die.
   void handle_corrupt(int sender) {
-    counters_.corrupt_messages.add();
+    counters_.bump<&ForemanStats::corrupt_messages>();
     obs::instant("foreman", "corrupt", "worker", sender);
     FDML_WARN("foreman") << "malformed payload from rank " << sender;
     if (sender < kFirstWorkerRank) return;  // master/monitor: count only
@@ -490,16 +427,16 @@ class Foreman {
     // fabric still fails the round quickly.
     for (auto& [worker, h] : health_) {
       if (h.state == WorkerState::kSuspect &&
-          h.strikes <= options_.amnesty_max_strikes) {
+          h.strikes <= kAmnestyMaxStrikes) {
         h.state = WorkerState::kProbation;
         h.eligible_at = Clock::now() + backoff_for(h.strikes);
         h.awaiting_contact = true;
-        counters_.probations.add();
+        counters_.bump<&ForemanStats::probations>();
         obs::instant("foreman", "probation", "worker", worker, "strikes",
                      h.strikes);
       }
     }
-    counters_.rounds.add();
+    counters_.bump<&ForemanStats::rounds>();
     begin_round_span(round_.round_id, static_cast<std::int64_t>(round_.expected));
     std::vector<std::uint64_t> digests;
     digests.reserve(message.tasks.size());
@@ -540,7 +477,7 @@ class Foreman {
       replayed.newick = entry->newick;
       replayed.cpu_seconds = entry->cpu_seconds;
       replayed.worker = kJournalWorker;
-      counters_.journal_replayed.add();
+      counters_.bump<&ForemanStats::journal_replayed>();
       FDML_INFO("foreman") << "replaying task " << task_id
                            << " from the journal";
       accept(replayed, 0);
@@ -554,7 +491,7 @@ class Foreman {
     Packer packer;
     task.pack(packer);
     send_sealed(worker, MessageTag::kTask, packer.take());
-    counters_.tasks_dispatched.add();
+    counters_.bump<&ForemanStats::tasks_dispatched>();
     // Flow-begin on the foreman side of the dispatch->execute->result arc;
     // the worker's execute span adds the step and accept() closes it.
     obs::flow(obs::Phase::kFlowBegin,
@@ -579,7 +516,7 @@ class Foreman {
       if (h.state != WorkerState::kProbation) continue;
       if (in_flight_.count(worker) != 0) continue;
       if (now < h.eligible_at) continue;
-      counters_.probation_probes.add();
+      counters_.bump<&ForemanStats::probation_probes>();
       dispatch_to(worker, /*probe=*/true);
     }
   }
@@ -600,7 +537,7 @@ class Foreman {
   /// (the foreman's pristine copy re-serializes cleanly) and keep the
   /// worker in rotation — the corruption happened in transit, not in it.
   void handle_nack(int worker) {
-    counters_.task_nacks.add();
+    counters_.bump<&ForemanStats::task_nacks>();
     obs::instant("foreman", "nack", "worker", worker);
     if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
       requeue_record(it, "rejected a malformed task");
@@ -637,7 +574,7 @@ class Foreman {
       // gates its re-entry, but the reinstatement is counted here, where
       // the contact actually happened.
       h.awaiting_contact = false;
-      counters_.reinstatements.add();
+      counters_.bump<&ForemanStats::reinstatements>();
       obs::instant("foreman", "reinstate", "worker", worker);
     }
     const auto flight = in_flight_.find(worker);
@@ -649,7 +586,7 @@ class Foreman {
         if (was_probe) {
           h.state = WorkerState::kHealthy;
           h.strikes = 0;
-          counters_.probation_passes.add();
+          counters_.bump<&ForemanStats::probation_passes>();
           obs::instant("foreman", "probe_pass", "worker", worker);
         } else {
           h.strikes = 0;
@@ -662,7 +599,7 @@ class Foreman {
         // the worker and silently drop the in-flight task when the record
         // was overwritten. The result itself may still complete the task
         // (accept() deduplicates), so fall through to accept below.
-        counters_.mismatched_results.add();
+        counters_.bump<&ForemanStats::mismatched_results>();
         FDML_WARN("foreman") << "worker " << worker << " sent result for task "
                              << result.task_id << " while task "
                              << flight->second.task.task_id << " is in flight";
@@ -685,7 +622,7 @@ class Foreman {
     if (!round_active_ || result.round_id != round_.round_id ||
         round_.completed.count(result.task_id) != 0) {
       // Stale or duplicate (e.g. a requeued task completed twice).
-      counters_.late_duplicate_results.add();
+      counters_.bump<&ForemanStats::late_duplicate_results>();
       return;
     }
     round_.completed.insert(result.task_id);
@@ -708,7 +645,7 @@ class Foreman {
     stat.bytes = round_.task_bytes[result.task_id] + result_bytes;
     stat.worker = result.worker;
     round_.stats.push_back(stat);
-    counters_.tasks_completed.add();
+    counters_.bump<&ForemanStats::tasks_completed>();
     trace_queue_depth();
 
     // Write-ahead: the completion is durably journaled before it can decide
@@ -724,11 +661,11 @@ class Foreman {
       entry.cpu_seconds = result.cpu_seconds;
       try {
         journal_->append(entry);
-        counters_.journal_appended.add();
+        counters_.bump<&ForemanStats::journal_appended>();
       } catch (const std::exception& error) {
         // A failed WAL append only weakens crash recovery; the round
         // itself must proceed.
-        counters_.journal_write_failures.add();
+        counters_.bump<&ForemanStats::journal_write_failures>();
         FDML_WARN("foreman") << "journal append failed: " << error.what();
       }
     }
@@ -794,7 +731,7 @@ class Foreman {
     failed.round_id = round_.round_id;
     failed.reason = "all workers delinquent";
     send_sealed(kMasterRank, MessageTag::kRoundFailed, failed.pack());
-    counters_.rounds_failed.add();
+    counters_.bump<&ForemanStats::rounds_failed>();
     obs::instant("foreman", "round_failed", "round",
                  static_cast<std::int64_t>(round_.round_id));
     end_round_span(static_cast<std::int64_t>(round_.completed.size()));
@@ -814,7 +751,7 @@ class Foreman {
   ForemanStats finish() {
     if (round_span_open_) end_round_span(
         static_cast<std::int64_t>(round_.completed.size()));
-    return stats_delta(counters_.read(), start_);
+    return counters_.since(start_);
   }
 
   void begin_round_span(std::uint64_t round_id, std::int64_t expected) {
@@ -849,7 +786,7 @@ class Foreman {
   Transport& transport_;
   ForemanOptions options_;
   obs::MetricsRegistry& registry_;
-  ForemanCounters counters_;
+  obs::CounterSet<ForemanStats, kForemanFields> counters_;
   /// Counter values at construction; the stats view subtracts these.
   ForemanStats start_;
   bool round_span_open_ = false;

@@ -13,8 +13,8 @@
 //     malformed-message guard; a corrupt payload quarantines its sender and
 //     bumps a counter instead of killing the foreman thread.
 //   - The single global timeout is a ceiling: each worker gets an adaptive
-//     deadline (EWMA of its observed task durations x a slack factor,
-//     clamped to [timeout_floor, worker_timeout]).
+//     deadline (EWMA of its observed task durations x a slack factor of 4,
+//     clamped to [2 s, worker_timeout]).
 //   - A returning delinquent is not reinstated unconditionally: it enters
 //     probation, waits out an exponential backoff, receives one probe task,
 //     and only rejoins the ready queue when the probe completes in time.
@@ -40,33 +40,19 @@ struct ForemanOptions {
   /// Deadline ceiling, and the deadline used before a worker has any
   /// observed durations (the paper's user-specified timeout parameter).
   std::chrono::milliseconds worker_timeout{30000};
-  /// Per-worker adaptive deadlines: EWMA(task duration) * timeout_slack,
-  /// clamped to [timeout_floor, worker_timeout]. Off = flat worker_timeout.
-  bool adaptive_timeouts = true;
-  double timeout_slack = 4.0;
-  /// Floor keeps heterogeneous task sizes (and sanitizer slowdowns) from
-  /// triggering spurious delinquencies after a streak of cheap tasks.
-  std::chrono::milliseconds timeout_floor{2000};
-  /// Probation backoff: strike n waits probation_backoff * 2^(n-1), capped.
+  /// Probation backoff: strike n waits probation_backoff * 2^(n-1), capped
+  /// at 5 s.
   std::chrono::milliseconds probation_backoff{50};
-  std::chrono::milliseconds probation_backoff_max{5000};
-  /// New-round amnesty: a suspect with at most this many consecutive
-  /// strikes re-enters probation (one probe after its backoff) when the
-  /// next round begins — a dropped reply must not exile a live worker
-  /// forever. Workers beyond the limit stay suspect so a genuinely dead
-  /// fabric fails rounds fast instead of re-probing corpses each round.
-  int amnesty_max_strikes = 3;
   /// When non-empty, append every completed task to this durable journal
   /// (write-ahead log). A foreman revived after a crash replays it and
   /// skips the insertions the dead incarnation already finished.
   std::string journal_path;
-  /// Load and replay the existing journal on startup (a revived foreman);
-  /// false truncates it (a fresh run must not replay a previous run's work).
-  bool journal_resume = false;
-  /// Ping every worker rank on startup so they re-hello. A revived foreman
-  /// starts with an empty worker list, and an idle worker never speaks
-  /// unprompted — without the ping the round would wedge.
-  bool announce_ping = false;
+  /// This incarnation replaces a foreman that died: load and replay the
+  /// existing journal (a fresh run truncates it instead, so it never
+  /// replays a previous run's work), and ping every worker rank on startup
+  /// so they re-hello — the new incarnation starts with an empty worker
+  /// list, and an idle worker never speaks unprompted.
+  bool revived = false;
   /// Heartbeat: every interval, ping worker ranks that are silent (no
   /// health record — a restarted process that has not said hello) or
   /// suspect (went quiet mid-round, e.g. the connection died under them).

@@ -12,51 +12,14 @@
 namespace fdml {
 
 namespace {
+
 using Clock = std::chrono::steady_clock;
+
+constexpr std::chrono::milliseconds kRetryBackoffMax{5000};
+
 }  // namespace
 
-ParallelMaster::Counters::Counters(obs::MetricsRegistry& r)
-    : rounds(r.counter("master.rounds")),
-      progress_messages(r.counter("master.progress_messages")),
-      unexpected_tags(r.counter("master.unexpected_tags")),
-      stale_messages(r.counter("master.stale_messages")),
-      corrupt_messages(r.counter("master.corrupt_messages")),
-      watchdog_trips(r.counter("master.watchdog_trips")),
-      rounds_failed(r.counter("master.rounds_failed")),
-      serial_fallbacks(r.counter("master.serial_fallbacks")),
-      round_retries(r.counter("master.round_retries")),
-      fabric_revivals(r.counter("master.fabric_revivals")) {}
-
-MasterStats ParallelMaster::Counters::read() const {
-  MasterStats s;
-  s.rounds = rounds.value();
-  s.progress_messages = progress_messages.value();
-  s.unexpected_tags = unexpected_tags.value();
-  s.stale_messages = stale_messages.value();
-  s.corrupt_messages = corrupt_messages.value();
-  s.watchdog_trips = watchdog_trips.value();
-  s.rounds_failed = rounds_failed.value();
-  s.serial_fallbacks = serial_fallbacks.value();
-  s.round_retries = round_retries.value();
-  s.fabric_revivals = fabric_revivals.value();
-  return s;
-}
-
-MasterStats ParallelMaster::stats() const {
-  const MasterStats end = counters_.read();
-  MasterStats d;
-  d.rounds = end.rounds - start_.rounds;
-  d.progress_messages = end.progress_messages - start_.progress_messages;
-  d.unexpected_tags = end.unexpected_tags - start_.unexpected_tags;
-  d.stale_messages = end.stale_messages - start_.stale_messages;
-  d.corrupt_messages = end.corrupt_messages - start_.corrupt_messages;
-  d.watchdog_trips = end.watchdog_trips - start_.watchdog_trips;
-  d.rounds_failed = end.rounds_failed - start_.rounds_failed;
-  d.serial_fallbacks = end.serial_fallbacks - start_.serial_fallbacks;
-  d.round_retries = end.round_retries - start_.round_retries;
-  d.fabric_revivals = end.fabric_revivals - start_.fabric_revivals;
-  return d;
-}
+MasterStats ParallelMaster::stats() const { return counters_.since(start_); }
 
 ParallelMaster::ParallelMaster(Transport& transport, int workers,
                                MasterOptions options)
@@ -70,10 +33,8 @@ ParallelMaster::ParallelMaster(Transport& transport, int workers,
 RoundOutcome ParallelMaster::degrade(std::uint64_t round_id,
                                      const std::vector<TreeTask>& tasks,
                                      const std::string& reason) {
-  if (!options_.serial_fallback || !fallback_) {
-    throw RoundFailedError(round_id, reason);
-  }
-  counters_.serial_fallbacks.add();
+  if (!fallback_) throw RoundFailedError(round_id, reason);
+  counters_.bump<&MasterStats::serial_fallbacks>();
   obs::instant("master", "serial_fallback", "round",
                static_cast<std::int64_t>(round_id));
   FDML_WARN("master") << "round " << round_id << " failed (" << reason
@@ -84,7 +45,7 @@ RoundOutcome ParallelMaster::degrade(std::uint64_t round_id,
 
 RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
   if (tasks.empty()) throw std::invalid_argument("run_round: empty round");
-  counters_.rounds.add();
+  counters_.bump<&MasterStats::rounds>();
 
   std::uint64_t round_id = next_round_id_++;
   if (degraded_) {
@@ -102,7 +63,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
       // out an outage) must not wedge every future round into the serial
       // fallback.
       if (degraded_ && attempt > 0) {
-        counters_.fabric_revivals.add();
+        counters_.bump<&MasterStats::fabric_revivals>();
         FDML_WARN("master") << "round " << round_id
                             << " recovered on retry; fabric restored";
       }
@@ -110,14 +71,14 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
       return outcome;
     } catch (const RoundFailedError& failure) {
       if (attempt < options_.max_round_retries) {
-        counters_.round_retries.add();
+        counters_.bump<&MasterStats::round_retries>();
         obs::instant("master", "round_retry", "round",
                      static_cast<std::int64_t>(round_id));
         const int doublings = std::min(attempt, 16);
         const auto backoff = std::min<std::chrono::milliseconds>(
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 options_.retry_backoff * (1LL << doublings)),
-            options_.retry_backoff_max);
+            kRetryBackoffMax);
         FDML_WARN("master") << "round " << round_id << " failed ("
                             << failure.reason() << "); retry "
                             << (attempt + 1) << "/"
@@ -125,7 +86,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
                             << backoff.count() << " ms";
         std::this_thread::sleep_for(backoff);
         if (reviver_ && reviver_()) {
-          counters_.fabric_revivals.add();
+          counters_.bump<&MasterStats::fabric_revivals>();
           // The wedged incarnation is gone; trust its replacement.
           degraded_ = false;
         }
@@ -133,8 +94,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
                                       // attempt must not satisfy the retry
         continue;
       }
-      if (options_.max_round_retries > 0 &&
-          (!options_.serial_fallback || !fallback_)) {
+      if (options_.max_round_retries > 0 && !fallback_) {
         throw RunFailedError(round_id, failure.reason(), attempt + 1);
       }
       return degrade(round_id, tasks, failure.reason());
@@ -164,7 +124,7 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
   for (;;) {
     const auto now = Clock::now();
     if (now - last_progress >= options_.watchdog_timeout) {
-      counters_.watchdog_trips.add();
+      counters_.bump<&MasterStats::watchdog_trips>();
       obs::instant("master", "watchdog_trip", "round",
                    static_cast<std::int64_t>(round.round_id));
       degraded_ = true;
@@ -186,37 +146,37 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
     switch (message->tag) {
       case MessageTag::kProgress: {
         if (!open_payload(message->payload)) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
         try {
           const ProgressMessage progress =
               ProgressMessage::unpack(message->payload);
           if (progress.round_id == round.round_id) {
-            counters_.progress_messages.add();
+            counters_.bump<&MasterStats::progress_messages>();
             last_progress = Clock::now();
           } else {
-            counters_.stale_messages.add();
+            counters_.bump<&MasterStats::stale_messages>();
           }
         } catch (const std::exception&) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
         }
         break;
       }
       case MessageTag::kRoundDone: {
         if (!open_payload(message->payload)) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
         RoundDoneMessage done;
         try {
           done = RoundDoneMessage::unpack(message->payload);
         } catch (const std::exception&) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
         if (done.round_id != round.round_id) {
-          counters_.stale_messages.add();
+          counters_.bump<&MasterStats::stale_messages>();
           break;
         }
         RoundOutcome outcome;
@@ -226,21 +186,21 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
       }
       case MessageTag::kRoundFailed: {
         if (!open_payload(message->payload)) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
         RoundFailedMessage failed;
         try {
           failed = RoundFailedMessage::unpack(message->payload);
         } catch (const std::exception&) {
-          counters_.corrupt_messages.add();
+          counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
         if (failed.round_id != round.round_id) {
-          counters_.stale_messages.add();
+          counters_.bump<&MasterStats::stale_messages>();
           break;
         }
-        counters_.rounds_failed.add();
+        counters_.bump<&MasterStats::rounds_failed>();
         throw RoundFailedError(round.round_id, failed.reason);
       }
       case MessageTag::kTelemetry:
@@ -252,7 +212,7 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
       default:
         // Previously these were discarded without a trace, which hid real
         // protocol bugs; now they are at least visible and counted.
-        counters_.unexpected_tags.add();
+        counters_.bump<&MasterStats::unexpected_tags>();
         FDML_WARN("master") << "ignoring unexpected tag "
                             << static_cast<int>(message->tag) << " from rank "
                             << message->source << " mid-round";
@@ -263,7 +223,7 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
 void ParallelMaster::handle_telemetry(int source,
                                       std::vector<std::uint8_t> payload) {
   if (!open_payload(payload)) {
-    counters_.corrupt_messages.add();
+    counters_.bump<&MasterStats::corrupt_messages>();
     return;
   }
   if (telemetry_ == nullptr) return;
@@ -294,10 +254,10 @@ std::size_t ParallelMaster::pump() {
       case MessageTag::kRoundFailed:
         // Round-scoped traffic with no round in flight: a late reply from
         // an attempt the supervisor already abandoned.
-        counters_.stale_messages.add();
+        counters_.bump<&MasterStats::stale_messages>();
         break;
       default:
-        counters_.unexpected_tags.add();
+        counters_.bump<&MasterStats::unexpected_tags>();
         FDML_WARN("master") << "ignoring unexpected tag "
                             << static_cast<int>(message->tag) << " from rank "
                             << message->source << " between rounds";

@@ -27,18 +27,14 @@ struct MasterOptions {
   /// Watchdog: if no round traffic (progress, completion, failure) arrives
   /// for this long, the round is declared wedged.
   std::chrono::milliseconds watchdog_timeout{120000};
-  /// On a failed/wedged round, evaluate the round in-process through the
-  /// fallback runner instead of raising RoundFailedError.
-  bool serial_fallback = true;
   /// Supervision: how many times a failed/wedged round is retried (with the
   /// reviver given a chance to restart the foreman, and the foreman's task
   /// journal making the resend cheap) before the failure is surfaced.
   /// 0 = fail/degrade immediately, the pre-supervisor behavior.
   int max_round_retries = 0;
   /// Exponential backoff between retries: attempt n waits
-  /// retry_backoff * 2^(n-1), capped at retry_backoff_max.
+  /// retry_backoff * 2^(n-1), capped at 5 s.
   std::chrono::milliseconds retry_backoff{100};
-  std::chrono::milliseconds retry_backoff_max{5000};
   /// Metrics registry the master's counters live in; null = the process
   /// registry. MasterStats is a delta view over these counters (same
   /// pattern as ForemanStats).
@@ -108,8 +104,8 @@ class ParallelMaster final : public TaskRunner {
   ParallelMaster(Transport& transport, int workers, MasterOptions options = {});
 
   /// Installs the degraded-mode evaluator (typically a lazily constructed
-  /// SerialTaskRunner). Without one, a failed round raises RoundFailedError
-  /// regardless of options.serial_fallback.
+  /// SerialTaskRunner): a failed or wedged round is evaluated in-process
+  /// through it. Without one, a failed round raises RoundFailedError.
   void set_fallback(std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback) {
     fallback_ = std::move(fallback);
   }
@@ -144,23 +140,6 @@ class ParallelMaster final : public TaskRunner {
   MasterStats stats() const;
 
  private:
-  /// Registry handles for every MasterStats field.
-  struct Counters {
-    explicit Counters(obs::MetricsRegistry& registry);
-    MasterStats read() const;
-
-    obs::Counter& rounds;
-    obs::Counter& progress_messages;
-    obs::Counter& unexpected_tags;
-    obs::Counter& stale_messages;
-    obs::Counter& corrupt_messages;
-    obs::Counter& watchdog_trips;
-    obs::Counter& rounds_failed;
-    obs::Counter& serial_fallbacks;
-    obs::Counter& round_retries;
-    obs::Counter& fabric_revivals;
-  };
-
   RoundOutcome degrade(std::uint64_t round_id,
                        const std::vector<TreeTask>& tasks,
                        const std::string& reason);
@@ -173,10 +152,25 @@ class ParallelMaster final : public TaskRunner {
   /// Verifies, decodes and applies one kTelemetry payload.
   void handle_telemetry(int source, std::vector<std::uint8_t> payload);
 
+  /// Where each MasterStats field lives in the registry (a delta view, the
+  /// same pattern as ForemanStats).
+  static constexpr obs::CounterField<MasterStats> kCounterFields[] = {
+      {"master.rounds", &MasterStats::rounds},
+      {"master.progress_messages", &MasterStats::progress_messages},
+      {"master.unexpected_tags", &MasterStats::unexpected_tags},
+      {"master.stale_messages", &MasterStats::stale_messages},
+      {"master.corrupt_messages", &MasterStats::corrupt_messages},
+      {"master.watchdog_trips", &MasterStats::watchdog_trips},
+      {"master.rounds_failed", &MasterStats::rounds_failed},
+      {"master.serial_fallbacks", &MasterStats::serial_fallbacks},
+      {"master.round_retries", &MasterStats::round_retries},
+      {"master.fabric_revivals", &MasterStats::fabric_revivals},
+  };
+
   Transport& transport_;
   int workers_;
   MasterOptions options_;
-  Counters counters_;
+  obs::CounterSet<MasterStats, kCounterFields> counters_;
   /// Counter values at construction; stats() subtracts these.
   MasterStats start_;
   std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback_;

@@ -403,7 +403,6 @@ TEST(MasterChaos, WatchdogRaisesStructuredErrorWithoutFallback) {
   auto endpoint = fabric.endpoint(kMasterRank);
   MasterOptions options;
   options.watchdog_timeout = milliseconds(120);
-  options.serial_fallback = false;
   ParallelMaster master(*endpoint, 1, options);
 
   TreeTask task;

@@ -619,10 +619,9 @@ TEST(ForemanJournal, RevivedForemanReplaysInsteadOfRedispatching) {
   EXPECT_EQ(first_stats.journal_appended, 2u);
   EXPECT_EQ(first_stats.journal_replayed, 0u);
 
-  // Incarnation 2: journal_resume + ping, as revive_foreman() configures it.
+  // Incarnation 2: journal replay + ping, as revive_foreman() configures it.
   ForemanOptions revived = options;
-  revived.journal_resume = true;
-  revived.announce_ping = true;
+  revived.revived = true;
   ForemanStats second_stats;
   {
     auto endpoint = fabric.endpoint(kForemanRank);
@@ -656,7 +655,6 @@ TEST(MasterSupervisor, ExhaustedRetriesRaiseRunFailedError) {
   options.watchdog_timeout = milliseconds(80);
   options.retry_backoff = milliseconds(5);
   options.max_round_retries = 1;
-  options.serial_fallback = false;
   ParallelMaster master(*endpoint, 1, options);
 
   int revival_calls = 0;
