@@ -76,7 +76,7 @@ void BatchEdgeEvaluator::capture(const std::vector<Edge>& edges) {
     } else {
       const auto& clv = engine_.ensure_clv(e.u, tree.find_slot(e.u, e.v));
       a_values_[k] = clv.values.data();
-      a_scales_[k] = clv.scale.data();
+      a_scales_[k] = LikelihoodEngine::scale_of(clv);
       a_cats_[k] = 1;
     }
     if (tree.is_tip(e.v)) {
@@ -86,7 +86,7 @@ void BatchEdgeEvaluator::capture(const std::vector<Edge>& edges) {
     } else {
       const auto& clv = engine_.ensure_clv(e.v, tree.find_slot(e.v, e.u));
       b_values_[k] = clv.values.data();
-      b_scales_[k] = clv.scale.data();
+      b_scales_[k] = LikelihoodEngine::scale_of(clv);
       b_cats_[k] = 1;
     }
   }
@@ -124,11 +124,12 @@ void BatchEdgeEvaluator::capture_insertions(
     const int back_slots[2] = {tree.is_tip(c.u) ? -1 : su,
                                tree.is_tip(c.v) ? -1 : sv};
     const double lengths[2] = {c.length_u, c.length_v};
-    engine_.combine_children(children, back_slots, lengths,
-                             junction_values_.data() + k * edge_stride,
-                             junction_scale_.data() + k * padded);
+    const bool scaled = engine_.combine_children(
+        children, back_slots, lengths,
+        junction_values_.data() + k * edge_stride,
+        junction_scale_.data() + k * padded);
     a_values_[k] = junction_values_.data() + k * edge_stride;
-    a_scales_[k] = junction_scale_.data() + k * padded;
+    a_scales_[k] = scaled ? junction_scale_.data() + k * padded : nullptr;
     a_cats_[k] = 1;
     b_values_[k] = engine_.tip_planes(tip);
     b_scales_[k] = nullptr;
@@ -164,29 +165,13 @@ void BatchEdgeEvaluator::project_and_finalize(std::size_t count) {
     EdgeLikelihood::Workspace& ws = workspaces_[k];
     ws.coeff = coeff_.data() + k * edge_stride;
     ws.lam = engine_.lam_.data();
+    ws.weights = engine_.weights_.data();
     ws.site = engine_.edge_site_.data();
     ws.site_d1 = engine_.edge_site_d1_.data();
     ws.site_d2 = engine_.edge_site_d2_.data();
     ws.padded = padded;
     ws.kernels = engine_.kernels_;
-
-    EdgeLikelihood& f = views_[k];
-    f.model_ = &engine_.model_;
-    f.rates_ = &engine_.rates_;
-    f.cache_ = &engine_.cache_;
-    f.ws_ = &ws;
-    f.counters_ = &engine_.counters_;
-    f.num_patterns_ = engine_.num_patterns_;
-    f.pattern_weights_ = engine_.data_.weights().data();
-
-    double offset = 0.0;
-    for (std::size_t pat = 0; pat < engine_.num_patterns_; ++pat) {
-      std::int32_t scale = 0;
-      if (a_scales_[k] != nullptr) scale += a_scales_[k][pat];
-      if (b_scales_[k] != nullptr) scale += b_scales_[k][pat];
-      offset -= engine_.data_.weight(pat) * scale * kLogScaleStep;
-    }
-    f.scale_offset_ = offset;
+    views_[k] = engine_.make_view(&ws, a_scales_[k], b_scales_[k]);
   }
 
   engine_.counters_.edge_captures += count;

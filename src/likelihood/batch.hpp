@@ -20,8 +20,9 @@
 //   4. the K EdgeLikelihood views evaluate out of those still-hot
 //      coefficient planes (Newton solves run per candidate, serially).
 //
-// Determinism contract: view(k).evaluate(t) is bit-identical to what
-// engine.edge_likelihood(junction_k, tip).evaluate(t) would return after
+// Determinism contract: view(k).evaluate(t) and view(k).derivatives(t) are
+// bit-identical to what engine.edge_likelihood(junction_k, tip) would
+// return after
 // actually inserting candidate k with the same local lengths — the kernels
 // perform the same per-edge arithmetic in the same order (edge_capture_multi
 // is block-interleaved across edges, but each edge's sequence of operations
@@ -108,7 +109,9 @@ class BatchEdgeEvaluator {
   std::vector<const double*> a_planes_;
   std::vector<const double*> b_planes_;
   std::vector<double*> coeff_planes_;
-  // Per-edge category-plane bases and scale pointers resolved by capture().
+  // Per-edge category-plane bases and scale pointers resolved by capture()
+  // (a scale pointer is null for a tip or an unflagged CLV, see
+  // LikelihoodEngine::scale_of).
   std::vector<const double*> a_values_;
   std::vector<const double*> b_values_;
   std::vector<const std::int32_t*> a_scales_;

@@ -59,6 +59,8 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& data,
       kernels_(&kernel_table_for_patterns(data.num_patterns())) {
   counters_.simd_backend = kernels_->name;
   build_tip_clvs();
+  weights_.assign(padded_, 0.0);
+  std::copy(data_.weights().begin(), data_.weights().end(), weights_.begin());
 
   // Preallocate every kernel arena once; the hot path never allocates.
   // Plane tails ([num_patterns_, padded_)) stay zero forever — inert
@@ -73,6 +75,7 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& data,
   edge_site_d2_.assign(padded_, 0.0);
   edge_ws_.coeff = edge_coeff_.data();
   edge_ws_.lam = lam_.data();
+  edge_ws_.weights = weights_.data();
   edge_ws_.site = edge_site_.data();
   edge_ws_.site_d1 = edge_site_d1_.data();
   edge_ws_.site_d2 = edge_site_d2_.data();
@@ -200,12 +203,12 @@ void LikelihoodEngine::compute_internal_clv(int u, int slot) {
     ++child_count;
   }
 
-  combine_children(children, back_slots, lengths, clv.values.data(),
-                   clv.scale.data());
+  clv.scaled = combine_children(children, back_slots, lengths,
+                                clv.values.data(), clv.scale.data());
   clv.valid = true;
 }
 
-void LikelihoodEngine::combine_children(const int children[2],
+bool LikelihoodEngine::combine_children(const int children[2],
                                         const int back_slots[2],
                                         const double lengths[2],
                                         double* out_values,
@@ -214,10 +217,14 @@ void LikelihoodEngine::combine_children(const int children[2],
 
   // Resolve child CLV storage (recursing first so pointers stay stable, and
   // so the kernel timer below does not double-count nested computations).
+  // The counters always combine the children's full arrays, whatever their
+  // flags say, so site_log_likelihoods() (which reads the arrays) stays an
+  // independent check of the flags.
   const double* child_values[2];
   const std::uint8_t* child_codes[2];
   const std::int32_t* child_scales[2];
   bool child_is_tip[2];
+  bool scaled = false;
   for (int c = 0; c < 2; ++c) {
     const int node = children[c];
     if (tree_->is_tip(node)) {
@@ -231,6 +238,7 @@ void LikelihoodEngine::combine_children(const int children[2],
       child_codes[c] = nullptr;
       child_scales[c] = child.scale.data();
       child_is_tip[c] = false;
+      scaled = scaled || child.scaled;
     }
   }
 
@@ -255,6 +263,7 @@ void LikelihoodEngine::combine_children(const int children[2],
   // Pattern-block tiling: compute every category's slice of one block, then
   // rescale that block while its cache lines are still hot. Tail lanes
   // (>= num_patterns_) see all-zero inputs and stay zero.
+  std::uint64_t rescaled = 0;
   for (std::size_t begin = 0; begin < padded_; begin += kPatternBlock) {
     const std::size_t end = std::min(begin + kPatternBlock, padded_);
     for (std::size_t cat = 0; cat < num_categories_; ++cat) {
@@ -281,15 +290,17 @@ void LikelihoodEngine::combine_children(const int children[2],
     // Combine child scale counters and rescale underflowing patterns of
     // this block (all categories are still L1-resident): vector max over
     // the planes plus a movemask picks out the underflowing lanes.
-    counters_.clv_rescales += kernels_->clv_rescale(
-        begin, end, padded_, num_categories_, out_values, child_scales[0],
-        child_scales[1], out_scale);
+    rescaled += kernels_->clv_rescale(begin, end, padded_, num_categories_,
+                                      out_values, child_scales[0],
+                                      child_scales[1], out_scale);
   }
 
+  counters_.clv_rescales += rescaled;
   ++counters_.clv_computations;
   counters_.kernel_ns += elapsed_ns(kernel_start);
   flops_ += num_categories_ * num_patterns_ *
             (4 + (child_is_tip[0] ? 4u : 32u) + (child_is_tip[1] ? 4u : 32u));
+  return scaled || rescaled != 0;
 }
 
 double LikelihoodEngine::log_likelihood() {
@@ -327,7 +338,7 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
   } else {
     const Clv& clv = ensure_clv(u, su);
     a_values = clv.values.data();
-    a_scale = clv.scale.data();
+    a_scale = scale_of(clv);
     a_cats = true;
   }
   const double* b_values;
@@ -339,7 +350,7 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
   } else {
     const Clv& clv = ensure_clv(v, sv);
     b_values = clv.values.data();
-    b_scale = clv.scale.data();
+    b_scale = scale_of(clv);
     b_cats = true;
   }
 
@@ -360,23 +371,7 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
                            &edge_coeff_[cat * cat_stride]);
   }
 
-  EdgeLikelihood f;
-  f.model_ = &model_;
-  f.rates_ = &rates_;
-  f.cache_ = &cache_;
-  f.ws_ = &edge_ws_;
-  f.counters_ = &counters_;
-  f.num_patterns_ = num_patterns_;
-  f.pattern_weights_ = data_.weights().data();
-
-  double offset = 0.0;
-  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
-    std::int32_t scale = 0;
-    if (a_scale != nullptr) scale += a_scale[pat];
-    if (b_scale != nullptr) scale += b_scale[pat];
-    offset -= data_.weight(pat) * scale * kLogScaleStep;
-  }
-  f.scale_offset_ = offset;
+  const EdgeLikelihood f = make_view(&edge_ws_, a_scale, b_scale);
 
   ++counters_.edge_captures;
   counters_.scratch_bytes_reused += edge_coeff_.size() * sizeof(double);
@@ -385,33 +380,49 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
   return f;
 }
 
-double EdgeLikelihood::evaluate(double t, double* d1, double* d2) const {
+EdgeLikelihood LikelihoodEngine::make_view(EdgeLikelihood::Workspace* ws,
+                                           const std::int32_t* a_scale,
+                                           const std::int32_t* b_scale) {
+  EdgeLikelihood f;
+  f.model_ = &model_;
+  f.rates_ = &rates_;
+  f.cache_ = &cache_;
+  f.ws_ = ws;
+  f.counters_ = &counters_;
+  f.num_patterns_ = num_patterns_;
+
+  // With no flagged operand every term below is +0.0, so skipping the loop
+  // leaves the offset bit-identical.
+  double offset = 0.0;
+  if (a_scale != nullptr || b_scale != nullptr) {
+    for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
+      std::int32_t scale = 0;
+      if (a_scale != nullptr) scale += a_scale[pat];
+      if (b_scale != nullptr) scale += b_scale[pat];
+      offset -= data_.weight(pat) * scale * kLogScaleStep;
+    }
+  }
+  f.scale_offset_ = offset;
+  return f;
+}
+
+double EdgeLikelihood::evaluate(double t) const {
   const auto kernel_start = KernelClock::now();
   const std::size_t num_categories = rates_->num_categories();
-  const bool derivs = d1 != nullptr || d2 != nullptr;
   const std::size_t padded = ws_->padded;
-
-  // All scratch lives in the engine-owned workspace; no allocations here.
   double* site = ws_->site;
-  double* site_d1 = ws_->site_d1;
-  double* site_d2 = ws_->site_d2;
 
   // exp(lambda_k r_c t) is computed once per category (cache-served); the
   // per-pattern loop below is exp-free — a pure 4-coefficient dot.
   for (std::size_t cat = 0; cat < num_categories; ++cat) {
-    const double rate = rates_->rate(cat);
-    const Vec4 e = cache_->exp_eigen(*model_, t * rate);
+    const Vec4 e = cache_->exp_eigen(*model_, t * rates_->rate(cat));
     ws_->kernels->edge_evaluate(padded, ws_->coeff + cat * 4 * padded,
-                                e.data(), ws_->lam + cat * 4,
-                                /*accumulate=*/cat != 0, derivs, site, site_d1,
-                                site_d2);
+                                e.data(), /*accumulate=*/cat != 0, site);
   }
 
   double lnl = scale_offset_;
-  double g = 0.0;
-  double h = 0.0;
   for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
-    const double weight = pattern_weights_[pat];
+    const double weight = ws_->weights[pat];
     const double s = site[pat];
     if (s <= 0.0) {
       // A zero-probability pattern (should not happen with valid data).
@@ -419,20 +430,45 @@ double EdgeLikelihood::evaluate(double t, double* d1, double* d2) const {
       continue;
     }
     lnl += weight * std::log(s);
-    if (derivs) {
-      const double ratio1 = site_d1[pat] / s;
-      g += weight * ratio1;
-      h += weight * (site_d2[pat] / s - ratio1 * ratio1);
-    }
   }
-  if (d1 != nullptr) *d1 = g;
-  if (d2 != nullptr) *d2 = h;
 
   ++counters_->edge_evaluations;
-  counters_->scratch_bytes_reused +=
-      (derivs ? 3u : 1u) * num_patterns_ * sizeof(double);
+  counters_->scratch_bytes_reused += num_patterns_ * sizeof(double);
   counters_->kernel_ns += elapsed_ns(kernel_start);
   return lnl;
+}
+
+EdgeDerivatives EdgeLikelihood::derivatives(double t) const {
+  const auto kernel_start = KernelClock::now();
+  const std::size_t num_categories = rates_->num_categories();
+  const std::size_t padded = ws_->padded;
+  double* site = ws_->site;
+  double* site_d1 = ws_->site_d1;
+  double* site_d2 = ws_->site_d2;
+
+  // The last category's pass also turns each pattern's s, s', s'' into its
+  // weighted Newton terms (kernels.hpp), so only the sums remain here.
+  for (std::size_t cat = 0; cat < num_categories; ++cat) {
+    const Vec4 e = cache_->exp_eigen(*model_, t * rates_->rate(cat));
+    const bool last = cat + 1 == num_categories;
+    ws_->kernels->edge_derivatives(padded, ws_->coeff + cat * 4 * padded,
+                                   e.data(), ws_->lam + cat * 4,
+                                   /*accumulate=*/cat != 0,
+                                   last ? ws_->weights : nullptr, site,
+                                   site_d1, site_d2);
+  }
+
+  EdgeDerivatives out;
+  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
+    if (site[pat] <= 0.0) continue;  // zero-probability pattern, as evaluate()
+    out.d1 += site_d1[pat];
+    out.d2 += site_d2[pat];
+  }
+
+  ++counters_->edge_evaluations;
+  counters_->scratch_bytes_reused += 3u * num_patterns_ * sizeof(double);
+  counters_->kernel_ns += elapsed_ns(kernel_start);
+  return out;
 }
 
 std::vector<double> LikelihoodEngine::site_log_likelihoods() {

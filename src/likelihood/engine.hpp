@@ -56,7 +56,8 @@ struct KernelCounters {
   /// thrash; should stay near zero during smoothing).
   std::uint64_t transition_evictions = 0;
   std::uint64_t edge_captures = 0;      ///< edge_likelihood() calls
-  std::uint64_t edge_evaluations = 0;   ///< EdgeLikelihood::evaluate calls
+  /// EdgeLikelihood::evaluate plus EdgeLikelihood::derivatives calls.
+  std::uint64_t edge_evaluations = 0;
   std::uint64_t clv_computations = 0;   ///< internal-CLV recomputations
   /// Patterns rescaled by the 2^-256 underflow guard (deep-tree activity;
   /// the backend-parity tests assert this matches across SIMD backends).
@@ -78,19 +79,28 @@ struct KernelCounters {
   }
 };
 
+/// First and second derivative of lnL along one edge at one branch length.
+struct EdgeDerivatives {
+  double d1 = 0.0;
+  double d2 = 0.0;
+};
+
 /// A captured one-dimensional view of the likelihood along a single edge:
-/// lnL(t) with first and second derivatives, cheap to evaluate repeatedly
-/// during Newton iteration.
+/// lnL(t) and its first and second derivatives, cheap to evaluate
+/// repeatedly during Newton iteration.
 ///
 /// The view borrows engine-owned scratch (coefficients and site buffers),
 /// so it is valid only until the next edge_likelihood() / attach() /
-/// set_model() call on the same engine; evaluate() itself allocates
-/// nothing. Exactly one EdgeLikelihood per engine is live at a time — the
-/// optimizer's capture-then-iterate pattern.
+/// set_model() call on the same engine; evaluate() and derivatives()
+/// allocate nothing. Exactly one EdgeLikelihood per engine is live at a
+/// time — the optimizer's capture-then-iterate pattern.
 class EdgeLikelihood {
  public:
-  /// Log-likelihood at branch length t; optionally first/second derivatives.
-  double evaluate(double t, double* d1 = nullptr, double* d2 = nullptr) const;
+  /// Log-likelihood at branch length t. The only path that takes logs.
+  double evaluate(double t) const;
+  /// d lnL/dt and d^2 lnL/dt^2 at branch length t, without lnL itself —
+  /// all a Newton step reads.
+  EdgeDerivatives derivatives(double t) const;
 
  private:
   friend class LikelihoodEngine;
@@ -104,19 +114,20 @@ class EdgeLikelihood {
   Workspace* ws_ = nullptr;           // engine-owned scratch arena
   KernelCounters* counters_ = nullptr;
   std::size_t num_patterns_ = 0;
-  const double* pattern_weights_ = nullptr;  // borrowed from PatternAlignment
   double scale_offset_ = 0.0;  // log-scale corrections, t-independent
 };
 
 /// Engine-owned scratch the EdgeLikelihood view evaluates out of: eigen
 /// coefficients written by edge_likelihood(), per-site accumulators reused
-/// by every evaluate() call. Pointers alias engine arenas sized once.
+/// by every evaluate()/derivatives() call. Pointers alias engine arenas
+/// sized once.
 struct EdgeLikelihood::Workspace {
   const double* coeff = nullptr;  // [cat][4][padded] eigen coefficient planes
   const double* lam = nullptr;    // [cat][4] = lambda_k * rate_cat
+  const double* weights = nullptr;  // [padded] pattern weights, zero tail
   double* site = nullptr;         // [padded] accumulators
-  double* site_d1 = nullptr;
-  double* site_d2 = nullptr;
+  double* site_d1 = nullptr;      // s', then the d1 term per pattern
+  double* site_d2 = nullptr;      // s'', then the d2 term per pattern
   std::size_t padded = 0;         // padded pattern extent of the planes
   const KernelTable* kernels = nullptr;  // engine's SIMD dispatch table
 };
@@ -213,6 +224,10 @@ class LikelihoodEngine {
   struct Clv {
     AlignedVector<double> values;     // [cat][state][padded] SoA planes
     std::vector<std::int32_t> scale;  // per pattern (padded extent)
+    /// Some pattern of `scale` is nonzero: a child was flagged or the
+    /// combine rescaled. Unflagged scales are all zero, so readers treat
+    /// them as absent (null) and skip the per-pattern offset work.
+    bool scaled = false;
     bool valid = false;
   };
 
@@ -233,10 +248,23 @@ class LikelihoodEngine {
   /// BatchEdgeEvaluator uses this to compute the CLV a junction node
   /// *would* have on each candidate insertion edge, without mutating the
   /// tree — bit-identical to what compute_internal_clv would produce after
-  /// the insertion, because it is the same code.
-  void combine_children(const int children[2], const int back_slots[2],
+  /// the insertion, because it is the same code. Returns the scale flag of
+  /// the result (see Clv::scaled).
+  bool combine_children(const int children[2], const int back_slots[2],
                         const double lengths[2], double* out_values,
                         std::int32_t* out_scale);
+
+  /// Scale counters of `clv` for readers that honor the flag: null when no
+  /// pattern was ever rescaled.
+  static const std::int32_t* scale_of(const Clv& clv) {
+    return clv.scaled ? clv.scale.data() : nullptr;
+  }
+
+  /// A view over `ws` (engine or batch coefficient planes) between operands
+  /// with scale counters a_scale / b_scale (null = none).
+  EdgeLikelihood make_view(EdgeLikelihood::Workspace* ws,
+                           const std::int32_t* a_scale,
+                           const std::int32_t* b_scale);
 
   /// Tip CLVs have no category dimension and never need scaling; expands a
   /// base code into indicator likelihood planes (and keeps the raw codes
@@ -267,6 +295,7 @@ class LikelihoodEngine {
   const KernelTable* kernels_;  // SIMD dispatch table (fixed at construction)
 
   AlignedVector<double> tip_clvs_;      // [tip][state][padded] SoA planes
+  AlignedVector<double> weights_;       // [padded] pattern weights, zero tail
   std::vector<std::uint8_t> tip_codes_; // [tip][padded] 4-bit base masks
   std::vector<Clv> clvs_;               // indexed by key()
   std::uint64_t flops_ = 0;

@@ -2,9 +2,9 @@
 //
 // The hot loops of Felsenstein pruning — internal-CLV combine, tip
 // lookup-table combine, eigen-coefficient edge capture (single and batched),
-// and the per-pattern dot of EdgeLikelihood::evaluate — are independent
-// across site patterns, so the engine stores CLVs and edge coefficients as
-// pattern-plane SoA:
+// and the per-pattern dots of EdgeLikelihood::evaluate and ::derivatives —
+// are independent across site patterns, so the engine stores CLVs and edge
+// coefficients as pattern-plane SoA:
 //
 //   [category][state][pattern]   (pattern extent padded to kPatternPad)
 //
@@ -121,14 +121,22 @@ struct KernelTable {
                              const double* left, double prob,
                              double* const* coeff);
 
-  /// Per-pattern 4-coefficient dot for one category (exp(lambda_k r t) is
-  /// hoisted into e[] by the caller — evaluate() itself is exp-free per
-  /// pattern): site[pat] (+)= sum_k coeff[k][pat] * e[k]; with derivs also
-  /// site_d1 via lam[k] * e[k] and site_d2 via lam[k]^2 * e[k].
+  /// Per-pattern 4-coefficient dot for one category, the lnL path
+  /// (exp(lambda_k r t) is hoisted into e[] by the caller — the pattern loop
+  /// is exp-free): site[pat] (+)= sum_k coeff[k][pat] * e[k].
   void (*edge_evaluate)(std::size_t padded, const double* coeff,
-                        const double* e, const double* lam, bool accumulate,
-                        bool derivs, double* site, double* site_d1,
-                        double* site_d2);
+                        const double* e, bool accumulate, double* site);
+
+  /// The Newton path for one category: site (+)= s as in edge_evaluate,
+  /// site_d1 (+)= s' via lam[k] * e[k] and site_d2 (+)= s'' via
+  /// lam[k]^2 * e[k]. On the last category the caller passes the padded
+  /// pattern weights, and the same pass finishes each pattern: site keeps
+  /// s, site_d1 receives w * (s'/s) and site_d2 w * (s''/s - (s'/s)^2), the
+  /// terms of d lnL/dt and d^2 lnL/dt^2. `weights` is null otherwise.
+  void (*edge_derivatives)(std::size_t padded, const double* coeff,
+                           const double* e, const double* lam, bool accumulate,
+                           const double* weights, double* site,
+                           double* site_d1, double* site_d2);
 };
 
 /// Table for one (backend, tier) pair, or nullptr if that exact pair was

@@ -257,14 +257,39 @@ struct Kernels {
     }
   }
 
-  template <bool Accumulate, bool Derivs>
+  template <bool Accumulate>
   static void evaluate(std::size_t padded, const double* coeff,
-                       const double* e, const double* lam, double* site,
-                       double* site_d1, double* site_d2) {
+                       const double* e, double* site) {
+    const V e0 = V::broadcast(e[0]), e1 = V::broadcast(e[1]),
+            e2 = V::broadcast(e[2]), e3 = V::broadcast(e[3]);
+    for (std::size_t pat = 0; pat < padded; pat += W) {
+      V s = V::load(coeff + 0 * padded + pat) * e0;
+      s = ma(V::load(coeff + 1 * padded + pat), e1, s);
+      s = ma(V::load(coeff + 2 * padded + pat), e2, s);
+      s = ma(V::load(coeff + 3 * padded + pat), e3, s);
+      if constexpr (Accumulate) s = V::load(site + pat) + s;
+      s.store(site + pat);
+    }
+  }
+
+  static void edge_evaluate(std::size_t padded, const double* coeff,
+                            const double* e, bool accumulate, double* site) {
+    if (accumulate) {
+      evaluate<true>(padded, coeff, e, site);
+    } else {
+      evaluate<false>(padded, coeff, e, site);
+    }
+  }
+
+  template <bool Accumulate, bool Finish>
+  static void derivatives(std::size_t padded, const double* coeff,
+                          const double* e, const double* lam,
+                          const double* weights, double* site,
+                          double* site_d1, double* site_d2) {
     const V e0 = V::broadcast(e[0]), e1 = V::broadcast(e[1]),
             e2 = V::broadcast(e[2]), e3 = V::broadcast(e[3]);
     // Derivative factors per eigenvalue: d/dt exp(lam_k t) = lam_k * exp,
-    // computed in scalar once (identical to the former per-category setup).
+    // computed in scalar once per category.
     const double l0s = lam[0] * e[0], l1s = lam[1] * e[1], l2s = lam[2] * e[2],
                  l3s = lam[3] * e[3];
     const V l0 = V::broadcast(l0s), l1 = V::broadcast(l1s),
@@ -282,40 +307,54 @@ struct Kernels {
       s = ma(c3, e3, s);
       if constexpr (Accumulate) s = V::load(site + pat) + s;
       s.store(site + pat);
-      if constexpr (Derivs) {
-        V g = c0 * l0;
-        g = ma(c1, l1, g);
-        g = ma(c2, l2, g);
-        g = ma(c3, l3, g);
-        V h = c0 * q0;
-        h = ma(c1, q1, h);
-        h = ma(c2, q2, h);
-        h = ma(c3, q3, h);
-        if constexpr (Accumulate) {
-          g = V::load(site_d1 + pat) + g;
-          h = V::load(site_d2 + pat) + h;
-        }
+      V g = c0 * l0;
+      g = ma(c1, l1, g);
+      g = ma(c2, l2, g);
+      g = ma(c3, l3, g);
+      V h = c0 * q0;
+      h = ma(c1, q1, h);
+      h = ma(c2, q2, h);
+      h = ma(c3, q3, h);
+      if constexpr (Accumulate) {
+        g = V::load(site_d1 + pat) + g;
+        h = V::load(site_d2 + pat) + h;
+      }
+      if constexpr (Finish) {
+        // Element-wise IEEE ops, unfused and in the same order at every
+        // width, so each term is bit-identical across backends. Tail lanes
+        // (s = 0) hold NaN; the caller's sum stops at num_patterns and
+        // skips s <= 0.
+        const V w = V::load(weights + pat);
+        const V r1 = g / s;
+        (w * r1).store(site_d1 + pat);
+        (w * (h / s - r1 * r1)).store(site_d2 + pat);
+      } else {
         g.store(site_d1 + pat);
         h.store(site_d2 + pat);
       }
     }
   }
 
-  static void edge_evaluate(std::size_t padded, const double* coeff,
-                            const double* e, const double* lam,
-                            bool accumulate, bool derivs, double* site,
-                            double* site_d1, double* site_d2) {
-    if (derivs) {
+  static void edge_derivatives(std::size_t padded, const double* coeff,
+                               const double* e, const double* lam,
+                               bool accumulate, const double* weights,
+                               double* site, double* site_d1,
+                               double* site_d2) {
+    if (weights != nullptr) {
       if (accumulate) {
-        evaluate<true, true>(padded, coeff, e, lam, site, site_d1, site_d2);
+        derivatives<true, true>(padded, coeff, e, lam, weights, site, site_d1,
+                                site_d2);
       } else {
-        evaluate<false, true>(padded, coeff, e, lam, site, site_d1, site_d2);
+        derivatives<false, true>(padded, coeff, e, lam, weights, site, site_d1,
+                                 site_d2);
       }
     } else {
       if (accumulate) {
-        evaluate<true, false>(padded, coeff, e, lam, site, site_d1, site_d2);
+        derivatives<true, false>(padded, coeff, e, lam, weights, site, site_d1,
+                                 site_d2);
       } else {
-        evaluate<false, false>(padded, coeff, e, lam, site, site_d1, site_d2);
+        derivatives<false, false>(padded, coeff, e, lam, weights, site,
+                                  site_d1, site_d2);
       }
     }
   }
@@ -334,6 +373,7 @@ KernelTable make_kernel_table(const char* name, simd::Backend backend,
   table.edge_capture = &Kernels<W, Fused>::edge_capture;
   table.edge_capture_multi = &Kernels<W, Fused>::edge_capture_multi;
   table.edge_evaluate = &Kernels<W, Fused>::edge_evaluate;
+  table.edge_derivatives = &Kernels<W, Fused>::edge_derivatives;
   return table;
 }
 

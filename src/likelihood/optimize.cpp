@@ -15,9 +15,7 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0,
   double t = std::clamp(t0, lo, hi);
 
   for (int iter = 0; iter < options.max_newton_iterations; ++iter) {
-    double d1 = 0.0;
-    double d2 = 0.0;
-    f.evaluate(t, &d1, &d2);
+    const auto [d1, d2] = f.derivatives(t);
     // Already at a stationary point: stop before taking another step.
     if (std::fabs(d1) <= options.derivative_tolerance) break;
     // Shrink the bracket around the maximum using the gradient sign.
@@ -48,9 +46,13 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0,
 
 double BranchOptimizer::optimize_edge(Tree& tree, int u, int v) {
   const EdgeLikelihood f = engine_.edge_likelihood(u, v);
-  const double t = newton_branch_solve(f, tree.length(u, v), options_);
-  tree.set_length(u, v, t);
-  engine_.on_length_changed(u, v);
+  const double t0 = tree.length(u, v);
+  const double t = newton_branch_solve(f, t0, options_);
+  // A solve that lands back on its start changes nothing a CLV depends on.
+  if (t != t0) {
+    tree.set_length(u, v, t);
+    engine_.on_length_changed(u, v);
+  }
   ++edge_optimizations_;
   return t;
 }

@@ -44,7 +44,8 @@ class BranchOptimizer {
   explicit BranchOptimizer(LikelihoodEngine& engine, OptimizeOptions options = {});
 
   /// Optimizes edge (u, v), commits the new length into the tree and engine
-  /// cache. Returns the new length.
+  /// cache (a length the solve left unchanged invalidates nothing). Returns
+  /// the new length.
   double optimize_edge(Tree& tree, int u, int v);
 
   /// Repeated passes over all branches until converged or pass budget

@@ -167,9 +167,19 @@ struct Vec {
     for (int i = 0; i < W; ++i) v.lane[i] = a.lane[i] + b.lane[i];
     return v;
   }
+  friend Vec operator-(Vec a, Vec b) {
+    Vec v;
+    for (int i = 0; i < W; ++i) v.lane[i] = a.lane[i] - b.lane[i];
+    return v;
+  }
   friend Vec operator*(Vec a, Vec b) {
     Vec v;
     for (int i = 0; i < W; ++i) v.lane[i] = a.lane[i] * b.lane[i];
+    return v;
+  }
+  friend Vec operator/(Vec a, Vec b) {
+    Vec v;
+    for (int i = 0; i < W; ++i) v.lane[i] = a.lane[i] / b.lane[i];
     return v;
   }
   static Vec max(Vec a, Vec b) {
@@ -224,7 +234,9 @@ struct Vec<double, 2> {
   }
 
   friend Vec operator+(Vec a, Vec b) { return {_mm_add_pd(a.v, b.v)}; }
+  friend Vec operator-(Vec a, Vec b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm_mul_pd(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) { return {_mm_div_pd(a.v, b.v)}; }
   static Vec max(Vec a, Vec b) { return {_mm_max_pd(a.v, b.v)}; }
   static Vec madd(Vec a, Vec b, Vec c) {
     return {_mm_add_pd(_mm_mul_pd(a.v, b.v), c.v)};
@@ -283,7 +295,9 @@ struct Vec<double, 4> {
   }
 
   friend Vec operator+(Vec a, Vec b) { return {_mm256_add_pd(a.v, b.v)}; }
+  friend Vec operator-(Vec a, Vec b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) { return {_mm256_div_pd(a.v, b.v)}; }
   static Vec max(Vec a, Vec b) { return {_mm256_max_pd(a.v, b.v)}; }
   static Vec madd(Vec a, Vec b, Vec c) {
     // Intentionally mul + add, not _mm256_fmadd_pd: fused rounding would
@@ -331,7 +345,9 @@ struct Vec<double, 8> {
   }
 
   friend Vec operator+(Vec a, Vec b) { return {_mm512_add_pd(a.v, b.v)}; }
+  friend Vec operator-(Vec a, Vec b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm512_mul_pd(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) { return {_mm512_div_pd(a.v, b.v)}; }
   static Vec max(Vec a, Vec b) {
     // maskz form for the same -Wmaybe-uninitialized reason as gather's
     // cvtepu8 (the plain _mm512_max_pd pads with undefined).

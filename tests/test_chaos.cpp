@@ -16,6 +16,7 @@
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
@@ -284,6 +285,8 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   ForemanOptions options;
   options.worker_timeout = milliseconds(150);
   options.probation_backoff = milliseconds(20);
+  obs::MetricsRegistry metrics;  // staged on counters, not sleeps
+  options.metrics = &metrics;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
@@ -294,10 +297,16 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   send_task_round(*master, 1, {1, 2});
 
   EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 1u);
-  // Sit on the task until the deadline passes: delinquent. The sleep must
-  // exceed the 150 ms deadline but reply well before the dead-declare at
-  // roughly 2x the deadline, or a loaded scheduler can lose the race.
-  std::this_thread::sleep_for(milliseconds(220));
+  // Sit on the task until the foreman counts it overdue: delinquent. The
+  // reply follows that count at once, well before the dead-declare at
+  // roughly 2x the deadline, however loaded the scheduler is.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (metrics.snapshot().counter("foreman.delinquencies") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  EXPECT_GE(metrics.snapshot().counter("foreman.delinquencies"), 1u);
   // The late reply moves the worker to probation (the paper's
   // reinstatement, now conditional) and completes task 1.
   send_result_sealed(*worker, 1, 1);

@@ -7,9 +7,15 @@
 #     resume" instead of aborting.
 #   * --chaos without an in-process cluster exits 2 instead of running a
 #     fault drill with nothing injected.
+#   * A serial search of data/sample24.phy at seed 3 writes exactly the
+#     committed reference data/sample24_seed3.out. A change that moves it
+#     (say, a new smoothing order) re-records it on purpose. The fast
+#     kernel tier (FDML_TIER=fast) promises closeness, not bit equality, so
+#     it skips this check.
 set -u
 
 BIN=$1
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -40,4 +46,13 @@ grep -q "cannot resume" "$WORK/resume.log" || fail "no 'cannot resume' message"
     > /dev/null 2>&1
 status=$?
 [ "$status" -eq 2 ] || fail "--chaos without --workers exited $status, not 2"
+
+if [ "${FDML_TIER:-exact}" = "fast" ]; then
+  echo "test_cli: FDML_TIER=fast, skipping the sample24 reference check"
+else
+  "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet \
+      --out="$WORK/sample24.out" > /dev/null || fail "sample24 run exited $?"
+  cmp "$WORK/sample24.out" "$ROOT/data/sample24_seed3.out" \
+      || fail "sample24 seed 3 result differs from data/sample24_seed3.out"
+fi
 echo "test_cli: ok"

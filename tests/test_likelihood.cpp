@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "likelihood/batch.hpp"
 #include "likelihood/engine.hpp"
 #include "likelihood/evaluator.hpp"
 #include "likelihood/optimize.hpp"
@@ -199,11 +200,11 @@ TEST(Engine, SiteLogLikelihoodsSumToTotal) {
 }
 
 TEST(Engine, ScalingKeepsDeepTreesFinite) {
-  // A 120-taxon caterpillar with substantial branch lengths drives raw
-  // conditional likelihoods far below 2^-256; the per-pattern scaling (the
-  // paper's normalization change) must keep lnL finite and consistent with
-  // per-site values.
-  const int n = 120;
+  // A 300-taxon caterpillar with substantial branch lengths drives raw
+  // conditional likelihoods far below 2^-256 (~e^-1.1 per level); the
+  // per-pattern scaling (the paper's normalization change) must fire and
+  // keep lnL finite and consistent with per-site values.
+  const int n = 300;
   Tree tree(n);
   tree.make_triplet(0, 1, 2, 0.4, 0.4, 0.4);
   for (int tip = 3; tip < n; ++tip) {
@@ -219,6 +220,8 @@ TEST(Engine, ScalingKeepsDeepTreesFinite) {
   LikelihoodEngine engine(data, SubstModel::jc69(), RateModel::uniform());
   engine.attach(tree);
   const double lnl = engine.log_likelihood();
+  EXPECT_GT(engine.counters().clv_rescales, 0u)
+      << "tree not deep enough to exercise scaling";
   EXPECT_TRUE(std::isfinite(lnl));
   EXPECT_LT(lnl, 0.0);
   const auto site_lnls = engine.site_log_likelihoods();
@@ -228,6 +231,36 @@ TEST(Engine, ScalingKeepsDeepTreesFinite) {
     sum += s;
   }
   EXPECT_NEAR(sum, lnl, 1e-6);
+
+  // A batched insertion view takes its scale offset only from operands
+  // whose scale flag is set; the per-site values of the real splice read
+  // the scale counters themselves, so they check those flags
+  // independently. The edge sits a quarter along the chain, where the
+  // junction combine rescales nothing itself: its flag has to come from
+  // the deep child's.
+  const int focus = n - 1;
+  Tree base = tree;
+  base.remove_tip(focus);
+  const int u = base.neighbor(n / 4, 0);
+  const int v = base.neighbor(n / 4 + 1, 0);
+  ASSERT_GE(base.find_slot(u, v), 0) << "chain nodes not adjacent";
+  Tree spliced = base;
+  const int junction = spliced.insert_tip(focus, u, v);
+  const double tip_length = spliced.length(junction, focus);
+
+  LikelihoodEngine base_engine(data, SubstModel::jc69(), RateModel::uniform());
+  base_engine.attach(base);
+  BatchEdgeEvaluator batch(base_engine);
+  batch.capture_insertions(focus, {{u, v, spliced.length(junction, u),
+                                    spliced.length(junction, v)}});
+  const double view_lnl = batch.view(0).evaluate(tip_length);
+
+  LikelihoodEngine spliced_engine(data, SubstModel::jc69(),
+                                  RateModel::uniform());
+  spliced_engine.attach(spliced);
+  double spliced_sum = 0.0;
+  for (double s : spliced_engine.site_log_likelihoods()) spliced_sum += s;
+  EXPECT_NEAR(view_lnl, spliced_sum, 1e-6);
 }
 
 TEST(Engine, EdgeLikelihoodDerivativesMatchFiniteDifferences) {
@@ -240,9 +273,8 @@ TEST(Engine, EdgeLikelihoodDerivativesMatchFiniteDifferences) {
   const auto [u, v] = tree.edges()[2];
   const EdgeLikelihood f = engine.edge_likelihood(u, v);
   for (double t : {0.05, 0.2, 0.8}) {
-    double d1 = 0.0;
-    double d2 = 0.0;
-    const double lnl = f.evaluate(t, &d1, &d2);
+    const double lnl = f.evaluate(t);
+    const auto [d1, d2] = f.derivatives(t);
     // h balances truncation against the ~|lnl| * eps / h^2 cancellation
     // noise in the second difference.
     const double h = 1e-5;
@@ -287,6 +319,35 @@ TEST(Engine, NewtonIterationsReuseCachedClvs) {
   for (double t = 0.01; t < 0.5; t += 0.01) f.evaluate(t);
   EXPECT_EQ(engine.clv_computations(), before)
       << "evaluating along one edge must not touch CLVs";
+}
+
+TEST(Engine, UnchangedLengthKeepsCachedClvs) {
+  // A Newton solve that returns its starting length commits nothing, so
+  // CLVs cached for other edges stay valid.
+  const PatternAlignment data(small_alignment());
+  Rng rng(29);
+  Tree tree = random_tree(5, rng);
+  LikelihoodEngine engine(data, SubstModel::jc69(), RateModel::uniform());
+  engine.attach(tree);
+  BranchOptimizer optimizer(engine);
+  const auto edges = tree.edges();
+  // edges[1] settles on an interior length (a length pinned at
+  // kMinBranchLength keeps halving toward it); edges[3] is a pendant edge
+  // whose internal-side CLV covers edges[1].
+  const auto [u, v] = edges[1];
+  const auto [x, y] = edges[3];
+  bool unchanged = false;
+  std::uint64_t before = 0;
+  for (int call = 0; call < 10 && !unchanged; ++call) {
+    (void)engine.edge_likelihood(x, y);  // every CLV (x, y) reads is valid
+    const double start = tree.length(u, v);
+    unchanged = optimizer.optimize_edge(tree, u, v) == start;
+    before = engine.clv_computations();
+  }
+  ASSERT_TRUE(unchanged) << "no solve returned its starting length";
+  (void)engine.edge_likelihood(x, y);
+  EXPECT_EQ(engine.clv_computations(), before)
+      << "an unchanged length invalidated CLVs of another edge";
 }
 
 // --- transition cache & kernel counters ---
@@ -463,9 +524,7 @@ TEST(Optimizer, FindsStationaryPointOfEachEdge) {
   BranchOptimizer optimizer(engine);
   for (const auto& [u, v] : tree.edges()) {
     const double t = optimizer.optimize_edge(tree, u, v);
-    const EdgeLikelihood f = engine.edge_likelihood(u, v);
-    double d1 = 0.0;
-    f.evaluate(t, &d1);
+    const double d1 = engine.edge_likelihood(u, v).derivatives(t).d1;
     // At an interior optimum the gradient is ~0; at the clamp boundaries it
     // may point outward.
     if (t > 2 * kMinBranchLength && t < 0.9 * kMaxBranchLength) {

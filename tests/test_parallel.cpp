@@ -13,6 +13,7 @@
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/protocol.hpp"
@@ -182,6 +183,8 @@ TEST(Foreman, StaleResultDoesNotDoubleBookWorker) {
   ThreadFabric fabric(4);  // master, foreman, monitor, one worker
   ForemanOptions options;
   options.worker_timeout = std::chrono::milliseconds(400);
+  obs::MetricsRegistry metrics;  // staged on counters, not sleeps
+  options.metrics = &metrics;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman(
@@ -195,7 +198,13 @@ TEST(Foreman, StaleResultDoesNotDoubleBookWorker) {
   EXPECT_EQ(recv_task(*worker).task_id, 1u);
   // Hold task 1 past the timeout: the foreman requeues it and marks the
   // worker delinquent.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (metrics.snapshot().counter("foreman.delinquencies") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(metrics.snapshot().counter("foreman.delinquencies"), 1u);
   // The late reply reinstates the worker and completes task 1 (the requeued
   // copy is dropped from the queue); task 2 is dispatched next.
   send_result(*worker, 1, 1);

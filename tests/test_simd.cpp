@@ -266,15 +266,41 @@ TEST(Simd, EdgeKernelsMatchScalarBitExactly) {
   AlignedVector<double> ref_coeff(SyntheticPlanes::kPlane);
   scalar->edge_capture(SyntheticPlanes::kPadded, s.a.data(), s.b.data(),
                        &s.pr[0][0], &(*s.left)[0][0], 0.25, ref_coeff.data());
+  // lnL path, then the Newton path: a first category, then an
+  // accumulating last category that finishes each pattern into its
+  // weighted derivative terms (the multi-category path).
+  AlignedVector<double> weights(SyntheticPlanes::kPadded);
+  for (std::size_t p = 0; p < weights.size(); ++p) {
+    weights[p] = static_cast<double>(1 + p % 5);
+  }
+  AlignedVector<double> ref_lnl_site(SyntheticPlanes::kPadded);
+  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
+                        /*accumulate=*/false, ref_lnl_site.data());
+  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
+                        /*accumulate=*/true, ref_lnl_site.data());
   AlignedVector<double> ref_site(SyntheticPlanes::kPadded),
       ref_d1(SyntheticPlanes::kPadded), ref_d2(SyntheticPlanes::kPadded);
-  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e, s.lam,
-                        /*accumulate=*/false, /*derivs=*/true, ref_site.data(),
-                        ref_d1.data(), ref_d2.data());
-  // Accumulation pass on top (multi-category path).
-  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e, s.lam,
-                        /*accumulate=*/true, /*derivs=*/true, ref_site.data(),
-                        ref_d1.data(), ref_d2.data());
+  scalar->edge_derivatives(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
+                           s.lam, /*accumulate=*/false, /*weights=*/nullptr,
+                           ref_site.data(), ref_d1.data(), ref_d2.data());
+  const AlignedVector<double> first_d1 = ref_d1;
+  const AlignedVector<double> first_d2 = ref_d2;
+  scalar->edge_derivatives(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
+                           s.lam, /*accumulate=*/true, weights.data(),
+                           ref_site.data(), ref_d1.data(), ref_d2.data());
+  for (std::size_t p = 0; p < SyntheticPlanes::kPadded; ++p) {
+    // Both paths accumulate s identically; the finished terms are the
+    // scalar formulas applied to the accumulated s, s', s'' (the two passes
+    // are the same category, so s' is twice the first pass's).
+    ASSERT_EQ(ref_lnl_site[p], ref_site[p]) << "site " << p;
+    const double s_p = ref_site[p];
+    const double g = first_d1[p] + first_d1[p];
+    const double h = first_d2[p] + first_d2[p];
+    const double ratio1 = g / s_p;
+    ASSERT_EQ(ref_d1[p], weights[p] * ratio1) << "d1 term " << p;
+    ASSERT_EQ(ref_d2[p], weights[p] * (h / s_p - ratio1 * ratio1))
+        << "d2 term " << p;
+  }
 
   for (const KernelTable* table : usable_vector_tables()) {
     AlignedVector<double> coeff(SyntheticPlanes::kPlane);
@@ -283,13 +309,20 @@ TEST(Simd, EdgeKernelsMatchScalarBitExactly) {
     for (std::size_t i = 0; i < coeff.size(); ++i) {
       ASSERT_EQ(ref_coeff[i], coeff[i]) << table->name << " coeff " << i;
     }
+    AlignedVector<double> lnl_site(SyntheticPlanes::kPadded);
+    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, false,
+                         lnl_site.data());
+    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, true,
+                         lnl_site.data());
     AlignedVector<double> site(SyntheticPlanes::kPadded),
         d1(SyntheticPlanes::kPadded), d2(SyntheticPlanes::kPadded);
-    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
-                         false, true, site.data(), d1.data(), d2.data());
-    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
-                         true, true, site.data(), d1.data(), d2.data());
+    table->edge_derivatives(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
+                            false, nullptr, site.data(), d1.data(), d2.data());
+    table->edge_derivatives(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
+                            true, weights.data(), site.data(), d1.data(),
+                            d2.data());
     for (std::size_t p = 0; p < SyntheticPlanes::kPadded; ++p) {
+      ASSERT_EQ(ref_lnl_site[p], lnl_site[p]) << table->name << " site " << p;
       ASSERT_EQ(ref_site[p], site[p]) << table->name << " site " << p;
       ASSERT_EQ(ref_d1[p], d1[p]) << table->name << " d1 " << p;
       ASSERT_EQ(ref_d2[p], d2[p]) << table->name << " d2 " << p;
@@ -343,7 +376,10 @@ ParityObservation observe(const PatternAlignment& data, const SubstModel& model,
   obs.lnl = engine.log_likelihood();
   const auto [u, v] = tree.edges()[tree.edges().size() / 2];
   const EdgeLikelihood f = engine.edge_likelihood(u, v);
-  obs.edge_lnl = f.evaluate(0.13, &obs.d1, &obs.d2);
+  obs.edge_lnl = f.evaluate(0.13);
+  const EdgeDerivatives d = f.derivatives(0.13);
+  obs.d1 = d.d1;
+  obs.d2 = d.d2;
   engine.site_log_likelihoods(obs.site_lnl);
   obs.clv_rescales = engine.counters().clv_rescales;
   return obs;
@@ -449,6 +485,12 @@ struct EdgeEval {
   double d2 = 0.0;
 };
 
+// lnL from evaluate(), d1 and d2 from derivatives() — the Newton path.
+EdgeEval eval_edge(const EdgeLikelihood& f, double t) {
+  const EdgeDerivatives d = f.derivatives(t);
+  return {f.evaluate(t), d.d1, d.d2};
+}
+
 // The batched capture promises bit-identity — not ulp-closeness — to the
 // edge-at-a-time path *within* each backend (edge_capture_multi performs
 // each edge's arithmetic in exactly edge_capture's order; only the block
@@ -486,14 +528,13 @@ TEST(Simd, BatchCaptureMatchesEdgeLikelihood) {
       std::vector<EdgeEval> got(k_count);
       for (std::size_t k = 0; k < k_count; ++k) {
         const double t = 0.05 + 0.01 * static_cast<double>(k);
-        got[k].lnl = batch.view(k).evaluate(t, &got[k].d1, &got[k].d2);
+        got[k] = eval_edge(batch.view(k), t);
       }
       for (std::size_t k = 0; k < k_count; ++k) {
         const double t = 0.05 + 0.01 * static_cast<double>(k);
         const EdgeLikelihood f =
             engine.edge_likelihood(edges[k].u, edges[k].v);
-        EdgeEval ref;
-        ref.lnl = f.evaluate(t, &ref.d1, &ref.d2);
+        const EdgeEval ref = eval_edge(f, t);
         ASSERT_EQ(got[k].lnl, ref.lnl)
             << backend << " K=" << k_count << " edge " << k;
         ASSERT_EQ(got[k].d1, ref.d1)
@@ -543,13 +584,12 @@ TEST(Simd, BatchCaptureRescalingParity) {
         << "tree not deep enough to exercise scaling";
     std::vector<EdgeEval> got(edges.size());
     for (std::size_t k = 0; k < edges.size(); ++k) {
-      got[k].lnl = batch.view(k).evaluate(0.4, &got[k].d1, &got[k].d2);
+      got[k] = eval_edge(batch.view(k), 0.4);
       ASSERT_TRUE(std::isfinite(got[k].lnl)) << backend << " edge " << k;
     }
     for (std::size_t k = 0; k < edges.size(); ++k) {
       const EdgeLikelihood f = engine.edge_likelihood(edges[k].u, edges[k].v);
-      EdgeEval ref;
-      ref.lnl = f.evaluate(0.4, &ref.d1, &ref.d2);
+      const EdgeEval ref = eval_edge(f, 0.4);
       ASSERT_EQ(got[k].lnl, ref.lnl) << backend << " edge " << k;
       ASSERT_EQ(got[k].d1, ref.d1) << backend << " edge " << k;
       ASSERT_EQ(got[k].d2, ref.d2) << backend << " edge " << k;
@@ -608,8 +648,7 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
     for (std::size_t k = 0; k < cands.size(); ++k) {
       batched_len[k] =
           newton_branch_solve(batch.view(k), kDefaultBranchLength, options);
-      batched[k].lnl =
-          batch.view(k).evaluate(batched_len[k], &batched[k].d1, &batched[k].d2);
+      batched[k] = eval_edge(batch.view(k), batched_len[k]);
     }
 
     // Sequential reference: really splice the tip in, re-attach, and run
@@ -623,8 +662,7 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
       const double len = opt.optimize_edge(trial, j, focus);
       ASSERT_EQ(batched_len[k], len) << backend << " candidate " << k;
       const EdgeLikelihood f = ref_engine.edge_likelihood(j, focus);
-      EdgeEval ref;
-      ref.lnl = f.evaluate(len, &ref.d1, &ref.d2);
+      const EdgeEval ref = eval_edge(f, len);
       ASSERT_EQ(batched[k].lnl, ref.lnl) << backend << " candidate " << k;
       ASSERT_EQ(batched[k].d1, ref.d1) << backend << " candidate " << k;
       ASSERT_EQ(batched[k].d2, ref.d2) << backend << " candidate " << k;
