@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "fdml.hpp"
+#include "json_lines.hpp"
 #include "likelihood/kernels.hpp"
 #include "util/aligned.hpp"
 #include "util/simd.hpp"
@@ -40,6 +41,8 @@
 namespace {
 
 using namespace fdml;
+using bench::scan_number;
+using bench::scan_string;
 
 const SubstModel& f84_model() {
   static const SubstModel model =
@@ -366,27 +369,6 @@ void write_sweep_json(const std::string& path,
                   r.gflops, r.speedup_vs_scalar);
     out << line;
   }
-}
-
-// Minimal field scanners for the line-oriented snapshot format above (no
-// JSON library in the build; the format is machine-written and rigid).
-bool scan_string(const std::string& line, const char* key, std::string& out) {
-  const std::string needle = std::string("\"") + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t start = at + needle.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) return false;
-  out = line.substr(start, end - start);
-  return true;
-}
-
-bool scan_number(const std::string& line, const char* key, double& out) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  out = std::strtod(line.c_str() + at + needle.size(), nullptr);
-  return true;
 }
 
 const SweepResult* find_result(const std::vector<SweepResult>& results,

@@ -61,7 +61,9 @@ for i in $(seq 1 "$ITERATIONS"); do
     STATE="finished before the ${KILL_MS} ms kill"
   fi
 
-  if [[ -e "$CKPT" || -n "$(ls "$CKPT".gen-* 2>/dev/null)" ]]; then
+  # A committed generation is <ckpt>.gen-<N>; a <ckpt>.gen-<N>.tmp staging
+  # file left by a kill during the first commit is not one.
+  if [[ -e "$CKPT" ]] || ls "$CKPT".gen-* 2>/dev/null | grep -qE '\.gen-[0-9]+$'; then
     "$BINARY" "${COMMON[@]}" --resume="$CKPT" --out="$OUT" >/dev/null || {
       echo "iteration $i: FAIL (resume exited $?; $STATE)"
       FAILURES=$(( FAILURES + 1 ))

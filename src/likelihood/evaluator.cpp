@@ -21,15 +21,4 @@ Evaluation TreeEvaluator::evaluate(Tree& tree, int max_passes) {
   return out;
 }
 
-Evaluation TreeEvaluator::evaluate_partial(Tree& tree,
-                                           const std::vector<std::pair<int, int>>& edges,
-                                           int passes) {
-  CpuTimer timer;
-  engine_.attach(tree);
-  Evaluation out;
-  out.log_likelihood = optimizer_.smooth_edges(tree, edges, passes);
-  out.cpu_seconds = timer.seconds();
-  return out;
-}
-
 }  // namespace fdml

@@ -26,12 +26,6 @@ class TreeEvaluator {
   /// uses the configured budget.
   Evaluation evaluate(Tree& tree, int max_passes = -1);
 
-  /// Quick evaluation used while testing insertion points: optimize only
-  /// the given edges for a couple of passes.
-  Evaluation evaluate_partial(Tree& tree,
-                              const std::vector<std::pair<int, int>>& edges,
-                              int passes);
-
   LikelihoodEngine& engine() { return engine_; }
   BranchOptimizer& optimizer() { return optimizer_; }
 

@@ -61,18 +61,29 @@ double BranchOptimizer::smooth(Tree& tree) {
   return smooth(tree, options_.max_smooth_passes);
 }
 
-double BranchOptimizer::smooth(Tree& tree, int max_passes) {
-  for (int pass = 0; pass < max_passes; ++pass) {
-    double worst_move = 0.0;
-    for (const auto& [u, v] : tree.edges()) {
-      const double before = tree.length(u, v);
-      const double after = optimize_edge(tree, u, v);
-      worst_move = std::max(worst_move,
-                            std::fabs(after - before) / std::max(before, 1e-3));
-    }
-    if (worst_move < options_.smooth_tolerance) break;
+namespace {
+
+/// Appends (node, child) for each neighbor of `node` other than `from`, in
+/// adjacency-slot order, each followed by the edges of the subtree behind
+/// that child (fastDNAml's smooth() recursion).
+void append_preorder_edges(const Tree& tree, int node, int from,
+                           std::vector<std::pair<int, int>>& order) {
+  for (int s = 0; s < 3; ++s) {
+    const int child = tree.neighbor(node, s);
+    if (child == Tree::kNoNode || child == from) continue;
+    order.emplace_back(node, child);
+    append_preorder_edges(tree, child, node, order);
   }
-  return engine_.log_likelihood();
+}
+
+}  // namespace
+
+double BranchOptimizer::smooth(Tree& tree, int max_passes) {
+  std::vector<std::pair<int, int>> order;
+  order.reserve(static_cast<std::size_t>(tree.num_edges()));
+  const std::vector<int> tips = tree.tips();
+  if (!tips.empty()) append_preorder_edges(tree, tips.front(), Tree::kNoNode, order);
+  return smooth_edges(tree, order, max_passes);
 }
 
 double BranchOptimizer::smooth_edges(Tree& tree,

@@ -51,12 +51,19 @@ class BranchOptimizer {
   /// Repeated passes over all branches until converged or pass budget
   /// exhausted. Returns the final tree log-likelihood. The overload taking
   /// `max_passes` overrides the configured budget for this call.
+  ///
+  /// Branches are visited in fastDNAml's smoothTree order: a pre-order walk
+  /// from the lowest-id tip, each edge followed by the subtree behind it,
+  /// neighbors in adjacency-slot order. Most consecutive edges share a
+  /// node, so a length commit invalidates few of the CLVs the next solve
+  /// reads. The order is a function of the tree's adjacency alone.
   double smooth(Tree& tree);
   double smooth(Tree& tree, int max_passes);
 
-  /// Optimizes only the listed edges for up to `passes` rounds — the rapid
-  /// local treatment applied when testing a taxon insertion point (the
-  /// paper's "rapid approximation of the insertion point"). Returns the
+  /// Optimizes the listed edges, in list order, for up to `passes` rounds
+  /// (the pass loop smooth() runs over every edge); stops early once no
+  /// branch moved more than `smooth_tolerance`. On a few edges it is the
+  /// paper's "rapid approximation of the insertion point". Returns the
   /// tree log-likelihood after the final pass.
   double smooth_edges(Tree& tree, const std::vector<std::pair<int, int>>& edges,
                       int passes);

@@ -623,6 +623,29 @@ TEST(Optimizer, PartialSmoothingTouchesOnlyListedEdges) {
   }
 }
 
+TEST(Optimizer, SmoothingWalksEdgesInTraversalOrder) {
+  // A pass in tree-traversal order solves most edges next to the one before
+  // them, so a length commit invalidates few CLVs the next solve reads: each
+  // of the 3(n-2) directed internal CLVs is computed at most about twice.
+  // An order that jumps across the tree, such as node-id order, takes
+  // three times the bound on this tree.
+  constexpr int kTaxa = 50;
+  const PatternAlignment data(make_paper_like_dataset(kTaxa, 1858, 7));
+  Rng rng(3);
+  Tree tree = random_tree(kTaxa, rng);
+  LikelihoodEngine engine(
+      data, SubstModel::f84_from_tstv(data.base_frequencies(), 2.0),
+      RateModel::uniform());
+  engine.attach(tree);
+  BranchOptimizer optimizer(engine);
+  const std::uint64_t clv_before = engine.clv_computations();
+  optimizer.smooth(tree, 1);
+  EXPECT_EQ(optimizer.edge_optimizations(),
+            static_cast<std::uint64_t>(2 * kTaxa - 3));
+  EXPECT_LE(engine.clv_computations() - clv_before,
+            static_cast<std::uint64_t>(2 * 3 * (kTaxa - 2)));
+}
+
 // --- site rates ---
 
 TEST(SiteRates, PatternFunctionMatchesEngineAtRateOne) {

@@ -244,8 +244,8 @@ TEST(JobScheduler, DrainCheckpointsInFlightAndResumeMatchesBitForBit) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // Big enough that the running job cannot finish before the drain lands
-  // (a solo run takes ~1.5 s) but checkpoints many generations first.
+  // Big enough that the running job is still going when the drain lands
+  // right after its first durable checkpoint.
   const PatternAlignment data = make_test_data(20, 500);
   const SubstModel model =
       SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
@@ -266,7 +266,19 @@ TEST(JobScheduler, DrainCheckpointsInFlightAndResumeMatchesBitForBit) {
       ids.push_back(submission.job_id);
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // Drain once the running job has committed a checkpoint (bounded wait,
+    // not a fixed sleep the job has to outlast).
+    const auto checkpointed = [&] {
+      for (const obs::JobProgressRow& row : scheduler.progress()) {
+        if (row.checkpoint_generation >= 1) return true;
+      }
+      return false;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!checkpointed() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     scheduler.drain();
     scheduler.wait_all();
 
