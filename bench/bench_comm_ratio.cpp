@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       task.task_id = static_cast<std::uint64_t>(k);
       task.newick = to_newick(tree, data.names(), 17);
       task.focus_taxon = -1;
-      task.smooth_passes = 8;
       const std::uint64_t before = evaluator.engine().flops();
       const TaskResult result = evaluator.evaluate(task);
       const std::uint64_t after = evaluator.engine().flops();

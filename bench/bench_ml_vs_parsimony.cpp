@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     const Tree tree = random_tree(taxa, rng);
     TreeTask task;
     task.newick = to_newick(tree, data.names(), 17);
-    task.smooth_passes = 8;
     ml_seconds += ml.evaluate(task).cpu_seconds;
     CpuTimer timer;
     (void)fitch_score(tree, data);

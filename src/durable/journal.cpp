@@ -6,16 +6,10 @@
 
 namespace fdml {
 
-std::uint64_t task_content_digest(const std::string& newick, int focus_taxon,
-                                  int smooth_passes) {
-  std::uint64_t hash = fnv1a64(newick);
-  hash = fnv1a64_u64(static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(focus_taxon)),
-                     hash);
-  hash = fnv1a64_u64(static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(smooth_passes)),
-                     hash);
-  return hash;
+std::uint64_t task_content_digest(const std::string& newick, int focus_taxon) {
+  return fnv1a64_u64(
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(focus_taxon)),
+      fnv1a64(newick));
 }
 
 std::uint64_t round_content_key(

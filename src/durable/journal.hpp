@@ -8,9 +8,9 @@
 //
 // Entries are content-addressed, not id-addressed: a revived master resends
 // the round with fresh task_ids/round_ids, so identity is a digest over
-// what the task *computes* (newick, focus taxon, smooth passes) and the
-// round key is a digest over the ordered task digests of the round. The
-// same work is recognised no matter how it is renumbered.
+// what the task *computes* (newick and focus taxon) and the round key is a
+// digest over the ordered task digests of the round. The same work is
+// recognised no matter how it is renumbered.
 //
 // On disk the journal is a sequence of durable frames (kind
 // kFrameJournalEntry; the frame's fingerprint field carries the round key,
@@ -31,9 +31,8 @@
 namespace fdml {
 
 /// Digest identifying a task by its computational content. Tasks with the
-/// same tree, focus taxon and smoothing settings are the same work.
-std::uint64_t task_content_digest(const std::string& newick, int focus_taxon,
-                                  int smooth_passes);
+/// same tree and focus taxon are the same work.
+std::uint64_t task_content_digest(const std::string& newick, int focus_taxon);
 
 /// Digest identifying a round by the ordered content of its tasks.
 std::uint64_t round_content_key(const std::vector<std::uint64_t>& task_digests);

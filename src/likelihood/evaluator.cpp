@@ -7,16 +7,14 @@
 namespace fdml {
 
 TreeEvaluator::TreeEvaluator(const PatternAlignment& data, SubstModel model,
-                             RateModel rates, OptimizeOptions options)
-    : engine_(data, std::move(model), std::move(rates)),
-      optimizer_(engine_, options) {}
+                             RateModel rates)
+    : engine_(data, std::move(model), std::move(rates)), optimizer_(engine_) {}
 
-Evaluation TreeEvaluator::evaluate(Tree& tree, int max_passes) {
+Evaluation TreeEvaluator::evaluate(Tree& tree) {
   CpuTimer timer;
   engine_.attach(tree);
   Evaluation out;
-  out.log_likelihood =
-      max_passes < 0 ? optimizer_.smooth(tree) : optimizer_.smooth(tree, max_passes);
+  out.log_likelihood = optimizer_.smooth(tree);
   out.cpu_seconds = timer.seconds();
   return out;
 }

@@ -19,12 +19,12 @@ class TreeEvaluator {
  public:
   /// `data` must outlive the evaluator; model and rates are copied in.
   TreeEvaluator(const PatternAlignment& data, SubstModel model,
-                RateModel rates, OptimizeOptions options = {});
+                RateModel rates);
 
-  /// Full evaluation: optimize every branch (bounded smoothing passes) and
-  /// return the likelihood. The tree is updated in place. `max_passes` < 0
-  /// uses the configured budget.
-  Evaluation evaluate(Tree& tree, int max_passes = -1);
+  /// Full evaluation: optimize every branch (kFullSmoothPasses smoothing
+  /// passes at most) and return the likelihood. The tree is updated in
+  /// place.
+  Evaluation evaluate(Tree& tree);
 
   LikelihoodEngine& engine() { return engine_; }
   BranchOptimizer& optimizer() { return optimizer_; }

@@ -5,19 +5,17 @@
 
 namespace fdml {
 
-BranchOptimizer::BranchOptimizer(LikelihoodEngine& engine, OptimizeOptions options)
-    : engine_(engine), options_(options) {}
+BranchOptimizer::BranchOptimizer(LikelihoodEngine& engine) : engine_(engine) {}
 
-double newton_branch_solve(const EdgeLikelihood& f, double t0,
-                           const OptimizeOptions& options) {
+double newton_branch_solve(const EdgeLikelihood& f, double t0) {
   double lo = kMinBranchLength;
   double hi = kMaxBranchLength;
   double t = std::clamp(t0, lo, hi);
 
-  for (int iter = 0; iter < options.max_newton_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
     const auto [d1, d2] = f.derivatives(t);
     // Already at a stationary point: stop before taking another step.
-    if (std::fabs(d1) <= options.derivative_tolerance) break;
+    if (std::fabs(d1) <= kDerivativeTolerance) break;
     // Shrink the bracket around the maximum using the gradient sign.
     if (d1 > 0.0) {
       lo = t;
@@ -37,8 +35,8 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0,
     }
     const double change = std::fabs(next - t);
     t = next;
-    if (change <= options.branch_tolerance * std::max(t, 1e-3)) break;
-    if (hi - lo <= options.branch_tolerance * std::max(lo, 1e-3)) break;
+    if (change <= kBranchTolerance * std::max(t, 1e-3)) break;
+    if (hi - lo <= kBranchTolerance * std::max(lo, 1e-3)) break;
   }
 
   return std::clamp(t, kMinBranchLength, kMaxBranchLength);
@@ -47,7 +45,7 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0,
 double BranchOptimizer::optimize_edge(Tree& tree, int u, int v) {
   const EdgeLikelihood f = engine_.edge_likelihood(u, v);
   const double t0 = tree.length(u, v);
-  const double t = newton_branch_solve(f, t0, options_);
+  const double t = newton_branch_solve(f, t0);
   // A solve that lands back on its start changes nothing a CLV depends on.
   if (t != t0) {
     tree.set_length(u, v, t);
@@ -55,10 +53,6 @@ double BranchOptimizer::optimize_edge(Tree& tree, int u, int v) {
   }
   ++edge_optimizations_;
   return t;
-}
-
-double BranchOptimizer::smooth(Tree& tree) {
-  return smooth(tree, options_.max_smooth_passes);
 }
 
 namespace {
@@ -78,12 +72,12 @@ void append_preorder_edges(const Tree& tree, int node, int from,
 
 }  // namespace
 
-double BranchOptimizer::smooth(Tree& tree, int max_passes) {
+double BranchOptimizer::smooth(Tree& tree, int passes) {
   std::vector<std::pair<int, int>> order;
   order.reserve(static_cast<std::size_t>(tree.num_edges()));
   const std::vector<int> tips = tree.tips();
   if (!tips.empty()) append_preorder_edges(tree, tips.front(), Tree::kNoNode, order);
-  return smooth_edges(tree, order, max_passes);
+  return smooth_edges(tree, order, passes);
 }
 
 double BranchOptimizer::smooth_edges(Tree& tree,
@@ -97,7 +91,7 @@ double BranchOptimizer::smooth_edges(Tree& tree,
       worst_move = std::max(worst_move,
                             std::fabs(after - before) / std::max(before, 1e-3));
     }
-    if (worst_move < options_.smooth_tolerance) break;
+    if (worst_move < kSmoothTolerance) break;
   }
   return engine_.log_likelihood();
 }

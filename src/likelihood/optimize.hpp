@@ -15,19 +15,23 @@
 
 namespace fdml {
 
-struct OptimizeOptions {
-  /// Relative branch-length convergence for a single Newton solve.
-  double branch_tolerance = 1e-6;
-  /// A Newton solve also stops once |dlnL/dt| falls below this — the
-  /// stationary point is found even if the bracket has not collapsed yet.
-  double derivative_tolerance = 1e-6;
-  int max_newton_iterations = 30;
-  /// Maximum full-tree smoothing passes (fastDNAml's "smoothings").
-  int max_smooth_passes = 8;
-  /// A smoothing pass converges when no branch moved more than this
-  /// (relative).
-  double smooth_tolerance = 1e-4;
-};
+// The Newton and smoothing limits are compiled in, as fastDNAml compiles in
+// its `iterations`, `deltaz` and `smoothings`.
+
+/// Relative branch-length convergence for a single Newton solve.
+inline constexpr double kBranchTolerance = 1e-6;
+/// A Newton solve also stops once |dlnL/dt| falls below this — the
+/// stationary point is found even if the bracket has not collapsed yet.
+inline constexpr double kDerivativeTolerance = 1e-6;
+inline constexpr int kMaxNewtonIterations = 30;
+/// Smoothing passes over every branch of a full evaluation (fastDNAml's
+/// "smoothings").
+inline constexpr int kFullSmoothPasses = 8;
+/// Smoothing passes over the three branches at a quick-add insertion point.
+inline constexpr int kQuickAddPasses = 2;
+/// A smoothing pass converges when no branch moved more than this
+/// (relative).
+inline constexpr double kSmoothTolerance = 1e-4;
 
 /// Safeguarded Newton solve on one captured edge-likelihood view: returns
 /// the branch length in [kMinBranchLength, kMaxBranchLength] that maximizes
@@ -35,46 +39,41 @@ struct OptimizeOptions {
 /// caller decides what to do with the result. BranchOptimizer::optimize_edge
 /// and BatchEdgeEvaluator-based insertion scoring share this exact sequence
 /// so their solves are bit-identical given bit-identical views.
-double newton_branch_solve(const EdgeLikelihood& f, double t0,
-                           const OptimizeOptions& options);
+double newton_branch_solve(const EdgeLikelihood& f, double t0);
 
 class BranchOptimizer {
  public:
   /// The engine must already be attached to the tree being optimized.
-  explicit BranchOptimizer(LikelihoodEngine& engine, OptimizeOptions options = {});
+  explicit BranchOptimizer(LikelihoodEngine& engine);
 
   /// Optimizes edge (u, v), commits the new length into the tree and engine
   /// cache (a length the solve left unchanged invalidates nothing). Returns
   /// the new length.
   double optimize_edge(Tree& tree, int u, int v);
 
-  /// Repeated passes over all branches until converged or pass budget
-  /// exhausted. Returns the final tree log-likelihood. The overload taking
-  /// `max_passes` overrides the configured budget for this call.
+  /// Repeated passes over all branches until converged or `passes`
+  /// exhausted. Returns the final tree log-likelihood.
   ///
   /// Branches are visited in fastDNAml's smoothTree order: a pre-order walk
   /// from the lowest-id tip, each edge followed by the subtree behind it,
   /// neighbors in adjacency-slot order. Most consecutive edges share a
   /// node, so a length commit invalidates few of the CLVs the next solve
   /// reads. The order is a function of the tree's adjacency alone.
-  double smooth(Tree& tree);
-  double smooth(Tree& tree, int max_passes);
+  double smooth(Tree& tree, int passes = kFullSmoothPasses);
 
   /// Optimizes the listed edges, in list order, for up to `passes` rounds
   /// (the pass loop smooth() runs over every edge); stops early once no
-  /// branch moved more than `smooth_tolerance`. On a few edges it is the
+  /// branch moved more than kSmoothTolerance. On a few edges it is the
   /// paper's "rapid approximation of the insertion point". Returns the
   /// tree log-likelihood after the final pass.
   double smooth_edges(Tree& tree, const std::vector<std::pair<int, int>>& edges,
                       int passes);
 
-  const OptimizeOptions& options() const { return options_; }
   /// Newton solves performed (perf counter).
   std::uint64_t edge_optimizations() const { return edge_optimizations_; }
 
  private:
   LikelihoodEngine& engine_;
-  OptimizeOptions options_;
   std::uint64_t edge_optimizations_ = 0;
 };
 

@@ -2,8 +2,27 @@
 
 #include <cctype>
 #include <stdexcept>
+#include <utility>
 
 namespace fdml {
+
+namespace {
+
+constexpr std::uint32_t kA = 1u << 0;
+constexpr std::uint32_t kC = 1u << 1;
+constexpr std::uint32_t kG = 1u << 2;
+constexpr std::uint32_t kT = 1u << 3;
+
+/// IUPAC nucleotide codes other than the four bases, as base sets (U is T).
+/// They cover bases only: a resolved R is A or G, never a gap.
+constexpr std::pair<char, std::uint32_t> kIupacBases[] = {
+    {'U', kT},           {'R', kA | kG},      {'Y', kC | kT},
+    {'M', kA | kC},      {'K', kG | kT},      {'S', kC | kG},
+    {'W', kA | kT},      {'B', kC | kG | kT}, {'D', kA | kG | kT},
+    {'H', kA | kC | kT}, {'V', kA | kC | kG},
+};
+
+}  // namespace
 
 StateAlphabet::StateAlphabet(std::string name, std::string symbols,
                              char unknown_char)
@@ -60,30 +79,17 @@ std::string StateAlphabet::decode(const std::vector<std::uint32_t>& codes) const
 
 StateAlphabet StateAlphabet::dna() {
   StateAlphabet a("dna", "ACGT", 'N');
-  a.map('U', 1u << 3);
-  a.map('R', (1u << 0) | (1u << 2));
-  a.map('Y', (1u << 1) | (1u << 3));
-  a.map('M', (1u << 0) | (1u << 1));
-  a.map('K', (1u << 2) | (1u << 3));
-  a.map('S', (1u << 1) | (1u << 2));
-  a.map('W', (1u << 0) | (1u << 3));
-  for (char c : {'N', 'X', '?', '-', '.'}) a.map(c, a.unknown_mask());
+  for (const auto& [c, bases] : kIupacBases) a.map(c, bases);
+  for (char c : {'N', 'X', '?', 'O', '-', '.'}) a.map(c, a.unknown_mask());
   return a;
 }
 
 StateAlphabet StateAlphabet::dna_with_gap() {
   StateAlphabet a("dna+gap", "ACGT-", '?');
-  a.map('U', 1u << 3);
-  // Base ambiguities cover bases only — a resolved R is A or G, not a gap.
-  a.map('R', (1u << 0) | (1u << 2));
-  a.map('Y', (1u << 1) | (1u << 3));
-  a.map('M', (1u << 0) | (1u << 1));
-  a.map('K', (1u << 2) | (1u << 3));
-  a.map('S', (1u << 1) | (1u << 2));
-  a.map('W', (1u << 0) | (1u << 3));
+  for (const auto& [c, bases] : kIupacBases) a.map(c, bases);
   // N = any base (an unreadable residue is still a residue); '?' = truly
   // unknown, could also be a gap.
-  const std::uint32_t any_base = (1u << 0) | (1u << 1) | (1u << 2) | (1u << 3);
+  const std::uint32_t any_base = kA | kC | kG | kT;
   a.map('N', any_base);
   a.map('X', any_base);
   for (char c : {'?', '.'}) a.map(c, a.unknown_mask());

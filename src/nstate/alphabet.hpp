@@ -18,8 +18,9 @@ namespace fdml {
 
 class StateAlphabet {
  public:
-  /// Plain 4-state DNA (A C G T), gaps as missing — matches the core
-  /// engine's treatment; useful for cross-validating the two engines.
+  /// Plain 4-state DNA (A C G T), gaps as missing — every character the
+  /// core's char_to_code accepts maps to the same base set, so the two
+  /// engines can cross-validate on the same data.
   static StateAlphabet dna();
 
   /// 5-state DNA where '-' is a real character state that substitutions can

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,9 @@
 namespace fdml::obs {
 
 namespace {
+
+/// How often the background thread drains the tracer.
+constexpr std::chrono::milliseconds kFlushInterval{500};
 
 void throw_errno(const std::string& what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -100,7 +104,7 @@ void TraceSegmentWriter::stop() {
 void TraceSegmentWriter::run() {
   std::unique_lock lock(mutex_);
   while (!stopping_) {
-    cv_.wait_for(lock, options_.flush_interval, [this] { return stopping_; });
+    cv_.wait_for(lock, kFlushInterval, [this] { return stopping_; });
     if (stopping_) break;
     lock.unlock();
     flush_now();

@@ -15,7 +15,6 @@
 // rather than the Vfs seam.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -31,13 +30,12 @@ struct TraceSegmentOptions {
   std::size_t max_segment_bytes = 4u << 20;
   /// Keep at most this many segments on disk (oldest pruned first).
   std::size_t max_segments = 16;
-  /// How often the background thread drains the tracer.
-  std::chrono::milliseconds flush_interval{500};
 };
 
 /// Background writer draining Tracer::instance() into rotating segments
-/// under `dir`. start() spawns the thread; stop() (or destruction) drains
-/// one final time and writes the trailing partial segment.
+/// under `dir` every 500 ms. start() spawns the thread; stop() (or
+/// destruction) drains one final time and writes the trailing partial
+/// segment.
 class TraceSegmentWriter {
  public:
   TraceSegmentWriter(std::string dir, TraceSegmentOptions options = {});

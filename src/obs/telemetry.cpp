@@ -207,7 +207,7 @@ TelemetryApply TelemetryAggregator::apply(
   }
 
   rollups_.push_back(RollupSample{now, frame.rank, delta_sum});
-  while (rollups_.size() > options_.rollup_capacity) rollups_.pop_front();
+  while (rollups_.size() > kRollupCapacity) rollups_.pop_front();
   return TelemetryApply::kApplied;
 }
 

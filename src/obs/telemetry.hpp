@@ -92,8 +92,6 @@ class TelemetryEmitter {
 struct TelemetryAggregatorOptions {
   /// A rank whose newest frame is older than this is reported stale.
   std::chrono::milliseconds stale_after{2000};
-  /// Bounded rollup ring: newest `rollup_capacity` cluster samples.
-  std::size_t rollup_capacity = 256;
 };
 
 /// What apply() decided about a frame.
@@ -135,6 +133,9 @@ struct RollupSample {
 /// applies frames while scrape handlers render.
 class TelemetryAggregator {
  public:
+  /// Bounded rollup ring: the newest kRollupCapacity cluster samples.
+  static constexpr std::size_t kRollupCapacity = 256;
+
   explicit TelemetryAggregator(TelemetryAggregatorOptions options = {});
 
   TelemetryApply apply(const TelemetryFrame& frame,
@@ -148,7 +149,7 @@ class TelemetryAggregator {
   /// Cluster totals: every rank's counters summed.
   std::map<std::string, std::uint64_t> cluster_counters() const;
 
-  /// Newest rollup samples, oldest first (bounded by rollup_capacity).
+  /// Newest rollup samples, oldest first (bounded by kRollupCapacity).
   std::vector<RollupSample> rollups() const;
 
   std::uint64_t frames_applied() const;

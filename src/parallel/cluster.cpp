@@ -40,8 +40,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   master_->set_fallback([this, &data, model, rates](
                             const std::vector<TreeTask>& tasks) {
     if (!serial_fallback_) {
-      serial_fallback_ = std::make_unique<SerialTaskRunner>(
-          data, model, rates, options_.optimize);
+      serial_fallback_ = std::make_unique<SerialTaskRunner>(data, model, rates);
     }
     return serial_fallback_->run_round(tasks);
   });
@@ -69,7 +68,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
       if (options_.wrap_worker_transport) {
         endpoint = options_.wrap_worker_transport(rank, std::move(endpoint));
       }
-      worker_main(*endpoint, data, model, rates, options_.optimize);
+      worker_main(*endpoint, data, model, rates);
     });
   }
 }

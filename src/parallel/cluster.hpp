@@ -36,7 +36,6 @@ struct ClusterOptions {
   int num_workers = 1;
   ForemanOptions foreman;
   MasterOptions master;
-  OptimizeOptions optimize;
   /// Fault-inject every worker's transport with this plan (the plan seed
   /// plus the worker's rank keys its independent fault schedule).
   std::optional<FaultPlan> chaos;

@@ -31,6 +31,9 @@ constexpr int kJournalWorker = -1;
 /// after a streak of cheap tasks.
 constexpr double kTimeoutSlack = 4.0;
 constexpr std::chrono::milliseconds kTimeoutFloor{2000};
+/// Probation: strike n waits kProbationBackoff * 2^(n-1), capped at
+/// kProbationBackoffMax, before the worker's probe task.
+constexpr std::chrono::milliseconds kProbationBackoff{50};
 constexpr std::chrono::milliseconds kProbationBackoffMax{5000};
 /// New-round amnesty: a suspect with at most this many consecutive strikes
 /// re-enters probation (one probe after its backoff) when the next round
@@ -280,7 +283,7 @@ class Foreman {
 
   Clock::duration backoff_for(int strikes) const {
     const int doublings = std::min(std::max(strikes - 1, 0), 16);
-    const auto raw = options_.probation_backoff * (1LL << doublings);
+    const auto raw = kProbationBackoff * (1LL << doublings);
     return std::min<std::chrono::milliseconds>(
         std::chrono::duration_cast<std::chrono::milliseconds>(raw),
         kProbationBackoffMax);
@@ -444,8 +447,8 @@ class Foreman {
       Packer packer;
       task.pack(packer);
       round_.task_bytes[task.task_id] = packer.size();
-      const std::uint64_t digest = task_content_digest(
-          task.newick, task.focus_taxon, task.smooth_passes);
+      const std::uint64_t digest =
+          task_content_digest(task.newick, task.focus_taxon);
       round_.task_digest[task.task_id] = digest;
       digests.push_back(digest);
       work_queue_.push_back(std::move(task));

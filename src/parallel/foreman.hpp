@@ -40,9 +40,6 @@ struct ForemanOptions {
   /// Deadline ceiling, and the deadline used before a worker has any
   /// observed durations (the paper's user-specified timeout parameter).
   std::chrono::milliseconds worker_timeout{30000};
-  /// Probation backoff: strike n waits probation_backoff * 2^(n-1), capped
-  /// at 5 s.
-  std::chrono::milliseconds probation_backoff{50};
   /// When non-empty, append every completed task to this durable journal
   /// (write-ahead log). A foreman revived after a crash replays it and
   /// skips the insertions the dead incarnation already finished.

@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Supervisor retry n waits kRetryBackoff * 2^(n-1), capped at
+/// kRetryBackoffMax.
+constexpr std::chrono::milliseconds kRetryBackoff{100};
 constexpr std::chrono::milliseconds kRetryBackoffMax{5000};
 
 }  // namespace
@@ -77,7 +80,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
         const int doublings = std::min(attempt, 16);
         const auto backoff = std::min<std::chrono::milliseconds>(
             std::chrono::duration_cast<std::chrono::milliseconds>(
-                options_.retry_backoff * (1LL << doublings)),
+                kRetryBackoff * (1LL << doublings)),
             kRetryBackoffMax);
         FDML_WARN("master") << "round " << round_id << " failed ("
                             << failure.reason() << "); retry "

@@ -31,10 +31,8 @@ struct MasterOptions {
   /// reviver given a chance to restart the foreman, and the foreman's task
   /// journal making the resend cheap) before the failure is surfaced.
   /// 0 = fail/degrade immediately, the pre-supervisor behavior.
+  /// Retry n waits 100 ms * 2^(n-1), capped at 5 s.
   int max_round_retries = 0;
-  /// Exponential backoff between retries: attempt n waits
-  /// retry_backoff * 2^(n-1), capped at 5 s.
-  std::chrono::milliseconds retry_backoff{100};
   /// Metrics registry the master's counters live in; null = the process
   /// registry. MasterStats is a delta view over these counters (same
   /// pattern as ForemanStats).

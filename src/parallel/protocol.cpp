@@ -15,8 +15,8 @@ RoundMessage RoundMessage::unpack(const std::vector<std::uint8_t>& payload) {
   RoundMessage message;
   message.round_id = unpacker.get_u64();
   const std::uint32_t count = unpacker.get_u32();
-  // Minimal TreeTask encoding: task_id + round_id + empty string + two i32s.
-  unpacker.require_count(count, 8 + 8 + 4 + 4 + 4);
+  // Minimal TreeTask encoding: task_id + round_id + empty string + focus.
+  unpacker.require_count(count, 8 + 8 + 4 + 4);
   message.tasks.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     message.tasks.push_back(TreeTask::unpack(unpacker));

@@ -35,7 +35,6 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
     monitor_main(*endpoint);
   } else {
     WorkerRunOptions worker;
-    worker.optimize = options.optimize;
     worker.telemetry_interval = options.telemetry_interval;
     result.worker = worker_main(*endpoint, data, model, rates, worker);
   }
@@ -77,8 +76,7 @@ SocketCluster::SocketCluster(const PatternAlignment& data, SubstModel model,
   master_->set_fallback([this, &data, model, rates](
                             const std::vector<TreeTask>& tasks) {
     if (!serial_fallback_) {
-      serial_fallback_ = std::make_unique<SerialTaskRunner>(
-          data, model, rates, options_.optimize);
+      serial_fallback_ = std::make_unique<SerialTaskRunner>(data, model, rates);
     }
     return serial_fallback_->run_round(tasks);
   });

@@ -30,7 +30,6 @@ struct SocketRunOptions {
   SocketOptions socket;
   ForemanOptions foreman;
   MasterOptions master;
-  OptimizeOptions optimize;
   /// Telemetry plane period for this rank's emitter (foreman and workers);
   /// zero disables. The hub's aggregator marks a rank stale after
   /// ~2 periods of silence.

@@ -62,8 +62,7 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
                         SubstModel model, RateModel rates,
                         WorkerRunOptions options) {
   obs::set_thread_name("worker-" + std::to_string(transport.rank()));
-  TaskEvaluator evaluator(data, std::move(model), std::move(rates),
-                          options.optimize);
+  TaskEvaluator evaluator(data, std::move(model), std::move(rates));
   WorkerStats stats;
 
   // The telemetry plane, the worker's only accounting channel: a registry

@@ -7,7 +7,6 @@
 #include <chrono>
 
 #include "comm/transport.hpp"
-#include "likelihood/optimize.hpp"
 #include "model/rates.hpp"
 #include "model/submodel.hpp"
 #include "seq/alignment.hpp"
@@ -28,7 +27,6 @@ struct WorkerStats {
 };
 
 struct WorkerRunOptions {
-  OptimizeOptions optimize;
   /// Period between kTelemetry frames to the master. Zero turns off the
   /// periodic frames only (the loop then blocks on recv, so no timers run
   /// on the hot path); the final frame on shutdown is always sent.
@@ -38,15 +36,6 @@ struct WorkerRunOptions {
 /// Runs the worker loop until shutdown. `data` must outlive the call.
 WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
                         SubstModel model, RateModel rates,
-                        WorkerRunOptions options);
-
-inline WorkerStats worker_main(Transport& transport,
-                               const PatternAlignment& data, SubstModel model,
-                               RateModel rates, OptimizeOptions options = {}) {
-  WorkerRunOptions run;
-  run.optimize = options;
-  return worker_main(transport, data, std::move(model), std::move(rates),
-                     std::move(run));
-}
+                        WorkerRunOptions options = {});
 
 }  // namespace fdml

@@ -14,8 +14,8 @@ std::uint64_t wire_bytes(const TreeTask& task, const TaskResult& result) {
 }
 
 SerialTaskRunner::SerialTaskRunner(const PatternAlignment& data, SubstModel model,
-                                   RateModel rates, OptimizeOptions options)
-    : evaluator_(data, std::move(model), std::move(rates), options) {}
+                                   RateModel rates)
+    : evaluator_(data, std::move(model), std::move(rates)) {}
 
 RoundOutcome SerialTaskRunner::run_round(const std::vector<TreeTask>& tasks) {
   if (tasks.empty()) throw std::invalid_argument("run_round: empty round");

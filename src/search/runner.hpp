@@ -50,7 +50,7 @@ class TaskRunner {
 class SerialTaskRunner : public TaskRunner {
  public:
   SerialTaskRunner(const PatternAlignment& data, SubstModel model,
-                   RateModel rates, OptimizeOptions options = {});
+                   RateModel rates);
 
   RoundOutcome run_round(const std::vector<TreeTask>& tasks) override;
 

@@ -78,8 +78,8 @@ class SearchRun {
     } else {
       // Step 2: the unique 3-taxon tree, fully optimized.
       tree.make_triplet(order[0], order[1], order[2]);
-      const TaskResult initial = dispatch_single(
-          RoundKind::kInitial, 3, make_task(tree, -1, options_.full_smooth_passes));
+      const TaskResult initial =
+          dispatch_single(RoundKind::kInitial, 3, make_task(tree, -1));
       lnl = adopt(tree, initial);
       record_event(3, lnl, initial.newick);
     }
@@ -93,7 +93,7 @@ class SearchRun {
       const bool last = idx == n - 1;
       const int cross =
           last ? options_.final_rearrange_cross : options_.rearrange_cross;
-      if (cross > 0 && (last || options_.rearrange_after_each_addition)) {
+      if (cross > 0) {
         lnl = rearrange_until_stable(tree, lnl, cross, idx + 1);
       }
       write_checkpoint(idx + 1, tree, lnl);
@@ -105,13 +105,12 @@ class SearchRun {
   }
 
  private:
-  TreeTask make_task(const Tree& tree, int focus_taxon, int passes) {
+  TreeTask make_task(const Tree& tree, int focus_taxon) {
     TreeTask task;
     task.task_id = next_task_id_++;
     task.round_id = next_round_id_;
     task.newick = to_newick(tree, names_, 17);
     task.focus_taxon = focus_taxon;
-    task.smooth_passes = passes;
     return task;
   }
 
@@ -221,21 +220,16 @@ class SearchRun {
     for (const auto& [u, v] : insertion_edges(tree)) {
       Tree candidate = tree;
       candidate.insert_tip(tip, u, v);
-      tasks.push_back(make_task(candidate,
-                                options_.quickadd ? tip : -1,
-                                options_.quickadd ? options_.quickadd_passes
-                                                  : options_.full_smooth_passes));
+      tasks.push_back(make_task(candidate, tip));
     }
     const TaskResult best =
         dispatch(RoundKind::kInsertion, taxa_after, std::move(tasks));
-    if (!options_.quickadd) return adopt(tree, best);
 
     // The rapid approximation picked the insertion point; optimize the
     // winner properly.
     Tree winner_tree = tree_from_newick(best.newick, names_);
-    const TaskResult winner = dispatch_single(
-        RoundKind::kWinner, taxa_after,
-        make_task(winner_tree, -1, options_.full_smooth_passes));
+    const TaskResult winner = dispatch_single(RoundKind::kWinner, taxa_after,
+                                              make_task(winner_tree, -1));
     return adopt(tree, winner);
   }
 
@@ -250,7 +244,7 @@ class SearchRun {
                                 int taxa_in_tree, int start_round = 0,
                                 int start_cross = 0) {
     int current_cross = start_cross > 0 ? start_cross : cross;
-    for (int round = start_round; round < options_.max_rearrange_rounds; ++round) {
+    for (int round = start_round; round < kMaxRearrangeRounds; ++round) {
       std::set<std::uint64_t> seen{topology_hash(tree)};
       std::vector<TreeTask> tasks;
       for (const SprMove& move : rearrangement_moves(tree, current_cross)) {
@@ -259,12 +253,12 @@ class SearchRun {
             candidate.prune_subtree(move.junction, move.subtree_neighbor);
         candidate.regraft(handle, move.target_u, move.target_v);
         if (!seen.insert(topology_hash(candidate)).second) continue;
-        tasks.push_back(make_task(candidate, -1, options_.full_smooth_passes));
+        tasks.push_back(make_task(candidate, -1));
       }
       if (tasks.empty()) break;
       const TaskResult best =
           dispatch(RoundKind::kRearrange, taxa_in_tree, std::move(tasks));
-      if (best.log_likelihood <= lnl + options_.improvement_epsilon) {
+      if (best.log_likelihood <= lnl + kImprovementEpsilon) {
         if (current_cross < options_.adaptive_max_cross) {
           current_cross = std::min(options_.adaptive_max_cross, 2 * current_cross);
           // Stalled: widen the search radius and retry.
@@ -387,28 +381,31 @@ SearchCheckpoint SearchCheckpoint::load(std::istream& in) {
   std::string magic;
   int version = 0;
   in >> magic >> version;
-  // v1 files (no phase line) restart from the last completed addition; v2
-  // lacks the dataset fingerprint. Both remain loadable so old checkpoints
-  // survive an upgrade.
-  if (magic != "fdml-checkpoint" || version < 1 || version > 3) {
+  if (magic != "fdml-checkpoint" || version != 3) {
     throw std::runtime_error("checkpoint: bad header");
   }
   SearchCheckpoint checkpoint;
   std::size_t order_size = 0;
   in >> checkpoint.seed >> checkpoint.next_order_index >> order_size;
-  checkpoint.addition_order.resize(order_size);
-  for (auto& taxon : checkpoint.addition_order) in >> taxon;
-  if (version >= 2) {
-    int phase = 0;
-    in >> phase >> checkpoint.rearrange_rounds_done >> checkpoint.rearrange_cross;
-    if (phase != static_cast<int>(SearchPhase::kAddition) &&
-        phase != static_cast<int>(SearchPhase::kRearrange)) {
-      throw std::runtime_error("checkpoint: bad phase");
-    }
-    checkpoint.phase = static_cast<SearchPhase>(phase);
+  // The order length is a claim of the file, not an allocation size: the
+  // order line is parsed on its own, entries are kept as they parse, and
+  // the line must hold exactly the claimed number.
+  std::string line;
+  std::getline(in, line);  // rest of the counts line
+  std::getline(in, line);
+  std::istringstream order(line);
+  for (int taxon = 0; order >> taxon;) checkpoint.addition_order.push_back(taxon);
+  if (!order.eof() || checkpoint.addition_order.size() != order_size) {
+    throw std::runtime_error("checkpoint: bad addition order");
   }
-  if (version >= 3) in >> checkpoint.dataset_fingerprint;
-  in >> checkpoint.log_likelihood;
+  int phase = 0;
+  in >> phase >> checkpoint.rearrange_rounds_done >> checkpoint.rearrange_cross;
+  if (phase != static_cast<int>(SearchPhase::kAddition) &&
+      phase != static_cast<int>(SearchPhase::kRearrange)) {
+    throw std::runtime_error("checkpoint: bad phase");
+  }
+  checkpoint.phase = static_cast<SearchPhase>(phase);
+  in >> checkpoint.dataset_fingerprint >> checkpoint.log_likelihood;
   // The Newick line is taken verbatim (labels may contain quoted spaces).
   std::string rest;
   std::getline(in, rest);
@@ -430,72 +427,18 @@ SearchCheckpoint SearchCheckpoint::deserialize(const std::string& text) {
   return load(in);
 }
 
-void SearchCheckpoint::save_file(const std::string& path, Vfs* vfs) const {
-  // Durable write-then-rename: the bytes are fsynced before the checked
-  // rename, and the directory is fsynced after it, so an interrupted save
-  // never corrupts the previous checkpoint and a completed one survives
-  // power loss. (The original version ignored both the stream state and
-  // std::rename's return value — a full disk produced a silently truncated
-  // checkpoint.)
-  Vfs& fs = vfs_or_real(vfs);
-  const std::string text = serialize();
-  const std::string tmp = path + ".tmp";
-  fs.write_file(tmp, reinterpret_cast<const std::uint8_t*>(text.data()),
-                text.size());
-  fs.rename_file(tmp, path);
-  fs.sync_dir(parent_dir(path));
-}
-
-SearchCheckpoint SearchCheckpoint::load_file(const std::string& path,
-                                             Vfs* vfs) {
-  Vfs& fs = vfs_or_real(vfs);
-  auto bytes = fs.read_file(path);
-  if (!bytes.has_value()) throw std::runtime_error("cannot open " + path);
-  if (looks_like_frame(bytes->data(), bytes->size())) {
-    auto frame = read_frame_file(fs, path);
-    if (!frame.has_value() || frame->kind != kFrameSearchCheckpoint) {
-      throw DurableError("checkpoint " + path +
-                         ": corrupt or torn durable frame");
-    }
-    return deserialize(
-        std::string(frame->payload.begin(), frame->payload.end()));
-  }
-  return deserialize(std::string(bytes->begin(), bytes->end()));
-}
-
 std::optional<RecoveredCheckpoint> recover_checkpoint(
     const std::string& base_path, std::uint64_t expected_fingerprint,
     Vfs* vfs) {
   CheckpointStore store(base_path, {}, vfs);
   auto recovered = store.recover(expected_fingerprint);
-  if (recovered.has_value()) {
-    RecoveredCheckpoint out;
-    out.checkpoint = SearchCheckpoint::deserialize(std::string(
-        recovered->frame.payload.begin(), recovered->frame.payload.end()));
-    out.generation = recovered->generation;
-    out.path = recovered->path;
-    return out;
-  }
-  // No durable frame anywhere: the path may hold a legacy text checkpoint.
-  Vfs& fs = vfs_or_real(vfs);
-  auto bytes = fs.read_file(base_path);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    RecoveredCheckpoint out;
-    out.checkpoint =
-        SearchCheckpoint::deserialize(std::string(bytes->begin(), bytes->end()));
-    out.path = base_path;
-    if (expected_fingerprint != 0 && out.checkpoint.dataset_fingerprint != 0 &&
-        out.checkpoint.dataset_fingerprint != expected_fingerprint) {
-      throw FingerprintMismatchError(base_path, expected_fingerprint,
-                                     out.checkpoint.dataset_fingerprint);
-    }
-    return out;
-  } catch (const FingerprintMismatchError&) {
-    throw;
-  } catch (const std::exception&) {
-    return std::nullopt;  // unparsable legacy text = nothing to resume
-  }
+  if (!recovered.has_value()) return std::nullopt;
+  RecoveredCheckpoint out;
+  out.checkpoint = SearchCheckpoint::deserialize(std::string(
+      recovered->frame.payload.begin(), recovered->frame.payload.end()));
+  out.generation = recovered->generation;
+  out.path = recovered->path;
+  return out;
 }
 
 JumbleResult run_jumbles(const PatternAlignment& data, SearchOptions options,

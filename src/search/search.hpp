@@ -4,8 +4,8 @@
 //   1. Place the taxa in a random order.
 //   2. Build the unique 3-taxon tree from the first three; optimize it.
 //   3. Add the next taxon at each of the (2i-5) branches; every candidate
-//      is a dispatched task (rapid partial optimization by default); the
-//      best insertion is then fully smoothed.
+//      is a dispatched task (rapid optimization of the three branches at
+//      the attachment); the best insertion is then fully smoothed.
 //   4. Rearrange: move every subtree across up to `rearrange_cross`
 //      vertices ((2i-6) topologically distinct candidates at 1); adopt the
 //      best improvement and repeat until none improves.
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "durable/vfs.hpp"
-#include "likelihood/optimize.hpp"
 #include "search/runner.hpp"
 #include "search/trace.hpp"
 #include "seq/alignment.hpp"
@@ -72,33 +71,25 @@ struct ProgressProbe {
   std::atomic<bool> has_best_{false};
 };
 
+/// lnL gain below which a rearrangement round counts as no improvement.
+inline constexpr double kImprovementEpsilon = 1e-4;
+/// Rearrangement rounds at most at one taxon count.
+inline constexpr int kMaxRearrangeRounds = 64;
+
 struct SearchOptions {
   /// Jumble seed (even seeds are adjusted to odd, as in fastDNAml).
   std::uint64_t seed = 1;
   /// Vertices crossed by rearrangements after each addition (paper default
   /// 1; the paper's benchmark runs used 5 for both this and the final pass).
+  /// 0 keeps only the final pass.
   int rearrange_cross = 1;
   /// Vertices crossed by the final rearrangement pass.
   int final_rearrange_cross = 1;
-  /// Rearrange after every addition (true in fastDNAml; setting false keeps
-  /// only the final pass — useful for quick tests).
-  bool rearrange_after_each_addition = true;
-  /// Rapid insertion testing: optimize only the three branches at the new
-  /// attachment instead of the whole tree.
-  bool quickadd = true;
-  int quickadd_passes = 2;
-  /// Smoothing pass budget for full evaluations.
-  int full_smooth_passes = 8;
-  /// lnL gain below which a rearrangement round is considered no
-  /// improvement.
-  double improvement_epsilon = 1e-4;
-  int max_rearrange_rounds = 64;
   /// Adaptive rearrangement extents (a paper future-work item): when a
   /// round at the current crossing distance finds no improvement, double
   /// the distance up to this bound before stopping; an improvement resets
   /// to the base setting. 0 disables.
   int adaptive_max_cross = 0;
-  OptimizeOptions optimize;
   /// Record per-round task costs for the cluster simulator.
   bool record_trace = true;
   /// When non-empty, write a restart checkpoint here after every completed
@@ -157,7 +148,9 @@ enum class SearchPhase : int {
 };
 
 /// Restartable search state: everything needed to continue a run after a
-/// completed taxon addition (v1) or a completed rearrangement round (v2).
+/// completed taxon addition or a completed rearrangement round. The text
+/// format ("fdml-checkpoint 3") is the payload of the checkpoint store's
+/// durable frames; it is the only format there is.
 struct SearchCheckpoint {
   std::uint64_t seed = 0;
   std::vector<int> addition_order;
@@ -168,24 +161,18 @@ struct SearchCheckpoint {
   double log_likelihood = 0.0;
   SearchPhase phase = SearchPhase::kAddition;
   /// kRearrange only: rounds already consumed at this taxon count (resumes
-  /// the max_rearrange_rounds budget, not a fresh one).
+  /// the kMaxRearrangeRounds budget, not a fresh one).
   int rearrange_rounds_done = 0;
   /// kRearrange only: the crossing distance in effect (adaptive extents may
   /// have escalated it beyond the configured base).
   int rearrange_cross = 0;
-  /// Fingerprint of the alignment/model the run was bound to (v3; 0 in
-  /// older checkpoints and unfingerprinted runs).
+  /// Fingerprint of the alignment/model the run was bound to (0 in
+  /// unfingerprinted runs).
   std::uint64_t dataset_fingerprint = 0;
 
   void save(std::ostream& out) const;
+  /// Throws std::runtime_error on a malformed or truncated text.
   static SearchCheckpoint load(std::istream& in);
-  /// Durable single-file save: tmp + fsync + checked rename + directory
-  /// fsync, via `vfs` (null = real filesystem). Throws on any I/O failure.
-  void save_file(const std::string& path, Vfs* vfs = nullptr) const;
-  /// Loads either a durable frame (as written by the checkpoint store) or
-  /// the legacy v1/v2 text format, auto-detected.
-  static SearchCheckpoint load_file(const std::string& path,
-                                    Vfs* vfs = nullptr);
   /// The text serialization used as durable-frame payload.
   std::string serialize() const;
   static SearchCheckpoint deserialize(const std::string& text);
@@ -202,8 +189,7 @@ struct RecoveredCheckpoint {
 /// Rolls back to the newest checkpoint generation at `base_path` that
 /// validates and matches `expected_fingerprint` (0 = accept any). nullopt
 /// when nothing usable exists; throws FingerprintMismatchError when the
-/// newest valid checkpoint belongs to a different dataset. Falls back to
-/// the legacy text format when `base_path` predates the durable store.
+/// newest valid checkpoint belongs to a different dataset.
 std::optional<RecoveredCheckpoint> recover_checkpoint(
     const std::string& base_path, std::uint64_t expected_fingerprint,
     Vfs* vfs = nullptr);

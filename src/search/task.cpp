@@ -7,7 +7,6 @@ void TreeTask::pack(Packer& packer) const {
   packer.put_u64(round_id);
   packer.put_string(newick);
   packer.put_i32(focus_taxon);
-  packer.put_i32(smooth_passes);
 }
 
 TreeTask TreeTask::unpack(Unpacker& unpacker) {
@@ -16,7 +15,6 @@ TreeTask TreeTask::unpack(Unpacker& unpacker) {
   task.round_id = unpacker.get_u64();
   task.newick = unpacker.get_string();
   task.focus_taxon = unpacker.get_i32();
-  task.smooth_passes = unpacker.get_i32();
   return task;
 }
 

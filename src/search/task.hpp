@@ -20,12 +20,11 @@ struct TreeTask {
   /// namespace.
   std::string newick;
   /// When >= 0, this is a rapid insertion evaluation: only the three
-  /// branches around this taxon's attachment point are optimized (the
-  /// paper's "rapid approximation of the insertion point"). -1 = optimize
-  /// every branch.
+  /// branches around this taxon's attachment point are optimized, for
+  /// kQuickAddPasses passes (the paper's "rapid approximation of the
+  /// insertion point"). -1 = optimize every branch, for kFullSmoothPasses
+  /// passes. The worker picks the pass budget; the task does not carry it.
   int focus_taxon = -1;
-  /// Smoothing pass budget for the optimizer.
-  int smooth_passes = 8;
 
   void pack(Packer& packer) const;
   static TreeTask unpack(Unpacker& unpacker);

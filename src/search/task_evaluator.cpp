@@ -68,9 +68,9 @@ bool match_subtrees(const Tree& ta, int na, int fa, const Tree& tb, int nb,
 }  // namespace
 
 TaskEvaluator::TaskEvaluator(const PatternAlignment& data, SubstModel model,
-                             RateModel rates, OptimizeOptions options)
+                             RateModel rates)
     : data_(data),
-      evaluator_(data, std::move(model), std::move(rates), options),
+      evaluator_(data, std::move(model), std::move(rates)),
       batch_(evaluator_.engine()) {}
 
 TaskResult TaskEvaluator::evaluate(const TreeTask& task) {
@@ -176,9 +176,8 @@ void TaskEvaluator::flush_chunk(std::vector<Candidate>& chunk,
   batch_.capture_insertions(tip, insertions);
 
   std::vector<double> t1(chunk.size());
-  const OptimizeOptions& options = evaluator_.optimizer().options();
   for (std::size_t k = 0; k < chunk.size(); ++k) {
-    t1[k] = newton_branch_solve(batch_.view(k), chunk[k].tip_length, options);
+    t1[k] = newton_branch_solve(batch_.view(k), chunk[k].tip_length);
   }
   const double phase_a_share =
       timer.seconds() / static_cast<double>(chunk.size());
@@ -212,12 +211,10 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
   engine.invalidate_node(junction);  // free-list id may carry stale flags
   ctx.set_length(ins.u, junction, ins.length_u);
   ctx.set_length(junction, ins.v, ins.length_v);
-  const bool apply_solve = task.smooth_passes > 0;
-  ctx.set_length(tip, junction, apply_solve ? t1 : c.tip_length);
+  ctx.set_length(tip, junction, t1);
   engine.on_length_changed(junction, tip);
 
-  const double lnl = smooth_focus(ctx, tip, junction, task.smooth_passes,
-                                  apply_solve ? c.tip_length : -1.0);
+  const double lnl = smooth_focus(ctx, tip, junction, c.tip_length);
 
   // Write the optimized local lengths back into the parsed task tree — the
   // result stays in the task's own coordinate system, so it is identical
@@ -236,7 +233,7 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
 }
 
 double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
-                                   int passes, double pre_applied_before) {
+                                   double pre_applied_before) {
   int a = -1;
   int b = -1;
   for (int s = 0; s < 3; ++s) {
@@ -249,14 +246,13 @@ double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
     std::swap(a, b);
   }
   BranchOptimizer& optimizer = evaluator_.optimizer();
-  const double tolerance = optimizer.options().smooth_tolerance;
   const bool pre_applied = pre_applied_before >= 0.0;
 
   // Same pass/convergence semantics as BranchOptimizer::smooth_edges over
   // the canonical edge order [(junction, tip), (junction, a), (junction,
   // b)]; the batched path substitutes its precomputed solve for pass 0's
   // tip edge.
-  for (int pass = 0; pass < passes; ++pass) {
+  for (int pass = 0; pass < kQuickAddPasses; ++pass) {
     double worst_move = 0.0;
     double tip_before;
     double tip_after;
@@ -275,7 +271,7 @@ double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
       worst_move = std::max(worst_move, std::fabs(len_after - len_before) /
                                             std::max(len_before, 1e-3));
     }
-    if (worst_move < tolerance) break;
+    if (worst_move < kSmoothTolerance) break;
   }
   // Canonical final evaluation: the (tip, junction) edge exists in every
   // representation of this candidate with the same node ids (tip ids are
@@ -290,15 +286,15 @@ TaskResult TaskEvaluator::evaluate_focus_sequential(const TreeTask& task) {
   evaluator_.engine().attach(tree);
   const int tip = task.focus_taxon;
   const int junction = tree.neighbor(tip, 0);
-  const double lnl = smooth_focus(tree, tip, junction, task.smooth_passes,
-                                  /*pre_applied_before=*/-1.0);
+  const double lnl =
+      smooth_focus(tree, tip, junction, /*pre_applied_before=*/-1.0);
   return finish_result(task, lnl, tree, timer.seconds());
 }
 
 TaskResult TaskEvaluator::evaluate_full(const TreeTask& task) {
   Tree tree = tree_from_newick(task.newick, data_.names());
   ctx_valid_ = false;  // evaluate() re-attaches the engine
-  const Evaluation evaluation = evaluator_.evaluate(tree, task.smooth_passes);
+  const Evaluation evaluation = evaluator_.evaluate(tree);
   return finish_result(task, evaluation.log_likelihood, tree,
                        evaluation.cpu_seconds);
 }

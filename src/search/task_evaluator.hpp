@@ -40,7 +40,7 @@ class TaskEvaluator {
 
   /// `data` must outlive the evaluator (the pattern table is shared).
   TaskEvaluator(const PatternAlignment& data, SubstModel model,
-                RateModel rates, OptimizeOptions options = {});
+                RateModel rates);
 
   TaskResult evaluate(const TreeTask& task);
 
@@ -72,14 +72,14 @@ class TaskEvaluator {
   /// Adopts `base` as the new context (attaches the engine; identity map).
   void rebuild_context(Tree&& base, std::uint64_t round_id);
 
-  /// Canonical local smoothing of the three edges at a freshly inserted
-  /// focus tip: [(junction, tip), (junction, a), (junction, b)] with a and
-  /// b ordered by the minimum taxon id behind them — representation
-  /// invariant. `pre_applied_before` >= 0 means the pass-0 tip-edge solve
-  /// was already applied (batched path) and was started from that length.
-  /// Returns the final log-likelihood across the canonical (tip, junction)
-  /// edge.
-  double smooth_focus(Tree& tree, int tip, int junction, int passes,
+  /// Canonical local smoothing (kQuickAddPasses passes at most) of the
+  /// three edges at a freshly inserted focus tip: [(junction, tip),
+  /// (junction, a), (junction, b)] with a and b ordered by the minimum
+  /// taxon id behind them — representation invariant. `pre_applied_before`
+  /// >= 0 means the pass-0 tip-edge solve was already applied (batched
+  /// path) and was started from that length. Returns the final
+  /// log-likelihood across the canonical (tip, junction) edge.
+  double smooth_focus(Tree& tree, int tip, int junction,
                       double pre_applied_before);
 
   /// Sequential fallback for focus tasks (same canonical sequence, solves

@@ -12,6 +12,11 @@ namespace fdml {
 
 namespace {
 
+/// Supervisor retry n waits kRetryBackoff * 2^(n-1) (jittered), capped at
+/// kRetryBackoffMax.
+constexpr std::chrono::milliseconds kRetryBackoff{100};
+constexpr std::chrono::milliseconds kRetryBackoffMax{2000};
+
 std::chrono::milliseconds jittered(std::chrono::milliseconds backoff,
                                    Rng& rng) {
   const auto half = backoff.count() / 2;
@@ -145,12 +150,12 @@ JobOutcome JobScheduler::attempt_loop(const JobSpec& spec,
   JobOutcome out;
   out.job_id = job_id;
   Rng rng(spec.seed ^ (job_id * 0x9e3779b97f4a7c15ULL));
-  auto backoff = std::max(options_.retry_backoff, std::chrono::milliseconds(1));
+  auto backoff = kRetryBackoff;
   int attempt = 0;
   for (;;) {
     ++attempt;
     try {
-      SearchOptions o = options_.search;
+      SearchOptions o;
       o.seed = spec.seed;
       o.rearrange_cross = spec.rearrange_cross;
       o.final_rearrange_cross = spec.final_rearrange_cross;
@@ -204,7 +209,7 @@ JobOutcome JobScheduler::attempt_loop(const JobSpec& spec,
       FDML_WARN("service") << "job " << job_id << " attempt " << attempt
                            << " failed (" << e.what() << "); retrying";
       std::this_thread::sleep_for(jittered(backoff, rng));
-      backoff = std::min(backoff * 2, options_.retry_backoff_max);
+      backoff = std::min(backoff * 2, kRetryBackoffMax);
     }
   }
 }

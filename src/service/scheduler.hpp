@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -64,17 +63,13 @@ class RoundGate final : public TaskRunner {
 struct SchedulerOptions {
   AdmissionOptions admission;
   /// Supervisor retry budget per job: attempts beyond the first. Retries
-  /// resume from the job's newest checkpoint when one exists.
+  /// resume from the job's newest checkpoint when one exists, after a
+  /// jittered exponential backoff (100 ms doubling to 2 s).
   int max_retries = 2;
-  /// Retry n waits retry_backoff * 2^(n-1) (jittered), capped.
-  std::chrono::milliseconds retry_backoff{100};
-  std::chrono::milliseconds retry_backoff_max{2000};
   /// Directory for per-job durable checkpoints; empty disables them (drain
   /// then cannot promise resumability). Checkpoints are keyed by jumble
   /// seed, so resubmitting the same spec after a drain resumes it.
   std::string checkpoint_dir;
-  /// Base search options; the spec's seed and rearrangement fields overlay.
-  SearchOptions search;
   Vfs* vfs = nullptr;
   /// null = the process registry.
   obs::MetricsRegistry* metrics = nullptr;

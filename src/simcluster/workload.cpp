@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "likelihood/optimize.hpp"
 #include "search/task_evaluator.hpp"
 #include "tree/neighborhood.hpp"
 #include "tree/newick.hpp"
@@ -29,12 +30,10 @@ WorkloadModel calibrate_workload(const PatternAlignment& data,
     full.task_id = 1;
     full.newick = to_newick(tree, data.names(), 17);
     full.focus_taxon = -1;
-    full.smooth_passes = out.full_smooth_passes;
     full_seconds += evaluator.evaluate(full).cpu_seconds;
 
     TreeTask quick = full;
     quick.focus_taxon = 0;
-    quick.smooth_passes = out.quickadd_passes;
     quick_seconds += evaluator.evaluate(quick).cpu_seconds;
   }
   full_seconds /= sample_tasks;
@@ -42,7 +41,7 @@ WorkloadModel calibrate_workload(const PatternAlignment& data,
 
   // Smoothing usually converges before the pass cap; attribute the measured
   // time to ~half the nominal pass budget to stay conservative.
-  const double effective_passes = 0.5 * out.full_smooth_passes;
+  const double effective_passes = 0.5 * kFullSmoothPasses;
   out.full_cost_coefficient =
       std::max(full_seconds / (sites * edges * effective_passes), 1e-12);
   out.quickadd_cost_coefficient = std::max(quick_seconds / sites, 1e-12);
@@ -75,7 +74,7 @@ SearchTrace synthesize_trace(int taxa, std::size_t sites, int cross,
   auto full_cost = [&](int taxa_in_tree) {
     const double edges = static_cast<double>(2 * taxa_in_tree - 3);
     return model.full_cost_coefficient * s * edges *
-           (0.5 * model.full_smooth_passes);
+           (0.5 * kFullSmoothPasses);
   };
   auto quick_cost = [&]() { return model.quickadd_cost_coefficient * s; };
 

@@ -8,7 +8,8 @@
 // rounds whose candidate counts come from enumerating real rearrangement
 // moves on random topologies — and per-task costs from a calibrated kernel
 // cost model (cost is linear in sites x branches x smoothing passes, with
-// lognormal noise producing the paper's loose synchronization).
+// lognormal noise producing the paper's loose synchronization). Pass counts
+// are the worker's: kFullSmoothPasses and kQuickAddPasses.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,6 @@ struct WorkloadModel {
   /// Probability that a rearrangement round finds an improvement and
   /// triggers another round.
   double rearrange_accept_probability = 0.35;
-  int quickadd_passes = 2;
-  int full_smooth_passes = 8;
   /// Representative wire bytes per task+result pair.
   double bytes_per_task_base = 300.0;
   double bytes_per_task_per_taxon = 30.0;

@@ -240,7 +240,6 @@ TEST(ForemanChaos, CorruptResultIsCountedAndSenderQuarantined) {
   ThreadFabric fabric(4);
   ForemanOptions options;
   options.worker_timeout = milliseconds(3000);
-  options.probation_backoff = milliseconds(20);
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
@@ -284,7 +283,6 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   ThreadFabric fabric(4);
   ForemanOptions options;
   options.worker_timeout = milliseconds(150);
-  options.probation_backoff = milliseconds(20);
   obs::MetricsRegistry metrics;  // staged on counters, not sleeps
   options.metrics = &metrics;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
@@ -510,7 +508,6 @@ TEST(ClusterChaos, SeededMultiFaultRunMatchesFaultFreeRun) {
   ClusterOptions cluster_options;
   cluster_options.num_workers = 3;
   cluster_options.foreman.worker_timeout = milliseconds(400);
-  cluster_options.foreman.probation_backoff = milliseconds(20);
   cluster_options.chaos = plan;
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
@@ -595,10 +592,12 @@ class KillSwitchRunner final : public TaskRunner {
 // schedule, still reproduces the uninterrupted best tree bit-for-bit.
 TEST(ClusterChaos, KilledRunResumesFromCheckpointIdentically) {
   ChaosFixture fx;
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("fdml_chaos_ckpt_" + std::to_string(::getpid())))
-                               .string();
-  std::filesystem::remove(path);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("fdml_chaos_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "run.ckpt").string();
 
   SearchOptions options;
   options.seed = 19;
@@ -619,7 +618,6 @@ TEST(ClusterChaos, KilledRunResumesFromCheckpointIdentically) {
   ClusterOptions cluster_options;
   cluster_options.num_workers = 2;
   cluster_options.foreman.worker_timeout = milliseconds(400);
-  cluster_options.foreman.probation_backoff = milliseconds(20);
   cluster_options.chaos = plan;
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
@@ -628,11 +626,11 @@ TEST(ClusterChaos, KilledRunResumesFromCheckpointIdentically) {
   KillSwitchRunner killed(cluster.runner(), 9);
   EXPECT_THROW(StepwiseSearch(fx.data, options).run(killed),
                std::runtime_error);
-  ASSERT_TRUE(std::filesystem::exists(path))
-      << "the killed run left no checkpoint";
 
   // Resume on the same (still chaotic) cluster from the saved state.
-  const SearchCheckpoint checkpoint = SearchCheckpoint::load_file(path);
+  const auto recovered = recover_checkpoint(path, 0);
+  ASSERT_TRUE(recovered.has_value()) << "the killed run left no checkpoint";
+  const SearchCheckpoint& checkpoint = recovered->checkpoint;
   EXPECT_LT(checkpoint.next_order_index, static_cast<int>(fx.data.num_taxa()) + 1);
   SearchOptions resume_options = options;
   resume_options.checkpoint_path.clear();
@@ -642,10 +640,10 @@ TEST(ClusterChaos, KilledRunResumesFromCheckpointIdentically) {
 
   EXPECT_EQ(resumed.best_newick, full.best_newick);
   EXPECT_NEAR(resumed.best_log_likelihood, full.best_log_likelihood, 1e-9);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
-// A v2 checkpoint written mid-rearrangement round-trips every field.
+// A checkpoint written mid-rearrangement round-trips every field.
 TEST(ClusterChaos, RearrangePhaseCheckpointRoundTrips) {
   SearchCheckpoint checkpoint;
   checkpoint.seed = 19;

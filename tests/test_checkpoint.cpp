@@ -47,15 +47,35 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
 TEST(Checkpoint, LoadRejectsGarbage) {
   std::stringstream buffer("not-a-checkpoint 7\n");
   EXPECT_THROW(SearchCheckpoint::load(buffer), std::runtime_error);
-  std::stringstream truncated("fdml-checkpoint 1\n1 4 2\n0 1\n-10.0\n");
+  std::stringstream truncated("fdml-checkpoint 3\n1 4 2\n0 1\n0 0 0\n0\n-10.0\n");
   EXPECT_THROW(SearchCheckpoint::load(truncated), std::runtime_error);
+  // Only version 3 is read: it is the one the checkpoint store writes.
+  std::stringstream old("fdml-checkpoint 2\n1 4 2\n0 1\n0 0 0\n-10.0\n(a,b,c);\n");
+  EXPECT_THROW(SearchCheckpoint::load(old), std::runtime_error);
+}
+
+// The addition-order length is read from the file. A short text claiming
+// 2^40 taxa must fail as a malformed checkpoint, without first reserving
+// memory for the claim.
+TEST(Checkpoint, OrderLengthIsNotTrusted) {
+  std::stringstream huge(
+      "fdml-checkpoint 3\n1 4 1099511627776\n0 1 2 3\n0 0 0\n0\n-10.5\n"
+      "(a,b,(c,d));\n");
+  EXPECT_THROW(SearchCheckpoint::load(huge), std::runtime_error);
+  // A claim one entry longer than the order line is refused too.
+  std::stringstream short_by_one(
+      "fdml-checkpoint 3\n1 4 5\n0 1 2 3\n0 0 0\n0\n-10.5\n(a,b,(c,d));\n");
+  EXPECT_THROW(SearchCheckpoint::load(short_by_one), std::runtime_error);
 }
 
 TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
   Fixture fx;
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("fdml_ckpt_test_" + std::to_string(::getpid())))
-                               .string();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("fdml_ckpt_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "run.ckpt").string();
 
   SerialTaskRunner runner(fx.data, SubstModel::jc69(), RateModel::uniform());
   SearchOptions options;
@@ -66,10 +86,10 @@ TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
   // disk is the *final* checkpoint; to simulate an interruption we rebuild
   // the mid-run state from the recorded event stream instead.
   const SearchResult full = StepwiseSearch(fx.data, options).run(runner);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  const SearchCheckpoint final_checkpoint = SearchCheckpoint::load_file(path);
-  EXPECT_EQ(final_checkpoint.next_order_index, 10);
-  std::filesystem::remove(path);
+  const auto final_checkpoint = recover_checkpoint(path, 0);
+  ASSERT_TRUE(final_checkpoint.has_value());
+  EXPECT_EQ(final_checkpoint->checkpoint.next_order_index, 10);
+  std::filesystem::remove_all(dir);
 
   // Mid-run state after 6 taxa: the last event at taxa_in_tree == 6 is the
   // post-rearrangement tree — exactly what a checkpoint stores.

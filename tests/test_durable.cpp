@@ -303,8 +303,8 @@ TEST(FaultVfs, CrashAtEveryOpAlwaysRecoversAnIntactCheckpoint) {
 TEST(TaskJournal, AppendLoadFindRoundTrip) {
   ScratchDir dir("journal");
   const std::string path = dir.file("tasks.journal");
-  const std::uint64_t d1 = task_content_digest("(a,b,c);", 2, 8);
-  const std::uint64_t d2 = task_content_digest("(a,c,b);", 2, 8);
+  const std::uint64_t d1 = task_content_digest("(a,b,c);", 2);
+  const std::uint64_t d2 = task_content_digest("(a,c,b);", 2);
   const std::uint64_t round = round_content_key({d1, d2});
   EXPECT_NE(d1, d2);
 
@@ -369,21 +369,25 @@ TEST(DurableSearch, AlignmentFingerprintSeparatesDatasets) {
   EXPECT_NE(alignment_fingerprint(fx.data), alignment_fingerprint(other));
 }
 
-TEST(DurableSearch, SaveFileSurfacesIoFailure) {
+TEST(DurableSearch, CheckpointIoFailureStopsTheSearch) {
+  SearchFixture fx;
   ScratchDir dir("savefail");
-  SearchCheckpoint checkpoint;
-  checkpoint.addition_order = {0, 1, 2};
-  checkpoint.next_order_index = 3;
-  checkpoint.tree_newick = "(a:1,b:1,c:1);";
+  SerialTaskRunner runner(fx.data, SubstModel::jc69(), RateModel::uniform());
+  SearchOptions options;
+  options.seed = 9;
+  options.checkpoint_path = dir.file("run.ckpt");
   FaultPlan plan;
   plan.fs_error = 1.0;
   FaultVfs vfs(real_vfs(), plan);
-  EXPECT_THROW(checkpoint.save_file(dir.file("ckpt"), &vfs),
-               std::system_error);
+  options.vfs = &vfs;
+  EXPECT_THROW(StepwiseSearch(fx.data, options).run(runner), std::system_error);
+  EXPECT_FALSE(recover_checkpoint(options.checkpoint_path, 0).has_value());
 
-  checkpoint.save_file(dir.file("ckpt"));  // the real filesystem works
-  const SearchCheckpoint back = SearchCheckpoint::load_file(dir.file("ckpt"));
-  EXPECT_EQ(back.tree_newick, checkpoint.tree_newick);
+  options.vfs = nullptr;  // the real filesystem works
+  const SearchResult result = StepwiseSearch(fx.data, options).run(runner);
+  const auto recovered = recover_checkpoint(options.checkpoint_path, 0);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->checkpoint.tree_newick, result.best_newick);
 }
 
 TEST(DurableSearch, RecoverCheckpointChecksTheDatasetFingerprint) {
@@ -653,7 +657,6 @@ TEST(MasterSupervisor, ExhaustedRetriesRaiseRunFailedError) {
   auto endpoint = fabric.endpoint(kMasterRank);
   MasterOptions options;
   options.watchdog_timeout = milliseconds(80);
-  options.retry_backoff = milliseconds(5);
   options.max_round_retries = 1;
   ParallelMaster master(*endpoint, 1, options);
 
@@ -705,7 +708,6 @@ TEST(ClusterRecovery, ForemanDeathMidRunRecoversToTheIdenticalResult) {
   options.num_workers = 2;
   options.foreman.journal_path = dir.file("tasks.journal");
   options.master.watchdog_timeout = milliseconds(1000);
-  options.master.retry_backoff = milliseconds(20);
   options.master.max_round_retries = 3;
   FaultPlan chaos;
   chaos.seed = 21;

@@ -3,8 +3,10 @@
 // optimization, the gap-as-character-state treatment, and protein data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "likelihood/engine.hpp"
 #include "model/simulate.hpp"
@@ -15,8 +17,10 @@
 #include "nstate/model.hpp"
 #include "nstate/simulate.hpp"
 #include "seq/alignment.hpp"
+#include "seq/alphabet.hpp"
 #include "tree/random.hpp"
 #include "util/linalg.hpp"
+#include "util/simd.hpp"
 
 namespace fdml {
 namespace {
@@ -46,6 +50,17 @@ TEST(NAlphabet, DnaMatchesCoreSemantics) {
   EXPECT_EQ(dna.code('R'), 5u);
   EXPECT_EQ(dna.code('-'), dna.unknown_mask()) << "gap = missing in 4-state";
   EXPECT_EQ(dna.code('!'), 0u);
+  // Both use bit s for base s (A C G T), so the masks compare directly:
+  // every character the core accepts is the same base set here, including
+  // the three-base codes B D H V, and what the core rejects is rejected.
+  for (int i = 0; i < 256; ++i) {
+    const char c = static_cast<char>(i);
+    EXPECT_EQ(dna.code(c), std::uint32_t{char_to_code(c)}) << "character " << i;
+  }
+  const StateAlphabet five = StateAlphabet::dna_with_gap();
+  for (char c : std::string("URYMKSWBDHV")) {
+    EXPECT_EQ(five.code(c), std::uint32_t{char_to_code(c)}) << c;
+  }
 }
 
 TEST(NAlphabet, GapStateIsARealState) {
@@ -314,6 +329,88 @@ TEST(NEngine, FourStateEngineAgreesWithCoreEngine) {
   GeneralEngine general(nstate_data, GeneralModel::poisson(4), RateModel::uniform());
   general.attach(tree);
   EXPECT_NEAR(core.log_likelihood(), general.log_likelihood(), 1e-9);
+}
+
+// Differential oracle: the core engine (eigen-basis kernels, CLV caches,
+// scaling, one kernel table per SIMD backend) against the N-state engine
+// (plain post-order pruning off P(t)) on paper-shaped data — ambiguity
+// codes, ~2% missing data — under a random GTR with four gamma categories.
+TEST(NEngine, CoreEngineMatchesOracleOnGtrGamma) {
+  // Every exact-tier backend this CPU runs; automatic selection comes back
+  // when the test ends, even on assertion failure.
+  struct BackendGuard {
+    BackendGuard() { simd::set_tier("exact"); }
+    ~BackendGuard() {
+      simd::set_backend("auto");
+      simd::set_tier("auto");
+    }
+  } guard;
+  std::vector<simd::Backend> backends;
+  for (simd::Backend b : simd::compiled_backends()) {
+    if (simd::cpu_supports(b)) backends.push_back(b);
+  }
+  const RateModel rates = RateModel::discrete_gamma(0.5, 4);
+  for (int s = 1; s <= 5; ++s) {
+    const std::uint64_t seed = static_cast<std::uint64_t>(2 * s - 1);
+    const Alignment alignment = make_paper_like_dataset(50, 300, seed);
+    const PatternAlignment core_data(alignment);
+    StateAlignment state_alignment(StateAlphabet::dna());
+    for (std::size_t t = 0; t < alignment.num_taxa(); ++t) {
+      state_alignment.add_sequence(alignment.name(t),
+                                   codes_to_string(alignment.row(t)));
+    }
+    const StatePatterns oracle_data(state_alignment);
+
+    Rng rng(seed);
+    Vec4 pi{};
+    double pi_sum = 0.0;
+    for (double& p : pi) pi_sum += (p = rng.uniform(0.1, 1.0));
+    for (double& p : pi) p /= pi_sum;
+    std::array<double, 6> exchange{};
+    for (double& r : exchange) r = rng.uniform(0.2, 5.0);
+    const SubstModel model = SubstModel::gtr(pi, exchange);
+    // The oracle model comes from the core's normalized rate matrix:
+    // exchangeability Q[i][j] / pi[j], strict upper triangle row by row.
+    const Mat4& q = model.rate_matrix();
+    const Vec4& freq = model.frequencies();
+    std::vector<double> oracle_exchange;
+    for (std::size_t i = 0; i < 4; ++i) {
+      for (std::size_t j = i + 1; j < 4; ++j) {
+        oracle_exchange.push_back(q[i][j] / freq[j]);
+      }
+    }
+    const GeneralModel oracle_model = GeneralModel::reversible(
+        "GTR", std::vector<double>(freq.begin(), freq.end()), oracle_exchange);
+
+    const Tree tree = random_tree(50, rng);
+    const int tip = 0;
+    const int junction = tree.neighbor(tip, 0);
+    GeneralEngine oracle(oracle_data, oracle_model, rates);
+    oracle.attach(tree);
+    const double want_lnl = oracle.log_likelihood();
+    const GeneralEdgeLikelihood want_edge = oracle.edge_likelihood(tip, junction);
+
+    for (simd::Backend backend : backends) {
+      const std::string label = std::string(simd::backend_name(backend)) +
+                                " seed " + std::to_string(seed);
+      ASSERT_TRUE(simd::set_backend(simd::backend_name(backend))) << label;
+      LikelihoodEngine core(core_data, model, rates);
+      core.attach(tree);
+      EXPECT_NEAR(core.log_likelihood(), want_lnl, 1e-10 * std::fabs(want_lnl))
+          << label;
+      const EdgeLikelihood edge = core.edge_likelihood(tip, junction);
+      for (double t : {tree.length(tip, junction), 0.2}) {
+        double d1 = 0.0;
+        double d2 = 0.0;
+        (void)want_edge.evaluate(t, &d1, &d2);
+        const EdgeDerivatives got = edge.derivatives(t);
+        EXPECT_NEAR(got.d1, d1, 1e-9 * std::max(1.0, std::fabs(d1)))
+            << label << " t " << t;
+        EXPECT_NEAR(got.d2, d2, 1e-9 * std::max(1.0, std::fabs(d2)))
+            << label << " t " << t;
+      }
+    }
+  }
 }
 
 TEST(NEngine, EdgeDerivativesMatchFiniteDifferences) {

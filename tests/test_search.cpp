@@ -44,7 +44,6 @@ TEST(TaskCodec, RoundTrip) {
   task.round_id = 7;
   task.newick = "(a:1,b:2,(c:0.5,d:0.5):1);";
   task.focus_taxon = 3;
-  task.smooth_passes = 2;
   Packer packer;
   task.pack(packer);
   Unpacker unpacker(packer.data());
@@ -79,7 +78,6 @@ TEST(TaskEvaluatorTest, FocusTaskOnlyTouchesAttachmentEdges) {
   task.task_id = 1;
   task.newick = to_newick(tree, names, 17);
   task.focus_taxon = 4;
-  task.smooth_passes = 3;
   const TaskResult result = evaluator.evaluate(task);
   const Tree optimized = tree_from_newick(result.newick, names);
 
@@ -112,10 +110,8 @@ TEST(TaskEvaluatorTest, FullTaskImprovesOnFocusTask) {
   TreeTask focus_task;
   focus_task.newick = to_newick(tree, fx.data.names(), 17);
   focus_task.focus_taxon = 2;
-  focus_task.smooth_passes = 2;
   TreeTask full_task = focus_task;
   full_task.focus_taxon = -1;
-  full_task.smooth_passes = 8;
   const double focus_lnl = evaluator.evaluate(focus_task).log_likelihood;
   const double full_lnl = evaluator.evaluate(full_task).log_likelihood;
   EXPECT_GE(full_lnl, focus_lnl - 1e-6);
@@ -167,7 +163,7 @@ TEST(Search, TraceHasPaperTaskStructure) {
   auto runner = fx.runner();
   SearchOptions options;
   options.seed = 7;
-  options.rearrange_after_each_addition = false;
+  options.rearrange_cross = 0;
   options.final_rearrange_cross = 1;
   StepwiseSearch search(fx.data, options);
   const SearchResult result = search.run(runner);
@@ -235,21 +231,6 @@ TEST(Search, FinalRearrangementNeverHurts) {
   const SearchResult improved =
       StepwiseSearch(fx.data, with_rearrange).run(runner);
   EXPECT_GE(improved.best_log_likelihood, plain.best_log_likelihood - 1e-6);
-}
-
-TEST(Search, QuickaddOffStillWorks) {
-  Fixture fx(8, 200);
-  auto runner = fx.runner();
-  SearchOptions options;
-  options.seed = 17;
-  options.quickadd = false;
-  StepwiseSearch search(fx.data, options);
-  const SearchResult result = search.run(runner);
-  EXPECT_LT(result.best_log_likelihood, 0.0);
-  // Without quickadd there are no winner rounds.
-  for (const auto& round : result.trace.rounds) {
-    EXPECT_NE(round.kind, RoundKind::kWinner);
-  }
 }
 
 TEST(Search, RejectsBadOrder) {

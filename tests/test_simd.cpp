@@ -615,7 +615,6 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
   const int focus = n - 1;
   Tree base = full;
   base.remove_tip(focus);
-  const OptimizeOptions options;
 
   // Harvest the exact post-splice local lengths per candidate (insert_tip
   // clamps tiny split halves to kMinBranchLength, so the batched path must
@@ -647,7 +646,7 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
     std::vector<EdgeEval> batched(cands.size());
     for (std::size_t k = 0; k < cands.size(); ++k) {
       batched_len[k] =
-          newton_branch_solve(batch.view(k), kDefaultBranchLength, options);
+          newton_branch_solve(batch.view(k), kDefaultBranchLength);
       batched[k] = eval_edge(batch.view(k), batched_len[k]);
     }
 
@@ -658,7 +657,7 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
       Tree trial = base;
       const int j = trial.insert_tip(focus, cands[k].u, cands[k].v);
       ref_engine.attach(trial);
-      BranchOptimizer opt(ref_engine, options);
+      BranchOptimizer opt(ref_engine);
       const double len = opt.optimize_edge(trial, j, focus);
       ASSERT_EQ(batched_len[k], len) << backend << " candidate " << k;
       const EdgeLikelihood f = ref_engine.edge_likelihood(j, focus);

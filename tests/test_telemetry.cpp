@@ -181,18 +181,17 @@ TEST(TelemetryAggregator, DeadRankIsMarkedStaleNotFrozen) {
 }
 
 TEST(TelemetryAggregator, RollupRingIsBounded) {
-  TelemetryAggregatorOptions options;
-  options.rollup_capacity = 4;
-  TelemetryAggregator agg(options);
+  TelemetryAggregator agg;
   const auto now = Clock::now();
-  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+  constexpr std::uint64_t kFrames = TelemetryAggregator::kRollupCapacity + 1;
+  for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
     agg.apply(make_frame(3, 1, seq, seq), now);
   }
   const auto rollups = agg.rollups();
-  ASSERT_EQ(rollups.size(), 4u);
-  // Newest four samples, oldest first.
-  EXPECT_EQ(rollups.front().counter_sum, 7u);
-  EXPECT_EQ(rollups.back().counter_sum, 10u);
+  ASSERT_EQ(rollups.size(), TelemetryAggregator::kRollupCapacity);
+  // The newest samples, oldest first: the first frame fell off the ring.
+  EXPECT_EQ(rollups.front().counter_sum, 2u);
+  EXPECT_EQ(rollups.back().counter_sum, kFrames);
 }
 
 // ---------------------------------------------------------------------------
