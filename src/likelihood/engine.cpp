@@ -446,27 +446,22 @@ EdgeDerivatives EdgeLikelihood::derivatives(double t) const {
   double* site_d1 = ws_->site_d1;
   double* site_d2 = ws_->site_d2;
 
-  // The last category's pass also turns each pattern's s, s', s'' into its
-  // weighted Newton terms (kernels.hpp), so only the sums remain here.
+  // Every category but the last accumulates s, s', s'' in the site planes;
+  // the last one's pass reads them back and returns the weighted sums
+  // (kernels.hpp). A zero-probability pattern (s <= 0) adds nothing.
+  EdgeDerivatives out;
   for (std::size_t cat = 0; cat < num_categories; ++cat) {
     const Vec4 e = cache_->exp_eigen(*model_, t * rates_->rate(cat));
     const bool last = cat + 1 == num_categories;
-    ws_->kernels->edge_derivatives(padded, ws_->coeff + cat * 4 * padded,
-                                   e.data(), ws_->lam + cat * 4,
-                                   /*accumulate=*/cat != 0,
-                                   last ? ws_->weights : nullptr, site,
-                                   site_d1, site_d2);
-  }
-
-  EdgeDerivatives out;
-  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
-    if (site[pat] <= 0.0) continue;  // zero-probability pattern, as evaluate()
-    out.d1 += site_d1[pat];
-    out.d2 += site_d2[pat];
+    out = ws_->kernels->edge_derivatives(
+        padded, ws_->coeff + cat * 4 * padded, e.data(), ws_->lam + cat * 4,
+        /*accumulate=*/cat != 0, last ? ws_->weights : nullptr, site, site_d1,
+        site_d2);
   }
 
   ++counters_->edge_evaluations;
-  counters_->scratch_bytes_reused += 3u * num_patterns_ * sizeof(double);
+  counters_->scratch_bytes_reused +=
+      3u * (num_categories - 1) * num_patterns_ * sizeof(double);
   counters_->kernel_ns += elapsed_ns(kernel_start);
   return out;
 }

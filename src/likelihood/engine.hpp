@@ -79,12 +79,6 @@ struct KernelCounters {
   }
 };
 
-/// First and second derivative of lnL along one edge at one branch length.
-struct EdgeDerivatives {
-  double d1 = 0.0;
-  double d2 = 0.0;
-};
-
 /// A captured one-dimensional view of the likelihood along a single edge:
 /// lnL(t) and its first and second derivatives, cheap to evaluate
 /// repeatedly during Newton iteration.
@@ -126,8 +120,8 @@ struct EdgeLikelihood::Workspace {
   const double* lam = nullptr;    // [cat][4] = lambda_k * rate_cat
   const double* weights = nullptr;  // [padded] pattern weights, zero tail
   double* site = nullptr;         // [padded] accumulators
-  double* site_d1 = nullptr;      // s', then the d1 term per pattern
-  double* site_d2 = nullptr;      // s'', then the d2 term per pattern
+  double* site_d1 = nullptr;      // s' of the categories before the last
+  double* site_d2 = nullptr;      // s'' of the categories before the last
   std::size_t padded = 0;         // padded pattern extent of the planes
   const KernelTable* kernels = nullptr;  // engine's SIMD dispatch table
 };

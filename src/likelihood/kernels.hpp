@@ -28,8 +28,9 @@
 //
 // Padded-tail contract: callers zero-fill plane tails (patterns in
 // [num_patterns, padded)). Kernels process full padded ranges; zero inputs
-// produce zero outputs and never trigger rescaling (the check requires a
-// strictly positive maximum), so tail lanes are inert by construction.
+// produce zero outputs, never trigger rescaling (the check requires a
+// strictly positive maximum) and add nothing to edge_derivatives' sums (a
+// term counts only where s > 0), so tail lanes are inert by construction.
 #pragma once
 
 #include <cstddef>
@@ -76,6 +77,13 @@ struct ClvOperand {
   const std::uint8_t* codes = nullptr;  ///< per-pattern 4-bit codes (tip only)
   const double* p = nullptr;         ///< 16 row-major P(t) entries (internal)
   const double* tip_tab = nullptr;   ///< [4][16] transposed code table (tip)
+};
+
+/// First and second derivative of lnL along one edge at one branch length:
+/// what edge_derivatives' finishing pass returns.
+struct EdgeDerivatives {
+  double d1 = 0.0;
+  double d2 = 0.0;
 };
 
 struct KernelTable {
@@ -127,16 +135,24 @@ struct KernelTable {
   void (*edge_evaluate)(std::size_t padded, const double* coeff,
                         const double* e, bool accumulate, double* site);
 
-  /// The Newton path for one category: site (+)= s as in edge_evaluate,
-  /// site_d1 (+)= s' via lam[k] * e[k] and site_d2 (+)= s'' via
-  /// lam[k]^2 * e[k]. On the last category the caller passes the padded
-  /// pattern weights, and the same pass finishes each pattern: site keeps
-  /// s, site_d1 receives w * (s'/s) and site_d2 w * (s''/s - (s'/s)^2), the
-  /// terms of d lnL/dt and d^2 lnL/dt^2. `weights` is null otherwise.
-  void (*edge_derivatives)(std::size_t padded, const double* coeff,
-                           const double* e, const double* lam, bool accumulate,
-                           const double* weights, double* site,
-                           double* site_d1, double* site_d2);
+  /// The Newton path for one category: s as in edge_evaluate, s' via
+  /// lam[k] * e[k] and s'' via lam[k]^2 * e[k], each added to the site
+  /// planes' values when `accumulate`. With `weights` null (every category
+  /// but the last) the pass stores site = s, site_d1 = s', site_d2 = s''
+  /// and returns zeros. On the last category the caller passes the padded
+  /// pattern weights, and the pass stores nothing and returns d lnL/dt and
+  /// d^2 lnL/dt^2 instead: with r = 1/s, pattern p's terms are w * (s' r)
+  /// and w * (s'' r - (s' r)^2), masked to +0.0 where s <= 0 (zero-
+  /// probability patterns and the zero tail). Each sum runs in eight fixed
+  /// lanes, lane j taking the terms of patterns p = j (mod 8) in increasing
+  /// order, and returns ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
+  /// kPatternPad is 8, so every width does the same operations in the same
+  /// order and the sums are bit-identical across exact backends.
+  EdgeDerivatives (*edge_derivatives)(std::size_t padded, const double* coeff,
+                                      const double* e, const double* lam,
+                                      bool accumulate, const double* weights,
+                                      double* site, double* site_d1,
+                                      double* site_d2);
 };
 
 /// Table for one (backend, tier) pair, or nullptr if that exact pair was

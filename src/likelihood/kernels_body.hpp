@@ -25,6 +25,9 @@
 //     a branch-free pass first, then patches the (rare) underflowing lanes
 //     found by the vector max/movemask sweep — the previous form branched
 //     per lane on the hot path for the benefit of the rare one.
+//   - edge_derivatives' finishing pass sums its Newton terms itself, in
+//     eight lanes, with one reciprocal per pattern: a separate pattern-order
+//     sum over stored terms cost more than the kernel (DESIGN.md §5d).
 #pragma once
 
 #include <cstring>
@@ -281,11 +284,18 @@ struct Kernels {
     }
   }
 
+  /// ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)): the fixed combine
+  /// of edge_derivatives' eight lane sums.
+  static double combine_lanes(const double* l) {
+    static_assert(kPatternPad == 8, "edge_derivatives sums in eight lanes");
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+  }
+
   template <bool Accumulate, bool Finish>
-  static void derivatives(std::size_t padded, const double* coeff,
-                          const double* e, const double* lam,
-                          const double* weights, double* site,
-                          double* site_d1, double* site_d2) {
+  static EdgeDerivatives derivatives(std::size_t padded, const double* coeff,
+                                     const double* e, const double* lam,
+                                     const double* weights, double* site,
+                                     double* site_d1, double* site_d2) {
     const V e0 = V::broadcast(e[0]), e1 = V::broadcast(e[1]),
             e2 = V::broadcast(e[2]), e3 = V::broadcast(e[3]);
     // Derivative factors per eigenvalue: d/dt exp(lam_k t) = lam_k * exp,
@@ -296,67 +306,86 @@ struct Kernels {
             l2 = V::broadcast(l2s), l3 = V::broadcast(l3s);
     const V q0 = V::broadcast(lam[0] * l0s), q1 = V::broadcast(lam[1] * l1s),
             q2 = V::broadcast(lam[2] * l2s), q3 = V::broadcast(lam[3] * l3s);
-    for (std::size_t pat = 0; pat < padded; pat += W) {
-      const V c0 = V::load(coeff + 0 * padded + pat);
-      const V c1 = V::load(coeff + 1 * padded + pat);
-      const V c2 = V::load(coeff + 2 * padded + pat);
-      const V c3 = V::load(coeff + 3 * padded + pat);
-      V s = c0 * e0;
-      s = ma(c1, e1, s);
-      s = ma(c2, e2, s);
-      s = ma(c3, e3, s);
-      if constexpr (Accumulate) s = V::load(site + pat) + s;
-      s.store(site + pat);
-      V g = c0 * l0;
-      g = ma(c1, l1, g);
-      g = ma(c2, l2, g);
-      g = ma(c3, l3, g);
-      V h = c0 * q0;
-      h = ma(c1, q1, h);
-      h = ma(c2, q2, h);
-      h = ma(c3, q3, h);
-      if constexpr (Accumulate) {
-        g = V::load(site_d1 + pat) + g;
-        h = V::load(site_d2 + pat) + h;
-      }
-      if constexpr (Finish) {
-        // Element-wise IEEE ops, unfused and in the same order at every
-        // width, so each term is bit-identical across backends. Tail lanes
-        // (s = 0) hold NaN; the caller's sum stops at num_patterns and
-        // skips s <= 0.
-        const V w = V::load(weights + pat);
-        const V r1 = g / s;
-        (w * r1).store(site_d1 + pat);
-        (w * (h / s - r1 * r1)).store(site_d2 + pat);
-      } else {
-        g.store(site_d1 + pat);
-        h.store(site_d2 + pat);
+    // The finishing pass's eight lane sums: in each block of kPatternPad
+    // patterns, vector i covers lanes [i W, (i + 1) W). Each sum is updated
+    // once per block, so no add waits on the one before it, even where a
+    // narrow width keeps the sums in memory.
+    constexpr int kVecs = static_cast<int>(kPatternPad) / W;
+    V sum_d1[kVecs];
+    V sum_d2[kVecs];
+    for (int i = 0; i < kVecs; ++i) sum_d1[i] = sum_d2[i] = V::zero();
+    const V one = V::broadcast(1.0);
+    for (std::size_t block = 0; block < padded; block += kPatternPad) {
+      for (int i = 0; i < kVecs; ++i) {
+        const std::size_t pat = block + static_cast<std::size_t>(i * W);
+        const V c0 = V::load(coeff + 0 * padded + pat);
+        const V c1 = V::load(coeff + 1 * padded + pat);
+        const V c2 = V::load(coeff + 2 * padded + pat);
+        const V c3 = V::load(coeff + 3 * padded + pat);
+        V s = c0 * e0;
+        s = ma(c1, e1, s);
+        s = ma(c2, e2, s);
+        s = ma(c3, e3, s);
+        V g = c0 * l0;
+        g = ma(c1, l1, g);
+        g = ma(c2, l2, g);
+        g = ma(c3, l3, g);
+        V h = c0 * q0;
+        h = ma(c1, q1, h);
+        h = ma(c2, q2, h);
+        h = ma(c3, q3, h);
+        if constexpr (Accumulate) {
+          s = V::load(site + pat) + s;
+          g = V::load(site_d1 + pat) + g;
+          h = V::load(site_d2 + pat) + h;
+        }
+        if constexpr (Finish) {
+          // Element-wise IEEE ops, unfused and in the same order at every
+          // width. Where s = 0 the reciprocal is inf and the terms NaN;
+          // the mask turns them into +0.0.
+          const V w = V::load(weights + pat);
+          const V r = one / s;
+          const V r1 = g * r;
+          sum_d1[i] = sum_d1[i] + V::where_positive(s, w * r1);
+          sum_d2[i] = sum_d2[i] + V::where_positive(s, w * (h * r - r1 * r1));
+        } else {
+          s.store(site + pat);
+          g.store(site_d1 + pat);
+          h.store(site_d2 + pat);
+        }
       }
     }
+    if constexpr (Finish) {
+      alignas(64) double lanes_d1[kPatternPad];
+      alignas(64) double lanes_d2[kPatternPad];
+      for (int i = 0; i < kVecs; ++i) {
+        sum_d1[i].store(lanes_d1 + i * W);
+        sum_d2[i].store(lanes_d2 + i * W);
+      }
+      return {combine_lanes(lanes_d1), combine_lanes(lanes_d2)};
+    }
+    return {};
   }
 
-  static void edge_derivatives(std::size_t padded, const double* coeff,
-                               const double* e, const double* lam,
-                               bool accumulate, const double* weights,
-                               double* site, double* site_d1,
-                               double* site_d2) {
+  static EdgeDerivatives edge_derivatives(std::size_t padded,
+                                          const double* coeff, const double* e,
+                                          const double* lam, bool accumulate,
+                                          const double* weights, double* site,
+                                          double* site_d1, double* site_d2) {
     if (weights != nullptr) {
       if (accumulate) {
-        derivatives<true, true>(padded, coeff, e, lam, weights, site, site_d1,
-                                site_d2);
-      } else {
-        derivatives<false, true>(padded, coeff, e, lam, weights, site, site_d1,
-                                 site_d2);
+        return derivatives<true, true>(padded, coeff, e, lam, weights, site,
+                                       site_d1, site_d2);
       }
-    } else {
-      if (accumulate) {
-        derivatives<true, false>(padded, coeff, e, lam, weights, site, site_d1,
-                                 site_d2);
-      } else {
-        derivatives<false, false>(padded, coeff, e, lam, weights, site,
-                                  site_d1, site_d2);
-      }
+      return derivatives<false, true>(padded, coeff, e, lam, weights, site,
+                                      site_d1, site_d2);
     }
+    if (accumulate) {
+      return derivatives<true, false>(padded, coeff, e, lam, weights, site,
+                                      site_d1, site_d2);
+    }
+    return derivatives<false, false>(padded, coeff, e, lam, weights, site,
+                                     site_d1, site_d2);
   }
 };
 

@@ -204,6 +204,13 @@ struct Vec {
     for (int i = 0; i < W; ++i) m |= (a.lane[i] < b.lane[i]) ? (1 << i) : 0;
     return m;
   }
+  /// x in the lanes where s > 0, +0.0 in the others (s = 0 or NaN): drops
+  /// the per-pattern terms of zero-probability and padded-tail patterns.
+  static Vec where_positive(Vec s, Vec x) {
+    Vec v;
+    for (int i = 0; i < W; ++i) v.lane[i] = s.lane[i] > T(0) ? x.lane[i] : T(0);
+    return v;
+  }
 };
 
 #if defined(__SSE2__)
@@ -250,6 +257,9 @@ struct Vec<double, 2> {
   }
   static int lt_mask(Vec a, Vec b) {
     return _mm_movemask_pd(_mm_cmplt_pd(a.v, b.v));
+  }
+  static Vec where_positive(Vec s, Vec x) {
+    return {_mm_and_pd(_mm_cmpgt_pd(s.v, _mm_setzero_pd()), x.v)};
   }
 };
 #endif  // __SSE2__
@@ -314,6 +324,10 @@ struct Vec<double, 4> {
   static int lt_mask(Vec a, Vec b) {
     return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ));
   }
+  static Vec where_positive(Vec s, Vec x) {
+    return {_mm256_and_pd(_mm256_cmp_pd(s.v, _mm256_setzero_pd(), _CMP_GT_OQ),
+                          x.v)};
+  }
 };
 #endif  // __AVX2__
 
@@ -364,6 +378,10 @@ struct Vec<double, 8> {
   }
   static int lt_mask(Vec a, Vec b) {
     return static_cast<int>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ));
+  }
+  static Vec where_positive(Vec s, Vec x) {
+    return {_mm512_maskz_mov_pd(
+        _mm512_cmp_pd_mask(s.v, _mm512_setzero_pd(), _CMP_GT_OQ), x.v)};
   }
 };
 #endif  // __AVX512F__

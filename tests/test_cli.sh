@@ -8,10 +8,14 @@
 #   * --chaos without an in-process cluster exits 2 instead of running a
 #     fault drill with nothing injected.
 #   * A serial search of data/sample24.phy at seed 3 writes exactly the
-#     committed reference data/sample24_seed3.out. A change that moves it
-#     (say, a new smoothing order) re-records it on purpose. The fast
-#     kernel tier (FDML_TIER=fast) promises closeness, not bit equality, so
-#     it skips this check.
+#     committed reference data/sample24_seed3.out on every SIMD backend
+#     (FDML_SIMD=scalar, sse2, avx2, avx512) this build and CPU run. A
+#     backend that is not compiled in or that the CPU lacks falls back
+#     silently, so each pin is confirmed through --version first and
+#     skipped otherwise. A change that moves the result (say, a new
+#     smoothing order) re-records it on purpose. The fast kernel tier
+#     (FDML_TIER=fast) promises closeness, not bit equality, so it skips
+#     this check.
 set -u
 
 BIN=$1
@@ -50,9 +54,17 @@ status=$?
 if [ "${FDML_TIER:-exact}" = "fast" ]; then
   echo "test_cli: FDML_TIER=fast, skipping the sample24 reference check"
 else
-  "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet \
-      --out="$WORK/sample24.out" > /dev/null || fail "sample24 run exited $?"
-  cmp "$WORK/sample24.out" "$ROOT/data/sample24_seed3.out" \
-      || fail "sample24 seed 3 result differs from data/sample24_seed3.out"
+  for backend in scalar sse2 avx2 avx512; do
+    if ! FDML_SIMD=$backend "$BIN" --version \
+        | grep -q "simd backend: $backend (active)"; then
+      echo "test_cli: $backend backend not available, skipping its sample24 run"
+      continue
+    fi
+    FDML_SIMD=$backend "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet \
+        --out="$WORK/sample24.$backend.out" > /dev/null \
+        || fail "sample24 run on $backend exited $?"
+    cmp "$WORK/sample24.$backend.out" "$ROOT/data/sample24_seed3.out" \
+        || fail "sample24 seed 3 result on $backend differs from data/sample24_seed3.out"
+  done
 fi
 echo "test_cli: ok"

@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "likelihood/engine.hpp"
 #include "model/simulate.hpp"
@@ -333,34 +336,99 @@ TEST(NEngine, FourStateEngineAgreesWithCoreEngine) {
 
 // Differential oracle: the core engine (eigen-basis kernels, CLV caches,
 // scaling, one kernel table per SIMD backend) against the N-state engine
-// (plain post-order pruning off P(t)) on paper-shaped data — ambiguity
-// codes, ~2% missing data — under a random GTR with four gamma categories.
-TEST(NEngine, CoreEngineMatchesOracleOnGtrGamma) {
-  // Every exact-tier backend this CPU runs; automatic selection comes back
-  // when the test ends, even on assertion failure.
-  struct BackendGuard {
-    BackendGuard() { simd::set_tier("exact"); }
-    ~BackendGuard() {
-      simd::set_backend("auto");
-      simd::set_tier("auto");
+// (plain post-order pruning off P(t)).
+
+// Every exact-tier backend this CPU runs; automatic selection comes back
+// when the guard ends, even on assertion failure.
+struct ExactBackends {
+  ExactBackends() {
+    simd::set_tier("exact");
+    for (simd::Backend b : simd::compiled_backends()) {
+      if (simd::cpu_supports(b)) list.push_back(b);
     }
-  } guard;
-  std::vector<simd::Backend> backends;
-  for (simd::Backend b : simd::compiled_backends()) {
-    if (simd::cpu_supports(b)) backends.push_back(b);
   }
+  ~ExactBackends() {
+    simd::set_backend("auto");
+    simd::set_tier("auto");
+  }
+  std::vector<simd::Backend> list;
+};
+
+// On every backend in `backends`: the core's lnL agrees with the oracle's to
+// 1e-10 relative, and d1 and d2 of each edge in `edges`, at its length and
+// at `t_other`, to 1e-9 (floor 1). The oracle model comes from the core's
+// normalized rate matrix: exchangeability Q[i][j] / pi[j], strict upper
+// triangle row by row. Returns the fewest CLV rescales any backend counted.
+std::uint64_t expect_core_matches_oracle(
+    const Alignment& alignment, const SubstModel& model,
+    const RateModel& rates, const Tree& tree,
+    const std::vector<std::pair<int, int>>& edges, double t_other,
+    const std::vector<simd::Backend>& backends, const std::string& what) {
+  const PatternAlignment core_data(alignment);
+  StateAlignment state_alignment(StateAlphabet::dna());
+  for (std::size_t t = 0; t < alignment.num_taxa(); ++t) {
+    state_alignment.add_sequence(alignment.name(t),
+                                 codes_to_string(alignment.row(t)));
+  }
+  const StatePatterns oracle_data(state_alignment);
+  const Mat4& q = model.rate_matrix();
+  const Vec4& freq = model.frequencies();
+  std::vector<double> oracle_exchange;
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = i + 1; j < 4; ++j) {
+      oracle_exchange.push_back(q[i][j] / freq[j]);
+    }
+  }
+  const GeneralModel oracle_model = GeneralModel::reversible(
+      "GTR", std::vector<double>(freq.begin(), freq.end()), oracle_exchange);
+
+  GeneralEngine oracle(oracle_data, oracle_model, rates);
+  oracle.attach(tree);
+  const double want_lnl = oracle.log_likelihood();
+  std::vector<EdgeDerivatives> want;  // per edge: at its length, at t_other
+  for (const auto& [u, v] : edges) {
+    const GeneralEdgeLikelihood edge = oracle.edge_likelihood(u, v);
+    for (double t : {tree.length(u, v), t_other}) {
+      EdgeDerivatives d;
+      (void)edge.evaluate(t, &d.d1, &d.d2);
+      want.push_back(d);
+    }
+  }
+
+  std::uint64_t fewest_rescales = ~std::uint64_t{0};
+  for (simd::Backend backend : backends) {
+    const std::string label =
+        std::string(simd::backend_name(backend)) + " " + what;
+    EXPECT_TRUE(simd::set_backend(simd::backend_name(backend))) << label;
+    LikelihoodEngine core(core_data, model, rates);
+    core.attach(tree);
+    EXPECT_NEAR(core.log_likelihood(), want_lnl, 1e-10 * std::fabs(want_lnl))
+        << label;
+    const EdgeDerivatives* expected = want.data();
+    for (const auto& [u, v] : edges) {
+      const EdgeLikelihood edge = core.edge_likelihood(u, v);
+      for (double t : {tree.length(u, v), t_other}) {
+        const EdgeDerivatives got = edge.derivatives(t);
+        const EdgeDerivatives& d = *expected++;
+        EXPECT_NEAR(got.d1, d.d1, 1e-9 * std::max(1.0, std::fabs(d.d1)))
+            << label << " edge " << u << "-" << v << " t " << t;
+        EXPECT_NEAR(got.d2, d.d2, 1e-9 * std::max(1.0, std::fabs(d.d2)))
+            << label << " edge " << u << "-" << v << " t " << t;
+      }
+    }
+    fewest_rescales = std::min(fewest_rescales, core.counters().clv_rescales);
+  }
+  return fewest_rescales;
+}
+
+// Paper-shaped data (ambiguity codes, ~2% missing data) under a random GTR
+// with four gamma categories, one tip edge.
+TEST(NEngine, CoreEngineMatchesOracleOnGtrGamma) {
+  const ExactBackends backends;
   const RateModel rates = RateModel::discrete_gamma(0.5, 4);
   for (int s = 1; s <= 5; ++s) {
     const std::uint64_t seed = static_cast<std::uint64_t>(2 * s - 1);
     const Alignment alignment = make_paper_like_dataset(50, 300, seed);
-    const PatternAlignment core_data(alignment);
-    StateAlignment state_alignment(StateAlphabet::dna());
-    for (std::size_t t = 0; t < alignment.num_taxa(); ++t) {
-      state_alignment.add_sequence(alignment.name(t),
-                                   codes_to_string(alignment.row(t)));
-    }
-    const StatePatterns oracle_data(state_alignment);
-
     Rng rng(seed);
     Vec4 pi{};
     double pi_sum = 0.0;
@@ -369,48 +437,47 @@ TEST(NEngine, CoreEngineMatchesOracleOnGtrGamma) {
     std::array<double, 6> exchange{};
     for (double& r : exchange) r = rng.uniform(0.2, 5.0);
     const SubstModel model = SubstModel::gtr(pi, exchange);
-    // The oracle model comes from the core's normalized rate matrix:
-    // exchangeability Q[i][j] / pi[j], strict upper triangle row by row.
-    const Mat4& q = model.rate_matrix();
-    const Vec4& freq = model.frequencies();
-    std::vector<double> oracle_exchange;
-    for (std::size_t i = 0; i < 4; ++i) {
-      for (std::size_t j = i + 1; j < 4; ++j) {
-        oracle_exchange.push_back(q[i][j] / freq[j]);
-      }
-    }
-    const GeneralModel oracle_model = GeneralModel::reversible(
-        "GTR", std::vector<double>(freq.begin(), freq.end()), oracle_exchange);
-
     const Tree tree = random_tree(50, rng);
     const int tip = 0;
-    const int junction = tree.neighbor(tip, 0);
-    GeneralEngine oracle(oracle_data, oracle_model, rates);
-    oracle.attach(tree);
-    const double want_lnl = oracle.log_likelihood();
-    const GeneralEdgeLikelihood want_edge = oracle.edge_likelihood(tip, junction);
-
-    for (simd::Backend backend : backends) {
-      const std::string label = std::string(simd::backend_name(backend)) +
-                                " seed " + std::to_string(seed);
-      ASSERT_TRUE(simd::set_backend(simd::backend_name(backend))) << label;
-      LikelihoodEngine core(core_data, model, rates);
-      core.attach(tree);
-      EXPECT_NEAR(core.log_likelihood(), want_lnl, 1e-10 * std::fabs(want_lnl))
-          << label;
-      const EdgeLikelihood edge = core.edge_likelihood(tip, junction);
-      for (double t : {tree.length(tip, junction), 0.2}) {
-        double d1 = 0.0;
-        double d2 = 0.0;
-        (void)want_edge.evaluate(t, &d1, &d2);
-        const EdgeDerivatives got = edge.derivatives(t);
-        EXPECT_NEAR(got.d1, d1, 1e-9 * std::max(1.0, std::fabs(d1)))
-            << label << " t " << t;
-        EXPECT_NEAR(got.d2, d2, 1e-9 * std::max(1.0, std::fabs(d2)))
-            << label << " t " << t;
-      }
-    }
+    expect_core_matches_oracle(alignment, model, rates, tree,
+                               {{tip, tree.neighbor(tip, 0)}}, 0.2,
+                               backends.list, "seed " + std::to_string(seed));
   }
+}
+
+// The rescaling caterpillar of Engine.ScalingKeepsDeepTreesFinite under
+// F84 + gamma: site likelihoods far below 2^-256 before scaling, so the
+// Newton terms divide by the smallest s the engine sees. Five spine edges
+// from one end of the chain to the other.
+TEST(NEngine, CoreEngineMatchesOracleOnRescaledCaterpillar) {
+  const ExactBackends backends;
+  const int n = 300;
+  Tree tree(n);
+  tree.make_triplet(0, 1, 2, 0.4, 0.4, 0.4);
+  for (int tip = 3; tip < n; ++tip) {
+    tree.insert_tip(tip, tip - 1, tree.neighbor(tip - 1, 0), 0.4);
+  }
+  const SubstModel model =
+      SubstModel::f84_from_tstv({0.3, 0.2, 0.25, 0.25}, 2.0);
+  const RateModel rates = RateModel::discrete_gamma(0.5, 4);
+  Rng rng(17);
+  SimulateOptions options;
+  options.num_sites = 200;
+  const Alignment alignment = simulate_alignment(
+      tree, default_taxon_names(n), model, rates, options, rng);
+
+  std::vector<std::pair<int, int>> spine;
+  for (const auto& [u, v] : tree.edges()) {
+    if (!tree.is_tip(u) && !tree.is_tip(v)) spine.emplace_back(u, v);
+  }
+  ASSERT_GE(spine.size(), 5u);
+  std::vector<std::pair<int, int>> edges;
+  for (std::size_t i = 0; i < 5; ++i) {
+    edges.push_back(spine[i * (spine.size() - 1) / 4]);
+  }
+  const std::uint64_t rescales = expect_core_matches_oracle(
+      alignment, model, rates, tree, edges, 0.05, backends.list, "caterpillar");
+  EXPECT_GT(rescales, 0u) << "tree not deep enough to exercise scaling";
 }
 
 TEST(NEngine, EdgeDerivativesMatchFiniteDifferences) {

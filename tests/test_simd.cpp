@@ -1,9 +1,9 @@
 // Backend-parity tests for the SIMD kernel layer.
 //
 // The determinism contract (util/simd.hpp) says every backend performs the
-// same unfused arithmetic in the same order per pattern, so scalar, SSE2
-// and AVX2 must agree not "approximately" but to within 2 ulps (and in
-// practice bit-exactly). These tests drive every backend compiled into the
+// same unfused arithmetic in the same order per pattern, so scalar, SSE2,
+// AVX2 and AVX-512 must agree not "approximately" but to within 2 ulps (and
+// in practice bit-exactly). These tests drive every backend compiled into the
 // binary — once at the KernelTable level on synthetic planes, and once
 // end-to-end through LikelihoodEngine on randomized alignments with
 // degenerate (gap-only) columns and rescaling-heavy deep trees — and
@@ -259,73 +259,111 @@ TEST(Simd, ClvRescaleMatchesScalar) {
   }
 }
 
+// The capture and lnL-path dots match scalar per pattern; the Newton path is
+// checked against its documented contract (kernels.hpp) written out below as
+// plain scalar code: a category before the last stores s, s' and s'' per
+// pattern, and the last one returns the two sums of w * (s' r) and
+// w * (s'' r - (s' r)^2), r = 1/s, kept only where s > 0, summed in lane
+// p mod 8 and combined pairwise.
 TEST(Simd, EdgeKernelsMatchScalarBitExactly) {
+  constexpr std::size_t kPadded = SyntheticPlanes::kPadded;
+  // Patterns [kPatterns, kPadded) are the zero tail (coefficients and
+  // weights 0); kZeroPattern is a zero-probability pattern mid-plane (all
+  // four coefficients 0) with weight 3, whose terms are NaN unless masked.
+  constexpr std::size_t kPatterns = 61;
+  constexpr std::size_t kZeroPattern = 29;
   const SyntheticPlanes s;
   const KernelTable* scalar = kernel_table(simd::Backend::kScalar);
 
   AlignedVector<double> ref_coeff(SyntheticPlanes::kPlane);
-  scalar->edge_capture(SyntheticPlanes::kPadded, s.a.data(), s.b.data(),
-                       &s.pr[0][0], &(*s.left)[0][0], 0.25, ref_coeff.data());
-  // lnL path, then the Newton path: a first category, then an
-  // accumulating last category that finishes each pattern into its
-  // weighted derivative terms (the multi-category path).
-  AlignedVector<double> weights(SyntheticPlanes::kPadded);
-  for (std::size_t p = 0; p < weights.size(); ++p) {
+  scalar->edge_capture(kPadded, s.a.data(), s.b.data(), &s.pr[0][0],
+                       &(*s.left)[0][0], 0.25, ref_coeff.data());
+  AlignedVector<double> coeff = ref_coeff;
+  AlignedVector<double> weights(kPadded, 0.0);
+  for (std::size_t p = 0; p < kPatterns; ++p) {
     weights[p] = static_cast<double>(1 + p % 5);
   }
-  AlignedVector<double> ref_lnl_site(SyntheticPlanes::kPadded);
-  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
-                        /*accumulate=*/false, ref_lnl_site.data());
-  scalar->edge_evaluate(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
-                        /*accumulate=*/true, ref_lnl_site.data());
-  AlignedVector<double> ref_site(SyntheticPlanes::kPadded),
-      ref_d1(SyntheticPlanes::kPadded), ref_d2(SyntheticPlanes::kPadded);
-  scalar->edge_derivatives(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
-                           s.lam, /*accumulate=*/false, /*weights=*/nullptr,
-                           ref_site.data(), ref_d1.data(), ref_d2.data());
-  const AlignedVector<double> first_d1 = ref_d1;
-  const AlignedVector<double> first_d2 = ref_d2;
-  scalar->edge_derivatives(SyntheticPlanes::kPadded, ref_coeff.data(), s.e,
-                           s.lam, /*accumulate=*/true, weights.data(),
-                           ref_site.data(), ref_d1.data(), ref_d2.data());
-  for (std::size_t p = 0; p < SyntheticPlanes::kPadded; ++p) {
-    // Both paths accumulate s identically; the finished terms are the
-    // scalar formulas applied to the accumulated s, s', s'' (the two passes
-    // are the same category, so s' is twice the first pass's).
-    ASSERT_EQ(ref_lnl_site[p], ref_site[p]) << "site " << p;
-    const double s_p = ref_site[p];
-    const double g = first_d1[p] + first_d1[p];
-    const double h = first_d2[p] + first_d2[p];
-    const double ratio1 = g / s_p;
-    ASSERT_EQ(ref_d1[p], weights[p] * ratio1) << "d1 term " << p;
-    ASSERT_EQ(ref_d2[p], weights[p] * (h / s_p - ratio1 * ratio1))
-        << "d2 term " << p;
+  weights[kZeroPattern] = 3.0;
+  for (std::size_t k = 0; k < 4; ++k) {
+    coeff[k * kPadded + kZeroPattern] = 0.0;
+    for (std::size_t p = kPatterns; p < kPadded; ++p) coeff[k * kPadded + p] = 0.0;
   }
 
-  for (const KernelTable* table : usable_vector_tables()) {
-    AlignedVector<double> coeff(SyntheticPlanes::kPlane);
-    table->edge_capture(SyntheticPlanes::kPadded, s.a.data(), s.b.data(),
-                        &s.pr[0][0], &(*s.left)[0][0], 0.25, coeff.data());
-    for (std::size_t i = 0; i < coeff.size(); ++i) {
-      ASSERT_EQ(ref_coeff[i], coeff[i]) << table->name << " coeff " << i;
+  // lnL path over two categories (the same one twice).
+  AlignedVector<double> ref_lnl_site(kPadded);
+  scalar->edge_evaluate(kPadded, coeff.data(), s.e, /*accumulate=*/false,
+                        ref_lnl_site.data());
+  const AlignedVector<double> first_lnl_site = ref_lnl_site;
+  scalar->edge_evaluate(kPadded, coeff.data(), s.e, /*accumulate=*/true,
+                        ref_lnl_site.data());
+
+  // Newton path, first category: s, s', s'' per pattern, sums zero.
+  AlignedVector<double> ref_site(kPadded), ref_d1(kPadded), ref_d2(kPadded);
+  const EdgeDerivatives none = scalar->edge_derivatives(
+      kPadded, coeff.data(), s.e, s.lam, /*accumulate=*/false,
+      /*weights=*/nullptr, ref_site.data(), ref_d1.data(), ref_d2.data());
+  EXPECT_EQ(none.d1, 0.0);
+  EXPECT_EQ(none.d2, 0.0);
+  for (std::size_t p = 0; p < kPadded; ++p) {
+    ASSERT_EQ(ref_site[p], first_lnl_site[p]) << "site " << p;
+  }
+  EXPECT_EQ(ref_site[kZeroPattern], 0.0);
+  EXPECT_EQ(ref_site[kPadded - 1], 0.0);
+
+  // The finishing pass from the contract, for a last category equal to the
+  // first: accumulated s, s', s'' are the first pass's values doubled.
+  double lanes_d1[8] = {};
+  double lanes_d2[8] = {};
+  for (std::size_t p = 0; p < kPadded; ++p) {
+    const double sp = ref_site[p] + ref_site[p];
+    const double g = ref_d1[p] + ref_d1[p];
+    const double h = ref_d2[p] + ref_d2[p];
+    const double r = 1.0 / sp;
+    const double r1 = g * r;
+    const double t1 = weights[p] * r1;
+    const double t2 = weights[p] * (h * r - r1 * r1);
+    lanes_d1[p % 8] += sp > 0.0 ? t1 : 0.0;
+    lanes_d2[p % 8] += sp > 0.0 ? t2 : 0.0;
+  }
+  const auto combine = [](const double* l) {
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+  };
+  const double want_d1 = combine(lanes_d1);
+  const double want_d2 = combine(lanes_d2);
+  ASSERT_TRUE(std::isfinite(want_d1) && std::isfinite(want_d2));
+
+  std::vector<const KernelTable*> tables{scalar};
+  for (const KernelTable* table : usable_vector_tables()) tables.push_back(table);
+  for (const KernelTable* table : tables) {
+    AlignedVector<double> captured(SyntheticPlanes::kPlane);
+    table->edge_capture(kPadded, s.a.data(), s.b.data(), &s.pr[0][0],
+                        &(*s.left)[0][0], 0.25, captured.data());
+    for (std::size_t i = 0; i < captured.size(); ++i) {
+      ASSERT_EQ(ref_coeff[i], captured[i]) << table->name << " coeff " << i;
     }
-    AlignedVector<double> lnl_site(SyntheticPlanes::kPadded);
-    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, false,
-                         lnl_site.data());
-    table->edge_evaluate(SyntheticPlanes::kPadded, coeff.data(), s.e, true,
-                         lnl_site.data());
-    AlignedVector<double> site(SyntheticPlanes::kPadded),
-        d1(SyntheticPlanes::kPadded), d2(SyntheticPlanes::kPadded);
-    table->edge_derivatives(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
-                            false, nullptr, site.data(), d1.data(), d2.data());
-    table->edge_derivatives(SyntheticPlanes::kPadded, coeff.data(), s.e, s.lam,
-                            true, weights.data(), site.data(), d1.data(),
-                            d2.data());
-    for (std::size_t p = 0; p < SyntheticPlanes::kPadded; ++p) {
+    AlignedVector<double> lnl_site(kPadded);
+    table->edge_evaluate(kPadded, coeff.data(), s.e, false, lnl_site.data());
+    table->edge_evaluate(kPadded, coeff.data(), s.e, true, lnl_site.data());
+    AlignedVector<double> site(kPadded), d1(kPadded), d2(kPadded);
+    table->edge_derivatives(kPadded, coeff.data(), s.e, s.lam, false, nullptr,
+                            site.data(), d1.data(), d2.data());
+    for (std::size_t p = 0; p < kPadded; ++p) {
       ASSERT_EQ(ref_lnl_site[p], lnl_site[p]) << table->name << " site " << p;
-      ASSERT_EQ(ref_site[p], site[p]) << table->name << " site " << p;
-      ASSERT_EQ(ref_d1[p], d1[p]) << table->name << " d1 " << p;
-      ASSERT_EQ(ref_d2[p], d2[p]) << table->name << " d2 " << p;
+      ASSERT_EQ(ref_site[p], site[p]) << table->name << " s " << p;
+      ASSERT_EQ(ref_d1[p], d1[p]) << table->name << " s' " << p;
+      ASSERT_EQ(ref_d2[p], d2[p]) << table->name << " s'' " << p;
+    }
+    const EdgeDerivatives got =
+        table->edge_derivatives(kPadded, coeff.data(), s.e, s.lam, true,
+                                weights.data(), site.data(), d1.data(),
+                                d2.data());
+    ASSERT_EQ(got.d1, want_d1) << table->name;
+    ASSERT_EQ(got.d2, want_d2) << table->name;
+    // The finishing pass stores nothing.
+    for (std::size_t p = 0; p < kPadded; ++p) {
+      ASSERT_EQ(ref_site[p], site[p]) << table->name << " s " << p;
+      ASSERT_EQ(ref_d1[p], d1[p]) << table->name << " s' " << p;
+      ASSERT_EQ(ref_d2[p], d2[p]) << table->name << " s'' " << p;
     }
   }
 }
