@@ -82,17 +82,12 @@ void usage(const char* program) {
 
 void print_version() {
   std::printf("fastdnaml++ (fastDNAml reproduction)\n");
-  std::printf("simd backend: %s (active), tier: %s (active)\n",
-              fdml::simd::backend_name(fdml::simd::active_backend()),
-              fdml::simd::tier_name(fdml::simd::active_tier()));
+  std::printf("simd backend: %s (active)\n",
+              fdml::simd::backend_name(fdml::simd::active_backend()));
   std::printf("simd compiled:");
   for (const fdml::simd::Backend b : fdml::simd::compiled_backends()) {
     std::printf(" %s%s", fdml::simd::backend_name(b),
                 fdml::simd::cpu_supports(b) ? "" : " (unsupported on this cpu)");
-  }
-  std::printf("\ntiers compiled:");
-  for (const fdml::simd::Tier t : fdml::simd::compiled_tiers()) {
-    std::printf(" %s", fdml::simd::tier_name(t));
   }
   std::printf("\n");
 }

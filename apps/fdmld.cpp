@@ -9,7 +9,7 @@
 //   # the server (fabric hub + scheduler + service endpoint)
 //   fdmld --mode=serve --port=7100 --fabric-size=6 --service-port=7200
 //         --taxa=12 --sites=300 --max-active=2 --max-queued=8
-//         --checkpoint-dir=ckpts --metrics-out=metrics.json
+//         --checkpoint-dir=ckpts
 //
 //   # a non-master rank (foreman/monitor/worker), reconnect-hardened
 //   fdmld --mode=role --rank=3 --port=7100 --fabric-size=6
@@ -18,11 +18,8 @@
 //   # submit one job and wait for its tree (exit 0 done, 3 shed, 4 failed)
 //   fdmld --mode=submit --service-port=7200 --seed=11 --out=job11.nwk
 //
-//   # metrics snapshot (JSON, includes service.*, job.<id>.* counters and
-//   # one job_progress row per admitted job)
-//   fdmld --mode=stats --service-port=7200
-//
-//   # Prometheus text exposition (hub + per-rank telemetry + job progress);
+//   # Prometheus text exposition: the hub's registry as rank 0 (service.*
+//   # and job.<id>.* counters), per-rank telemetry and per-job progress;
 //   # per-rank series need the fabric started with --telemetry-ms=N
 //   fdmld --mode=scrape --service-port=7200
 //
@@ -150,16 +147,6 @@ int run_serve(const CliArgs& args) {
               static_cast<unsigned long long>(stats.rejected_full +
                                               stats.rejected_draining),
               static_cast<unsigned long long>(stats.in_flight));
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out", "");
-    std::ofstream out(path);
-    out << obs::MetricsRegistry::process().snapshot().to_json();
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("fdmld: wrote metrics snapshot: %s\n", path.c_str());
-  }
   server.close();
   cluster.shutdown();
   if (segments) {
@@ -237,22 +224,20 @@ int run_submit(const CliArgs& args) {
   return 4;
 }
 
-/// --mode=stats and --mode=scrape: one service query, its reply written to
-/// --out or stdout.
-int run_query(const CliArgs& args, const char* what,
-              std::string (*query)(const std::string&, std::uint16_t,
-                                   std::chrono::milliseconds)) {
+/// --mode=scrape: one Prometheus scrape, written to --out or stdout.
+int run_scrape(const CliArgs& args) {
   const std::string host = args.get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
   std::string text;
   try {
-    text = query(host, port, std::chrono::milliseconds(
-                                 args.get_int("wait-timeout-ms", 10000)));
+    text = service_scrape(host, port,
+                          std::chrono::milliseconds(
+                              args.get_int("wait-timeout-ms", 10000)));
   } catch (const ServiceTimeoutError& error) {
-    std::fprintf(stderr, "%s timed out: %s\n", what, error.what());
+    std::fprintf(stderr, "scrape timed out: %s\n", error.what());
     return 1;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s failed: %s\n", what, error.what());
+    std::fprintf(stderr, "scrape failed: %s\n", error.what());
     return 1;
   }
   if (args.has("out")) {
@@ -306,11 +291,9 @@ int main(int argc, char** argv) {
   if (mode == "serve") return run_serve(args);
   if (mode == "role") return run_role(args);
   if (mode == "submit") return run_submit(args);
-  if (mode == "stats") return run_query(args, "stats", service_query_stats);
-  if (mode == "scrape") return run_query(args, "scrape", service_scrape);
+  if (mode == "scrape") return run_scrape(args);
   if (mode == "proxy") return run_proxy(args);
   std::fprintf(stderr,
-               "usage: fdmld --mode=serve|role|submit|stats|scrape|proxy "
-               "[flags]\n");
+               "usage: fdmld --mode=serve|role|submit|scrape|proxy [flags]\n");
   return 2;
 }

@@ -3,7 +3,7 @@
 // redistributable, so simulated data of identical dimensions stands in).
 //
 //   make_dataset --taxa=50 --sites=1858 --seed=1 --out=data/t50.phy
-//   make_dataset --taxa=150 --sites=1269 --fasta --out=data/t150.fa \
+//   make_dataset --taxa=150 --sites=1269 --fasta --out=data/t150.fa
 //                --truth=data/t150_true.nwk
 #include <cstdio>
 #include <fstream>

@@ -11,7 +11,8 @@
 #   * every admitted job completes with a tree bit-for-bit equal to the
 #     serial reference for its seed (zero jobs lost),
 #   * at least one submission is shed by admission control and the shed
-#     count shows up in the metrics snapshot,
+#     count shows up in the hub's rank-0 series of a scrape and in the
+#     drain summary,
 #   * mid-run Prometheus scrapes (fdmld --mode=scrape) show live nonzero
 #     kernel counters for every worker rank, the killed worker goes stale
 #     within one telemetry window, and a later scrape shows monotonic
@@ -99,7 +100,6 @@ setsid "$FDMLD" --mode=serve --port=$HUB_PORT --fabric-size=$SIZE \
     --trace-dir="$WORKDIR/trace" --trace-segment-bytes=8192 \
     --trace-segments=4096 \
     --checkpoint-dir="$WORKDIR/ckpts" \
-    --metrics-out="$WORKDIR/metrics.json" \
     > "$WORKDIR/serve.log" 2>&1 &
 SERVE_PID=$!
 PIDS+=("$SERVE_PID")
@@ -202,31 +202,30 @@ echo "service_soak: $DONE done (all bit-for-bit), $SHED shed, $LOST lost" >&2
 [ "$DONE" -ge 8 ] || fail "only $DONE jobs completed (need >= 8)"
 [ "$SHED" -ge 1 ] || fail "admission control never shed a job"
 
-# --- live stats: shed count visible, nothing still in flight -------------
-metric() {  # metric FILE NAME -> value (0 if absent)
+# --- live scrape: shed count visible, nothing still in flight ------------
+metric() {  # metric FILE NAME -> the hub's NAME{rank="0"} value (0 if absent)
   local v
-  v=$(grep -o "\"name\":\"$2\",\"value\":[0-9.-]*" "$1" | head -1 \
-      | grep -o '[0-9.-]*$')
+  v=$(grep -m 1 "^$2{rank=\"0\"} " "$1" | cut -d ' ' -f 2)
   echo "${v:-0}"
 }
-"$FDMLD" --mode=stats --service-port=$SVC_PORT --out="$WORKDIR/stats.json" \
-    || fail "stats query"
-REJECTED=$(metric "$WORKDIR/stats.json" service.jobs_rejected_full)
-ACTIVE=$(metric "$WORKDIR/stats.json" service.jobs_active)
-COMPLETED=$(metric "$WORKDIR/stats.json" service.jobs_completed)
-echo "service_soak: stats: completed=$COMPLETED rejected_full=$REJECTED active=$ACTIVE" >&2
-[ "${REJECTED%%.*}" -ge 1 ] || fail "metrics do not report the shed jobs"
-[ "${COMPLETED%%.*}" -eq "$DONE" ] || fail "metrics completed=$COMPLETED, submitters saw $DONE"
+"$FDMLD" --mode=scrape --service-port=$SVC_PORT --out="$WORKDIR/final.prom" \
+    || fail "final scrape"
+REJECTED=$(metric "$WORKDIR/final.prom" fdml_service_jobs_rejected_full)
+ACTIVE=$(metric "$WORKDIR/final.prom" fdml_service_jobs_active)
+COMPLETED=$(metric "$WORKDIR/final.prom" fdml_service_jobs_completed)
+echo "service_soak: scrape: completed=$COMPLETED rejected_full=$REJECTED active=$ACTIVE" >&2
+[ "$REJECTED" -ge 1 ] || fail "metrics do not report the shed jobs"
+[ "$COMPLETED" -eq "$DONE" ] || fail "metrics completed=$COMPLETED, submitters saw $DONE"
 
 # --- graceful drain ------------------------------------------------------
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_STATUS=$?
-grep -q "drained" "$WORKDIR/serve.log" || fail "no drain line in serve.log"
+DRAINED=$(grep -m 1 "drained;" "$WORKDIR/serve.log")
+[ -n "$DRAINED" ] || fail "no drain line in serve.log"
 [ "$SERVE_STATUS" -eq 0 ] || fail "serve exited $SERVE_STATUS (jobs in flight?)"
-[ -s "$WORKDIR/metrics.json" ] || fail "no metrics snapshot written"
-REJECTED_FINAL=$(metric "$WORKDIR/metrics.json" service.jobs_rejected_full)
-[ "${REJECTED_FINAL%%.*}" -ge 1 ] || fail "final snapshot lost the shed count"
+SHED_FINAL=$(echo "$DRAINED" | grep -o '[0-9]* shed' | cut -d ' ' -f 1)
+[ "${SHED_FINAL:-0}" -ge 1 ] || fail "drain summary lost the shed count: $DRAINED"
 
 # --- rotating trace segments stitch back into one valid timeline ---------
 SEGMENTS=$(ls "$WORKDIR/trace"/segment-*.json 2>/dev/null | wc -l)

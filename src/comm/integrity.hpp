@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/message.hpp"
 #include "util/fnv.hpp"
 
 namespace fdml {
@@ -41,24 +40,6 @@ inline bool open_payload(std::vector<std::uint8_t>& payload) {
   if (footer != payload_digest(payload.data(), body)) return false;
   payload.resize(body);
   return true;
-}
-
-/// Tags whose payloads travel sealed. Control tags with empty payloads
-/// (hello, shutdown, nack) are exempt.
-inline bool tag_is_sealed(MessageTag tag) {
-  switch (tag) {
-    case MessageTag::kTask:
-    case MessageTag::kResult:
-    case MessageTag::kRound:
-    case MessageTag::kRoundDone:
-    case MessageTag::kProgress:
-    case MessageTag::kRoundFailed:
-    case MessageTag::kTelemetry:
-    case MessageTag::kMetricsReply:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace fdml

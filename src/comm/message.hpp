@@ -30,8 +30,6 @@ enum class MessageTag : std::uint8_t {
   kJobAccepted = 14,  ///< service -> client: admitted (payload: job id)
   kJobRejected = 15,  ///< service -> client: shed (payload: reason)
   kJobDone = 16,      ///< service -> client: outcome (tree, lnL, status)
-  kStatsQuery = 17,   ///< client -> service: request a metrics snapshot
-  kStatsReply = 18,   ///< service -> client: metrics snapshot JSON
   // Telemetry plane: per-rank metric deltas ride the fabric to rank 0 (the
   // run's only accounting channel); scrape clients pull Prometheus text
   // over the service wire.

@@ -35,9 +35,8 @@ std::uint64_t get_u64(const std::uint8_t* data) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const DurableFrame& frame) {
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   out.reserve(kHeaderSize + frame.payload.size() + kDigestSize);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
   put_u32(out, kDurableFormatVersion);
   put_u32(out, frame.kind);
   put_u64(out, frame.fingerprint);

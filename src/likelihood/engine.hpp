@@ -20,7 +20,7 @@
 //   - CLVs, tip indicators and edge coefficients live in pattern-plane SoA
 //     layout ([category][state][padded pattern]) in 64-byte-aligned arenas,
 //     and the hot loops run through a SIMD backend selected at runtime
-//     (scalar / SSE2 / AVX2 / AVX-512, exact or fast-math tier —
+//     (scalar / SSE2 / AVX2 / AVX-512, bit-identical results —
 //     kernels.hpp); the engine captures a dispatch table at construction
 //     via kernel_table_for_patterns(), which applies the AVX-512 downclock
 //     heuristic to the alignment's pattern count;

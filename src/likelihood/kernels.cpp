@@ -1,5 +1,4 @@
-// Runtime dispatch over the compiled kernel backends and tiers (see
-// kernels.hpp).
+// Runtime dispatch over the compiled kernel backends (see kernels.hpp).
 #include "likelihood/kernels.hpp"
 
 namespace fdml {
@@ -15,50 +14,9 @@ const KernelTable* kernel_table_avx2();
 #if defined(FDML_HAVE_AVX512)
 const KernelTable* kernel_table_avx512();
 #endif
-#if defined(FDML_HAVE_FAST_TIER) && defined(FDML_HAVE_AVX2)
-const KernelTable* kernel_table_avx2_fast();
-#endif
-#if defined(FDML_HAVE_FAST_TIER) && defined(FDML_HAVE_AVX512)
-const KernelTable* kernel_table_avx512_fast();
-#endif
 }  // namespace detail
 
-namespace {
-
-[[maybe_unused]] bool cpu_has_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-const KernelTable* fast_table(simd::Backend backend) {
-  // The fast tier exists only for backends whose TU was compiled AND whose
-  // FMA instructions the CPU actually has (AVX2 does not imply FMA on
-  // paper, even though every real part ships both). scalar/sse2 have no
-  // fast TU — they resolve to their exact tables.
-  switch (backend) {
-    case simd::Backend::kAvx2:
-#if defined(FDML_HAVE_FAST_TIER) && defined(FDML_HAVE_AVX2)
-      return cpu_has_fma() ? detail::kernel_table_avx2_fast() : nullptr;
-#else
-      return nullptr;
-#endif
-    case simd::Backend::kAvx512:
-#if defined(FDML_HAVE_FAST_TIER) && defined(FDML_HAVE_AVX512)
-      // AVX-512F implies FMA on every shipping part, but keep the probe for
-      // symmetry — the table is unreachable without avx512f support anyway.
-      return cpu_has_fma() ? detail::kernel_table_avx512_fast() : nullptr;
-#else
-      return nullptr;
-#endif
-    default:
-      return nullptr;
-  }
-}
-
-const KernelTable* exact_table(simd::Backend backend) {
+const KernelTable* kernel_table(simd::Backend backend) {
   switch (backend) {
     case simd::Backend::kScalar:
       return detail::kernel_table_scalar();
@@ -84,45 +42,38 @@ const KernelTable* exact_table(simd::Backend backend) {
   return nullptr;
 }
 
-/// (backend, tier) with fallback: a missing fast table degrades to the
-/// backend's exact table; a missing backend degrades to scalar.
-const KernelTable& resolve(simd::Backend backend, simd::Tier tier) {
-  if (tier == simd::Tier::kFast) {
-    if (const KernelTable* table = fast_table(backend)) return *table;
-  }
-  if (const KernelTable* table = exact_table(backend)) return *table;
+namespace {
+
+/// The backend's table, or scalar when the backend was not compiled in.
+const KernelTable& resolve(simd::Backend backend) {
+  if (const KernelTable* table = kernel_table(backend)) return *table;
   return *detail::kernel_table_scalar();
 }
 
 }  // namespace
 
-const KernelTable* kernel_table(simd::Backend backend, simd::Tier tier) {
-  return tier == simd::Tier::kFast ? fast_table(backend)
-                                   : exact_table(backend);
-}
-
 const KernelTable& active_kernel_table() {
-  return resolve(simd::active_backend(), simd::active_tier());
+  return resolve(simd::active_backend());
 }
 
 const KernelTable& kernel_table_for_patterns(std::size_t num_patterns) {
   simd::Backend backend = simd::active_backend();
   if (backend == simd::Backend::kAvx512 && !simd::backend_pinned() &&
       num_patterns < kAvx512MinPatterns &&
-      exact_table(simd::Backend::kAvx2) != nullptr &&
+      kernel_table(simd::Backend::kAvx2) != nullptr &&
       simd::cpu_supports(simd::Backend::kAvx2)) {
     // Downclock heuristic: an auto-resolved AVX-512 demotes to AVX2 for
     // small pattern counts (see kAvx512MinPatterns). An explicit
     // FDML_SIMD=avx512 / set_backend("avx512") is honored as pinned.
     backend = simd::Backend::kAvx2;
   }
-  return resolve(backend, simd::active_tier());
+  return resolve(backend);
 }
 
 std::vector<const KernelTable*> compiled_kernel_tables() {
   std::vector<const KernelTable*> tables;
   for (simd::Backend b : simd::compiled_backends()) {
-    if (const KernelTable* table = exact_table(b)) tables.push_back(table);
+    if (const KernelTable* table = kernel_table(b)) tables.push_back(table);
   }
   return tables;
 }

@@ -18,13 +18,9 @@
 // kernels_sse2.cpp at W = 2 with -msse2, kernels_avx2.cpp at W = 4 with
 // -mavx2, kernels_avx512.cpp at W = 8 with -mavx512f/dq) from the same
 // width-generic bodies in kernels_body.hpp, so the math is written exactly
-// once. When the build enables FDML_FAST_MATH, a parallel set of TUs
-// (kernels_{avx2,avx512}_fast.cpp, compiled with -mfma and
-// -ffp-contract=fast) registers Tier::kFast tables that use hardware FMA;
-// backends without a fast TU fall back to their exact table.
-// active_kernel_table() resolves simd::active_backend() and
-// simd::active_tier() (runtime CPUID + FDML_SIMD / FDML_TIER overrides) to
-// a table; the engine captures the table at construction.
+// once. active_kernel_table() resolves simd::active_backend() (runtime
+// CPUID + the FDML_SIMD override) to a table; the engine captures the table
+// at construction.
 //
 // Padded-tail contract: callers zero-fill plane tails (patterns in
 // [num_patterns, padded)). Kernels process full padded ranges; zero inputs
@@ -89,7 +85,6 @@ struct EdgeDerivatives {
 struct KernelTable {
   const char* name;        ///< backend label ("scalar", "sse2", "avx2", "avx512")
   simd::Backend backend;
-  simd::Tier tier;         ///< exact (unfused madd) or fast (hardware FMA)
   int width;               ///< lanes per vector
 
   /// CLV combine over patterns [begin, end): out[s][pat] = left_s(pat) *
@@ -155,15 +150,13 @@ struct KernelTable {
                                       double* site_d2);
 };
 
-/// Table for one (backend, tier) pair, or nullptr if that exact pair was
-/// not compiled in (no fallback — use active_kernel_table() or
-/// kernel_table_for_patterns() for resolving lookups).
-const KernelTable* kernel_table(simd::Backend backend,
-                                simd::Tier tier = simd::Tier::kExact);
+/// Table for one backend, or nullptr if it was not compiled in (no
+/// fallback — use active_kernel_table() or kernel_table_for_patterns() for
+/// resolving lookups).
+const KernelTable* kernel_table(simd::Backend backend);
 
-/// Table for simd::active_backend() at simd::active_tier(). A backend
-/// without a compiled fast table falls back to its exact table; an
-/// uncompiled backend falls back to scalar (always compiled).
+/// Table for simd::active_backend(). An uncompiled backend falls back to
+/// scalar (always compiled).
 const KernelTable& active_kernel_table();
 
 /// active_kernel_table() with the AVX-512 downclock heuristic applied: an
@@ -173,10 +166,9 @@ const KernelTable& active_kernel_table();
 /// license frequency drop for kernels too short to repay it.
 const KernelTable& kernel_table_for_patterns(std::size_t num_patterns);
 
-/// Every exact-tier table compiled into this binary, scalar first. Entries
-/// for backends the running CPU lacks are still returned (callers gate on
-/// simd::cpu_supports before executing them). Fast-tier tables are excluded
-/// — this is the bit-parity set; query them with kernel_table(b, kFast).
+/// Every table compiled into this binary, scalar first: the bit-parity
+/// set. Entries for backends the running CPU lacks are still returned
+/// (callers gate on simd::cpu_supports before executing them).
 std::vector<const KernelTable*> compiled_kernel_tables();
 
 }  // namespace fdml

@@ -1,19 +1,12 @@
 // Width-generic bodies of the likelihood kernels (see kernels.hpp).
 //
 // Included by exactly the per-backend translation units
-// (kernels_{scalar,sse2,avx2,avx512}.cpp and their *_fast siblings), each
-// compiled with its ISA flags, and instantiated at that backend's lane
-// width. The `Fused` policy picks the multiply-add flavor:
-//
-//   Fused = false (exact tier): Vec::madd, an unfused multiply-then-add,
-//     with the TU compiled -ffp-contract=off. All arithmetic is lane-local
-//     and ordered identically at every width, so every exact backend
-//     produces bit-identical per-pattern results — the cross-backend parity
-//     tests rely on this.
-//   Fused = true (fast tier): Vec::fmadd, hardware FMA with one rounding
-//     step. Same operation order, so results stay within ~1e-12 relative of
-//     the exact tier, but bit equality across backends is forfeited (which
-//     is why the tier is opt-in).
+// (kernels_{scalar,sse2,avx2,avx512}.cpp), each compiled with its ISA flags
+// and -ffp-contract=off, and instantiated at that backend's lane width.
+// Every multiply-add is Vec::madd, an unfused multiply-then-add. All
+// arithmetic is lane-local and ordered identically at every width, so
+// every backend produces bit-identical per-pattern results — the
+// cross-backend parity tests rely on this.
 //
 // Perf notes baked into these bodies:
 //   - The 16-entry P(t) rows (and pr/left eigen rows) are copied into local
@@ -36,18 +29,9 @@
 
 namespace fdml::detail {
 
-template <int W, bool Fused = false>
+template <int W>
 struct Kernels {
   using V = simd::Vec<double, W>;
-
-  /// Tier-selected multiply-add (see header comment).
-  static inline V ma(V a, V b, V c) {
-    if constexpr (Fused) {
-      return V::fmadd(a, b, c);
-    } else {
-      return V::madd(a, b, c);
-    }
-  }
 
   /// Loads the four state lanes of one child at `pat`: tip children gather
   /// from the transposed 16-code table, internal children do a P-row dot
@@ -77,9 +61,9 @@ struct Kernels {
       for (int s = 0; s < 4; ++s) {
         const double* row = c.p + s * 4;
         V acc = V::broadcast(row[0]) * a0;
-        acc = ma(V::broadcast(row[1]), a1, acc);
-        acc = ma(V::broadcast(row[2]), a2, acc);
-        acc = ma(V::broadcast(row[3]), a3, acc);
+        acc = V::madd(V::broadcast(row[1]), a1, acc);
+        acc = V::madd(V::broadcast(row[2]), a2, acc);
+        acc = V::madd(V::broadcast(row[3]), a3, acc);
         out[s] = acc;
       }
     }
@@ -213,15 +197,15 @@ struct Kernels {
       for (int k = 0; k < 4; ++k) {
         const double* pk = pr + k * 4;
         V u = V::broadcast(pk[0]) * a0;
-        u = ma(V::broadcast(pk[1]), a1, u);
-        u = ma(V::broadcast(pk[2]), a2, u);
-        u = ma(V::broadcast(pk[3]), a3, u);
+        u = V::madd(V::broadcast(pk[1]), a1, u);
+        u = V::madd(V::broadcast(pk[2]), a2, u);
+        u = V::madd(V::broadcast(pk[3]), a3, u);
         u = prob_v * u;
         const double* lk = left + k * 4;
         V v = V::broadcast(lk[0]) * b0;
-        v = ma(V::broadcast(lk[1]), b1, v);
-        v = ma(V::broadcast(lk[2]), b2, v);
-        v = ma(V::broadcast(lk[3]), b3, v);
+        v = V::madd(V::broadcast(lk[1]), b1, v);
+        v = V::madd(V::broadcast(lk[2]), b2, v);
+        v = V::madd(V::broadcast(lk[3]), b3, v);
         (u * v).store(coeff + static_cast<std::size_t>(k) * padded + pat);
       }
     }
@@ -267,9 +251,9 @@ struct Kernels {
             e2 = V::broadcast(e[2]), e3 = V::broadcast(e[3]);
     for (std::size_t pat = 0; pat < padded; pat += W) {
       V s = V::load(coeff + 0 * padded + pat) * e0;
-      s = ma(V::load(coeff + 1 * padded + pat), e1, s);
-      s = ma(V::load(coeff + 2 * padded + pat), e2, s);
-      s = ma(V::load(coeff + 3 * padded + pat), e3, s);
+      s = V::madd(V::load(coeff + 1 * padded + pat), e1, s);
+      s = V::madd(V::load(coeff + 2 * padded + pat), e2, s);
+      s = V::madd(V::load(coeff + 3 * padded + pat), e3, s);
       if constexpr (Accumulate) s = V::load(site + pat) + s;
       s.store(site + pat);
     }
@@ -323,17 +307,17 @@ struct Kernels {
         const V c2 = V::load(coeff + 2 * padded + pat);
         const V c3 = V::load(coeff + 3 * padded + pat);
         V s = c0 * e0;
-        s = ma(c1, e1, s);
-        s = ma(c2, e2, s);
-        s = ma(c3, e3, s);
+        s = V::madd(c1, e1, s);
+        s = V::madd(c2, e2, s);
+        s = V::madd(c3, e3, s);
         V g = c0 * l0;
-        g = ma(c1, l1, g);
-        g = ma(c2, l2, g);
-        g = ma(c3, l3, g);
+        g = V::madd(c1, l1, g);
+        g = V::madd(c2, l2, g);
+        g = V::madd(c3, l3, g);
         V h = c0 * q0;
-        h = ma(c1, q1, h);
-        h = ma(c2, q2, h);
-        h = ma(c3, q3, h);
+        h = V::madd(c1, q1, h);
+        h = V::madd(c2, q2, h);
+        h = V::madd(c3, q3, h);
         if constexpr (Accumulate) {
           s = V::load(site + pat) + s;
           g = V::load(site_d1 + pat) + g;
@@ -389,20 +373,18 @@ struct Kernels {
   }
 };
 
-template <int W, bool Fused = false>
-KernelTable make_kernel_table(const char* name, simd::Backend backend,
-                              simd::Tier tier = simd::Tier::kExact) {
+template <int W>
+KernelTable make_kernel_table(const char* name, simd::Backend backend) {
   KernelTable table;
   table.name = name;
   table.backend = backend;
-  table.tier = tier;
   table.width = W;
-  table.clv_combine = &Kernels<W, Fused>::clv_combine;
-  table.clv_rescale = &Kernels<W, Fused>::clv_rescale;
-  table.edge_capture = &Kernels<W, Fused>::edge_capture;
-  table.edge_capture_multi = &Kernels<W, Fused>::edge_capture_multi;
-  table.edge_evaluate = &Kernels<W, Fused>::edge_evaluate;
-  table.edge_derivatives = &Kernels<W, Fused>::edge_derivatives;
+  table.clv_combine = &Kernels<W>::clv_combine;
+  table.clv_rescale = &Kernels<W>::clv_rescale;
+  table.edge_capture = &Kernels<W>::edge_capture;
+  table.edge_capture_multi = &Kernels<W>::edge_capture_multi;
+  table.edge_evaluate = &Kernels<W>::edge_evaluate;
+  table.edge_derivatives = &Kernels<W>::edge_derivatives;
   return table;
 }
 

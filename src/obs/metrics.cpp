@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace fdml::obs {
 
@@ -28,46 +26,6 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
 std::int64_t MetricsSnapshot::gauge(std::string_view name) const {
   const auto it = gauges.find(std::string(name));
   return it == gauges.end() ? 0 : it->second;
-}
-
-std::string MetricsSnapshot::to_json() const {
-  std::ostringstream out;
-  out << "[\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out << ",\n";
-    first = false;
-  };
-  for (const auto& [name, value] : counters) {
-    sep();
-    out << "{\"kind\":\"counter\",\"name\":\"" << name << "\",\"value\":" << value
-        << "}";
-  }
-  for (const auto& [name, value] : gauges) {
-    sep();
-    out << "{\"kind\":\"gauge\",\"name\":\"" << name << "\",\"value\":" << value
-        << "}";
-  }
-  for (const auto& hist : histograms) {
-    sep();
-    out << "{\"kind\":\"histogram\",\"name\":\"" << hist.name
-        << "\",\"count\":" << hist.count << ",\"sum\":" << hist.sum
-        << ",\"bounds\":[";
-    for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
-      if (i) out << ",";
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.9g", hist.bounds[i]);
-      out << buf;
-    }
-    out << "],\"buckets\":[";
-    for (std::size_t i = 0; i < hist.buckets.size(); ++i) {
-      if (i) out << ",";
-      out << hist.buckets[i];
-    }
-    out << "]}";
-  }
-  out << "\n]\n";
-  return out.str();
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -92,9 +92,6 @@ struct MetricsSnapshot {
   /// Counter value by name; 0 when the counter was never registered.
   std::uint64_t counter(std::string_view name) const;
   std::int64_t gauge(std::string_view name) const;
-
-  /// One-object-per-line JSON (same dialect as BENCH_kernels.json).
-  std::string to_json() const;
 };
 
 class MetricsRegistry {

@@ -49,15 +49,6 @@ std::vector<std::uint8_t> TelemetryFrame::pack() const {
     out.put_string(name);
     out.put_i64(value);
   }
-  out.put_u32(static_cast<std::uint32_t>(histograms.size()));
-  for (const auto& h : histograms) {
-    out.put_string(h.name);
-    out.put_f64_vector(h.bounds);
-    out.put_u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (std::uint64_t b : h.buckets) out.put_u64(b);
-    out.put_u64(h.count);
-    out.put_f64(h.sum);
-  }
   return out.take();
 }
 
@@ -80,24 +71,6 @@ TelemetryFrame TelemetryFrame::unpack(Unpacker& in) {
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
     std::string name = in.get_string();
     frame.gauges[std::move(name)] = in.get_i64();
-  }
-
-  const std::uint32_t n_histograms = in.get_u32();
-  // name prefix (4) + bounds prefix (4) + bucket prefix (4) + count (8) +
-  // sum (8) even for an empty histogram.
-  in.require_count(n_histograms, 28);
-  frame.histograms.reserve(n_histograms);
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    HistogramDelta h;
-    h.name = in.get_string();
-    h.bounds = in.get_f64_vector();
-    const std::uint32_t n_buckets = in.get_u32();
-    in.require_count(n_buckets, 8);
-    h.buckets.reserve(n_buckets);
-    for (std::uint32_t b = 0; b < n_buckets; ++b) h.buckets.push_back(in.get_u64());
-    h.count = in.get_u64();
-    h.sum = in.get_f64();
-    frame.histograms.push_back(std::move(h));
   }
   return frame;
 }
@@ -127,25 +100,6 @@ TelemetryFrame TelemetryEmitter::collect() {
   }
   // Gauges ship absolute: a delta of a point-in-time value is meaningless.
   frame.gauges = now.gauges;
-  for (const auto& h : now.histograms) {
-    const HistogramSnapshot* prev = nullptr;
-    for (const auto& p : last_.histograms) {
-      if (p.name == h.name) { prev = &p; break; }
-    }
-    if (prev != nullptr && prev->count == h.count) continue;  // unchanged
-    HistogramDelta d;
-    d.name = h.name;
-    d.bounds = h.bounds;
-    d.buckets.resize(h.buckets.size(), 0);
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      const std::uint64_t before =
-          prev != nullptr && i < prev->buckets.size() ? prev->buckets[i] : 0;
-      d.buckets[i] = h.buckets[i] - before;
-    }
-    d.count = h.count - (prev != nullptr ? prev->count : 0);
-    d.sum = h.sum - (prev != nullptr ? prev->sum : 0.0);
-    frame.histograms.push_back(std::move(d));
-  }
 
   last_ = std::move(now);
   return frame;
@@ -184,30 +138,8 @@ TelemetryApply TelemetryAggregator::apply(
   state.last_update = now;
   ++applied_;
 
-  std::uint64_t delta_sum = 0;
-  for (const auto& [name, delta] : frame.counters) {
-    state.counters[name] += delta;
-    delta_sum += delta;
-  }
+  for (const auto& [name, delta] : frame.counters) state.counters[name] += delta;
   for (const auto& [name, value] : frame.gauges) state.gauges[name] = value;
-  for (const auto& d : frame.histograms) {
-    HistogramDelta& total = state.histograms[d.name];
-    if (total.name.empty()) {
-      total = d;
-    } else {
-      if (total.buckets.size() < d.buckets.size()) {
-        total.buckets.resize(d.buckets.size(), 0);
-      }
-      for (std::size_t i = 0; i < d.buckets.size(); ++i) {
-        total.buckets[i] += d.buckets[i];
-      }
-      total.count += d.count;
-      total.sum += d.sum;
-    }
-  }
-
-  rollups_.push_back(RollupSample{now, frame.rank, delta_sum});
-  while (rollups_.size() > kRollupCapacity) rollups_.pop_front();
   return TelemetryApply::kApplied;
 }
 
@@ -236,26 +168,9 @@ std::vector<RankTelemetry> TelemetryAggregator::ranks(
     row.stale = age > options_.stale_after;
     row.counters = state.counters;
     row.gauges = state.gauges;
-    row.histograms.reserve(state.histograms.size());
-    for (const auto& [name, h] : state.histograms) row.histograms.push_back(h);
     out.push_back(std::move(row));
   }
   return out;
-}
-
-std::map<std::string, std::uint64_t> TelemetryAggregator::cluster_counters()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [rank, state] : ranks_) {
-    for (const auto& [name, value] : state.counters) out[name] += value;
-  }
-  return out;
-}
-
-std::vector<RollupSample> TelemetryAggregator::rollups() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<RollupSample>(rollups_.begin(), rollups_.end());
 }
 
 std::uint64_t TelemetryAggregator::frames_applied() const {
@@ -286,7 +201,7 @@ std::string prometheus_name(std::string_view raw) {
       out.push_back('_');
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 
@@ -370,10 +285,6 @@ std::string to_prometheus(const TelemetryAggregator& aggregator,
       out << "fdml_" << prometheus_name(name) << "{" << labels << "} " << value
           << "\n";
     }
-    for (const auto& h : row.histograms) {
-      render_histogram(out, "fdml_" + prometheus_name(h.name), labels,
-                       h.bounds, h.buckets, h.count, h.sum);
-    }
   }
   out << "fdml_telemetry_frames_applied " << aggregator.frames_applied()
       << "\n";
@@ -400,22 +311,6 @@ std::string to_prometheus(const std::vector<JobProgressRow>& jobs) {
     }
     out << "fdml_job_checkpoint_generation{" << labels << "} "
         << job.checkpoint_generation << "\n";
-  }
-  return out.str();
-}
-
-std::string job_progress_json(const std::vector<JobProgressRow>& jobs) {
-  std::ostringstream out;
-  for (const auto& job : jobs) {
-    out << "{\"kind\":\"job_progress\",\"job\":" << job.job_id << ",\"phase\":\""
-        << job.phase << "\",\"taxa_in_tree\":" << job.taxa_in_tree
-        << ",\"round\":" << job.round << ",\"tasks_done\":" << job.tasks_done
-        << ",\"tasks_total\":" << job.tasks_total;
-    if (job.has_best) {
-      out << ",\"best_lnl\":" << format_double(job.best_log_likelihood);
-    }
-    out << ",\"checkpoint_generation\":" << job.checkpoint_generation
-        << "}\n";
   }
   return out.str();
 }

@@ -1,20 +1,20 @@
 // The live telemetry plane (DESIGN.md §5i).
 //
-// Long fdmld runs host many concurrent searches for days; point-in-time
-// stats queries only see the hub process's registry. This module carries
-// every rank's registry to rank 0 — the run's one accounting channel — and
-// makes the cluster observable *while it runs*:
+// Long fdmld runs host many concurrent searches for days; the hub
+// process's own registry sees none of the other ranks' work. This module
+// carries every rank's counters and gauges to rank 0 — the run's one
+// accounting channel — and makes the cluster observable *while it runs*:
 //
 //   - TelemetryEmitter: each rank periodically snapshots its local
-//     MetricsRegistry, diffs it against the previous snapshot, and ships
-//     the delta as a TelemetryFrame (kTelemetry on the fabric). Deltas keep
-//     frames small and make rank-0 totals additive across emitter
-//     incarnations — a revived foreman restarts its sequence under a fresh
-//     incarnation id and the aggregate stays monotonic.
+//     MetricsRegistry, diffs its counters against the previous snapshot,
+//     and ships the delta as a TelemetryFrame (kTelemetry on the fabric).
+//     Deltas keep frames small and make rank-0 totals additive across
+//     emitter incarnations — a revived foreman restarts its sequence under
+//     a fresh incarnation id and the aggregate stays monotonic. Registry
+//     histograms are not shipped; the hub renders its own as rank 0.
 //   - TelemetryAggregator (rank 0): per-rank cumulative totals with
 //     last-update staleness (a dead rank's series is *marked* stale, never
-//     silently frozen), duplicate/out-of-order frame rejection, and bounded
-//     time-series rings of cluster rollups.
+//     silently frozen) and duplicate/out-of-order frame rejection.
 //   - Prometheus text exposition: the aggregate, a raw MetricsSnapshot, and
 //     per-job progress all render to the standard text format
 //     (`fdmld --mode=scrape`, kMetricsQuery over the service wire).
@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,19 +37,8 @@
 
 namespace fdml::obs {
 
-/// Histogram delta carried by a frame: per-bucket increments plus the
-/// count/sum increments, with the bounds repeated so the receiver can
-/// materialize a histogram it has never seen.
-struct HistogramDelta {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (overflow last)
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
-
-/// One periodic per-rank metrics delta. Counters/histograms are increments
-/// since the previous frame; gauges are absolute (last-writer-wins).
+/// One periodic per-rank metrics delta. Counters are increments since the
+/// previous frame; gauges are absolute (last-writer-wins).
 struct TelemetryFrame {
   int rank = -1;
   /// Random per-emitter id: a restarted rank gets a new incarnation, which
@@ -60,7 +48,6 @@ struct TelemetryFrame {
   std::uint64_t seq = 0;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
-  std::vector<HistogramDelta> histograms;
 
   std::vector<std::uint8_t> pack() const;
   static TelemetryFrame unpack(Unpacker& in);
@@ -116,26 +103,15 @@ struct RankTelemetry {
   std::int64_t age_ms = 0;
   std::map<std::string, std::uint64_t> counters;  // summed deltas
   std::map<std::string, std::int64_t> gauges;     // newest values
-  std::vector<HistogramDelta> histograms;         // summed deltas
 
   /// Summed counter by name; 0 when the rank never reported it.
   std::uint64_t counter(std::string_view name) const;
-};
-
-/// One cluster rollup sample (recorded per applied frame).
-struct RollupSample {
-  std::chrono::steady_clock::time_point at;
-  int rank = -1;
-  std::uint64_t counter_sum = 0;  // sum of the frame's counter deltas
 };
 
 /// Rank-0 aggregation of TelemetryFrames. Thread-safe: the fabric pump
 /// applies frames while scrape handlers render.
 class TelemetryAggregator {
  public:
-  /// Bounded rollup ring: the newest kRollupCapacity cluster samples.
-  static constexpr std::size_t kRollupCapacity = 256;
-
   explicit TelemetryAggregator(TelemetryAggregatorOptions options = {});
 
   TelemetryApply apply(const TelemetryFrame& frame,
@@ -145,12 +121,6 @@ class TelemetryAggregator {
   /// Per-rank state with staleness evaluated at `now`, rank-ordered.
   std::vector<RankTelemetry> ranks(std::chrono::steady_clock::time_point now =
                                        std::chrono::steady_clock::now()) const;
-
-  /// Cluster totals: every rank's counters summed.
-  std::map<std::string, std::uint64_t> cluster_counters() const;
-
-  /// Newest rollup samples, oldest first (bounded by kRollupCapacity).
-  std::vector<RollupSample> rollups() const;
 
   std::uint64_t frames_applied() const;
   std::uint64_t frames_dropped() const;  // duplicates + out-of-order
@@ -168,13 +138,11 @@ class TelemetryAggregator {
     std::chrono::steady_clock::time_point last_update{};
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::int64_t> gauges;
-    std::map<std::string, HistogramDelta> histograms;
   };
 
   TelemetryAggregatorOptions options_;
   mutable std::mutex mutex_;
   std::map<int, RankState> ranks_;
-  std::deque<RollupSample> rollups_;
   std::uint64_t applied_ = 0;
   std::uint64_t dropped_ = 0;
 };
@@ -212,7 +180,7 @@ std::string to_prometheus(const MetricsSnapshot& snapshot,
                           const std::string& prefix = "fdml_",
                           const std::string& labels = "");
 
-/// Renders the cluster aggregate: per-rank counter/gauge/histogram series
+/// Renders the cluster aggregate: per-rank counter and gauge series
 /// labelled {rank="N"}, plus fdml_rank_stale / fdml_rank_age_ms /
 /// fdml_rank_frames liveness series and fdml_telemetry_* aggregator
 /// counters.
@@ -222,9 +190,5 @@ std::string to_prometheus(const TelemetryAggregator& aggregator,
 
 /// Renders per-job progress series labelled {job="N"}.
 std::string to_prometheus(const std::vector<JobProgressRow>& jobs);
-
-/// One-object-per-line JSON rows for the extended kStatsQuery reply (same
-/// dialect as MetricsSnapshot::to_json, without the surrounding brackets).
-std::string job_progress_json(const std::vector<JobProgressRow>& jobs);
 
 }  // namespace fdml::obs

@@ -75,8 +75,6 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
   obs::MetricsRegistry registry;
   obs::TelemetryEmitter emitter(registry, transport.rank());
   KernelCounters last_counters;
-  obs::Histogram& task_batch =
-      registry.histogram("worker.task_batch", {1, 2, 4, 8, 16, 32});
   auto next_emit = std::chrono::steady_clock::now() + options.telemetry_interval;
   const auto emit_telemetry = [&] {
     fold_kernel_counters(registry, evaluator.engine().counters(),
@@ -88,13 +86,9 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
   };
 
   transport.send(kForemanRank, MessageTag::kHello, {});
-  std::optional<Message> deferred;
   while (true) {
     std::optional<Message> message;
-    if (deferred.has_value()) {
-      message = std::move(deferred);
-      deferred.reset();
-    } else if (!telemetry_on) {
+    if (!telemetry_on) {
       message = transport.recv();
     } else {
       // Bounded waits so the emitter fires on schedule even when the
@@ -130,54 +124,28 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
       continue;
     }
 
-    // Batch assembly: drain any task messages already queued behind this
-    // one (an eagerly-dispatching foreman, or a backlog after a stall) so
-    // candidate insertion tasks are scored through the batched multi-edge
-    // path. An empty queue degrades to a batch of one — the scheduling
-    // behaviour of the one-task-at-a-time loop. A non-task message pauses
-    // draining and is handled after the batch completes.
-    std::vector<TreeTask> batch;
-    auto enqueue = [&](std::optional<Message> m) {
-      std::optional<TreeTask> task = decode_task(std::move(m->payload));
-      if (!task.has_value()) {
-        ++stats.corrupt_tasks;
-        registry.counter("worker.corrupt_tasks").add(1);
-        obs::instant("worker", "corrupt_task");
-        FDML_WARN("worker") << "rank " << transport.rank()
-                            << " received a malformed task payload; nacking";
-        transport.send(kForemanRank, MessageTag::kNack, {});
-        return;
-      }
-      batch.push_back(std::move(*task));
-    };
-    enqueue(std::move(message));
-    while (batch.size() < TaskEvaluator::kChunk) {
-      std::optional<Message> next =
-          transport.recv_for(std::chrono::milliseconds(0));
-      if (!next.has_value()) break;
-      if (next->tag != MessageTag::kTask) {
-        deferred = std::move(next);
-        break;
-      }
-      enqueue(std::move(next));
+    // One task per message, as the self-scheduling foreman sends them.
+    const std::optional<TreeTask> task =
+        decode_task(std::move(message->payload));
+    if (!task.has_value()) {
+      ++stats.corrupt_tasks;
+      registry.counter("worker.corrupt_tasks").add(1);
+      obs::instant("worker", "corrupt_task");
+      FDML_WARN("worker") << "rank " << transport.rank()
+                          << " received a malformed task payload; nacking";
+      transport.send(kForemanRank, MessageTag::kNack, {});
+      continue;
     }
-    if (batch.empty()) continue;  // every drained payload was corrupt
-    task_batch.observe(static_cast<double>(batch.size()));
 
-    std::vector<TaskResult> results;
+    TaskResult result;
     {
-      // One span covers the whole batch (the report layer derives worker
-      // busy time and task counts from worker/task spans; a batch of one —
-      // the self-scheduling common case — traces exactly as before).
       obs::Span span("worker", "task", "task",
-                     static_cast<std::int64_t>(batch.front().task_id), "round",
-                     static_cast<std::int64_t>(batch.front().round_id));
-      for (const TreeTask& task : batch) {
-        obs::flow(obs::Phase::kFlowStep,
-                  obs::task_flow_id(task.round_id, task.task_id));
-      }
+                     static_cast<std::int64_t>(task->task_id), "round",
+                     static_cast<std::int64_t>(task->round_id));
+      obs::flow(obs::Phase::kFlowStep,
+                obs::task_flow_id(task->round_id, task->task_id));
       const KernelCounters before = evaluator.engine().counters();
-      results = evaluator.evaluate_batch(batch);
+      result = evaluator.evaluate(*task);
       const KernelCounters after = evaluator.engine().counters();
       span.set_end_args(
           "clv",
@@ -187,17 +155,15 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
           static_cast<std::int64_t>(after.edge_evaluations -
                                     before.edge_evaluations));
     }
-    for (TaskResult& result : results) {
-      result.worker = transport.rank();
-      ++stats.tasks_evaluated;
-      registry.counter("worker.tasks_evaluated").add(1);
-      stats.cpu_seconds += result.cpu_seconds;
-      Packer packer;
-      result.pack(packer);
-      auto payload = packer.take();
-      seal_payload(payload);
-      transport.send(kForemanRank, MessageTag::kResult, std::move(payload));
-    }
+    result.worker = transport.rank();
+    ++stats.tasks_evaluated;
+    registry.counter("worker.tasks_evaluated").add(1);
+    stats.cpu_seconds += result.cpu_seconds;
+    Packer packer;
+    result.pack(packer);
+    auto payload = packer.take();
+    seal_payload(payload);
+    transport.send(kForemanRank, MessageTag::kResult, std::move(payload));
   }
   return stats;
 }

@@ -256,13 +256,6 @@ void ServiceServer::serve_connection(int fd) {
       send_service_frame(fd, MessageTag::kJobDone, std::move(encoded));
       break;
     }
-    case MessageTag::kStatsQuery: {
-      const std::string json = stats_reply_json();
-      std::vector<std::uint8_t> payload(json.begin(), json.end());
-      seal_payload(payload);
-      send_service_frame(fd, MessageTag::kStatsReply, std::move(payload));
-      break;
-    }
     case MessageTag::kMetricsQuery: {
       const std::string text = prometheus_exposition();
       std::vector<std::uint8_t> payload(text.begin(), text.end());
@@ -275,30 +268,6 @@ void ServiceServer::serve_connection(int fd) {
       break;
   }
   ::close(fd);
-}
-
-std::string ServiceServer::stats_reply_json() const {
-  const std::string json = registry_.snapshot().to_json();
-  const std::string rows = obs::job_progress_json(scheduler_.progress());
-  if (rows.empty()) return json;
-  // to_json emits "[\n" <objects joined ",\n"> "\n]\n"; splice the per-job
-  // progress rows in as extra array elements before the closing bracket.
-  const auto close = json.rfind("\n]");
-  if (close == std::string::npos) return json;
-  std::string head = json.substr(0, close);
-  bool first = head.find('{') == std::string::npos;
-  std::ostringstream out;
-  out << head;
-  std::istringstream lines(rows);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    if (!first) out << ",\n";
-    out << line;
-    first = false;
-  }
-  out << "\n]\n";
-  return out.str();
 }
 
 std::string ServiceServer::prometheus_exposition() const {
@@ -355,33 +324,6 @@ WireFrame recv_or_throw(int fd, FrameParser& parser, Clock::time_point deadline,
   }
 }
 
-/// One-shot query/reply exchange returning the reply's opened payload as
-/// text (the stats and scrape clients differ only in tags).
-std::string query_text(const std::string& host, std::uint16_t port,
-                       MessageTag query, MessageTag reply_tag,
-                       const std::string& operation,
-                       std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  const int fd = dial(host, port, deadline, timeout);
-  if (!send_service_frame(fd, query, {})) {
-    ::close(fd);
-    throw std::runtime_error("service: " + operation + " write failed");
-  }
-  FrameParser parser;
-  const WireFrame frame =
-      recv_or_throw(fd, parser, deadline, timeout, operation + " reply");
-  ::close(fd);
-  if (frame.tag != reply_tag) {
-    throw std::runtime_error("service: unexpected reply to " + operation);
-  }
-  std::vector<std::uint8_t> body = frame.payload;
-  if (!open_payload(body)) {
-    throw std::runtime_error("service: " + operation +
-                             " reply failed integrity check");
-  }
-  return std::string(body.begin(), body.end());
-}
-
 }  // namespace
 
 ServiceReply service_submit(const std::string& host, std::uint16_t port,
@@ -427,16 +369,26 @@ ServiceReply service_submit(const std::string& host, std::uint16_t port,
   return reply;
 }
 
-std::string service_query_stats(const std::string& host, std::uint16_t port,
-                                std::chrono::milliseconds timeout) {
-  return query_text(host, port, MessageTag::kStatsQuery,
-                    MessageTag::kStatsReply, "stats query", timeout);
-}
-
 std::string service_scrape(const std::string& host, std::uint16_t port,
                            std::chrono::milliseconds timeout) {
-  return query_text(host, port, MessageTag::kMetricsQuery,
-                    MessageTag::kMetricsReply, "scrape", timeout);
+  const auto deadline = Clock::now() + timeout;
+  const int fd = dial(host, port, deadline, timeout);
+  if (!send_service_frame(fd, MessageTag::kMetricsQuery, {})) {
+    ::close(fd);
+    throw std::runtime_error("service: scrape write failed");
+  }
+  FrameParser parser;
+  const WireFrame frame =
+      recv_or_throw(fd, parser, deadline, timeout, "scrape reply");
+  ::close(fd);
+  if (frame.tag != MessageTag::kMetricsReply) {
+    throw std::runtime_error("service: unexpected reply to scrape");
+  }
+  std::vector<std::uint8_t> body = frame.payload;
+  if (!open_payload(body)) {
+    throw std::runtime_error("service: scrape reply failed integrity check");
+  }
+  return std::string(body.begin(), body.end());
 }
 
 }  // namespace fdml

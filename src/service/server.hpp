@@ -7,8 +7,8 @@
 //            server kJobAccepted(u64 job id) | kJobRejected(u8 reason)
 //            ... job runs ...
 //            server kJobDone(sealed JobOutcome), connection closes
-//   stats:   client kStatsQuery()
-//            server kStatsReply(sealed metrics-snapshot JSON), closes
+//   scrape:  client kMetricsQuery()
+//            server kMetricsReply(sealed Prometheus text), closes
 //
 // Malformed traffic (bad framing, failed integrity, unknown tag) is a
 // counted reject/close, never a crash: the service outlives its clients.
@@ -62,7 +62,7 @@ class ServiceTimeoutError : public std::runtime_error {
 class ServiceServer {
  public:
   /// Binds and starts serving immediately. `scheduler` must outlive the
-  /// server; `registry` is what kStatsQuery snapshots.
+  /// server; `registry` is the hub process's rank-0 series in the scrape.
   ServiceServer(JobScheduler& scheduler, obs::MetricsRegistry& registry,
                 ServiceServerOptions options);
   ~ServiceServer();
@@ -80,8 +80,6 @@ class ServiceServer {
  private:
   void accept_loop();
   void serve_connection(int fd);
-  /// Metrics-snapshot JSON extended with one job_progress row per job.
-  std::string stats_reply_json() const;
   /// Prometheus text: hub-process registry (rank 0) + cluster telemetry
   /// aggregate + per-job progress series.
   std::string prometheus_exposition() const;
@@ -113,11 +111,6 @@ struct ServiceReply {
 ServiceReply service_submit(const std::string& host, std::uint16_t port,
                             const JobSpec& spec,
                             std::chrono::milliseconds timeout);
-
-/// Fetches the service's metrics snapshot (one-object-per-line JSON, with
-/// job_progress rows). Throws ServiceTimeoutError on a wedged server.
-std::string service_query_stats(const std::string& host, std::uint16_t port,
-                                std::chrono::milliseconds timeout);
 
 /// Fetches the Prometheus text exposition (kMetricsQuery). Throws
 /// ServiceTimeoutError on a wedged server.

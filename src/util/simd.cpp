@@ -73,23 +73,6 @@ BackendState& active_state() {
   return active;
 }
 
-/// Requested tier: FDML_TIER in the environment, else exact. Unknown or
-/// uncompiled values fall back to exact.
-Tier resolve_tier_auto() {
-  if (const char* env = std::getenv("FDML_TIER")) {
-    const std::string name(env);
-    for (Tier t : compiled_tiers()) {
-      if (name == tier_name(t)) return t;
-    }
-  }
-  return Tier::kExact;
-}
-
-Tier& tier_state() {
-  static Tier active = resolve_tier_auto();
-  return active;
-}
-
 }  // namespace
 
 const char* backend_name(Backend b) {
@@ -135,34 +118,6 @@ bool set_backend(const std::string& name) {
     if (name == backend_name(b)) {
       if (!cpu_supports(b) || !is_compiled(b)) return false;
       active_state() = {b, true};
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* tier_name(Tier t) {
-  return t == Tier::kFast ? "fast" : "exact";
-}
-
-std::vector<Tier> compiled_tiers() {
-  std::vector<Tier> tiers{Tier::kExact};
-#if defined(FDML_HAVE_FAST_TIER)
-  tiers.push_back(Tier::kFast);
-#endif
-  return tiers;
-}
-
-Tier active_tier() { return tier_state(); }
-
-bool set_tier(const std::string& name) {
-  if (name == "auto") {
-    tier_state() = resolve_tier_auto();
-    return true;
-  }
-  for (Tier t : compiled_tiers()) {
-    if (name == tier_name(t)) {
-      tier_state() = t;
       return true;
     }
   }

@@ -8,24 +8,13 @@
 // their width; everything else in the tree stays ISA-agnostic and picks an
 // implementation through the runtime dispatch table below.
 //
-// Determinism contract (exact tier): kernels use madd() — an UNFUSED
-// multiply-then-add — never hardware FMA, and the kernel TUs are compiled
-// with -ffp-contract=off. Each pattern's arithmetic is lane-local and
-// performed in the same order at every width, so all backends produce
-// bit-identical per-pattern results (the backend-parity test asserts a
-// 2-ulp bound but exact equality is the design point). A backend may only
-// change *which* instructions run, never the answer.
-//
-// Fast-math tier: when the build enables FDML_FAST_MATH, a second set of
-// kernel TUs is compiled with hardware FMA (-mfma, -ffp-contract=fast) and
-// registered in the dispatch table under Tier::kFast. The fast tier trades
-// the cross-backend bit-equality contract for fused rounding (one rounding
-// step per multiply-add instead of two); its results stay within ~1e-12
-// relative of the exact tier but are NOT bit-identical across backends,
-// which is why it is opt-in (set_tier / FDML_TIER=fast) and never the
-// default. Tier state lives here next to backend state; which (backend,
-// tier) pairs actually have compiled tables is the kernel dispatch layer's
-// business (likelihood/kernels.hpp).
+// Determinism contract: kernels use madd() — an UNFUSED multiply-then-add —
+// never hardware FMA, and the kernel TUs are compiled with
+// -ffp-contract=off. Each pattern's arithmetic is lane-local and performed
+// in the same order at every width, so all backends produce bit-identical
+// per-pattern results (the backend-parity test asserts a 2-ulp bound but
+// exact equality is the design point). A backend may only change *which*
+// instructions run, never the answer.
 //
 // Backend state: active_backend() starts at the widest compiled backend the
 // CPU supports (CPUID probe), overridable by the FDML_SIMD environment
@@ -46,7 +35,6 @@
 // tells that layer whether the current selection was forced.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -97,29 +85,13 @@ bool set_backend(const std::string& name);
 /// counts (downclock heuristic in the kernel dispatch layer).
 bool backend_pinned();
 
-// ---------------------------------------------------------------------------
-// Numeric tier: exact (default, bit-reproducible across backends) or fast
-// (hardware FMA, opt-in). Mirrors the backend state machinery.
-// ---------------------------------------------------------------------------
+/// The kernels' numeric tier. There is one: exact, the bit-reproducible
+/// arithmetic above. Run headers print it.
+enum class Tier { kExact = 0 };
 
-enum class Tier { kExact = 0, kFast = 1 };
+constexpr const char* tier_name(Tier) { return "exact"; }
 
-const char* tier_name(Tier t);
-
-/// Tiers this binary was built with. Exact is always present; fast requires
-/// configuring with -DFDML_FAST_MATH=ON.
-std::vector<Tier> compiled_tiers();
-
-/// The tier new LikelihoodEngines will request. Resolution order: an
-/// earlier set_tier() call, else the FDML_TIER environment variable, else
-/// exact. Note the *requested* tier: a backend with no fast table compiled
-/// falls back to its exact table (see kernels.hpp).
-Tier active_tier();
-
-/// Forces the tier by name ("exact", "fast", or "auto" to return to
-/// env/default resolution). Returns false — and leaves the state unchanged —
-/// if the name is unknown or the tier was not compiled in.
-bool set_tier(const std::string& name);
+constexpr Tier active_tier() { return Tier::kExact; }
 
 // ---------------------------------------------------------------------------
 // Vec<double, W>: the operations the likelihood kernels need, nothing more.
@@ -190,13 +162,6 @@ struct Vec {
   /// Unfused multiply-add: a * b + c evaluated as separate rounding steps
   /// (see the determinism contract above).
   static Vec madd(Vec a, Vec b, Vec c) { return a * b + c; }
-  /// Fused multiply-add: a * b + c with a single rounding step. Only the
-  /// fast tier instantiates this; the exact tier never calls it.
-  static Vec fmadd(Vec a, Vec b, Vec c) {
-    Vec v;
-    for (int i = 0; i < W; ++i) v.lane[i] = std::fma(a.lane[i], b.lane[i], c.lane[i]);
-    return v;
-  }
   /// Bitmask of lanes where a < b (lane i -> bit i), the movemask idiom the
   /// vectorized underflow check uses.
   static int lt_mask(Vec a, Vec b) {
@@ -247,13 +212,6 @@ struct Vec<double, 2> {
   static Vec max(Vec a, Vec b) { return {_mm_max_pd(a.v, b.v)}; }
   static Vec madd(Vec a, Vec b, Vec c) {
     return {_mm_add_pd(_mm_mul_pd(a.v, b.v), c.v)};
-  }
-  static Vec fmadd(Vec a, Vec b, Vec c) {
-#if defined(__FMA__)
-    return {_mm_fmadd_pd(a.v, b.v, c.v)};
-#else
-    return madd(a, b, c);
-#endif
   }
   static int lt_mask(Vec a, Vec b) {
     return _mm_movemask_pd(_mm_cmplt_pd(a.v, b.v));
@@ -314,13 +272,6 @@ struct Vec<double, 4> {
     // break cross-backend bit equality.
     return {_mm256_add_pd(_mm256_mul_pd(a.v, b.v), c.v)};
   }
-  static Vec fmadd(Vec a, Vec b, Vec c) {
-#if defined(__FMA__)
-    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-    return madd(a, b, c);
-#endif
-  }
   static int lt_mask(Vec a, Vec b) {
     return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ));
   }
@@ -368,13 +319,9 @@ struct Vec<double, 8> {
     return {_mm512_maskz_max_pd(static_cast<__mmask8>(-1), a.v, b.v)};
   }
   static Vec madd(Vec a, Vec b, Vec c) {
-    // Separate mul + add, same as every exact-tier backend. AVX-512 has no
-    // non-fused 512-bit multiply-add, so this is two instructions; the
-    // fast tier gets the fused form below.
+    // Separate mul + add, same as every other backend. AVX-512 has no
+    // non-fused 512-bit multiply-add, so this is two instructions.
     return {_mm512_add_pd(_mm512_mul_pd(a.v, b.v), c.v)};
-  }
-  static Vec fmadd(Vec a, Vec b, Vec c) {
-    return {_mm512_fmadd_pd(a.v, b.v, c.v)};
   }
   static int lt_mask(Vec a, Vec b) {
     return static_cast<int>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ));

@@ -13,9 +13,7 @@
 #     backend that is not compiled in or that the CPU lacks falls back
 #     silently, so each pin is confirmed through --version first and
 #     skipped otherwise. A change that moves the result (say, a new
-#     smoothing order) re-records it on purpose. The fast kernel tier
-#     (FDML_TIER=fast) promises closeness, not bit equality, so it skips
-#     this check.
+#     smoothing order) re-records it on purpose.
 set -u
 
 BIN=$1
@@ -51,20 +49,16 @@ grep -q "cannot resume" "$WORK/resume.log" || fail "no 'cannot resume' message"
 status=$?
 [ "$status" -eq 2 ] || fail "--chaos without --workers exited $status, not 2"
 
-if [ "${FDML_TIER:-exact}" = "fast" ]; then
-  echo "test_cli: FDML_TIER=fast, skipping the sample24 reference check"
-else
-  for backend in scalar sse2 avx2 avx512; do
-    if ! FDML_SIMD=$backend "$BIN" --version \
-        | grep -q "simd backend: $backend (active)"; then
-      echo "test_cli: $backend backend not available, skipping its sample24 run"
-      continue
-    fi
-    FDML_SIMD=$backend "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet \
-        --out="$WORK/sample24.$backend.out" > /dev/null \
-        || fail "sample24 run on $backend exited $?"
-    cmp "$WORK/sample24.$backend.out" "$ROOT/data/sample24_seed3.out" \
-        || fail "sample24 seed 3 result on $backend differs from data/sample24_seed3.out"
-  done
-fi
+for backend in scalar sse2 avx2 avx512; do
+  if ! FDML_SIMD=$backend "$BIN" --version \
+      | grep -q "simd backend: $backend (active)"; then
+    echo "test_cli: $backend backend not available, skipping its sample24 run"
+    continue
+  fi
+  FDML_SIMD=$backend "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet \
+      --out="$WORK/sample24.$backend.out" > /dev/null \
+      || fail "sample24 run on $backend exited $?"
+  cmp "$WORK/sample24.$backend.out" "$ROOT/data/sample24_seed3.out" \
+      || fail "sample24 seed 3 result on $backend differs from data/sample24_seed3.out"
+done
 echo "test_cli: ok"

@@ -183,7 +183,7 @@ TEST(CheckpointStore, RollsBackPastACorruptNewestGeneration) {
   store.commit(kFrameSearchCheckpoint, 7, bytes_of("doomed"));
 
   // Corrupt generation 2 AND the base copy: recovery must roll back to 1.
-  for (const std::string path :
+  for (const std::string& path :
        {dir.file("run.ckpt.gen-2"), dir.file("run.ckpt")}) {
     auto bytes = *real_vfs().read_file(path);
     bytes[bytes.size() / 2] ^= 0xff;

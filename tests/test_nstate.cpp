@@ -338,19 +338,15 @@ TEST(NEngine, FourStateEngineAgreesWithCoreEngine) {
 // scaling, one kernel table per SIMD backend) against the N-state engine
 // (plain post-order pruning off P(t)).
 
-// Every exact-tier backend this CPU runs; automatic selection comes back
-// when the guard ends, even on assertion failure.
+// Every backend this CPU runs; automatic selection comes back when the
+// guard ends, even on assertion failure.
 struct ExactBackends {
   ExactBackends() {
-    simd::set_tier("exact");
     for (simd::Backend b : simd::compiled_backends()) {
       if (simd::cpu_supports(b)) list.push_back(b);
     }
   }
-  ~ExactBackends() {
-    simd::set_backend("auto");
-    simd::set_tier("auto");
-  }
+  ~ExactBackends() { simd::set_backend("auto"); }
   std::vector<simd::Backend> list;
 };
 

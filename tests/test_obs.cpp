@@ -76,7 +76,6 @@ TEST(Metrics, HistogramBucketsAndOverflow) {
   EXPECT_EQ(snap.histograms[0].name, "test.lat");
   EXPECT_EQ(snap.histograms[0].buckets,
             (std::vector<std::uint64_t>{2, 1, 0, 1}));
-  EXPECT_NE(snap.to_json().find("test.lat"), std::string::npos);
 }
 
 // --- tracer rings ---
@@ -332,14 +331,6 @@ TEST(Obs, WorkerTotalsReachRankZeroByTelemetry) {
     EXPECT_GT(row.counter("kernel.clv_computations"), 0u) << "rank " << row.rank;
     EXPECT_GT(row.counter("kernel.edge_evaluations"), 0u) << "rank " << row.rank;
     tasks += row.counter("worker.tasks_evaluated");
-    // The worker histogram is tasks per drained batch; edges per capture
-    // (kernel.batch_fill) belongs to the process registry, not the frames.
-    bool task_batch = false;
-    for (const obs::HistogramDelta& h : row.histograms) {
-      EXPECT_NE(h.name, "kernel.batch_fill") << "rank " << row.rank;
-      if (h.name == "worker.task_batch" && h.count > 0) task_batch = true;
-    }
-    EXPECT_TRUE(task_batch) << "rank " << row.rank;
   }
   EXPECT_EQ(tasks, stats.tasks_completed);
 

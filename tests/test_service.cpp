@@ -1,12 +1,14 @@
 // Tests for the fdmld service layer: the service-plane codecs, bounded
 // admission with explicit shed reasons, the job scheduler's fairness /
-// supervision / drain contracts, and the socket-layer chaos proxy driving
+// supervision / drain contracts, the service endpoint's handling of
+// malformed requests, and the socket-layer chaos proxy driving
 // the reconnect-and-re-admission machinery end to end (the in-process
 // version of the CI soak).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -15,6 +17,8 @@
 #include <vector>
 
 #include "comm/chaos_proxy.hpp"
+#include "comm/integrity.hpp"
+#include "comm/wire.hpp"
 #include "model/simulate.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/socket_cluster.hpp"
@@ -323,6 +327,94 @@ TEST(JobScheduler, DrainCheckpointsInFlightAndResumeMatchesBitForBit) {
     }
   }
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Service endpoint: malformed requests
+
+/// What a raw client saw after sending one request frame.
+struct RawReply {
+  std::vector<WireFrame> frames;
+  bool closed = false;  ///< the server closed the connection (EOF)
+};
+
+/// Sends one frame to the loopback service and reads until the server
+/// closes the connection (or 10 s pass without a byte).
+RawReply raw_exchange(std::uint16_t port, MessageTag tag,
+                      const std::vector<std::uint8_t>& payload) {
+  RawReply reply;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  timeval read_timeout{};
+  read_timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+               sizeof(read_timeout));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return reply;
+  }
+  WireFrame frame;
+  frame.tag = tag;
+  frame.payload = payload;
+  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(bytes.size())) {
+    FrameParser parser;
+    std::uint8_t buffer[4096];
+    while (true) {
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) {
+        reply.closed = n == 0;
+        break;
+      }
+      parser.feed(buffer, static_cast<std::size_t>(n), reply.frames);
+    }
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(ServiceServer, MalformedRequestsAreCountedAndRefused) {
+  const PatternAlignment data = make_test_data(8, 120);
+  const SubstModel model =
+      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
+  SerialTaskRunner pool(data, model, RateModel::uniform());
+  obs::MetricsRegistry registry;
+  SchedulerOptions options;
+  options.metrics = &registry;
+  JobScheduler scheduler(data, pool, options);
+  ServiceServer server(scheduler, registry, ServiceServerOptions{});
+  const auto counter = [&](const char* name) {
+    return registry.snapshot().counter(name);
+  };
+
+  // Tag 17, once the JSON stats query, is no request: no reply, the
+  // connection closes.
+  const RawReply retired =
+      raw_exchange(server.port(), static_cast<MessageTag>(17), {});
+  EXPECT_TRUE(retired.closed);
+  EXPECT_TRUE(retired.frames.empty());
+  EXPECT_EQ(counter("service.bad_requests"), 1u);
+
+  // A submission whose seal does not verify is refused as a bad request
+  // and never reaches admission.
+  std::vector<std::uint8_t> payload = JobSpec{}.encode();
+  seal_payload(payload);
+  payload.back() ^= 0xFF;
+  const RawReply refused =
+      raw_exchange(server.port(), MessageTag::kSubmit, payload);
+  EXPECT_TRUE(refused.closed);
+  ASSERT_EQ(refused.frames.size(), 1u);
+  EXPECT_EQ(refused.frames[0].tag, MessageTag::kJobRejected);
+  EXPECT_EQ(refused.frames[0].payload,
+            std::vector<std::uint8_t>{
+                static_cast<std::uint8_t>(RejectReason::kBadRequest)});
+  EXPECT_EQ(counter("service.bad_requests"), 2u);
+  EXPECT_EQ(counter("service.jobs_submitted"), 0u);
+  server.close();
 }
 
 // ---------------------------------------------------------------------------

@@ -46,15 +46,10 @@ std::uint64_t ulp_distance(double a, double b) {
   EXPECT_LE(ulp_distance((a), (b)), 2u)                                   \
       << "values " << (a) << " vs " << (b)
 
-// Pins the exact kernel tier for the test scope (parity is only promised
-// for exact-tier tables) and restores automatic backend/tier selection when
-// the scope ends, even on assertion failure.
+// Restores automatic backend selection when the scope ends, even on
+// assertion failure.
 struct BackendGuard {
-  BackendGuard() { simd::set_tier("exact"); }
-  ~BackendGuard() {
-    simd::set_backend("auto");
-    simd::set_tier("auto");
-  }
+  ~BackendGuard() { simd::set_backend("auto"); }
 };
 
 std::vector<const KernelTable*> usable_vector_tables() {
@@ -705,58 +700,6 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
       ASSERT_EQ(batched[k].d2, ref.d2) << backend << " candidate " << k;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Fast-math tier
-// ---------------------------------------------------------------------------
-
-// The fused tier trades the cross-backend bit-exactness promise for FMA
-// throughput; what it must keep is accuracy. With well-conditioned inputs
-// (probabilities and their logs) fusing only *removes* rounding, so the
-// tier's log-likelihood has to sit within 1e-9 relative of the exact tier.
-// Skipped unless the build compiled the tier (FDML_FAST_MATH=ON).
-TEST(Simd, FastTierMatchesExactTierClosely) {
-  bool have_fast = false;
-  for (const simd::Tier t : simd::compiled_tiers()) {
-    if (t == simd::Tier::kFast) have_fast = true;
-  }
-  if (!have_fast) {
-    GTEST_SKIP() << "fast tier not compiled (configure with FDML_FAST_MATH=ON)";
-  }
-  BackendGuard guard;
-  ASSERT_TRUE(simd::set_backend("auto"));
-  Rng tree_rng(41);
-  Tree tree(60);
-  const Alignment alignment = parity_alignment(60, 150, 4105, tree_rng, tree);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::discrete_gamma(0.7, 4);
-
-  ASSERT_TRUE(simd::set_tier("exact"));
-  double exact_lnl = 0.0;
-  double exact_edge = 0.0;
-  {
-    LikelihoodEngine engine(data, model, rates);
-    engine.attach(tree);
-    exact_lnl = engine.log_likelihood();
-    const auto [u, v] = tree.edges()[tree.edges().size() / 3];
-    exact_edge = engine.edge_likelihood(u, v).evaluate(0.13);
-  }
-
-  ASSERT_TRUE(simd::set_tier("fast"));
-  LikelihoodEngine engine(data, model, rates);
-  engine.attach(tree);
-  const double fast_lnl = engine.log_likelihood();
-  const auto [u, v] = tree.edges()[tree.edges().size() / 3];
-  const double fast_edge = engine.edge_likelihood(u, v).evaluate(0.13);
-
-  ASSERT_TRUE(std::isfinite(fast_lnl));
-  EXPECT_LT(std::fabs(fast_lnl - exact_lnl) / std::fabs(exact_lnl), 1e-9)
-      << "fast " << fast_lnl << " vs exact " << exact_lnl;
-  EXPECT_LT(std::fabs(fast_edge - exact_edge) / std::fabs(exact_edge), 1e-9)
-      << "fast " << fast_edge << " vs exact " << exact_edge;
 }
 
 }  // namespace

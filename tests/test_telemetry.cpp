@@ -33,13 +33,6 @@ TEST(TelemetryFrame, PackUnpackRoundTrips) {
   frame.counters["kernel.clv_computations"] = 120;
   frame.counters["worker.tasks_evaluated"] = 3;
   frame.gauges["queue.depth"] = -2;
-  HistogramDelta h;
-  h.name = "kernel.batch_fill";
-  h.bounds = {1, 2, 4, 8, 16, 32};
-  h.buckets = {5, 0, 1, 0, 0, 0, 2};
-  h.count = 8;
-  h.sum = 77.5;
-  frame.histograms.push_back(h);
 
   const TelemetryFrame decoded = TelemetryFrame::unpack(frame.pack());
   EXPECT_EQ(decoded.rank, 4);
@@ -47,11 +40,6 @@ TEST(TelemetryFrame, PackUnpackRoundTrips) {
   EXPECT_EQ(decoded.seq, 7u);
   EXPECT_EQ(decoded.counters, frame.counters);
   EXPECT_EQ(decoded.gauges, frame.gauges);
-  ASSERT_EQ(decoded.histograms.size(), 1u);
-  EXPECT_EQ(decoded.histograms[0].name, "kernel.batch_fill");
-  EXPECT_EQ(decoded.histograms[0].buckets, h.buckets);
-  EXPECT_EQ(decoded.histograms[0].count, 8u);
-  EXPECT_DOUBLE_EQ(decoded.histograms[0].sum, 77.5);
 }
 
 TEST(TelemetryFrame, TruncatedPayloadThrowsInsteadOfOverReserving) {
@@ -93,7 +81,6 @@ TEST(TelemetryEmitter, ShipsDeltasNotTotals) {
   TelemetryFrame idle = emitter.collect();
   EXPECT_EQ(idle.seq, 3u);
   EXPECT_TRUE(idle.counters.empty());
-  EXPECT_TRUE(idle.histograms.empty());
 }
 
 TEST(TelemetryEmitter, FreshEmitterGetsFreshIncarnation) {
@@ -156,7 +143,6 @@ TEST(TelemetryAggregator, CountersStayMonotonicAcrossRevival) {
   ASSERT_EQ(ranks.size(), 1u);
   EXPECT_EQ(ranks[0].counters.at("worker.tasks_evaluated"), 14u);
   EXPECT_EQ(ranks[0].incarnations, 1u);
-  EXPECT_EQ(agg.cluster_counters().at("worker.tasks_evaluated"), 14u);
 }
 
 TEST(TelemetryAggregator, DeadRankIsMarkedStaleNotFrozen) {
@@ -178,20 +164,6 @@ TEST(TelemetryAggregator, DeadRankIsMarkedStaleNotFrozen) {
   EXPECT_FALSE(ranks[1].stale);
   // Stale, not erased: the totals survive for the post-mortem.
   EXPECT_EQ(ranks[0].counters.at("worker.tasks_evaluated"), 2u);
-}
-
-TEST(TelemetryAggregator, RollupRingIsBounded) {
-  TelemetryAggregator agg;
-  const auto now = Clock::now();
-  constexpr std::uint64_t kFrames = TelemetryAggregator::kRollupCapacity + 1;
-  for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
-    agg.apply(make_frame(3, 1, seq, seq), now);
-  }
-  const auto rollups = agg.rollups();
-  ASSERT_EQ(rollups.size(), TelemetryAggregator::kRollupCapacity);
-  // The newest samples, oldest first: the first frame fell off the ring.
-  EXPECT_EQ(rollups.front().counter_sum, 2u);
-  EXPECT_EQ(rollups.back().counter_sum, kFrames);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,10 +250,6 @@ TEST(Prometheus, JobProgressSeries) {
             std::string::npos);
   EXPECT_NE(text.find("fdml_job_best_log_likelihood{job=\"2\"} -1234.5\n"),
             std::string::npos);
-
-  const std::string json = job_progress_json({row});
-  EXPECT_NE(json.find("\"kind\":\"job_progress\""), std::string::npos);
-  EXPECT_NE(json.find("\"tasks_total\":44"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +391,7 @@ TEST(ServiceTimeout, WedgedServerRaisesTimeoutNotHang) {
   const auto t0 = Clock::now();
   bool timed_out = false;
   try {
-    service_query_stats("127.0.0.1", port, std::chrono::milliseconds(300));
+    service_scrape("127.0.0.1", port, std::chrono::milliseconds(300));
   } catch (const ServiceTimeoutError& error) {
     timed_out = true;
     EXPECT_NE(std::string(error.what()).find("timed out"), std::string::npos);
@@ -432,14 +400,6 @@ TEST(ServiceTimeout, WedgedServerRaisesTimeoutNotHang) {
   const auto elapsed = Clock::now() - t0;
   EXPECT_TRUE(timed_out);
   EXPECT_LT(elapsed, std::chrono::seconds(5));
-
-  bool scrape_timed_out = false;
-  try {
-    service_scrape("127.0.0.1", port, std::chrono::milliseconds(200));
-  } catch (const ServiceTimeoutError&) {
-    scrape_timed_out = true;
-  }
-  EXPECT_TRUE(scrape_timed_out);
 
   stop.store(true);
   ::shutdown(listener, SHUT_RDWR);
