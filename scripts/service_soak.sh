@@ -145,11 +145,19 @@ for ((i = 0; i < JOBS; ++i)); do
 done
 
 # --- telemetry drill 1: mid-soak scrape, all worker ranks live -----------
-# Two telemetry periods in, every worker rank must be shipping nonzero
-# kernel counters and per-job progress must already be visible.
-sleep 2
-"$FDMLD" --mode=scrape --service-port=$SVC_PORT \
-    --out="$WORKDIR/scrape1.prom" || fail "mid-soak scrape 1"
+# Every worker rank must ship nonzero kernel counters once it has had a
+# task, and per-job progress must be visible. Under the chaos plan a rank
+# may get its first task several telemetry periods in, so scrape until every
+# rank shows a series (at most ~10 s), then check that scrape in full.
+SCRAPE_DEADLINE=$((SECONDS + 10))
+while :; do
+  "$FDMLD" --mode=scrape --service-port=$SVC_PORT \
+      --out="$WORKDIR/scrape1.prom" || fail "mid-soak scrape 1"
+  python3 scripts/check_metrics.py "$WORKDIR/scrape1.prom" \
+      --require-worker-ranks 3,4,5 2> /dev/null && break
+  [ "$SECONDS" -lt "$SCRAPE_DEADLINE" ] || break
+  sleep 0.25
+done
 python3 scripts/check_metrics.py "$WORKDIR/scrape1.prom" \
     --require-worker-ranks 3,4,5 \
     || fail "scrape 1 rejected by check_metrics.py"

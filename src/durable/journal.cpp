@@ -1,15 +1,24 @@
 #include "durable/journal.hpp"
 
+#include <bit>
+
 #include "durable/frame.hpp"
 #include "util/fnv.hpp"
 #include "util/packer.hpp"
 
 namespace fdml {
 
-std::uint64_t task_content_digest(const std::string& newick, int focus_taxon) {
-  return fnv1a64_u64(
+std::uint64_t task_content_digest(const std::string& newick, int focus_taxon,
+                                  const std::array<int, 3>& regraft_taxa,
+                                  double screen_lnl) {
+  std::uint64_t hash = fnv1a64_u64(
       static_cast<std::uint64_t>(static_cast<std::int64_t>(focus_taxon)),
       fnv1a64(newick));
+  for (const int taxon : regraft_taxa) {
+    hash = fnv1a64_u64(
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(taxon)), hash);
+  }
+  return fnv1a64_u64(std::bit_cast<std::uint64_t>(screen_lnl), hash);
 }
 
 std::uint64_t round_content_key(

@@ -8,9 +8,9 @@
 //
 // Entries are content-addressed, not id-addressed: a revived master resends
 // the round with fresh task_ids/round_ids, so identity is a digest over
-// what the task *computes* (newick and focus taxon) and the round key is a
-// digest over the ordered task digests of the round. The same work is
-// recognised no matter how it is renumbered.
+// what the task *computes* (newick, focus taxon and regraft marker) and the
+// round key is a digest over the ordered task digests of the round. The same
+// work is recognised no matter how it is renumbered.
 //
 // On disk the journal is a sequence of durable frames (kind
 // kFrameJournalEntry; the frame's fingerprint field carries the round key,
@@ -20,6 +20,7 @@
 // durably written, nothing more.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,8 +32,11 @@
 namespace fdml {
 
 /// Digest identifying a task by its computational content. Tasks with the
-/// same tree and focus taxon are the same work.
-std::uint64_t task_content_digest(const std::string& newick, int focus_taxon);
+/// same tree, focus taxon and regraft marker (taxa and screen) are the same
+/// work; a marked task and an unmarked one of the same tree are not.
+std::uint64_t task_content_digest(const std::string& newick, int focus_taxon,
+                                  const std::array<int, 3>& regraft_taxa,
+                                  double screen_lnl);
 
 /// Digest identifying a round by the ordered content of its tasks.
 std::uint64_t round_content_key(const std::vector<std::uint64_t>& task_digests);

@@ -77,12 +77,13 @@ double BranchOptimizer::smooth(Tree& tree, int passes) {
   order.reserve(static_cast<std::size_t>(tree.num_edges()));
   const std::vector<int> tips = tree.tips();
   if (!tips.empty()) append_preorder_edges(tree, tips.front(), Tree::kNoNode, order);
-  return smooth_edges(tree, order, passes);
+  smooth_edges(tree, order, passes);
+  return engine_.log_likelihood();
 }
 
-double BranchOptimizer::smooth_edges(Tree& tree,
-                                     const std::vector<std::pair<int, int>>& edges,
-                                     int passes) {
+void BranchOptimizer::smooth_edges(Tree& tree,
+                                   const std::vector<std::pair<int, int>>& edges,
+                                   int passes) {
   for (int pass = 0; pass < passes; ++pass) {
     double worst_move = 0.0;
     for (const auto& [u, v] : edges) {
@@ -93,7 +94,6 @@ double BranchOptimizer::smooth_edges(Tree& tree,
     }
     if (worst_move < kSmoothTolerance) break;
   }
-  return engine_.log_likelihood();
 }
 
 }  // namespace fdml

@@ -63,11 +63,10 @@ class BranchOptimizer {
 
   /// Optimizes the listed edges, in list order, for up to `passes` rounds
   /// (the pass loop smooth() runs over every edge); stops early once no
-  /// branch moved more than kSmoothTolerance. On a few edges it is the
-  /// paper's "rapid approximation of the insertion point". Returns the
-  /// tree log-likelihood after the final pass.
-  double smooth_edges(Tree& tree, const std::vector<std::pair<int, int>>& edges,
-                      int passes);
+  /// branch moved more than kSmoothTolerance. On the edges around a regraft
+  /// junction it is the screen of a rearrangement candidate.
+  void smooth_edges(Tree& tree, const std::vector<std::pair<int, int>>& edges,
+                    int passes);
 
   /// Newton solves performed (perf counter).
   std::uint64_t edge_optimizations() const { return edge_optimizations_; }

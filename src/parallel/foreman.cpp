@@ -447,8 +447,8 @@ class Foreman {
       Packer packer;
       task.pack(packer);
       round_.task_bytes[task.task_id] = packer.size();
-      const std::uint64_t digest =
-          task_content_digest(task.newick, task.focus_taxon);
+      const std::uint64_t digest = task_content_digest(
+          task.newick, task.focus_taxon, task.regraft_taxa, task.screen_lnl);
       round_.task_digest[task.task_id] = digest;
       digests.push_back(digest);
       work_queue_.push_back(std::move(task));

@@ -233,13 +233,16 @@ class SearchRun {
     return adopt(tree, winner);
   }
 
-  /// Step 4/5: rounds of subtree rearrangement until no improvement. With
-  /// adaptive extents enabled, a stalled round escalates the crossing
-  /// distance before the search settles. `start_round`/`start_cross`
-  /// continue an interrupted stage from a kRearrange checkpoint
-  /// (start_cross 0 = begin at the base extent); each completed round
-  /// checkpoints the loop state, so a killed run resumes from the last
-  /// round boundary and reproduces the uninterrupted result exactly.
+  /// Step 4/5: rounds of subtree rearrangement until no improvement. Each
+  /// candidate carries its regraft marker and a screen kScreenMargin below
+  /// the current lnL; a result that failed the screen lies below lnl, so it
+  /// never passes the adoption test. With adaptive extents enabled, a
+  /// stalled round escalates the crossing distance before the search
+  /// settles. `start_round`/`start_cross` continue an interrupted stage
+  /// from a kRearrange checkpoint (start_cross 0 = begin at the base
+  /// extent); each completed round checkpoints the loop state, so a killed
+  /// run resumes from the last round boundary and reproduces the
+  /// uninterrupted result exactly.
   double rearrange_until_stable(Tree& tree, double lnl, int cross,
                                 int taxa_in_tree, int start_round = 0,
                                 int start_cross = 0) {
@@ -253,7 +256,14 @@ class SearchRun {
             candidate.prune_subtree(move.junction, move.subtree_neighbor);
         candidate.regraft(handle, move.target_u, move.target_v);
         if (!seen.insert(topology_hash(candidate)).second) continue;
-        tasks.push_back(make_task(candidate, -1));
+        TreeTask task = make_task(candidate, -1);
+        const int junction = handle.junction;
+        task.regraft_taxa = {
+            min_taxon_behind(candidate, handle.subtree, junction),
+            min_taxon_behind(candidate, move.target_u, junction),
+            min_taxon_behind(candidate, move.target_v, junction)};
+        task.screen_lnl = lnl - kScreenMargin;
+        tasks.push_back(std::move(task));
       }
       if (tasks.empty()) break;
       const TaskResult best =

@@ -8,7 +8,10 @@
 //      the attachment); the best insertion is then fully smoothed.
 //   4. Rearrange: move every subtree across up to `rearrange_cross`
 //      vertices ((2i-6) topologically distinct candidates at 1); adopt the
-//      best improvement and repeat until none improves.
+//      best improvement and repeat until none improves. Each candidate is
+//      screened first: a worker smooths the branches within two edges of
+//      its regraft junction and fully smooths only a candidate whose local
+//      lnL comes within kScreenMargin of the current tree's.
 //   5. After the last taxon, rearrange with `final_rearrange_cross`
 //      (the paper's runs used 5) until no improvement.
 // The whole procedure is repeated over many random orders (jumbles) and
@@ -73,6 +76,12 @@ struct ProgressProbe {
 
 /// lnL gain below which a rearrangement round counts as no improvement.
 inline constexpr double kImprovementEpsilon = 1e-4;
+/// A rearrangement candidate is fully smoothed only if its locally smoothed
+/// lnL comes within this of the current tree's. A candidate screened out
+/// returns a lnL below the current tree's, so it can never be adopted.
+inline constexpr double kScreenMargin = 1.0;
+static_assert(kScreenMargin > 0.0,
+              "a screened-out candidate must fall below the adoption test");
 /// Rearrangement rounds at most at one taxon count.
 inline constexpr int kMaxRearrangeRounds = 64;
 

@@ -2,8 +2,17 @@
 // topology and return it with its likelihood" — exactly what the paper's
 // foreman dispatches to workers and what makes the compute-to-communication
 // ratio so favourable (hundreds of thousands of FLOPs per byte returned).
+//
+// A task is one of three kinds, told apart by its fields:
+//  * insertion (focus_taxon >= 0): smooth the three branches at the new
+//    taxon's attachment point — the paper's rapid approximation;
+//  * rearrangement candidate (regraft_taxa set): smooth the branches near
+//    the regraft junction, then, only if that local lnL reaches
+//    screen_lnl, smooth the whole tree from the task's own lengths;
+//  * full (neither): smooth every branch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -23,10 +32,25 @@ struct TreeTask {
   /// branches around this taxon's attachment point are optimized, for
   /// kQuickAddPasses passes (the paper's "rapid approximation of the
   /// insertion point"). -1 = optimize every branch, for kFullSmoothPasses
-  /// passes. The worker picks the pass budget; the task does not carry it.
+  /// passes (after the screen, when regraft_taxa is set). The worker picks
+  /// the pass budget; the task does not carry it.
   int focus_taxon = -1;
+  /// Set on rearrangement candidates: the smallest taxon behind each of the
+  /// regraft junction's three neighbours, the moved subtree's first. Their
+  /// median node is the junction in any parse of the Newick. All -1 on
+  /// other tasks.
+  std::array<int, 3> regraft_taxa{-1, -1, -1};
+  /// Marked tasks only: a candidate whose locally smoothed lnL falls below
+  /// this returns that local result instead of a fully smoothed one.
+  double screen_lnl = 0.0;
+
+  bool screened() const { return regraft_taxa[0] >= 0; }
+  /// The marker is unset, or three distinct taxa on a task without a focus
+  /// taxon.
+  bool marker_well_formed() const;
 
   void pack(Packer& packer) const;
+  /// Throws on a truncated payload and on a marker that is not well formed.
   static TreeTask unpack(Unpacker& unpacker);
 };
 

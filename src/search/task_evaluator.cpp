@@ -1,9 +1,11 @@
 #include "search/task_evaluator.hpp"
 
 #include <algorithm>
-#include <climits>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "tree/newick.hpp"
@@ -13,18 +15,54 @@ namespace fdml {
 
 namespace {
 
-/// Smallest taxon id in the subtree behind `node` as seen from `from` —
-/// the representation-invariant label used to order children canonically
-/// (node ids of internal nodes depend on parse order; taxon ids do not).
-int min_taxon_behind(const Tree& tree, int node, int from) {
-  if (tree.is_tip(node)) return node;
-  int best = INT_MAX;
+/// The regraft junction of a marked task — the median of its three taxa,
+/// the one node on all three paths between them — and the junction's
+/// neighbour toward the first taxon (the moved subtree's root).
+std::pair<int, int> regraft_junction(const Tree& tree,
+                                     const std::array<int, 3>& taxa) {
+  // Hang the tree from the first taxon.
+  std::vector<int> parent(static_cast<std::size_t>(tree.max_nodes()),
+                          Tree::kNoNode);
+  std::vector<int> stack{taxa[0]};
+  while (!stack.empty()) {
+    const int node = stack.back();
+    stack.pop_back();
+    for (int s = 0; s < 3; ++s) {
+      const int nbr = tree.neighbor(node, s);
+      if (nbr == Tree::kNoNode || nbr == parent[static_cast<std::size_t>(node)]) {
+        continue;
+      }
+      parent[static_cast<std::size_t>(nbr)] = node;
+      stack.push_back(nbr);
+    }
+  }
+  // The third taxon climbs until it meets the second taxon's path up.
+  std::vector<char> on_path(parent.size(), 0);
+  for (int node = taxa[1]; node != Tree::kNoNode;
+       node = parent[static_cast<std::size_t>(node)]) {
+    on_path[static_cast<std::size_t>(node)] = 1;
+  }
+  int junction = taxa[2];
+  while (!on_path[static_cast<std::size_t>(junction)]) {
+    junction = parent[static_cast<std::size_t>(junction)];
+  }
+  return {junction, parent[static_cast<std::size_t>(junction)]};
+}
+
+/// The two neighbours of internal `node` other than `skip`, ordered by the
+/// smallest taxon behind them — the same order in every parse of a tree.
+std::pair<int, int> other_neighbors(const Tree& tree, int node, int skip) {
+  int a = -1;
+  int b = -1;
   for (int s = 0; s < 3; ++s) {
     const int nbr = tree.neighbor(node, s);
-    if (nbr == from || nbr == Tree::kNoNode) continue;
-    best = std::min(best, min_taxon_behind(tree, nbr, node));
+    if (nbr == skip || nbr == Tree::kNoNode) continue;
+    (a < 0 ? a : b) = nbr;
   }
-  return best;
+  if (min_taxon_behind(tree, a, node) > min_taxon_behind(tree, b, node)) {
+    std::swap(a, b);
+  }
+  return {a, b};
 }
 
 /// Matches the subtree behind (na, from fa) of `ta` against the subtree
@@ -85,6 +123,11 @@ std::vector<TaskResult> TaskEvaluator::evaluate_batch(
   chunk.reserve(kChunk);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const TreeTask& task = tasks[i];
+    if (task.screened()) {
+      flush_chunk(chunk, results);
+      results[i] = evaluate_screened(task);
+      continue;
+    }
     if (task.focus_taxon < 0) {
       flush_chunk(chunk, results);
       results[i] = evaluate_full(task);
@@ -234,17 +277,7 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
 
 double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
                                    double pre_applied_before) {
-  int a = -1;
-  int b = -1;
-  for (int s = 0; s < 3; ++s) {
-    const int nbr = tree.neighbor(junction, s);
-    if (nbr == tip || nbr == Tree::kNoNode) continue;
-    (a < 0 ? a : b) = nbr;
-  }
-  if (min_taxon_behind(tree, a, junction) >
-      min_taxon_behind(tree, b, junction)) {
-    std::swap(a, b);
-  }
+  const auto [a, b] = other_neighbors(tree, junction, tip);
   BranchOptimizer& optimizer = evaluator_.optimizer();
   const bool pre_applied = pre_applied_before >= 0.0;
 
@@ -289,6 +322,49 @@ TaskResult TaskEvaluator::evaluate_focus_sequential(const TreeTask& task) {
   const double lnl =
       smooth_focus(tree, tip, junction, /*pre_applied_before=*/-1.0);
   return finish_result(task, lnl, tree, timer.seconds());
+}
+
+TaskResult TaskEvaluator::evaluate_screened(const TreeTask& task) {
+  CpuTimer timer;
+  if (!task.marker_well_formed()) {
+    throw std::invalid_argument("regraft marker: malformed");
+  }
+  Tree tree = tree_from_newick(task.newick, data_.names());
+  for (const int taxon : task.regraft_taxa) {
+    if (taxon >= tree.num_taxa() || !tree.contains(taxon)) {
+      throw std::invalid_argument("regraft marker: taxon " +
+                                  std::to_string(taxon) +
+                                  " is not in the tree");
+    }
+  }
+  ctx_valid_ = false;  // the engine leaves the context tree
+  evaluator_.engine().attach(tree);
+
+  // The edges within two edges of the junction J: (J, r) toward the moved
+  // subtree, (J, a) and (J, b) ordered by the smallest taxon behind them,
+  // then each internal neighbour's two other edges in adjacency-slot order.
+  const auto [junction, r] = regraft_junction(tree, task.regraft_taxa);
+  const auto [a, b] = other_neighbors(tree, junction, r);
+  std::vector<std::pair<int, int>> edges{{junction, r}, {junction, a},
+                                         {junction, b}};
+  for (const int node : {r, a, b}) {
+    if (tree.is_tip(node)) continue;
+    for (int s = 0; s < 3; ++s) {
+      const int nbr = tree.neighbor(node, s);
+      if (nbr != junction) edges.emplace_back(node, nbr);
+    }
+  }
+  evaluator_.optimizer().smooth_edges(tree, edges, kQuickAddPasses);
+  const double local_lnl = evaluator_.engine().log_likelihood_edge(r, junction);
+  if (local_lnl < task.screen_lnl) {
+    return finish_result(task, local_lnl, tree, timer.seconds());
+  }
+  // Passed the screen: smooth the whole candidate from the task's own
+  // lengths, exactly as an unmarked task would.
+  const double local_seconds = timer.seconds();
+  TaskResult result = evaluate_full(task);
+  result.cpu_seconds += local_seconds;
+  return result;
 }
 
 TaskResult TaskEvaluator::evaluate_full(const TreeTask& task) {

@@ -12,6 +12,12 @@
 // planes, and only then is each candidate spliced in (scoped: validity
 // flags snapshotted and restored) for its local smoothing passes.
 //
+// Rearrangement candidates (regraft marker set) are screened: the edges
+// within two edges of the regraft junction are smoothed against a freshly
+// attached tree, and only a candidate whose local lnL reaches the task's
+// screen is then fully smoothed, from the task's own lengths — so a
+// screened-in result is bit-identical to the unmarked task's.
+//
 // Determinism contract: the result of a task is a pure function of the
 // task. Every incoming task is verified against the context bitwise
 // (topology under canonical min-taxon child ordering, branch lengths
@@ -46,8 +52,8 @@ class TaskEvaluator {
 
   /// Evaluates a batch of tasks (results in task order). Consecutive
   /// insertion tasks that share a base tree are scored through the batched
-  /// multi-edge path; full-smoothing tasks fall back to the sequential
-  /// path. Bit-identical to calling evaluate() per task in the same order.
+  /// multi-edge path; screened and full-smoothing tasks run one at a time.
+  /// Bit-identical to calling evaluate() per task in the same order.
   std::vector<TaskResult> evaluate_batch(const std::vector<TreeTask>& tasks);
 
   LikelihoodEngine& engine() { return evaluator_.engine(); }
@@ -85,7 +91,14 @@ class TaskEvaluator {
   /// Sequential fallback for focus tasks (same canonical sequence, solves
   /// one edge at a time against a freshly attached tree).
   TaskResult evaluate_focus_sequential(const TreeTask& task);
-  /// Full-smoothing path (focus_taxon < 0).
+  /// Rearrangement candidates (regraft marker set): smooths the edges
+  /// within two edges of the regraft junction for kQuickAddPasses passes at
+  /// most; returns that local result if its lnL is below the task's screen,
+  /// else evaluate_full's result (local CPU time added). Throws
+  /// std::invalid_argument on a malformed marker or one naming a taxon
+  /// that is not in the tree.
+  TaskResult evaluate_screened(const TreeTask& task);
+  /// Full-smoothing path (focus_taxon < 0, no marker).
   TaskResult evaluate_full(const TreeTask& task);
 
   /// Phase A + B for a prepared chunk: one batched capture + solve, then

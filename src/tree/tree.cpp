@@ -1,6 +1,7 @@
 #include "tree/tree.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -148,44 +149,27 @@ Tree::SprHandle Tree::prune_subtree(int junction, int subtree_neighbor) {
   SprHandle handle;
   handle.junction = junction;
   handle.subtree = subtree_neighbor;
+  double joined = 0.0;
   for (int s = 0; s < 3; ++s) {
     const int nbr = nodes_[junction].adj[s];
     if (nbr == subtree_neighbor || nbr == kNoNode) continue;
-    if (handle.left == kNoNode) {
-      handle.left = nbr;
-      handle.left_length = nodes_[junction].len[s];
-    } else {
-      handle.right = nbr;
-      handle.right_length = nodes_[junction].len[s];
-    }
+    (handle.left == kNoNode ? handle.left : handle.right) = nbr;
+    joined += nodes_[junction].len[s];
   }
   unlink(junction, handle.left);
   unlink(junction, handle.right);
-  link(handle.left, handle.right, handle.left_length + handle.right_length);
+  link(handle.left, handle.right, joined);
   return handle;
 }
 
-Tree::GraftUndo Tree::regraft(const SprHandle& handle, int u, int v,
-                              double split_fraction) {
+void Tree::regraft(const SprHandle& handle, int u, int v,
+                   double split_fraction) {
   const double old = length(u, v);
   unlink(u, v);
   const double left = std::max(kMinBranchLength, old * split_fraction);
   const double right = std::max(kMinBranchLength, old - old * split_fraction);
   link(u, handle.junction, left);
   link(handle.junction, v, right);
-  return GraftUndo{u, v, old};
-}
-
-void Tree::undo_regraft(const SprHandle& handle, const GraftUndo& undo) {
-  unlink(undo.u, handle.junction);
-  unlink(handle.junction, undo.v);
-  link(undo.u, undo.v, undo.original_length);
-}
-
-void Tree::regraft_back(const SprHandle& handle) {
-  unlink(handle.left, handle.right);
-  link(handle.left, handle.junction, handle.left_length);
-  link(handle.junction, handle.right, handle.right_length);
 }
 
 void Tree::add_edge(int u, int v, double t) {
@@ -289,6 +273,17 @@ void Tree::check_valid() const {
       throw std::logic_error("check_valid: tree is disconnected");
     }
   }
+}
+
+int min_taxon_behind(const Tree& tree, int node, int from) {
+  if (tree.is_tip(node)) return node;
+  int best = std::numeric_limits<int>::max();
+  for (int s = 0; s < 3; ++s) {
+    const int nbr = tree.neighbor(node, s);
+    if (nbr == from || nbr == Tree::kNoNode) continue;
+    best = std::min(best, min_taxon_behind(tree, nbr, node));
+  }
+  return best;
 }
 
 }  // namespace fdml

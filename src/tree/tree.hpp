@@ -73,8 +73,6 @@ class Tree {
     int subtree = kNoNode;        ///< neighbor of junction on the subtree side
     int left = kNoNode;           ///< one endpoint of the edge closed by the prune
     int right = kNoNode;          ///< other endpoint
-    double left_length = 0.0;     ///< old length junction..left
-    double right_length = 0.0;    ///< old length junction..right
   };
 
   /// Detaches the subtree hanging off `junction` on the side of
@@ -83,26 +81,10 @@ class Tree {
   /// `junction` as a dangling attachment point.
   SprHandle prune_subtree(int junction, int subtree_neighbor);
 
-  /// Undo record for a trial regraft.
-  struct GraftUndo {
-    int u = kNoNode;
-    int v = kNoNode;
-    double original_length = 0.0;
-  };
-
   /// Reinserts a pruned subtree into edge (u, v), splitting it at
   /// `split_fraction`. The handle's junction becomes the new attachment.
-  /// Returns the record needed to undo this regraft.
-  GraftUndo regraft(const SprHandle& handle, int u, int v,
-                    double split_fraction = 0.5);
-
-  /// Detaches the subtree again, restoring the edge split by `regraft`.
-  /// Leaves the subtree dangling exactly as after prune_subtree.
-  void undo_regraft(const SprHandle& handle, const GraftUndo& undo);
-
-  /// Reattaches a dangling pruned subtree at its original position with the
-  /// original lengths (inverse of prune_subtree).
-  void regraft_back(const SprHandle& handle);
+  void regraft(const SprHandle& handle, int u, int v,
+               double split_fraction = 0.5);
 
   /// Every undirected edge once, as (u, v) pairs with u < v.
   std::vector<std::pair<int, int>> edges() const;
@@ -150,5 +132,10 @@ class Tree {
   std::vector<Node> nodes_;
   std::vector<int> free_internals_;
 };
+
+/// Smallest taxon id in the subtree behind `node` as seen from `from`: a
+/// label of that side that every parse of the same Newick agrees on
+/// (internal node ids depend on parse order; taxon ids do not).
+int min_taxon_behind(const Tree& tree, int node, int from);
 
 }  // namespace fdml

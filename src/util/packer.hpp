@@ -40,11 +40,6 @@ class Packer {
     buffer_.insert(buffer_.end(), s.begin(), s.end());
   }
 
-  void put_f64_vector(const std::vector<double>& v) {
-    put_u32(static_cast<std::uint32_t>(v.size()));
-    for (double x : v) put_f64(x);
-  }
-
   const std::vector<std::uint8_t>& data() const { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }
@@ -97,18 +92,6 @@ class Unpacker {
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
-  }
-
-  std::vector<double> get_f64_vector() {
-    const std::uint32_t n = get_u32();
-    // Validate before reserving: a corrupt length prefix (one flipped byte
-    // can turn a small count into 0xFFFFFFFF) must throw the truncation
-    // error, not attempt a multi-gigabyte allocation.
-    require_count(n, 8);
-    std::vector<double> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(get_f64());
-    return v;
   }
 
   /// Guards length-prefixed loops: throws unless the remaining buffer can

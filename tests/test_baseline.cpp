@@ -12,8 +12,8 @@ namespace fdml {
 namespace {
 
 std::vector<std::string> names_for(int n) {
-  std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  std::vector<std::string> names(static_cast<std::size_t>(n), "t");
+  for (int i = 0; i < n; ++i) names[static_cast<std::size_t>(i)] += std::to_string(i);
   return names;
 }
 

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,7 +24,9 @@
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
 #include "parallel/protocol.hpp"
+#include "parallel/worker.hpp"
 #include "search/search.hpp"
+#include "tree/newick.hpp"
 #include "tree/random.hpp"
 #include "util/rng.hpp"
 
@@ -476,6 +481,49 @@ struct ChaosFixture {
   Alignment alignment;
   PatternAlignment data;
 };
+
+// A task whose regraft marker is malformed fails TreeTask::unpack, so the
+// worker NACKs it like any corrupt payload instead of evaluating it; the
+// same task with a well-formed marker is evaluated.
+TEST(WorkerChaos, MalformedRegraftMarkerIsNacked) {
+  ChaosFixture fx;
+  ThreadFabric fabric(4);
+  auto worker_endpoint = fabric.endpoint(kFirstWorkerRank);
+  WorkerStats stats;
+  std::thread worker([&] {
+    stats = worker_main(*worker_endpoint, fx.data, SubstModel::jc69(),
+                        RateModel::uniform());
+  });
+  auto foreman = fabric.endpoint(kForemanRank);
+  const auto next_tag = [&]() -> std::optional<MessageTag> {
+    auto message = foreman->recv_for(milliseconds(5000));
+    if (!message.has_value()) return std::nullopt;
+    return message->tag;
+  };
+  const auto send_task = [&](std::array<int, 3> taxa) {
+    TreeTask task;
+    task.task_id = 1;
+    task.round_id = 1;
+    task.newick = to_newick(fx.truth, fx.data.names(), 17);
+    task.regraft_taxa = taxa;
+    task.screen_lnl = std::numeric_limits<double>::infinity();
+    Packer packer;
+    task.pack(packer);
+    auto payload = packer.take();
+    seal_payload(payload);
+    foreman->send(kFirstWorkerRank, MessageTag::kTask, std::move(payload));
+  };
+
+  EXPECT_EQ(next_tag(), std::optional(MessageTag::kHello));
+  send_task({0, 0, 1});  // repeats a taxon
+  EXPECT_EQ(next_tag(), std::optional(MessageTag::kNack));
+  send_task({0, 1, 2});
+  EXPECT_EQ(next_tag(), std::optional(MessageTag::kResult));
+  foreman->send(kFirstWorkerRank, MessageTag::kShutdown, {});
+  worker.join();
+  EXPECT_EQ(stats.corrupt_tasks, 1u);
+  EXPECT_EQ(stats.tasks_evaluated, 1u);
+}
 
 // The headline acceptance test: a seeded multi-fault chaos run returns the
 // identical best tree and log-likelihood as the fault-free run with the

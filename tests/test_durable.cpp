@@ -6,6 +6,7 @@
 // tree as an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <string>
 #include <system_error>
@@ -303,8 +304,9 @@ TEST(FaultVfs, CrashAtEveryOpAlwaysRecoversAnIntactCheckpoint) {
 TEST(TaskJournal, AppendLoadFindRoundTrip) {
   ScratchDir dir("journal");
   const std::string path = dir.file("tasks.journal");
-  const std::uint64_t d1 = task_content_digest("(a,b,c);", 2);
-  const std::uint64_t d2 = task_content_digest("(a,c,b);", 2);
+  constexpr std::array<int, 3> kUnmarked{-1, -1, -1};
+  const std::uint64_t d1 = task_content_digest("(a,b,c);", 2, kUnmarked, 0.0);
+  const std::uint64_t d2 = task_content_digest("(a,c,b);", 2, kUnmarked, 0.0);
   const std::uint64_t round = round_content_key({d1, d2});
   EXPECT_NE(d1, d2);
 
@@ -326,6 +328,21 @@ TEST(TaskJournal, AppendLoadFindRoundTrip) {
 
   reloaded.reset();
   EXPECT_EQ(TaskJournal(path).load(), 0u);
+}
+
+// A journal replay must never hand a screened-out candidate's local result
+// to a full task of the same tree, or one screen's result to another's.
+TEST(TaskJournal, DigestCoversTheRegraftMarker) {
+  const std::string newick = "((a,b),(c,d));";
+  const std::uint64_t full =
+      task_content_digest(newick, -1, {-1, -1, -1}, 0.0);
+  const std::uint64_t marked =
+      task_content_digest(newick, -1, {0, 1, 2}, -100.0);
+  EXPECT_NE(full, marked);
+  EXPECT_NE(marked, task_content_digest(newick, -1, {0, 2, 1}, -100.0));
+  EXPECT_NE(marked, task_content_digest(newick, -1, {1, 0, 2}, -100.0));
+  EXPECT_NE(marked, task_content_digest(newick, -1, {0, 1, 2}, -101.0));
+  EXPECT_EQ(marked, task_content_digest(newick, -1, {0, 1, 2}, -100.0));
 }
 
 TEST(TaskJournal, ToleratesATornTail) {

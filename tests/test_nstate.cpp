@@ -29,8 +29,8 @@ namespace fdml {
 namespace {
 
 std::vector<std::string> names_for(int n) {
-  std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  std::vector<std::string> names(static_cast<std::size_t>(n), "t");
+  for (int i = 0; i < n; ++i) names[static_cast<std::size_t>(i)] += std::to_string(i);
   return names;
 }
 
@@ -319,8 +319,10 @@ TEST(NEngine, FourStateEngineAgreesWithCoreEngine) {
   Alignment core_alignment;
   StateAlignment nstate_alignment(StateAlphabet::dna());
   for (int t = 0; t < 4; ++t) {
-    core_alignment.add_sequence("t" + std::to_string(t), string_to_codes(rows[t]));
-    nstate_alignment.add_sequence("t" + std::to_string(t), rows[t]);
+    std::string name = "t";
+    name += std::to_string(t);
+    core_alignment.add_sequence(name, string_to_codes(rows[t]));
+    nstate_alignment.add_sequence(name, rows[t]);
   }
   const PatternAlignment core_data(core_alignment);
   const StatePatterns nstate_data(nstate_alignment);

@@ -2,11 +2,16 @@
 // machinery.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "model/simulate.hpp"
 #include "search/search.hpp"
+#include "tree/neighborhood.hpp"
 #include "tree/newick.hpp"
 #include "tree/random.hpp"
 #include "tree/splits.hpp"
@@ -51,6 +56,20 @@ TEST(TaskCodec, RoundTrip) {
   EXPECT_EQ(back.task_id, 42u);
   EXPECT_EQ(back.newick, task.newick);
   EXPECT_EQ(back.focus_taxon, 3);
+  EXPECT_FALSE(back.screened());
+
+  TreeTask marked = task;
+  marked.focus_taxon = -1;
+  marked.regraft_taxa = {2, 0, 3};
+  marked.screen_lnl = -1235.5;
+  Packer mp;
+  marked.pack(mp);
+  Unpacker mu(mp.data());
+  const TreeTask mback = TreeTask::unpack(mu);
+  EXPECT_TRUE(mu.exhausted());
+  EXPECT_TRUE(mback.screened());
+  EXPECT_EQ(mback.regraft_taxa, marked.regraft_taxa);
+  EXPECT_EQ(mback.screen_lnl, -1235.5);
 
   TaskResult result;
   result.task_id = 42;
@@ -65,6 +84,99 @@ TEST(TaskCodec, RoundTrip) {
   const TaskResult rback = TaskResult::unpack(ru);
   EXPECT_DOUBLE_EQ(rback.log_likelihood, -1234.5);
   EXPECT_EQ(rback.worker, 9);
+}
+
+TEST(TaskCodec, RejectsMalformedRegraftMarker) {
+  const auto decode = [](std::array<int, 3> taxa, int focus_taxon) {
+    TreeTask task;
+    task.newick = "(a:1,b:2,(c:0.5,d:0.5):1);";
+    task.focus_taxon = focus_taxon;
+    task.regraft_taxa = taxa;
+    Packer packer;
+    task.pack(packer);
+    Unpacker unpacker(packer.data());
+    return TreeTask::unpack(unpacker);
+  };
+  EXPECT_NO_THROW(decode({1, 0, 3}, -1));
+  EXPECT_THROW(decode({1, -1, 3}, -1), std::invalid_argument);   // partly set
+  EXPECT_THROW(decode({-1, -1, 3}, -1), std::invalid_argument);  // partly set
+  EXPECT_THROW(decode({1, 0, 1}, -1), std::invalid_argument);    // repeated
+  EXPECT_THROW(decode({1, 0, 3}, 2), std::invalid_argument);     // + focus
+  EXPECT_THROW(decode({-2, -2, -2}, -1), std::invalid_argument);
+}
+
+/// A rearrangement candidate as the search builds one: `tree`'s first
+/// subtree move applied, with its regraft marker.
+TreeTask marked_candidate(const Tree& tree,
+                          const std::vector<std::string>& names,
+                          double screen_lnl) {
+  const SprMove move = rearrangement_moves(tree, 1).front();
+  Tree candidate = tree;
+  const auto handle =
+      candidate.prune_subtree(move.junction, move.subtree_neighbor);
+  candidate.regraft(handle, move.target_u, move.target_v);
+  TreeTask task;
+  task.newick = to_newick(candidate, names, 17);
+  task.regraft_taxa = {
+      min_taxon_behind(candidate, handle.subtree, handle.junction),
+      min_taxon_behind(candidate, move.target_u, handle.junction),
+      min_taxon_behind(candidate, move.target_v, handle.junction)};
+  task.screen_lnl = screen_lnl;
+  return task;
+}
+
+TEST(TaskEvaluatorTest, PassedScreenIsTheFullTaskBitForBit) {
+  Fixture fx(10, 300);
+  TaskEvaluator evaluator(fx.data, SubstModel::jc69(), RateModel::uniform());
+  Rng rng(8);
+  const TreeTask marked =
+      marked_candidate(random_tree(10, rng), fx.data.names(),
+                       -std::numeric_limits<double>::infinity());
+  TreeTask unmarked = marked;
+  unmarked.regraft_taxa = {-1, -1, -1};
+  unmarked.screen_lnl = 0.0;
+  const TaskResult full = evaluator.evaluate(unmarked);
+  const TaskResult screened = evaluator.evaluate(marked);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(screened.log_likelihood),
+            std::bit_cast<std::uint64_t>(full.log_likelihood));
+  EXPECT_EQ(screened.newick, full.newick);
+}
+
+TEST(TaskEvaluatorTest, FailedScreenReturnsTheLocalResult) {
+  Fixture fx(10, 300);
+  TaskEvaluator evaluator(fx.data, SubstModel::jc69(), RateModel::uniform());
+  Rng rng(8);
+  const TreeTask marked =
+      marked_candidate(random_tree(10, rng), fx.data.names(),
+                       std::numeric_limits<double>::infinity());
+  const TaskResult local = evaluator.evaluate(marked);
+  EXPECT_TRUE(std::isfinite(local.log_likelihood));
+  EXPECT_LT(local.log_likelihood, marked.screen_lnl);
+
+  // The lnL belongs to the returned lengths, and the topology is the task's.
+  Tree returned = tree_from_newick(local.newick, fx.data.names());
+  EXPECT_EQ(robinson_foulds(returned,
+                            tree_from_newick(marked.newick, fx.data.names())),
+            0);
+  LikelihoodEngine engine(fx.data, SubstModel::jc69(), RateModel::uniform());
+  engine.attach(returned);
+  EXPECT_NEAR(engine.log_likelihood(), local.log_likelihood,
+              1e-9 * std::fabs(local.log_likelihood));
+}
+
+TEST(TaskEvaluatorTest, BadMarkerThrows) {
+  Fixture fx(10, 100);
+  TaskEvaluator evaluator(fx.data, SubstModel::jc69(), RateModel::uniform());
+  Rng rng(8);
+  Tree tree = random_tree(10, rng);
+  tree.remove_tip(9);
+  TreeTask task = marked_candidate(tree, fx.data.names(), 0.0);
+  task.regraft_taxa[2] = 9;  // a taxon the tree does not hold
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+  task.regraft_taxa[2] = 42;  // not a taxon at all
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+  task.regraft_taxa[2] = task.regraft_taxa[0];  // malformed, never unpacked
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
 }
 
 TEST(TaskEvaluatorTest, FocusTaskOnlyTouchesAttachmentEdges) {
@@ -231,6 +343,61 @@ TEST(Search, FinalRearrangementNeverHurts) {
   const SearchResult improved =
       StepwiseSearch(fx.data, with_rearrange).run(runner);
   EXPECT_GE(improved.best_log_likelihood, plain.best_log_likelihood - 1e-6);
+}
+
+/// Clears every task's regraft marker, so each rearrangement candidate is
+/// fully smoothed, as when candidates were not screened.
+class UnscreenedRunner : public TaskRunner {
+ public:
+  explicit UnscreenedRunner(TaskRunner& inner) : inner_(inner) {}
+
+  RoundOutcome run_round(const std::vector<TreeTask>& tasks) override {
+    std::vector<TreeTask> cleared = tasks;
+    for (TreeTask& task : cleared) {
+      if (task.screened()) ++cleared_;
+      task.regraft_taxa = {-1, -1, -1};
+      task.screen_lnl = 0.0;
+    }
+    return inner_.run_round(cleared);
+  }
+
+  std::size_t cleared() const { return cleared_; }
+
+ private:
+  TaskRunner& inner_;
+  std::size_t cleared_ = 0;
+};
+
+// The screen only skips work: every candidate that would improve the tree
+// passes it, so the search takes the same path as with every candidate
+// fully smoothed.
+TEST(Search, ScreenedSearchMatchesUnscreenedBitForBit) {
+  Fixture fx(12, 150);  // noisy enough that every seed here accepts moves
+  for (const int cross : {1, 3}) {
+    for (const std::uint64_t seed : {3u, 9u}) {
+      SearchOptions options;
+      options.seed = seed;
+      options.rearrange_cross = cross;
+      options.final_rearrange_cross = cross;
+      auto screened_runner = fx.runner();
+      const SearchResult screened =
+          StepwiseSearch(fx.data, options).run(screened_runner);
+      auto inner = fx.runner();
+      UnscreenedRunner unscreened_runner(inner);
+      const SearchResult unscreened =
+          StepwiseSearch(fx.data, options).run(unscreened_runner);
+      SCOPED_TRACE("cross " + std::to_string(cross) + " seed " +
+                   std::to_string(seed));
+      EXPECT_GT(unscreened_runner.cleared(), 0u);
+      EXPECT_GT(screened.rearrangements_accepted, 0u);
+      EXPECT_EQ(screened.best_newick, unscreened.best_newick);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(screened.best_log_likelihood),
+                std::bit_cast<std::uint64_t>(unscreened.best_log_likelihood));
+      EXPECT_EQ(screened.trees_evaluated, unscreened.trees_evaluated);
+      EXPECT_EQ(screened.rearrangements_accepted,
+                unscreened.rearrangements_accepted);
+    }
+  }
 }
 
 TEST(Search, RejectsBadOrder) {

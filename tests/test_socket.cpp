@@ -675,12 +675,19 @@ TEST(CorruptWire, RoundFailedMessageCorpus) {
 }
 
 TEST(CorruptWire, TreeTaskAndResultCorpus) {
-  Packer task_packer;
-  sample_round().tasks[0].pack(task_packer);
-  run_corrupt_corpus(task_packer.take(), [](const std::vector<std::uint8_t>& b) {
-    Unpacker unpacker(b);
-    (void)TreeTask::unpack(unpacker);
-  });
+  TreeTask marked = sample_round().tasks[0];
+  marked.focus_taxon = -1;
+  marked.regraft_taxa = {2, 0, 3};
+  marked.screen_lnl = -1234.5;
+  for (const TreeTask& task : {sample_round().tasks[0], marked}) {
+    Packer task_packer;
+    task.pack(task_packer);
+    run_corrupt_corpus(task_packer.take(),
+                       [](const std::vector<std::uint8_t>& b) {
+                         Unpacker unpacker(b);
+                         (void)TreeTask::unpack(unpacker);
+                       });
+  }
 
   Packer result_packer;
   sample_round_done().best.pack(result_packer);

@@ -20,8 +20,8 @@ namespace fdml {
 namespace {
 
 std::vector<std::string> names_for(int n) {
-  std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  std::vector<std::string> names(static_cast<std::size_t>(n), "t");
+  for (int i = 0; i < n; ++i) names[static_cast<std::size_t>(i)] += std::to_string(i);
   return names;
 }
 
@@ -95,11 +95,10 @@ TEST(Tree, RemoveTipRefusesToCollapse) {
   EXPECT_THROW(tree.remove_tip(0), std::logic_error);
 }
 
-TEST(Tree, PruneRegraftBackIsIdentity) {
+TEST(Tree, RegraftIntoTheClosedEdgeRestoresTopology) {
   Rng rng(123);
   for (int trial = 0; trial < 10; ++trial) {
-    Tree tree = random_tree(12, rng);
-    const std::uint64_t hash = topology_hash(tree);
+    const Tree tree = random_tree(12, rng);
     // Pick a random internal junction and subtree side.
     std::vector<std::pair<int, int>> choices;
     for (int j = tree.num_taxa(); j < tree.max_nodes(); ++j) {
@@ -107,22 +106,25 @@ TEST(Tree, PruneRegraftBackIsIdentity) {
       for (int s = 0; s < 3; ++s) choices.emplace_back(j, tree.neighbor(j, s));
     }
     const auto [junction, side] = choices[rng.below(choices.size())];
-    const auto handle = tree.prune_subtree(junction, side);
-    tree.regraft_back(handle);
-    tree.check_valid();
-    EXPECT_EQ(topology_hash(tree), hash);
-    EXPECT_NEAR(tree.length(junction, handle.left), handle.left_length, 1e-12);
-    EXPECT_NEAR(tree.length(junction, handle.right), handle.right_length, 1e-12);
+    Tree moved = tree;
+    const auto handle = moved.prune_subtree(junction, side);
+    EXPECT_EQ(moved.length(handle.left, handle.right),
+              tree.length(junction, handle.left) +
+                  tree.length(junction, handle.right));
+    moved.regraft(handle, handle.left, handle.right);
+    moved.check_valid();
+    EXPECT_EQ(topology_hash(moved), topology_hash(tree));
   }
 }
 
-TEST(Tree, RegraftAndUndoRestoresTopology) {
+TEST(Tree, RegraftOnCopiesReachesADistinctTreePerEdge) {
   Rng rng(321);
-  Tree tree = random_tree(10, rng);
+  const Tree tree = random_tree(10, rng);
   const std::uint64_t original = topology_hash(tree);
   const int junction = tree.any_internal();
   const int side = tree.neighbor(junction, 0);
-  const auto handle = tree.prune_subtree(junction, side);
+  Tree pruned_tree = tree;
+  const auto handle = pruned_tree.prune_subtree(junction, side);
   // Valid regraft targets are edges of the *remaining* component — mark the
   // pruned component (junction + subtree) and skip edges touching it.
   std::vector<char> pruned(static_cast<std::size_t>(tree.max_nodes()), 0);
@@ -132,24 +134,27 @@ TEST(Tree, RegraftAndUndoRestoresTopology) {
     const int node = stack.back();
     stack.pop_back();
     for (int s = 0; s < 3; ++s) {
-      const int nbr = tree.neighbor(node, s);
+      const int nbr = pruned_tree.neighbor(node, s);
       if (nbr == Tree::kNoNode || pruned[static_cast<std::size_t>(nbr)]) continue;
       pruned[static_cast<std::size_t>(nbr)] = 1;
       stack.push_back(nbr);
     }
   }
-  for (const auto& [u, v] : tree.edges()) {
+  std::set<std::uint64_t> topologies;
+  int targets = 0;
+  for (const auto& [u, v] : pruned_tree.edges()) {
     if (pruned[static_cast<std::size_t>(u)] || pruned[static_cast<std::size_t>(v)]) {
       continue;
     }
-    const auto undo = tree.regraft(handle, u, v);
-    tree.check_valid();
-    EXPECT_EQ(tree.tip_count(), 10);
-    tree.undo_regraft(handle, undo);
+    Tree candidate = pruned_tree;
+    candidate.regraft(handle, u, v);
+    candidate.check_valid();
+    EXPECT_EQ(candidate.tip_count(), 10);
+    topologies.insert(topology_hash(candidate));
+    ++targets;
   }
-  tree.regraft_back(handle);
-  tree.check_valid();
-  EXPECT_EQ(topology_hash(tree), original);
+  EXPECT_EQ(static_cast<int>(topologies.size()), targets);
+  EXPECT_EQ(topologies.count(original), 1u) << "one target is the old edge";
 }
 
 TEST(Tree, CollectSubtreeTips) {

@@ -273,7 +273,6 @@ TEST(Packer, RoundTripsAllTypes) {
   packer.put_f64(3.141592653589793);
   packer.put_bool(true);
   packer.put_string("hello world");
-  packer.put_f64_vector({1.0, -2.5, 1e-300});
 
   Unpacker unpacker(packer.data());
   EXPECT_EQ(unpacker.get_u8(), 7);
@@ -284,7 +283,6 @@ TEST(Packer, RoundTripsAllTypes) {
   EXPECT_EQ(unpacker.get_f64(), 3.141592653589793);
   EXPECT_TRUE(unpacker.get_bool());
   EXPECT_EQ(unpacker.get_string(), "hello world");
-  EXPECT_EQ(unpacker.get_f64_vector(), (std::vector<double>{1.0, -2.5, 1e-300}));
   EXPECT_TRUE(unpacker.exhausted());
 }
 
@@ -296,14 +294,14 @@ TEST(Packer, TruncatedMessageThrows) {
   EXPECT_THROW(unpacker.get_u64(), std::out_of_range);
 }
 
-TEST(Packer, CorruptVectorLengthThrowsBeforeAllocating) {
+TEST(Packer, CorruptStringLengthThrowsBeforeAllocating) {
   // One flipped byte can turn a length prefix into 0xFFFFFFFF. The decoder
   // must reject it against the bytes actually present — specifically with
-  // the truncation error, not by first attempting a ~32 GB reserve (the
-  // pre-fix behaviour, which surfaced as bad_alloc or an OOM kill under
-  // memory pressure instead of a clean protocol error).
+  // the truncation error, not by first attempting a 4 GB allocation (the
+  // reserve-before-validate bug, which surfaced as bad_alloc or an OOM kill
+  // under memory pressure instead of a clean protocol error).
   //
-  // Overcommitting kernels can let a 32 GB reserve *succeed*, which would
+  // Overcommitting kernels can let a 4 GB allocation *succeed*, which would
   // mask the bug, so outside sanitizer builds (whose shadow mappings cannot
   // live under an address-space cap) the heap is temporarily capped tightly
   // enough that any corruption-sized allocation fails as bad_alloc — the
@@ -313,14 +311,14 @@ TEST(Packer, CorruptVectorLengthThrowsBeforeAllocating) {
   rlimit previous{};
   ASSERT_EQ(getrlimit(RLIMIT_AS, &previous), 0);
   rlimit capped = previous;
-  capped.rlim_cur = 4ull << 30;  // far below the 32 GB a corrupt count implies
+  capped.rlim_cur = 4ull << 30;  // no room left for a 4 GB string
   const bool limited = setrlimit(RLIMIT_AS, &capped) == 0;
 #endif
-  std::vector<std::uint8_t> bytes = {0xFF, 0xFF, 0xFF, 0xFF,  // count
+  std::vector<std::uint8_t> bytes = {0xFF, 0xFF, 0xFF, 0xFF,  // length
                                      1,    2,    3,    4};    // 8 stray bytes
   bytes.resize(12, 0);
   Unpacker unpacker(bytes);
-  EXPECT_THROW(unpacker.get_f64_vector(), std::out_of_range);
+  EXPECT_THROW(unpacker.get_string(), std::out_of_range);
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__) && \
     !__has_feature(address_sanitizer) && !__has_feature(thread_sanitizer)
   if (limited) setrlimit(RLIMIT_AS, &previous);
@@ -329,7 +327,9 @@ TEST(Packer, CorruptVectorLengthThrowsBeforeAllocating) {
 
 TEST(Packer, RequireCountGuardsLengthPrefixedLoops) {
   Packer packer;
-  packer.put_f64_vector({1.0, 2.0});
+  packer.put_u32(2);  // a count, then that many doubles
+  packer.put_f64(1.0);
+  packer.put_f64(2.0);
   Unpacker unpacker(packer.data());
   const std::uint32_t n = unpacker.get_u32();
   EXPECT_NO_THROW(unpacker.require_count(n, 8));

@@ -67,8 +67,8 @@ TEST(Layout, CladogramIgnoresLengths) {
 TEST(Layout, EqualAngleSeparatesLeaves) {
   Rng rng(3);
   const Tree tree = random_tree(12, rng);
-  std::vector<std::string> names;
-  for (int i = 0; i < 12; ++i) names.push_back("t" + std::to_string(i));
+  std::vector<std::string> names(12, "t");
+  for (int i = 0; i < 12; ++i) names[static_cast<std::size_t>(i)] += std::to_string(i);
   const GeneralTree general = GeneralTree::from_tree(tree, names);
   const TreeLayout layout = equal_angle_layout(general);
   // All leaf positions distinct and within the bounding box.
