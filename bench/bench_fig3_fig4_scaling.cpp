@@ -5,96 +5,73 @@
 // baseline ("the most conservative fashion possible").
 //
 // Substitution (DESIGN.md): wall times come from discrete-event replays of
-// search traces on a simulated SP-class machine, with task costs scaled to
-// Power3+-era speed (--slowdown, default 30x this machine). Two trace
-// sources:
-//   synth (default): traces synthesized with the algorithm's exact round
-//     structure and calibrated kernel costs — seconds to produce, so the
-//     full 3-dataset x multi-ordering sweep runs by default;
-//   real: traces recorded from live serial searches on site-scaled
-//     alignments (costs rescaled linearly to full length) — slower but
-//     measured; used by default once on a reduced setting to validate the
-//     synthesizer against reality (skip with --validate=0).
+// recorded searches (record_trace.hpp: one live 3-worker search per dataset
+// and ordering, at full size, jumble seeds 1, 3, 5, ...) on a simulated
+// SP-class machine, with costs scaled to Power3+-era speed (--slowdown,
+// default 30x this machine). Each recording is also replayed unscaled in
+// its own 6-processor layout (default SimClusterConfig) and compared with
+// its live wall time.
 //
-//   ./bench_fig3_fig4_scaling                          # default sweep
-//   ./bench_fig3_fig4_scaling --orderings=10           # paper's averaging
-//   ./bench_fig3_fig4_scaling --mode=real --cross=5 --sites-scale=0.1
+//   ./bench_fig3_fig4_scaling                  # 1 ordering, ~13 min here
+//   ./bench_fig3_fig4_scaling --orderings=10   # the paper's averaging
+#include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "fdml.hpp"
+#include "record_trace.hpp"
 
 namespace {
 
 using namespace fdml;
 
 struct DatasetSpec {
-  const char* name;
   int taxa;
   std::size_t sites;
 };
 
-constexpr DatasetSpec kDatasets[] = {
-    {"50 taxa x 1858", 50, 1858},
-    {"101 taxa x 1858", 101, 1858},
-    {"150 taxa x 1269", 150, 1269},
-};
+constexpr DatasetSpec kDatasets[] = {{50, 1858}, {101, 1858}, {150, 1269}};
 
-SearchTrace record_real_trace(const DatasetSpec& spec, double sites_scale,
-                              int cross, std::uint64_t seed) {
-  const std::size_t scaled_sites = std::max<std::size_t>(
-      50, static_cast<std::size_t>(spec.sites * sites_scale));
-  const Alignment alignment =
-      make_paper_like_dataset(spec.taxa, scaled_sites, 555);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  SerialTaskRunner runner(data, model, RateModel::uniform());
-  SearchOptions options;
-  options.seed = seed;
-  options.rearrange_cross = cross;
-  options.final_rearrange_cross = cross;
-  SearchResult result = StepwiseSearch(data, options).run(runner);
-  // Kernel cost is linear in alignment length; rescale measured costs from
-  // the scaled alignment back to the full-length dataset.
-  result.trace.scale_costs(static_cast<double>(spec.sites) /
-                           static_cast<double>(scaled_sites));
-  result.trace.dataset = spec.name;
-  return std::move(result.trace);
+double mean_wall(const std::vector<SearchTrace>& traces,
+                 const SimClusterConfig& config) {
+  double total = 0.0;
+  for (const SearchTrace& trace : traces) {
+    total += simulate_trace(trace, config).wall_seconds;
+  }
+  return total / static_cast<double>(traces.size());
 }
 
 void print_tables(const std::vector<std::vector<SearchTrace>>& traces,
                   const std::vector<std::int64_t>& procs, double slowdown) {
+  SimClusterConfig serial;
+  serial.processors = 1;
+  std::vector<double> serial_means;
+  for (const auto& dataset_traces : traces) {
+    serial_means.push_back(mean_wall(dataset_traces, serial));
+  }
+  // walls[p][d]: mean wall-clock seconds per ordering.
+  std::vector<std::vector<double>> walls;
+  for (std::int64_t p : procs) {
+    const SimClusterConfig config = sp_era_config(static_cast<int>(p), slowdown);
+    std::vector<double> row;
+    for (const auto& dataset_traces : traces) {
+      row.push_back(mean_wall(dataset_traces, config));
+    }
+    walls.push_back(std::move(row));
+  }
+
   // Figure 3: mean wall-clock seconds per ordering.
   std::printf("\n== Figure 3: time to complete one ordering (seconds, "
               "simulated SP) ==\n%11s", "processors");
   for (const auto& dataset_traces : traces) {
     std::printf(" %18s", dataset_traces.front().dataset.c_str());
   }
-  std::printf("\n");
-  std::vector<double> serial_means(traces.size(), 0.0);
-  for (std::size_t d = 0; d < traces.size(); ++d) {
-    SimClusterConfig config;
-    config.processors = 1;
-    for (const auto& trace : traces[d]) {
-      serial_means[d] += simulate_trace(trace, config).wall_seconds;
-    }
-    serial_means[d] /= static_cast<double>(traces[d].size());
-  }
-  std::printf("%11s", "1 (serial)");
+  std::printf("\n%11s", "1 (serial)");
   for (double s : serial_means) std::printf(" %18.0f", s);
   std::printf("\n");
-  for (std::int64_t p : procs) {
-    std::printf("%11lld", static_cast<long long>(p));
-    for (const auto& dataset_traces : traces) {
-      SimClusterConfig config = sp_era_config(static_cast<int>(p), slowdown);
-      double mean = 0.0;
-      for (const auto& trace : dataset_traces) {
-        mean += simulate_trace(trace, config).wall_seconds;
-      }
-      std::printf(" %18.0f", mean / static_cast<double>(dataset_traces.size()));
-    }
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    std::printf("%11lld", static_cast<long long>(procs[i]));
+    for (double wall : walls[i]) std::printf(" %18.0f", wall);
     std::printf("\n");
   }
 
@@ -105,28 +82,17 @@ void print_tables(const std::vector<std::vector<SearchTrace>>& traces,
     std::printf(" %18s", dataset_traces.front().dataset.c_str());
   }
   std::printf("\n");
-  for (std::int64_t p : procs) {
-    std::printf("%11lld %9lld", static_cast<long long>(p),
-                static_cast<long long>(p));
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    std::printf("%11lld %9lld", static_cast<long long>(procs[i]),
+                static_cast<long long>(procs[i]));
     for (std::size_t d = 0; d < traces.size(); ++d) {
-      SimClusterConfig config = sp_era_config(static_cast<int>(p), slowdown);
-      double mean = 0.0;
-      for (const auto& trace : traces[d]) {
-        mean += simulate_trace(trace, config).wall_seconds;
-      }
-      mean /= static_cast<double>(traces[d].size());
-      std::printf(" %18.3f", serial_means[d] / mean);
+      std::printf(" %18.3f", serial_means[d] / walls[i][d]);
     }
     std::printf("\n");
   }
 
   // The paper's headline arithmetic for the largest dataset.
-  const SimClusterConfig config = sp_era_config(64, slowdown);
-  double at64 = 0.0;
-  for (const auto& trace : traces.back()) {
-    at64 += simulate_trace(trace, config).wall_seconds;
-  }
-  at64 /= static_cast<double>(traces.back().size());
+  const double at64 = mean_wall(traces.back(), sp_era_config(64, slowdown));
   std::printf("\nHeadline (150 taxa): %.1f days serial vs %.1f hours at 64 "
               "processors;\n200 orderings: %.1f years serial vs %.1f days on "
               "64 processors.\n",
@@ -139,87 +105,36 @@ void print_tables(const std::vector<std::vector<SearchTrace>>& traces,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const std::string mode = args.get("mode", "synth");
-  const int orderings = static_cast<int>(args.get_int("orderings", 3));
+  const int orderings = static_cast<int>(args.get_int("orderings", 1));
   const int cross = static_cast<int>(args.get_int("cross", 5));
   const double slowdown = args.get_double("slowdown", 30.0);
   const auto procs = args.get_int_list("procs", {4, 8, 16, 32, 64});
 
-  std::printf("fastdnaml++ scaling study (mode=%s, k=%d, %d orderings, "
-              "%.0fx CPU slowdown to Power3+ era)\n",
-              mode.c_str(), cross, orderings, slowdown);
+  std::printf("fastdnaml++ scaling study (recorded searches, k=%d, %d "
+              "ordering(s), %.0fx CPU slowdown to Power3+ era)\n",
+              cross, orderings, slowdown);
 
+  // The simulator against the live run: each recording replayed unscaled
+  // in its own layout (master, foreman, monitor and 3 workers).
+  SimClusterConfig live_layout;
+  live_layout.processors = 6;
   std::vector<std::vector<SearchTrace>> traces;
-  if (mode == "real") {
-    const double sites_scale = args.get_double("sites-scale", 0.1);
-    for (const DatasetSpec& spec : kDatasets) {
-      std::printf("  recording %d real trace(s) for %s at %.0f%% of sites...\n",
-                  orderings, spec.name, 100.0 * sites_scale);
-      std::vector<SearchTrace> dataset_traces;
-      for (int k = 0; k < orderings; ++k) {
-        SearchTrace trace = record_real_trace(spec, sites_scale, cross,
-                                              1 + 2ULL * static_cast<std::uint64_t>(k));
-        trace.scale_costs(slowdown);
-        dataset_traces.push_back(std::move(trace));
-      }
-      traces.push_back(std::move(dataset_traces));
+  for (const DatasetSpec& spec : kDatasets) {
+    std::vector<SearchTrace> dataset_traces;
+    for (int k = 0; k < orderings; ++k) {
+      bench::RecordedTrace recorded = bench::record_trace(
+          spec.taxa, spec.sites, cross, 1 + 2ULL * static_cast<std::uint64_t>(k));
+      const double replayed =
+          simulate_trace(recorded.trace, live_layout).wall_seconds;
+      std::printf("    simulator vs live: the unscaled trace replays in %.1f s "
+                  "at 6 processors, %.2fx the live wall\n",
+                  replayed, replayed / recorded.wall_seconds);
+      recorded.trace.scale_costs(slowdown);
+      dataset_traces.push_back(std::move(recorded.trace));
     }
-  } else {
-    const Alignment sample = make_paper_like_dataset(16, 250, 7);
-    const PatternAlignment sample_data(sample);
-    const SubstModel model =
-        SubstModel::f84_from_tstv(sample_data.base_frequencies(), 2.0);
-    const WorkloadModel workload =
-        calibrate_workload(sample_data, model, RateModel::uniform());
-    for (const DatasetSpec& spec : kDatasets) {
-      std::vector<SearchTrace> dataset_traces;
-      for (int k = 0; k < orderings; ++k) {
-        Rng rng(1 + 2ULL * static_cast<std::uint64_t>(k));
-        SearchTrace trace =
-            synthesize_trace(spec.taxa, spec.sites, cross, workload, rng);
-        trace.dataset = spec.name;
-        trace.scale_costs(slowdown);
-        dataset_traces.push_back(std::move(trace));
-      }
-      traces.push_back(std::move(dataset_traces));
-    }
+    traces.push_back(std::move(dataset_traces));
   }
 
   print_tables(traces, procs, slowdown);
-
-  // Validation: one real recorded trace vs one synthesized trace at matched
-  // reduced settings; their serial times and speedup curves should agree.
-  if (mode != "real" && args.get_int("validate", 1) != 0) {
-    std::printf("\n== Synthesizer validation (50 taxa, k=1, 5%% of sites, "
-                "live serial search) ==\n");
-    const DatasetSpec spec = kDatasets[0];
-    SearchTrace real = record_real_trace(spec, 0.05, 1, 1);
-    real.scale_costs(slowdown);
-
-    const Alignment sample = make_paper_like_dataset(16, 250, 7);
-    const PatternAlignment sample_data(sample);
-    const SubstModel model =
-        SubstModel::f84_from_tstv(sample_data.base_frequencies(), 2.0);
-    const WorkloadModel workload =
-        calibrate_workload(sample_data, model, RateModel::uniform());
-    Rng rng(1);
-    SearchTrace synth = synthesize_trace(spec.taxa, spec.sites, 1, workload, rng);
-    synth.scale_costs(slowdown);
-
-    std::printf("%22s %12s %12s\n", "", "real trace", "synthesized");
-    std::printf("%22s %12zu %12zu\n", "tasks", real.total_tasks(),
-                synth.total_tasks());
-    SimClusterConfig config;
-    config.processors = 1;
-    std::printf("%22s %11.0fs %11.0fs\n", "serial time",
-                simulate_trace(real, config).wall_seconds,
-                simulate_trace(synth, config).wall_seconds);
-    for (int p : {16, 64}) {
-      const SimClusterConfig parallel = sp_era_config(p, slowdown);
-      std::printf("%19s %2d %12.2f %12.2f\n", "speedup at", p,
-                  simulated_speedup(real, parallel),
-                  simulated_speedup(synth, parallel));
-    }
-  }
   return 0;
 }

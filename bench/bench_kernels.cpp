@@ -1,8 +1,7 @@
 // Kernel microbenchmarks: the primitives whose costs drive everything else —
 // transition matrices, CLV updates, edge likelihood evaluation, Newton
 // branch optimization, pattern compression, Fitch scoring, topology hashing.
-// These numbers calibrate the cluster simulator (see WorkloadModel) and
-// document where the cycles go.
+// These numbers document where the cycles go.
 //
 // Two modes:
 //   bench_kernels                 google-benchmark suite (plus the sweep)

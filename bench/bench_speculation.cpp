@@ -4,11 +4,13 @@
 // not studied the runtime behavior of our implementation ... to see if such
 // a feature would enhance the scalability of the parallel version of
 // fastDNAml. We plan to do so." This bench is that study, on the
-// discrete-event model: barriers after rearrangement rounds are crossed
-// speculatively; improving rounds waste the speculative work.
+// discrete-event model replaying recorded 50-taxon searches at k = 1 and 5
+// (record_trace.hpp, jumble seed 1): barriers after rearrangement rounds
+// are crossed speculatively; improving rounds waste the speculative work.
 #include <cstdio>
 
 #include "fdml.hpp"
+#include "record_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace fdml;
@@ -17,21 +19,12 @@ int main(int argc, char** argv) {
   const std::size_t sites = static_cast<std::size_t>(args.get_int("sites", 1858));
   const double slowdown = args.get_double("slowdown", 30.0);
 
-  const Alignment sample = make_paper_like_dataset(16, 250, 7);
-  const PatternAlignment sample_data(sample);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(sample_data.base_frequencies(), 2.0);
-  const WorkloadModel workload =
-      calibrate_workload(sample_data, model, RateModel::uniform());
-
   std::printf("Speculative dispatch across rearrangement barriers "
               "(%d taxa x %zu sites)\n\n", taxa, sites);
   for (int cross : {1, 5}) {
-    Rng rng(42);
-    SearchTrace trace = synthesize_trace(taxa, sites, cross, workload, rng);
+    SearchTrace trace = bench::record_trace(taxa, sites, cross, 1).trace;
     trace.scale_costs(slowdown);
-    std::printf("k=%d   (%zu rounds, %zu tasks)\n", cross, trace.rounds.size(),
-                trace.total_tasks());
+    std::printf("k=%d\n", cross);
     std::printf("%11s %12s %12s %9s %12s %9s\n", "processors", "normal",
                 "speculative", "gain", "speculated", "wasted");
     for (std::int64_t p : args.get_int_list("procs", {8, 16, 32, 64})) {
@@ -45,8 +38,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  std::printf("Expected shape: modest gains, growing with processor count "
-              "(more idle tail\nto fill) and larger at k=1 (narrow rounds, "
-              "many barriers).\n");
+  std::printf("Expected shape: larger gains at k=1 (narrow rounds, many "
+              "barriers) than at k=5.\n");
   return 0;
 }

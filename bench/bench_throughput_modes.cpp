@@ -12,12 +12,16 @@
 //   B. job-level parallelism: independent serial orderings packed onto
 //      P processors (perfect scaling, but the first tree takes a full
 //      serial runtime).
+// Per-ordering times replay recorded searches (record_trace.hpp, jumble
+// seeds 1, 3, 5, ...), up to 8 distinct orderings, reused round-robin.
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <queue>
 #include <vector>
 
 #include "fdml.hpp"
+#include "record_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace fdml;
@@ -29,21 +33,16 @@ int main(int argc, char** argv) {
   const int processors = static_cast<int>(args.get_int("processors", 64));
   const double slowdown = args.get_double("slowdown", 30.0);
 
-  const Alignment sample = make_paper_like_dataset(16, 250, 7);
-  const PatternAlignment sample_data(sample);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(sample_data.base_frequencies(), 2.0);
-  const WorkloadModel workload =
-      calibrate_workload(sample_data, model, RateModel::uniform());
-
   // Per-ordering serial and parallel runtimes (orderings differ slightly in
   // work, like the paper's ten randomizations did).
   std::vector<double> serial_times;
   std::vector<double> parallel_times;
   const int distinct = std::min(orderings, 8);
   for (int k = 0; k < distinct; ++k) {
-    Rng rng(1000 + 2ULL * static_cast<std::uint64_t>(k));
-    SearchTrace trace = synthesize_trace(taxa, sites, cross, workload, rng);
+    SearchTrace trace =
+        bench::record_trace(taxa, sites, cross,
+                            1 + 2ULL * static_cast<std::uint64_t>(k))
+            .trace;
     trace.scale_costs(slowdown);
     SimClusterConfig serial_config;
     serial_config.processors = 1;
@@ -74,23 +73,30 @@ int main(int argc, char** argv) {
     cores.push(finish);
   }
 
-  const double day = 86400.0;
-  std::printf("Study: %d orderings of %d taxa x %zu sites on %d processors "
+  const double hour = 3600.0;
+  const auto mean = [](const std::vector<double>& v) {
+    return std::accumulate(v.begin(), v.end(), 0.0) /
+           static_cast<double>(v.size());
+  };
+  std::printf("\nStudy: %d orderings of %d taxa x %zu sites on %d processors "
               "(k=%d, Power3-era costs)\n\n", orderings, taxa, sites,
               processors, cross);
   std::printf("Mean serial time per ordering:   %8.2f h\n",
-              serial_times[0] / 3600.0);
+              mean(serial_times) / hour);
   std::printf("Mean parallel time per ordering: %8.2f h\n\n",
-              parallel_times[0] / 3600.0);
+              mean(parallel_times) / hour);
   std::printf("%40s %14s %18s\n", "", "makespan", "first result in");
-  std::printf("%40s %11.1f d %15.2f h\n",
-              "A: intra-run parallel (fastDNAml)", mode_a_makespan / day,
-              mode_a_first / 3600.0);
-  std::printf("%40s %11.1f d %15.2f h\n",
-              "B: independent serial orderings", mode_b_makespan / day,
-              mode_b_first / 3600.0);
-  std::printf("\nExpected shape: mode B wins modestly on throughput (perfect "
-              "scaling),\nmode A delivers the first tree ~P/3x sooner — the "
-              "paper's argument for\nparallelizing within an ordering.\n");
+  std::printf("%40s %11.1f h %15.2f h\n",
+              "A: intra-run parallel (fastDNAml)", mode_a_makespan / hour,
+              mode_a_first / hour);
+  std::printf("%40s %11.1f h %15.2f h\n",
+              "B: independent serial orderings", mode_b_makespan / hour,
+              mode_b_first / hour);
+  std::printf("\nB finishes the study %.1fx sooner; A hands over the first "
+              "tree %.1fx sooner.\n", mode_a_makespan / mode_b_makespan,
+              mode_b_first / mode_a_first);
+  std::printf("Paper's argument for A: serial jobs scale perfectly, but the "
+              "practicing biologist\nbenefits from seeing some results "
+              "relatively quickly.\n");
   return 0;
 }

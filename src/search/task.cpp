@@ -22,6 +22,9 @@ TreeTask TreeTask::unpack(Unpacker& unpacker) {
   task.focus_taxon = unpacker.get_i32();
   for (int& taxon : task.regraft_taxa) taxon = unpacker.get_i32();
   task.screen_lnl = unpacker.get_f64();
+  if (task.focus_taxon < -1) {
+    throw std::invalid_argument("TreeTask: negative focus taxon");
+  }
   if (!task.marker_well_formed()) {
     throw std::invalid_argument("TreeTask: malformed regraft marker");
   }

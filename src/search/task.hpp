@@ -33,7 +33,8 @@ struct TreeTask {
   /// kQuickAddPasses passes (the paper's "rapid approximation of the
   /// insertion point"). -1 = optimize every branch, for kFullSmoothPasses
   /// passes (after the screen, when regraft_taxa is set). The worker picks
-  /// the pass budget; the task does not carry it.
+  /// the pass budget; the task does not carry it. Values below -1 do not
+  /// unpack.
   int focus_taxon = -1;
   /// Set on rearrangement candidates: the smallest taxon behind each of the
   /// regraft junction's three neighbours, the moved subtree's first. Their
@@ -50,7 +51,8 @@ struct TreeTask {
   bool marker_well_formed() const;
 
   void pack(Packer& packer) const;
-  /// Throws on a truncated payload and on a marker that is not well formed.
+  /// Throws on a truncated payload, a focus taxon below -1 and a marker
+  /// that is not well formed.
   static TreeTask unpack(Unpacker& unpacker);
 };
 

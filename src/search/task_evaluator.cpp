@@ -134,14 +134,15 @@ std::vector<TaskResult> TaskEvaluator::evaluate_batch(
       continue;
     }
     Tree tree = tree_from_newick(task.newick, data_.names());
-    if (tree.tip_count() < 4) {
-      // Too small to detach the focus tip for a shared base; score it
-      // against its own tree (same canonical sequence).
-      flush_chunk(chunk, results);
-      results[i] = evaluate_focus_sequential(task);
-      continue;
-    }
     const int tip = task.focus_taxon;
+    if (tip >= tree.num_taxa() || !tree.contains(tip)) {
+      throw std::invalid_argument("focus task: taxon " + std::to_string(tip) +
+                                  " is not in the tree");
+    }
+    if (tree.tip_count() < 4) {
+      // A search's first insertion already adds the 4th taxon.
+      throw std::invalid_argument("focus task: fewer than 4 tips");
+    }
     const int junction = tree.neighbor(tip, 0);
     int u = -1;
     int v = -1;
@@ -247,8 +248,8 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
 
   // Splice the candidate in with the task's exact local lengths, then apply
   // the phase-A tip solve as if optimize_edge had just committed it. The
-  // solve is bit-identical to what the sequential path's first
-  // optimize_edge(junction, tip) would produce: same captured coefficients
+  // solve is bit-identical to what optimize_edge(junction, tip) on the
+  // spliced tree would produce: same captured coefficients
   // (BatchEdgeEvaluator's determinism contract), same Newton sequence.
   const int junction = ctx.insert_tip(tip, ins.u, ins.v);
   engine.invalidate_node(junction);  // free-list id may carry stale flags
@@ -260,8 +261,8 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
   const double lnl = smooth_focus(ctx, tip, junction, c.tip_length);
 
   // Write the optimized local lengths back into the parsed task tree — the
-  // result stays in the task's own coordinate system, so it is identical
-  // to what the sequential path would serialize.
+  // result stays in the task's own coordinate system, whichever context
+  // scored it.
   c.tree.set_length(tip, c.junction, ctx.length(tip, junction));
   c.tree.set_length(c.junction, c.u, ctx.length(junction, ins.u));
   c.tree.set_length(c.junction, c.v, ctx.length(junction, ins.v));
@@ -276,21 +277,20 @@ TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
 }
 
 double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
-                                   double pre_applied_before) {
+                                   double pass0_tip_before) {
   const auto [a, b] = other_neighbors(tree, junction, tip);
   BranchOptimizer& optimizer = evaluator_.optimizer();
-  const bool pre_applied = pre_applied_before >= 0.0;
 
   // Same pass/convergence semantics as BranchOptimizer::smooth_edges over
   // the canonical edge order [(junction, tip), (junction, a), (junction,
-  // b)]; the batched path substitutes its precomputed solve for pass 0's
-  // tip edge.
+  // b)], with the batched precomputed solve standing in for pass 0's tip
+  // edge.
   for (int pass = 0; pass < kQuickAddPasses; ++pass) {
     double worst_move = 0.0;
     double tip_before;
     double tip_after;
-    if (pass == 0 && pre_applied) {
-      tip_before = pre_applied_before;
+    if (pass == 0) {
+      tip_before = pass0_tip_before;
       tip_after = tree.length(junction, tip);
     } else {
       tip_before = tree.length(junction, tip);
@@ -310,18 +310,6 @@ double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
   // representation of this candidate with the same node ids (tip ids are
   // taxon ids), unlike log_likelihood()'s arbitrary internal root.
   return evaluator_.engine().log_likelihood_edge(tip, junction);
-}
-
-TaskResult TaskEvaluator::evaluate_focus_sequential(const TreeTask& task) {
-  CpuTimer timer;
-  Tree tree = tree_from_newick(task.newick, data_.names());
-  ctx_valid_ = false;  // the engine leaves the context tree
-  evaluator_.engine().attach(tree);
-  const int tip = task.focus_taxon;
-  const int junction = tree.neighbor(tip, 0);
-  const double lnl =
-      smooth_focus(tree, tip, junction, /*pre_applied_before=*/-1.0);
-  return finish_result(task, lnl, tree, timer.seconds());
 }
 
 TaskResult TaskEvaluator::evaluate_screened(const TreeTask& task) {

@@ -22,9 +22,9 @@
 // task. Every incoming task is verified against the context bitwise
 // (topology under canonical min-taxon child ordering, branch lengths
 // compared exactly); on mismatch the context is rebuilt from the task
-// itself. The batched path and the sequential fallback perform the same
-// canonical edge sequence with the same arithmetic, so their results are
-// bit-identical — the cross-process determinism tests rely on this.
+// itself. A candidate therefore gets the same CLVs, the same canonical
+// edge sequence and the same arithmetic whichever worker, chunk or context
+// scores it — the cross-process determinism tests rely on this.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +54,8 @@ class TaskEvaluator {
   /// insertion tasks that share a base tree are scored through the batched
   /// multi-edge path; screened and full-smoothing tasks run one at a time.
   /// Bit-identical to calling evaluate() per task in the same order.
+  /// Throws std::invalid_argument on a focus taxon that is not a tip of
+  /// the task's tree, and on a focus task whose tree has fewer than 4 tips.
   std::vector<TaskResult> evaluate_batch(const std::vector<TreeTask>& tasks);
 
   LikelihoodEngine& engine() { return evaluator_.engine(); }
@@ -81,16 +83,13 @@ class TaskEvaluator {
   /// Canonical local smoothing (kQuickAddPasses passes at most) of the
   /// three edges at a freshly inserted focus tip: [(junction, tip),
   /// (junction, a), (junction, b)] with a and b ordered by the minimum
-  /// taxon id behind them — representation invariant. `pre_applied_before`
-  /// >= 0 means the pass-0 tip-edge solve was already applied (batched
-  /// path) and was started from that length. Returns the final
-  /// log-likelihood across the canonical (tip, junction) edge.
+  /// taxon id behind them — representation invariant. The pass-0 tip-edge
+  /// solve is the batched one, already applied, started from
+  /// `pass0_tip_before`. Returns the final log-likelihood across the
+  /// canonical (tip, junction) edge.
   double smooth_focus(Tree& tree, int tip, int junction,
-                      double pre_applied_before);
+                      double pass0_tip_before);
 
-  /// Sequential fallback for focus tasks (same canonical sequence, solves
-  /// one edge at a time against a freshly attached tree).
-  TaskResult evaluate_focus_sequential(const TreeTask& task);
   /// Rearrangement candidates (regraft marker set): smooths the edges
   /// within two edges of the regraft junction for kQuickAddPasses passes at
   /// most; returns that local result if its lnL is below the task's screen,

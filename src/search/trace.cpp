@@ -1,9 +1,5 @@
 #include "search/trace.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
 namespace fdml {
 
 const char* round_kind_name(RoundKind kind) {
@@ -41,70 +37,6 @@ void SearchTrace::scale_costs(double factor) {
     for (double& s : round.task_cpu_seconds) s *= factor;
     round.master_seconds *= factor;
   }
-}
-
-void SearchTrace::save(std::ostream& out) const {
-  // Round-trip exactly: default stream precision (6 digits) loses enough of
-  // each cpu_seconds entry for replays to drift.
-  out.precision(17);
-  out << "fdml-trace 1\n";
-  out << dataset << "\n";
-  out << num_taxa << " " << num_sites << " " << num_patterns << " " << seed
-      << " " << rounds.size() << "\n";
-  for (const auto& round : rounds) {
-    out << static_cast<int>(round.kind) << " " << round.taxa_in_tree << " "
-        << round.master_seconds << " " << round.task_cpu_seconds.size() << "\n";
-    for (std::size_t i = 0; i < round.task_cpu_seconds.size(); ++i) {
-      out << round.task_cpu_seconds[i] << " "
-          << (i < round.task_bytes.size() ? round.task_bytes[i] : 0) << "\n";
-    }
-  }
-}
-
-SearchTrace SearchTrace::load(std::istream& in) {
-  SearchTrace trace;
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != "fdml-trace" || version != 1) {
-    throw std::runtime_error("trace: bad header");
-  }
-  // Consume the rest of the header line, then take the dataset line as-is
-  // (it may legitimately be empty; `>> std::ws` would swallow it and shift
-  // the whole parse).
-  std::string rest_of_header;
-  std::getline(in, rest_of_header);
-  std::getline(in, trace.dataset);
-  std::size_t num_rounds = 0;
-  in >> trace.num_taxa >> trace.num_sites >> trace.num_patterns >> trace.seed >>
-      num_rounds;
-  trace.rounds.resize(num_rounds);
-  for (auto& round : trace.rounds) {
-    int kind = 0;
-    std::size_t tasks = 0;
-    in >> kind >> round.taxa_in_tree >> round.master_seconds >> tasks;
-    if (!in) throw std::runtime_error("trace: truncated round header");
-    round.kind = static_cast<RoundKind>(kind);
-    round.task_cpu_seconds.resize(tasks);
-    round.task_bytes.resize(tasks);
-    for (std::size_t i = 0; i < tasks; ++i) {
-      in >> round.task_cpu_seconds[i] >> round.task_bytes[i];
-    }
-    if (!in) throw std::runtime_error("trace: truncated task list");
-  }
-  return trace;
-}
-
-void SearchTrace::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  save(out);
-}
-
-SearchTrace SearchTrace::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return load(in);
 }
 
 }  // namespace fdml

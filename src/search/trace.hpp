@@ -4,8 +4,8 @@
 // on hardware that does not have 64 CPUs (see DESIGN.md, substitutions).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -45,15 +45,9 @@ struct SearchTrace {
   double total_task_seconds() const;
   double total_master_seconds() const;
 
-  /// Scales every task cost by `factor` (used to extrapolate bench-sized
-  /// alignments to paper-sized ones: kernel cost is linear in site count).
+  /// Scales every task and master cost by `factor` (the scaling studies
+  /// slow a recorded trace down to Power3+-era CPU speed).
   void scale_costs(double factor);
-
-  /// Plain-text serialization (one file per trace) for bench reuse.
-  void save(std::ostream& out) const;
-  static SearchTrace load(std::istream& in);
-  void save_file(const std::string& path) const;
-  static SearchTrace load_file(const std::string& path);
 };
 
 }  // namespace fdml

@@ -1,7 +1,7 @@
 // End-to-end integration tests: the full user pipeline across modules —
 // dataset on disk -> PHYLIP -> pattern compression -> model from data ->
 // search (serial and parallel) -> consensus -> rendering — plus cross-model
-// and rate-heterogeneity searches and trace files on disk.
+// and rate-heterogeneity searches.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -83,15 +83,10 @@ TEST(Integration, FullPipelineThroughDisk) {
     EXPECT_NE(ascii.find(name), std::string::npos);
   }
 
-  // 8. Trace file round trip through disk.
-  jumbles.runs[0].trace.save_file(dir.file("run.trace"));
-  const SearchTrace trace = SearchTrace::load_file(dir.file("run.trace"));
-  EXPECT_EQ(trace.total_tasks(), jumbles.runs[0].trace.total_tasks());
-
-  // 9. The trace replays on the simulator.
+  // 8. The search's trace replays on the simulator.
   SimClusterConfig config;
   config.processors = 8;
-  EXPECT_GT(simulate_trace(trace, config).wall_seconds, 0.0);
+  EXPECT_GT(simulate_trace(jumbles.runs[0].trace, config).wall_seconds, 0.0);
 }
 
 TEST(Integration, ParallelAndSerialPipelinesAgree) {

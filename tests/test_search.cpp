@@ -7,7 +7,6 @@
 #include <cmath>
 #include <limits>
 #include <set>
-#include <sstream>
 
 #include "model/simulate.hpp"
 #include "search/search.hpp"
@@ -103,6 +102,7 @@ TEST(TaskCodec, RejectsMalformedRegraftMarker) {
   EXPECT_THROW(decode({1, 0, 1}, -1), std::invalid_argument);    // repeated
   EXPECT_THROW(decode({1, 0, 3}, 2), std::invalid_argument);     // + focus
   EXPECT_THROW(decode({-2, -2, -2}, -1), std::invalid_argument);
+  EXPECT_THROW(decode({-1, -1, -1}, -2), std::invalid_argument);  // focus
 }
 
 /// A rearrangement candidate as the search builds one: `tree`'s first
@@ -177,6 +177,34 @@ TEST(TaskEvaluatorTest, BadMarkerThrows) {
   EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
   task.regraft_taxa[2] = task.regraft_taxa[0];  // malformed, never unpacked
   EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+}
+
+TEST(TaskEvaluatorTest, BadFocusTaxonThrows) {
+  Fixture fx(8, 100);
+  TaskEvaluator evaluator(fx.data, SubstModel::jc69(), RateModel::uniform());
+  Rng rng(8);
+  Tree tree = random_tree(8, rng);
+  tree.remove_tip(7);
+  TreeTask task;
+  task.newick = to_newick(tree, fx.data.names(), 17);
+  task.focus_taxon = 100000;  // far outside the node table
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+  task.focus_taxon = 40;  // just past the node table
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+  task.focus_taxon = 7;  // a taxon the tree does not hold
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+
+  // A 3-tip tree has no base to detach the focus tip from; no search
+  // sends one (its first insertion adds the 4th taxon).
+  Tree triplet(8);
+  triplet.make_triplet(0, 1, 2);
+  task.newick = to_newick(triplet, fx.data.names(), 17);
+  task.focus_taxon = 1;
+  EXPECT_THROW(evaluator.evaluate(task), std::invalid_argument);
+
+  task.newick = to_newick(tree, fx.data.names(), 17);
+  task.focus_taxon = 4;
+  EXPECT_NO_THROW(evaluator.evaluate(task));
 }
 
 TEST(TaskEvaluatorTest, FocusTaskOnlyTouchesAttachmentEdges) {
@@ -424,49 +452,6 @@ TEST(Search, JumblesProduceCountedRunsAndBestIndex) {
   // Orders differ across jumbles (with overwhelming probability).
   EXPECT_FALSE(jumbles.runs[0].addition_order == jumbles.runs[1].addition_order &&
                jumbles.runs[1].addition_order == jumbles.runs[2].addition_order);
-}
-
-TEST(Trace, SaveLoadRoundTrip) {
-  Fixture fx(8, 150);
-  auto runner = fx.runner();
-  SearchOptions options;
-  options.seed = 19;
-  StepwiseSearch search(fx.data, options);
-  SearchResult result = search.run(runner);
-  result.trace.dataset = "unit-test dataset";
-
-  std::stringstream buffer;
-  result.trace.save(buffer);
-  const SearchTrace back = SearchTrace::load(buffer);
-  EXPECT_EQ(back.dataset, "unit-test dataset");
-  EXPECT_EQ(back.num_taxa, result.trace.num_taxa);
-  EXPECT_EQ(back.rounds.size(), result.trace.rounds.size());
-  EXPECT_EQ(back.total_tasks(), result.trace.total_tasks());
-  EXPECT_NEAR(back.total_task_seconds(), result.trace.total_task_seconds(), 1e-9);
-  for (std::size_t r = 0; r < back.rounds.size(); ++r) {
-    EXPECT_EQ(back.rounds[r].kind, result.trace.rounds[r].kind);
-    EXPECT_EQ(back.rounds[r].task_bytes, result.trace.rounds[r].task_bytes);
-  }
-}
-
-TEST(Trace, EmptyDatasetLineSurvivesRoundTrip) {
-  // Regression: an empty dataset name used to shift the parse by one line.
-  SearchTrace trace;
-  trace.dataset = "";
-  trace.num_taxa = 5;
-  RoundTrace round;
-  round.kind = RoundKind::kInitial;
-  round.taxa_in_tree = 3;
-  round.task_cpu_seconds = {0.5};
-  round.task_bytes = {100};
-  trace.rounds.push_back(round);
-  std::stringstream buffer;
-  trace.save(buffer);
-  const SearchTrace back = SearchTrace::load(buffer);
-  EXPECT_EQ(back.dataset, "");
-  EXPECT_EQ(back.num_taxa, 5);
-  ASSERT_EQ(back.rounds.size(), 1u);
-  EXPECT_DOUBLE_EQ(back.rounds[0].task_cpu_seconds[0], 0.5);
 }
 
 TEST(Trace, ScaleCostsIsLinear) {

@@ -587,10 +587,28 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
     });
   });
 
-  // Kill worker 4 once the search is under way. Restart it with the same
-  // rank only after the foreman has declared it delinquent: a replacement
-  // that connected first would simply serve the dead worker's next task.
+  // Kill worker 4 once the search is under way and the foreman knows it:
+  // its first hello can reach the hub before the foreman has connected and
+  // be dropped, and the heartbeat ping that recovers it comes 150 ms later,
+  // after many tasks. Two tasks in flight at once means both workers hold
+  // one; dispatches are read before completions and requeues, so the
+  // difference never overstates what was in flight. Restart worker 4 with
+  // the same rank only after the foreman has declared it delinquent: a
+  // replacement that connected first would simply serve the dead worker's
+  // next task.
   wait_for_counter("foreman.tasks_completed", 10);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::uint64_t dispatched =
+        foreman_metrics.snapshot().counter("foreman.tasks_dispatched");
+    const obs::MetricsSnapshot later = foreman_metrics.snapshot();
+    if (dispatched >= later.counter("foreman.tasks_completed") +
+                          later.counter("foreman.requeues") + 2) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   proxy.sever_all();
   victim.join();
   wait_for_counter("foreman.delinquencies", 1);

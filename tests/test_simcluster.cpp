@@ -1,5 +1,6 @@
-// Tests for the discrete-event cluster simulator and the analytic workload
-// synthesizer that together reproduce the paper's scaling study.
+// Tests for the discrete-event cluster simulator that replays recorded
+// search traces for the paper's scaling study: its schedule's shape on
+// hand-built traces, and a replay of a real search's trace.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +9,6 @@
 #include "search/search.hpp"
 #include "simcluster/simulator.hpp"
 #include "tree/random.hpp"
-#include "simcluster/workload.hpp"
 
 namespace fdml {
 namespace {
@@ -173,103 +173,6 @@ TEST(Simulator, ReplaysRealSearchTrace) {
   expensive.message_overhead_seconds = 5e-3;
   EXPECT_GT(simulate_trace(search.trace, expensive).wall_seconds,
             serial.wall_seconds);
-}
-
-// --- workload synthesis ---
-
-TEST(Workload, SynthesizedTraceHasAlgorithmStructure) {
-  WorkloadModel model;
-  Rng rng(9);
-  const SearchTrace trace = synthesize_trace(20, 500, 1, model, rng);
-  EXPECT_EQ(trace.num_taxa, 20);
-  ASSERT_FALSE(trace.rounds.empty());
-  EXPECT_EQ(trace.rounds.front().kind, RoundKind::kInitial);
-  int expected_taxa = 4;
-  for (const auto& round : trace.rounds) {
-    if (round.kind != RoundKind::kInsertion) continue;
-    EXPECT_EQ(static_cast<int>(round.task_cpu_seconds.size()),
-              2 * expected_taxa - 5);
-    ++expected_taxa;
-  }
-  EXPECT_EQ(expected_taxa, 21);
-  for (const auto& round : trace.rounds) {
-    if (round.kind != RoundKind::kRearrange) continue;
-    EXPECT_LE(static_cast<int>(round.task_cpu_seconds.size()),
-              2 * round.taxa_in_tree - 6);
-  }
-}
-
-TEST(Workload, CostsScaleWithSites) {
-  WorkloadModel model;
-  model.cost_noise_cv = 0.0;
-  model.rearrange_accept_probability = 0.0;
-  Rng rng1(4);
-  Rng rng2(4);
-  const SearchTrace small = synthesize_trace(15, 200, 1, model, rng1);
-  const SearchTrace large = synthesize_trace(15, 800, 1, model, rng2);
-  EXPECT_NEAR(large.total_task_seconds() / small.total_task_seconds(), 4.0, 0.2);
-}
-
-TEST(Workload, LargerCrossGrowsRearrangementRounds) {
-  WorkloadModel model;
-  model.cost_noise_cv = 0.0;
-  model.rearrange_accept_probability = 0.0;
-  Rng rng1(4);
-  Rng rng2(4);
-  const SearchTrace k1 = synthesize_trace(25, 300, 1, model, rng1);
-  const SearchTrace k5 = synthesize_trace(25, 300, 5, model, rng2);
-  std::size_t widest_k1 = 0;
-  std::size_t widest_k5 = 0;
-  for (const auto& round : k1.rounds) {
-    if (round.kind == RoundKind::kRearrange) {
-      widest_k1 = std::max(widest_k1, round.task_cpu_seconds.size());
-    }
-  }
-  for (const auto& round : k5.rounds) {
-    if (round.kind == RoundKind::kRearrange) {
-      widest_k5 = std::max(widest_k5, round.task_cpu_seconds.size());
-    }
-  }
-  EXPECT_GT(widest_k5, 3 * widest_k1)
-      << "crossing more vertices puts more work between barriers";
-}
-
-TEST(Workload, CalibrationProducesPositiveCoefficients) {
-  Rng rng(17);
-  Tree truth = random_yule_tree(8, rng);
-  SimulateOptions options;
-  options.num_sites = 120;
-  const Alignment alignment =
-      simulate_alignment(truth, default_taxon_names(8), SubstModel::jc69(),
-                         RateModel::uniform(), options, rng);
-  const PatternAlignment data(alignment);
-  const WorkloadModel model =
-      calibrate_workload(data, SubstModel::jc69(), RateModel::uniform(), 2);
-  EXPECT_GT(model.full_cost_coefficient, 0.0);
-  EXPECT_GT(model.quickadd_cost_coefficient, 0.0);
-  EXPECT_LT(model.full_cost_coefficient, 1e-3) << "sanity: not absurdly slow";
-}
-
-TEST(Workload, SyntheticScalingReproducesPaperShape) {
-  // End-to-end shape check on a 50-taxon synthetic workload at the paper's
-  // k=5 setting. Task costs are scaled to Power3+-era speeds (a ~2001 CPU
-  // is roughly 30x slower per core than this machine) so the task/message
-  // cost ratio matches the paper's regime: 4 procs < serial; strong
-  // scaling through 16..64.
-  WorkloadModel model;
-  Rng rng(23);
-  SearchTrace trace = synthesize_trace(50, 1858, 5, model, rng);
-  trace.scale_costs(30.0);
-  SimClusterConfig config;
-  config.processors = 4;
-  EXPECT_LT(simulated_speedup(trace, config), 1.0);
-  config.processors = 16;
-  const double speedup16 = simulated_speedup(trace, config);
-  config.processors = 64;
-  const double speedup64 = simulated_speedup(trace, config);
-  EXPECT_GT(speedup16, 6.0);
-  EXPECT_GT(speedup64, 2.2 * speedup16)
-      << "relative speedups from 16 to 64 processors are quite good";
 }
 
 }  // namespace
