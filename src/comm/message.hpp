@@ -22,8 +22,8 @@ enum class MessageTag : std::uint8_t {
   kProgress = 8,     ///< foreman -> master: round liveness heartbeat
   kRoundFailed = 9,  ///< foreman -> master: round cannot complete
   kNack = 10,        ///< worker -> foreman: received task was malformed
-  kPing = 11,        ///< foreman -> worker: announce yourself (a revived
-                     ///< foreman rebuilding its worker list after a crash)
+  kPing = 11,        ///< foreman -> worker: announce yourself (the
+                     ///< heartbeat to a silent or suspect worker)
   // Service-plane tags (src/service/): client <-> fdmld job traffic. These
   // ride the same wire framing but never cross the foreman/worker fabric.
   kSubmit = 13,       ///< client -> service: submit a search job

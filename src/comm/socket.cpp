@@ -24,20 +24,29 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ceiling on one blocking socket write: a peer that stays unwritable this
+/// long is treated as dead (keeps shutdown from hanging on a stalled
+/// receiver that never drains its TCP buffer).
+constexpr std::chrono::milliseconds kWriteTimeout{10000};
+/// Dial backoff cap: connect and reconnect attempts back off exponentially
+/// with jitter, never sleeping longer than this between knocks (the overall
+/// budgets stay connect_timeout and reconnect_budget).
+constexpr std::chrono::milliseconds kDialBackoffMax{2000};
+
 /// Global traffic counters (whole-process totals; the fabric also keeps its
 /// own). Registered lazily, addresses stable for the process lifetime.
 obs::Counter& global_counter(const char* name) {
   return obs::MetricsRegistry::process().counter(name);
 }
 
-void set_socket_options(int fd, std::chrono::milliseconds write_timeout) {
+void set_socket_options(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // Bound every blocking write: a receiver that stops draining its TCP
   // buffer must look like a dead peer, not wedge the writer thread forever.
   timeval tv{};
-  tv.tv_sec = static_cast<time_t>(write_timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((write_timeout.count() % 1000) * 1000);
+  tv.tv_sec = static_cast<time_t>(kWriteTimeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((kWriteTimeout.count() % 1000) * 1000);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
@@ -286,7 +295,7 @@ void SocketFabric::accept_loop() {
     if (ready <= 0 || !(pfd.revents & POLLIN)) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    set_socket_options(fd, options_.write_timeout);
+    set_socket_options(fd);
     obs::instant("socket", "accept");
     std::lock_guard lock(conn_mutex_);
     if (closing_.load(std::memory_order_acquire)) {
@@ -516,12 +525,11 @@ std::vector<int> SocketFabric::dead_peers() const {
 
 /// Knocking loop with bounded exponential backoff + jitter. The first
 /// attempt fires immediately; each miss doubles the sleep from `base` up to
-/// `cap`, jittered into [sleep/2, sleep] so simultaneously-orphaned peers
-/// do not hammer the hub in lockstep. `deadline` is the overall budget
+/// kDialBackoffMax, jittered into [sleep/2, sleep] so simultaneously-orphaned
+/// peers do not hammer the hub in lockstep. `deadline` is the overall budget
 /// (--connect-timeout-ms on the first rendezvous, reconnect_budget later).
 int SocketFabric::dial_hub(Clock::time_point deadline,
-                           std::chrono::milliseconds base,
-                           std::chrono::milliseconds cap) {
+                           std::chrono::milliseconds base) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -555,7 +563,7 @@ int SocketFabric::dial_hub(Clock::time_point deadline,
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
     if (sleep > remaining) sleep = remaining;
     std::this_thread::sleep_for(sleep);
-    backoff = std::min(backoff * 2, cap);
+    backoff = std::min(backoff * 2, kDialBackoffMax);
   }
   ::freeaddrinfo(resolved);
   return fd;
@@ -628,11 +636,10 @@ void SocketFabric::connect_to_hub() {
   // the hub mid-restart) is retried like a refused connect: the whole
   // rendezvous shares the connect_timeout budget.
   while (Clock::now() < deadline) {
-    const int fd =
-        dial_hub(deadline, options_.connect_retry, options_.connect_retry_max);
+    const int fd = dial_hub(deadline, options_.connect_retry);
     if (fd < 0) break;
     reached_hub = true;
-    set_socket_options(fd, options_.write_timeout);
+    set_socket_options(fd);
     peer_parser_ = FrameParser{};  // each attempt is a fresh byte stream
     if (!handshake_with_hub(fd, deadline)) {
       ::close(fd);
@@ -668,10 +675,9 @@ bool SocketFabric::reconnect_to_hub() {
   Peer& hub = *peers_[0];
   const auto deadline = Clock::now() + options_.reconnect_budget;
   while (!closing_.load(std::memory_order_acquire) && Clock::now() < deadline) {
-    const int fd = dial_hub(deadline, options_.reconnect_backoff,
-                            options_.reconnect_backoff_max);
+    const int fd = dial_hub(deadline, options_.reconnect_backoff);
     if (fd < 0) break;
-    set_socket_options(fd, options_.write_timeout);
+    set_socket_options(fd);
     peer_parser_ = FrameParser{};  // new connection, new byte stream
     if (!handshake_with_hub(fd, deadline)) {
       // The hub may still think our old connection is alive (it has not

@@ -48,14 +48,6 @@ struct SocketOptions {
   /// `connect_timeout` so launch order does not matter.
   std::chrono::milliseconds connect_timeout{15000};
   std::chrono::milliseconds connect_retry{100};
-  /// Ceiling on one blocking socket write; a peer that stays unwritable
-  /// this long is treated as dead (keeps shutdown from hanging on a stalled
-  /// receiver that never drains its TCP buffer).
-  std::chrono::milliseconds write_timeout{10000};
-  /// Dial backoff cap: connect attempts back off exponentially from
-  /// `connect_retry` with jitter, never sleeping longer than this between
-  /// knocks (the overall budget stays `connect_timeout`).
-  std::chrono::milliseconds connect_retry_max{2000};
   /// Hub-side slow-loris guard: a connection that completes TCP but has not
   /// delivered a full, valid announce within this window is timed out and
   /// closed instead of holding a reader slot forever.
@@ -69,7 +61,6 @@ struct SocketOptions {
   /// loss as the end of the run.
   bool reconnect = false;
   std::chrono::milliseconds reconnect_backoff{50};
-  std::chrono::milliseconds reconnect_backoff_max{2000};
   std::chrono::milliseconds reconnect_budget{15000};
 };
 
@@ -173,10 +164,10 @@ class SocketFabric {
 
   void connect_to_hub();
   /// Knocks on the hub port until `deadline`, backing off exponentially
-  /// from `base` (capped at `cap`, jittered). Returns the connected fd or
-  /// -1 when the budget ran out or the fabric started closing.
+  /// from `base` (jittered, capped). Returns the connected fd or -1 when
+  /// the budget ran out or the fabric started closing.
   int dial_hub(std::chrono::steady_clock::time_point deadline,
-               std::chrono::milliseconds base, std::chrono::milliseconds cap);
+               std::chrono::milliseconds base);
   /// Announce/welcome rendezvous over a freshly dialed fd, feeding
   /// peer_parser_ (data frames riding behind the welcome are delivered).
   bool handshake_with_hub(int fd, std::chrono::steady_clock::time_point deadline);

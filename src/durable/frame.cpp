@@ -47,11 +47,6 @@ std::vector<std::uint8_t> encode_frame(const DurableFrame& frame) {
   return out;
 }
 
-bool looks_like_frame(const std::uint8_t* data, std::size_t size) {
-  return size >= sizeof(kMagic) &&
-         std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
-}
-
 std::optional<DurableFrame> decode_frame(const std::uint8_t* data,
                                          std::size_t size, std::size_t& pos) {
   if (pos > size || size - pos < kHeaderSize + kDigestSize) return std::nullopt;

@@ -1,15 +1,12 @@
-// Framed durable records: the on-disk unit of the checkpoint store and the
-// task journal.
+// Framed durable records: the on-disk unit of the checkpoint store.
 //
 // Layout (all integers little-endian):
 //
 //   +0   magic          8 bytes  "FDMLDUR1"
 //   +8   format version u32      (currently 1)
-//   +12  kind           u32      application record kind (checkpoint,
-//                                journal entry, ...)
-//   +16  fingerprint    u64      dataset/model binding (checkpoints) or
-//                                round key (journal entries)
-//   +24  generation     u64      checkpoint generation / journal sequence
+//   +12  kind           u32      application record kind (checkpoint)
+//   +16  fingerprint    u64      dataset/model binding
+//   +24  generation     u64      checkpoint generation
 //   +32  payload size   u64
 //   +40  payload        N bytes
 //   +40+N digest        u64      FNV-1a over bytes [0, 40+N)
@@ -34,7 +31,6 @@ inline constexpr std::uint32_t kDurableFormatVersion = 1;
 
 /// Application record kinds carried in the frame header.
 inline constexpr std::uint32_t kFrameSearchCheckpoint = 1;
-inline constexpr std::uint32_t kFrameJournalEntry = 2;
 
 struct DurableFrame {
   std::uint32_t kind = 0;
@@ -50,10 +46,6 @@ std::vector<std::uint8_t> encode_frame(const DurableFrame& frame);
 /// header/payload, or digest mismatch — never throws on malformed bytes.
 std::optional<DurableFrame> decode_frame(const std::uint8_t* data,
                                          std::size_t size, std::size_t& pos);
-
-/// True when `data` begins with the durable magic (used to tell a framed
-/// checkpoint from a legacy plain-text one).
-bool looks_like_frame(const std::uint8_t* data, std::size_t size);
 
 /// Commits a single-frame file atomically: write `path`.tmp (fsynced),
 /// rename over `path`, fsync the parent directory.

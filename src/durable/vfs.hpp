@@ -1,7 +1,7 @@
 // Filesystem seam for the durable-state layer.
 //
-// Every byte the runtime persists (checkpoints, the foreman's task journal)
-// goes through this interface instead of raw iostreams, for two reasons:
+// Every byte the runtime persists (its checkpoints) goes through this
+// interface instead of raw iostreams, for two reasons:
 //   1. Durability: the real implementation fsyncs file data on write/append
 //      and fsyncs the parent directory after a rename, closing the torn-file
 //      and lost-rename windows that a bare ofstream + std::rename leaves

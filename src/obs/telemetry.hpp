@@ -9,8 +9,9 @@
 //     MetricsRegistry, diffs its counters against the previous snapshot,
 //     and ships the delta as a TelemetryFrame (kTelemetry on the fabric).
 //     Deltas keep frames small and make rank-0 totals additive across
-//     emitter incarnations — a revived foreman restarts its sequence under
-//     a fresh incarnation id and the aggregate stays monotonic. Registry
+//     emitter incarnations — a restarted worker process restarts its
+//     sequence under a fresh incarnation id and the aggregate stays
+//     monotonic. Registry
 //     histograms are not shipped; the hub renders its own as rank 0.
 //   - TelemetryAggregator (rank 0): per-rank cumulative totals with
 //     last-update staleness (a dead rank's series is *marked* stale, never

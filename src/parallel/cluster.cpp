@@ -18,7 +18,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   if (options_.num_workers < 1) {
     throw std::invalid_argument("cluster: need at least one worker");
   }
-  if (options_.chaos.has_value() || options_.chaos_foreman.has_value()) {
+  if (options_.chaos.has_value()) {
     chaos_totals_ = std::make_shared<ChaosTotals>();
   }
   // The calling thread plays the master role.
@@ -45,12 +45,11 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
     return serial_fallback_->run_round(tasks);
   });
 
-  // Process-level crash recovery: between round retries, check whether the
-  // foreman died and stand up a replacement (see revive_foreman).
-  master_->set_reviver([this] { return revive_foreman(); });
-
   // Foreman thread.
-  spawn_foreman(options_.foreman, /*with_chaos=*/true);
+  threads_.emplace_back([this] {
+    auto endpoint = fabric_.endpoint(kForemanRank);
+    foreman_stats_ = foreman_main(*endpoint, options_.foreman);
+  });
   // Monitor thread.
   threads_.emplace_back([this] {
     auto endpoint = fabric_.endpoint(kMonitorRank);
@@ -77,56 +76,10 @@ TaskRunner& InProcessCluster::runner() { return *master_; }
 
 InProcessCluster::~InProcessCluster() { shutdown(); }
 
-void InProcessCluster::spawn_foreman(ForemanOptions options, bool with_chaos) {
-  foreman_exited_.store(false, std::memory_order_release);
-  foreman_crashed_.store(false, std::memory_order_release);
-  foreman_thread_ = std::thread([this, options, with_chaos] {
-    // endpoint() can be called repeatedly for the same rank: each call
-    // attaches a fresh Transport to the rank's persistent mailbox, which is
-    // exactly what lets a revived foreman pick up traffic queued while its
-    // predecessor was dead.
-    std::unique_ptr<Transport> endpoint = fabric_.endpoint(kForemanRank);
-    ChaosTransport* chaos = nullptr;
-    if (with_chaos && options_.chaos_foreman.has_value()) {
-      auto wrapped = std::make_unique<ChaosTransport>(
-          std::move(endpoint), *options_.chaos_foreman, chaos_totals_);
-      chaos = wrapped.get();
-      endpoint = std::move(wrapped);
-    }
-    foreman_stats_ = foreman_main(*endpoint, options);
-    if (chaos != nullptr && chaos->crashed()) {
-      foreman_crashed_.store(true, std::memory_order_release);
-    }
-    foreman_exited_.store(true, std::memory_order_release);
-  });
-}
-
-bool InProcessCluster::revive_foreman() {
-  if (!foreman_exited_.load(std::memory_order_acquire)) return false;
-  foreman_thread_.join();
-  ++foreman_revivals_;
-  ForemanOptions revived = options_.foreman;
-  // The replacement replays whatever the dead incarnation durably logged
-  // and pings the workers to rebuild its (empty) worker list. It runs
-  // without the chaos wrapper: the injected crash already happened.
-  revived.revived = true;
-  spawn_foreman(std::move(revived), /*with_chaos=*/false);
-  return true;
-}
-
 void InProcessCluster::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   master_endpoint_->send(kForemanRank, MessageTag::kShutdown, {});
-  if (foreman_thread_.joinable()) foreman_thread_.join();
-  if (foreman_crashed_.load(std::memory_order_acquire)) {
-    // A crashed foreman never forwarded the shutdown; without this the
-    // worker and monitor threads would block in recv forever.
-    for (int w = 0; w < options_.num_workers; ++w) {
-      master_endpoint_->send(kFirstWorkerRank + w, MessageTag::kShutdown, {});
-    }
-    master_endpoint_->send(kMonitorRank, MessageTag::kShutdown, {});
-  }
   for (auto& thread : threads_) thread.join();
   master_->pump();  // the workers' final telemetry frames
   fabric_.close();

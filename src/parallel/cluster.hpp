@@ -13,7 +13,6 @@
 // an answer.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -39,11 +38,6 @@ struct ClusterOptions {
   /// Fault-inject every worker's transport with this plan (the plan seed
   /// plus the worker's rank keys its independent fault schedule).
   std::optional<FaultPlan> chaos;
-  /// Fault-inject the foreman's transport (first incarnation only — a
-  /// revived foreman runs clean). crash_after_sends kills the foreman
-  /// deterministically, which is how the crash-recovery tests exercise
-  /// revive_foreman() and the journal replay path.
-  std::optional<FaultPlan> chaos_foreman;
   /// Optional per-worker transport decorator (custom fault injection in
   /// tests): given the worker rank and its endpoint — already chaos-wrapped
   /// when `chaos` is set — return the endpoint the worker should use.
@@ -93,25 +87,7 @@ class InProcessCluster {
   /// destructor calls it).
   void shutdown();
 
-  /// Process-level crash recovery: if the foreman thread has died, join it
-  /// and start a fresh incarnation on a new endpoint of the same fabric
-  /// rank — with journal replay enabled (it resumes the dead incarnation's
-  /// round accounting) and a worker ping (it must rebuild its worker
-  /// list). Returns true if a revival happened; false when the foreman is
-  /// still alive. The master's supervisor calls this between round
-  /// retries (see ParallelMaster::set_reviver).
-  bool revive_foreman();
-
-  /// True once the foreman thread has exited (crash or shutdown).
-  bool foreman_exited() const {
-    return foreman_exited_.load(std::memory_order_acquire);
-  }
-  /// How many times revive_foreman() restarted the foreman.
-  int foreman_revivals() const { return foreman_revivals_; }
-
  private:
-  void spawn_foreman(ForemanOptions options, bool with_chaos);
-
   ClusterOptions options_;
   /// Owned registry shared by every role (declared before master_, which
   /// holds counter references into it).
@@ -125,14 +101,6 @@ class InProcessCluster {
   std::unique_ptr<ParallelMaster> master_;
   /// Degraded-mode evaluator, built on first use.
   std::unique_ptr<SerialTaskRunner> serial_fallback_;
-  /// The foreman lives outside threads_ so it can be joined and replaced
-  /// by revive_foreman() while the rest of the cluster keeps running.
-  std::thread foreman_thread_;
-  std::atomic<bool> foreman_exited_{false};
-  /// Set when the foreman's chaos transport crashed (it then never
-  /// forwarded shutdown, so the master must broadcast it itself).
-  std::atomic<bool> foreman_crashed_{false};
-  int foreman_revivals_ = 0;
   std::vector<std::thread> threads_;
   bool shut_down_ = false;
 };

@@ -5,9 +5,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "comm/integrity.hpp"
-#include "durable/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -20,10 +20,6 @@ namespace fdml {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// TaskResult::worker value marking a result completed from the journal
-/// rather than evaluated by a live worker this incarnation.
-constexpr int kJournalWorker = -1;
 
 /// Adaptive deadlines: EWMA(task duration) x kTimeoutSlack, clamped to
 /// [kTimeoutFloor, worker_timeout]. The floor keeps heterogeneous task
@@ -43,9 +39,9 @@ constexpr std::chrono::milliseconds kProbationBackoffMax{5000};
 constexpr int kAmnestyMaxStrikes = 3;
 
 /// Where each ForemanStats field lives in the registry. ForemanStats is a
-/// view: the growth of these counters since the incarnation started, so a
-/// revived foreman still reports only its own work while the registry
-/// accumulates whole-run totals.
+/// view: the growth of these counters since the foreman started, so it
+/// reports only its own work while a shared registry accumulates
+/// whole-run totals.
 constexpr obs::CounterField<ForemanStats> kForemanFields[] = {
     {"foreman.rounds", &ForemanStats::rounds},
     {"foreman.tasks_dispatched", &ForemanStats::tasks_dispatched},
@@ -62,11 +58,9 @@ constexpr obs::CounterField<ForemanStats> kForemanFields[] = {
     {"foreman.probation_passes", &ForemanStats::probation_passes},
     {"foreman.probation_failures", &ForemanStats::probation_failures},
     {"foreman.task_nacks", &ForemanStats::task_nacks},
+    {"foreman.rejected_tasks", &ForemanStats::rejected_tasks},
     {"foreman.rounds_failed", &ForemanStats::rounds_failed},
     {"foreman.unexpected_tags", &ForemanStats::unexpected_tags},
-    {"foreman.journal_replayed", &ForemanStats::journal_replayed},
-    {"foreman.journal_appended", &ForemanStats::journal_appended},
-    {"foreman.journal_write_failures", &ForemanStats::journal_write_failures},
     {"foreman.heartbeat_pings", &ForemanStats::heartbeat_pings},
 };
 
@@ -106,12 +100,9 @@ struct RoundState {
   TaskResult best;
   bool have_best = false;
   std::vector<TaskStat> stats;
-  /// Serialized task size per task id, for the wire-bytes accounting.
+  /// Serialized task size per task id (recorded at dispatch), for the
+  /// wire-bytes accounting.
   std::map<std::uint64_t, std::uint64_t> task_bytes;
-  /// Content digest per task id, and the round's content key: how journal
-  /// entries recognise the same work after a restart renumbers everything.
-  std::map<std::uint64_t, std::uint64_t> task_digest;
-  std::uint64_t round_key = 0;
 };
 
 class Foreman {
@@ -126,25 +117,6 @@ class Foreman {
 
   ForemanStats run() {
     obs::set_thread_name("foreman");
-    if (!options_.journal_path.empty()) {
-      journal_.emplace(options_.journal_path, options_.vfs);
-      if (options_.revived) {
-        const std::size_t replayable = journal_->load();
-        if (replayable > 0) {
-          FDML_INFO("foreman") << "journal holds " << replayable
-                               << " completed task(s) for replay";
-        }
-      } else {
-        journal_->reset();
-      }
-    }
-    if (options_.revived) {
-      // A revived foreman starts with no worker list; ask everyone to
-      // re-introduce themselves.
-      for (int rank = kFirstWorkerRank; rank < transport_.size(); ++rank) {
-        transport_.send(rank, MessageTag::kPing, {});
-      }
-    }
     if (options_.heartbeat_interval.count() > 0) {
       next_ping_ = Clock::now() + options_.heartbeat_interval;
     }
@@ -171,7 +143,7 @@ class Foreman {
           handle_result(message->source, message->payload);
           break;
         case MessageTag::kNack:
-          handle_nack(message->source);
+          handle_nack(message->source, std::move(message->payload));
           break;
         case MessageTag::kShutdown:
           broadcast_shutdown();
@@ -441,51 +413,9 @@ class Foreman {
     }
     counters_.bump<&ForemanStats::rounds>();
     begin_round_span(round_.round_id, static_cast<std::int64_t>(round_.expected));
-    std::vector<std::uint64_t> digests;
-    digests.reserve(message.tasks.size());
-    for (TreeTask& task : message.tasks) {
-      Packer packer;
-      task.pack(packer);
-      round_.task_bytes[task.task_id] = packer.size();
-      const std::uint64_t digest = task_content_digest(
-          task.newick, task.focus_taxon, task.regraft_taxa, task.screen_lnl);
-      round_.task_digest[task.task_id] = digest;
-      digests.push_back(digest);
-      work_queue_.push_back(std::move(task));
-    }
-    round_.round_key = round_content_key(digests);
+    for (TreeTask& task : message.tasks) work_queue_.push_back(std::move(task));
     trace_queue_depth();
-    replay_journal();
     dispatch_work();
-  }
-
-  /// Completes from the journal every task of the new round that a previous
-  /// foreman incarnation already finished. Identity is by content (digest +
-  /// round key), so a restarted master's renumbered round still matches.
-  void replay_journal() {
-    if (!journal_.has_value() || journal_->size() == 0) return;
-    // accept() mutates the queue (erasing completed copies), so snapshot
-    // the (task_id, digest) pairs first.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pending;
-    for (const TreeTask& task : work_queue_) {
-      pending.emplace_back(task.task_id, round_.task_digest[task.task_id]);
-    }
-    for (const auto& [task_id, digest] : pending) {
-      const JournalEntry* entry = journal_->find(round_.round_key, digest);
-      if (entry == nullptr) continue;
-      TaskResult replayed;
-      replayed.task_id = task_id;
-      replayed.round_id = round_.round_id;
-      replayed.log_likelihood = entry->log_likelihood;
-      replayed.newick = entry->newick;
-      replayed.cpu_seconds = entry->cpu_seconds;
-      replayed.worker = kJournalWorker;
-      counters_.bump<&ForemanStats::journal_replayed>();
-      FDML_INFO("foreman") << "replaying task " << task_id
-                           << " from the journal";
-      accept(replayed, 0);
-      if (!round_active_) break;  // the journal alone finished the round
-    }
   }
 
   void dispatch_to(int worker, bool probe) {
@@ -493,6 +423,7 @@ class Foreman {
     work_queue_.pop_front();
     Packer packer;
     task.pack(packer);
+    round_.task_bytes[task.task_id] = packer.size();
     send_sealed(worker, MessageTag::kTask, packer.take());
     counters_.bump<&ForemanStats::tasks_dispatched>();
     // Flow-begin on the foreman side of the dispatch->execute->result arc;
@@ -536,14 +467,45 @@ class Foreman {
     ready_.push_back(worker);
   }
 
-  /// A worker reports its task payload arrived malformed: requeue the task
-  /// (the foreman's pristine copy re-serializes cleanly) and keep the
-  /// worker in rotation — the corruption happened in transit, not in it.
-  void handle_nack(int worker) {
+  /// A worker could not take its task. An empty NACK means the payload
+  /// arrived malformed: requeue the task (the foreman's pristine copy
+  /// re-serializes cleanly) and keep the worker in rotation — the
+  /// corruption happened in transit, not in it. A NACK carrying a
+  /// TaskRejectedMessage means the worker's evaluator threw on the task:
+  /// any worker would, so a rejection of the worker's in-flight task fails
+  /// the round, and a rejection of any other task is stale and dropped.
+  void handle_nack(int worker, std::vector<std::uint8_t> payload) {
     counters_.bump<&ForemanStats::task_nacks>();
     obs::instant("foreman", "nack", "worker", worker);
-    if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
-      requeue_record(it, "rejected a malformed task");
+    if (payload.empty()) {
+      if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
+        requeue_record(it, "rejected a malformed task");
+      }
+    } else {
+      if (!open_payload(payload)) {
+        handle_corrupt(worker);
+        return;
+      }
+      TaskRejectedMessage rejected;
+      try {
+        rejected = TaskRejectedMessage::unpack(payload);
+      } catch (const std::exception&) {
+        handle_corrupt(worker);
+        return;
+      }
+      counters_.bump<&ForemanStats::rejected_tasks>();
+      const auto it = in_flight_.find(worker);
+      if (round_active_ && rejected.round_id == round_.round_id &&
+          it != in_flight_.end() &&
+          it->second.task.round_id == rejected.round_id &&
+          it->second.task.task_id == rejected.task_id) {
+        in_flight_.erase(it);
+        fail_round("task " + std::to_string(rejected.task_id) +
+                   " rejected: " + rejected.reason);
+      } else {
+        FDML_INFO("foreman") << "worker " << worker
+                             << " rejected stale task " << rejected.task_id;
+      }
     }
     if (health(worker).state == WorkerState::kSuspect) {
       enter_probation(worker, /*quarantine=*/false);
@@ -629,11 +591,9 @@ class Foreman {
       return;
     }
     round_.completed.insert(result.task_id);
-    if (result.worker != kJournalWorker) {
-      obs::flow(obs::Phase::kFlowEnd,
-                obs::task_flow_id(result.round_id, result.task_id), "worker",
-                result.worker);
-    }
+    obs::flow(obs::Phase::kFlowEnd,
+              obs::task_flow_id(result.round_id, result.task_id), "worker",
+              result.worker);
     // Drop every requeued copy still waiting in the queue — repeated
     // timeouts can have queued the same task more than once.
     work_queue_.erase(
@@ -650,28 +610,6 @@ class Foreman {
     round_.stats.push_back(stat);
     counters_.bump<&ForemanStats::tasks_completed>();
     trace_queue_depth();
-
-    // Write-ahead: the completion is durably journaled before it can decide
-    // the round, so a crash after this point never loses it. Replayed
-    // results are already on disk; re-appending them would grow the file
-    // every restart.
-    if (journal_.has_value() && result.worker != kJournalWorker) {
-      JournalEntry entry;
-      entry.round_key = round_.round_key;
-      entry.task_digest = round_.task_digest[result.task_id];
-      entry.log_likelihood = result.log_likelihood;
-      entry.newick = result.newick;
-      entry.cpu_seconds = result.cpu_seconds;
-      try {
-        journal_->append(entry);
-        counters_.bump<&ForemanStats::journal_appended>();
-      } catch (const std::exception& error) {
-        // A failed WAL append only weakens crash recovery; the round
-        // itself must proceed.
-        counters_.bump<&ForemanStats::journal_write_failures>();
-        FDML_WARN("foreman") << "journal append failed: " << error.what();
-      }
-    }
 
     // Ties break toward the lowest task id — the order a serial run would
     // have kept — so the round winner is independent of completion order
@@ -727,12 +665,18 @@ class Foreman {
   void check_round_viability() {
     const auto declare = dead_declare_at();
     if (!declare.has_value() || Clock::now() < *declare) return;
+    fail_round("all workers delinquent");
+  }
+
+  /// Tells the master the active round cannot finish, so it can degrade to
+  /// in-process evaluation, and drops the round's queued work. Results
+  /// still in flight arrive later as late duplicates.
+  void fail_round(const std::string& reason) {
     FDML_WARN("foreman") << "round " << round_.round_id
-                         << " unfinishable: all " << health_.size()
-                         << " known workers are delinquent";
+                         << " unfinishable: " << reason;
     RoundFailedMessage failed;
     failed.round_id = round_.round_id;
-    failed.reason = "all workers delinquent";
+    failed.reason = reason;
     send_sealed(kMasterRank, MessageTag::kRoundFailed, failed.pack());
     counters_.bump<&ForemanStats::rounds_failed>();
     obs::instant("foreman", "round_failed", "round",
@@ -793,7 +737,6 @@ class Foreman {
   /// Counter values at construction; the stats view subtracts these.
   ForemanStats start_;
   bool round_span_open_ = false;
-  std::optional<TaskJournal> journal_;
 
   std::deque<TreeTask> work_queue_;
   std::deque<int> ready_;

@@ -25,10 +25,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "comm/transport.hpp"
-#include "durable/vfs.hpp"
 
 namespace fdml::obs {
 class MetricsRegistry;
@@ -40,16 +38,6 @@ struct ForemanOptions {
   /// Deadline ceiling, and the deadline used before a worker has any
   /// observed durations (the paper's user-specified timeout parameter).
   std::chrono::milliseconds worker_timeout{30000};
-  /// When non-empty, append every completed task to this durable journal
-  /// (write-ahead log). A foreman revived after a crash replays it and
-  /// skips the insertions the dead incarnation already finished.
-  std::string journal_path;
-  /// This incarnation replaces a foreman that died: load and replay the
-  /// existing journal (a fresh run truncates it instead, so it never
-  /// replays a previous run's work), and ping every worker rank on startup
-  /// so they re-hello — the new incarnation starts with an empty worker
-  /// list, and an idle worker never speaks unprompted.
-  bool revived = false;
   /// Heartbeat: every interval, ping worker ranks that are silent (no
   /// health record — a restarted process that has not said hello) or
   /// suspect (went quiet mid-round, e.g. the connection died under them).
@@ -60,8 +48,6 @@ struct ForemanOptions {
   /// Period between kTelemetry metric-delta frames to the master; zero
   /// disables the telemetry plane (no timers added to the event loop).
   std::chrono::milliseconds telemetry_interval{0};
-  /// Filesystem for the journal; null = the real one.
-  Vfs* vfs = nullptr;
   /// Metrics registry the foreman's counters live in; null = the process
   /// registry. ForemanStats is a delta view over these counters, so a
   /// cluster can hand every role one registry and still get exact
@@ -90,19 +76,17 @@ struct ForemanStats {
   std::uint64_t probation_probes = 0;
   std::uint64_t probation_passes = 0;
   std::uint64_t probation_failures = 0;
-  /// Workers reporting a malformed task payload (their task is requeued).
+  /// kNack messages: an empty one reports a malformed task payload (the
+  /// task is requeued), a reasoned one a task the worker's evaluator threw
+  /// on.
   std::uint64_t task_nacks = 0;
+  /// Reasoned NACKs. One naming the sender's in-flight task fails the
+  /// round (no worker could evaluate it); any other is stale and dropped.
+  std::uint64_t rejected_tasks = 0;
   /// Rounds abandoned because every known worker was delinquent.
   std::uint64_t rounds_failed = 0;
   /// Messages with tags the foreman does not understand.
   std::uint64_t unexpected_tags = 0;
-  /// Tasks completed from the journal instead of being re-evaluated.
-  std::uint64_t journal_replayed = 0;
-  /// Task results durably appended to the journal.
-  std::uint64_t journal_appended = 0;
-  /// Journal appends that failed (counted and logged, never fatal: a lost
-  /// WAL entry only costs a re-evaluation after the next crash).
-  std::uint64_t journal_write_failures = 0;
   /// Heartbeat pings sent to silent or suspect workers.
   std::uint64_t heartbeat_pings = 0;
 };

@@ -55,9 +55,8 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
     return degrade(round_id, tasks, "fabric previously wedged");
   }
 
-  // Supervisor loop: each failed attempt gets the reviver a chance to
-  // restart a dead foreman, then the round is resent under a fresh id (the
-  // foreman's journal makes re-dispatch of already-finished work free).
+  // Supervisor loop: each failed attempt waits out a backoff, then the
+  // round is resent under a fresh id.
   for (int attempt = 0;; ++attempt) {
     try {
       RoundOutcome outcome = attempt_round(round_id, tasks);
@@ -88,11 +87,6 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
                             << options_.max_round_retries << " in "
                             << backoff.count() << " ms";
         std::this_thread::sleep_for(backoff);
-        if (reviver_ && reviver_()) {
-          counters_.bump<&MasterStats::fabric_revivals>();
-          // The wedged incarnation is gone; trust its replacement.
-          degraded_ = false;
-        }
         round_id = next_round_id_++;  // stale traffic from the failed
                                       // attempt must not satisfy the retry
         continue;

@@ -27,10 +27,9 @@ struct MasterOptions {
   /// Watchdog: if no round traffic (progress, completion, failure) arrives
   /// for this long, the round is declared wedged.
   std::chrono::milliseconds watchdog_timeout{120000};
-  /// Supervision: how many times a failed/wedged round is retried (with the
-  /// reviver given a chance to restart the foreman, and the foreman's task
-  /// journal making the resend cheap) before the failure is surfaced.
-  /// 0 = fail/degrade immediately, the pre-supervisor behavior.
+  /// Supervision: how many times a failed/wedged round is resent under a
+  /// fresh round id before the failure is surfaced (or degrades to the
+  /// fallback). 0 = fail/degrade immediately, the pre-supervisor behavior.
   /// Retry n waits 100 ms * 2^(n-1), capped at 5 s.
   int max_round_retries = 0;
   /// Metrics registry the master's counters live in; null = the process
@@ -58,7 +57,9 @@ struct MasterStats {
   std::uint64_t serial_fallbacks = 0;
   /// Round attempts restarted by the supervisor.
   std::uint64_t round_retries = 0;
-  /// Retries on which the reviver reported it restarted the fabric.
+  /// Rounds that completed on a retry after a watchdog trip on an earlier
+  /// attempt: the fabric answered again, so later rounds leave the
+  /// degraded (serial-fallback) path.
   std::uint64_t fabric_revivals = 0;
 };
 
@@ -106,14 +107,6 @@ class ParallelMaster final : public TaskRunner {
   /// through it. Without one, a failed round raises RoundFailedError.
   void set_fallback(std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback) {
     fallback_ = std::move(fallback);
-  }
-
-  /// Installs the supervisor's revival hook, called before each retry of a
-  /// failed round. It should check whether the fabric (typically the
-  /// foreman) died and restart it, returning true if it did — a revival
-  /// also clears the degraded flag, since the wedged incarnation is gone.
-  void set_reviver(std::function<bool()> reviver) {
-    reviver_ = std::move(reviver);
   }
 
   /// Installs the kTelemetry consumer: frames arriving mid-round or via
@@ -172,7 +165,6 @@ class ParallelMaster final : public TaskRunner {
   /// Counter values at construction; stats() subtracts these.
   MasterStats start_;
   std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback_;
-  std::function<bool()> reviver_;
   obs::TelemetryAggregator* telemetry_ = nullptr;
   /// Serializes transport receives between an in-flight round
   /// (attempt_round) and the idle-period pump(); without it the pump could

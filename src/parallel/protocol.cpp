@@ -91,4 +91,22 @@ RoundFailedMessage RoundFailedMessage::unpack(
   return message;
 }
 
+std::vector<std::uint8_t> TaskRejectedMessage::pack() const {
+  Packer packer;
+  packer.put_u64(round_id);
+  packer.put_u64(task_id);
+  packer.put_string(reason);
+  return packer.take();
+}
+
+TaskRejectedMessage TaskRejectedMessage::unpack(
+    const std::vector<std::uint8_t>& payload) {
+  Unpacker unpacker(payload);
+  TaskRejectedMessage message;
+  message.round_id = unpacker.get_u64();
+  message.task_id = unpacker.get_u64();
+  message.reason = unpacker.get_string();
+  return message;
+}
+
 }  // namespace fdml

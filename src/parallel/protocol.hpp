@@ -61,4 +61,18 @@ struct RoundFailedMessage {
   static RoundFailedMessage unpack(const std::vector<std::uint8_t>& payload);
 };
 
+/// worker -> foreman, as a kNack payload: the task decoded cleanly but the
+/// worker's evaluator threw on it (say, a focus taxon not in the tree), so
+/// no worker can evaluate it and the foreman fails the round instead of
+/// requeueing. An empty kNack still means "the payload arrived malformed;
+/// resend it".
+struct TaskRejectedMessage {
+  std::uint64_t round_id = 0;
+  std::uint64_t task_id = 0;
+  std::string reason;
+
+  std::vector<std::uint8_t> pack() const;
+  static TaskRejectedMessage unpack(const std::vector<std::uint8_t>& payload);
+};
+
 }  // namespace fdml

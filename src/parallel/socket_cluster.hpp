@@ -55,9 +55,8 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
 /// The master process's side: fabric hub + ParallelMaster, exposed as a
 /// TaskRunner so StepwiseSearch runs unchanged over TCP. Mirrors
 /// InProcessCluster's shape minus the role threads (those are other
-/// processes now) and minus the reviver (a remote foreman cannot be
-/// restarted from here; the master's serial fallback still absorbs a dead
-/// fabric).
+/// processes now); as there, the master's serial fallback absorbs a dead
+/// fabric.
 class SocketCluster {
  public:
   /// `data` must outlive the cluster. Binds the hub port; peers may

@@ -112,8 +112,8 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
       break;
     }
     if (message->tag == MessageTag::kPing) {
-      // A revived foreman lost its worker list with the old incarnation;
-      // a fresh hello re-registers us.
+      // The foreman's heartbeat: it has not heard from us (a restarted
+      // process, a severed connection); a fresh hello re-registers us.
       transport.send(kForemanRank, MessageTag::kHello, {});
       continue;
     }
@@ -138,7 +138,7 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
     }
 
     TaskResult result;
-    {
+    try {
       obs::Span span("worker", "task", "task",
                      static_cast<std::int64_t>(task->task_id), "round",
                      static_cast<std::int64_t>(task->round_id));
@@ -154,6 +154,24 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
           "edge_evals",
           static_cast<std::int64_t>(after.edge_evaluations -
                                     before.edge_evaluations));
+    } catch (const std::exception& error) {
+      // The task decoded cleanly but the evaluator refuses it (a focus
+      // taxon not in the tree, an unknown taxon name, ...): every worker
+      // would, so tell the foreman why instead of dying or asking for a
+      // resend.
+      ++stats.rejected_tasks;
+      registry.counter("worker.rejected_tasks").add(1);
+      obs::instant("worker", "rejected_task");
+      FDML_WARN("worker") << "rank " << transport.rank() << " rejected task "
+                          << task->task_id << ": " << error.what();
+      TaskRejectedMessage rejected;
+      rejected.round_id = task->round_id;
+      rejected.task_id = task->task_id;
+      rejected.reason = error.what();
+      auto payload = rejected.pack();
+      seal_payload(payload);
+      transport.send(kForemanRank, MessageTag::kNack, std::move(payload));
+      continue;
     }
     result.worker = transport.rank();
     ++stats.tasks_evaluated;

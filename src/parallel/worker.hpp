@@ -20,6 +20,10 @@ struct WorkerStats {
   /// decoding; each one is answered with a kNack so the foreman can
   /// requeue the task immediately instead of waiting out the deadline.
   std::uint64_t corrupt_tasks = 0;
+  /// Tasks that decoded cleanly but made the evaluator throw; each one is
+  /// answered with a kNack carrying a TaskRejectedMessage, and the foreman
+  /// fails the round instead of requeueing a task no worker can evaluate.
+  std::uint64_t rejected_tasks = 0;
   /// Messages with tags the worker does not understand.
   std::uint64_t unexpected_tags = 0;
   /// kTelemetry frames shipped to the master.

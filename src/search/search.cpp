@@ -41,9 +41,6 @@ class SearchRun {
     result_.addition_order = order;
     result_.trace.dataset = "";
     result_.trace.num_taxa = n;
-    result_.trace.num_sites = data_.num_sites();
-    result_.trace.num_patterns = data_.num_patterns();
-    result_.trace.seed = options_.seed;
 
     Tree tree(n);
     double lnl = 0.0;

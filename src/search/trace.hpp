@@ -36,9 +36,6 @@ struct RoundTrace {
 struct SearchTrace {
   std::string dataset;
   int num_taxa = 0;
-  std::size_t num_sites = 0;
-  std::size_t num_patterns = 0;
-  std::uint64_t seed = 0;
   std::vector<RoundTrace> rounds;
 
   std::size_t total_tasks() const;

@@ -1,7 +1,7 @@
 // FNV-1a 64-bit hashing, shared by the message-integrity footers
 // (comm/integrity.hpp) and the durable-state layer (src/durable/): one
-// digest function means a checkpoint frame, a journal record and a network
-// payload all fail validation the same way.
+// digest function means a checkpoint frame and a network payload both fail
+// validation the same way.
 #pragma once
 
 #include <cstddef>

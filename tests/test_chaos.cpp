@@ -371,6 +371,60 @@ TEST(ForemanChaos, NackRequeuesTaskImmediately) {
   EXPECT_EQ(stats.tasks_completed, 1u);
 }
 
+/// Skips progress beats; returns the next kRoundFailed, or nullopt.
+std::optional<RoundFailedMessage> await_round_failed(Transport& master,
+                                                     milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const auto remaining = std::chrono::duration_cast<milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (remaining.count() <= 0) return std::nullopt;
+    auto message = master.recv_for(remaining);
+    if (!message.has_value()) return std::nullopt;
+    if (message->tag != MessageTag::kRoundFailed) continue;
+    EXPECT_TRUE(open_payload(message->payload));
+    return RoundFailedMessage::unpack(message->payload);
+  }
+}
+
+// A NACK whose reason names the worker's in-flight task fails the round at
+// once: no worker can evaluate that task, so a requeue would only circulate
+// it until the master's watchdog tripped.
+TEST(ForemanChaos, RejectedInFlightTaskFailsTheRoundWithoutRequeue) {
+  ThreadFabric fabric(4);
+  ForemanOptions options;
+  options.worker_timeout = milliseconds(5000);  // a timeout would dominate the test
+  auto foreman_endpoint = fabric.endpoint(kForemanRank);
+  ForemanStats stats;
+  std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
+
+  auto master = fabric.endpoint(kMasterRank);
+  auto worker = fabric.endpoint(kFirstWorkerRank);
+  send_hello(*worker);
+  send_task_round(*master, 1, {1});
+  EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 1u);
+
+  TaskRejectedMessage rejected;
+  rejected.round_id = 1;
+  rejected.task_id = 1;
+  rejected.reason = "focus task: taxon 40 is not in the tree";
+  auto payload = rejected.pack();
+  seal_payload(payload);
+  worker->send(kForemanRank, MessageTag::kNack, std::move(payload));
+
+  const auto failed = await_round_failed(*master, milliseconds(2000));
+  master->send(kForemanRank, MessageTag::kShutdown, {});
+  foreman.join();
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->round_id, 1u);
+  EXPECT_EQ(failed->reason,
+            "task 1 rejected: focus task: taxon 40 is not in the tree");
+  EXPECT_EQ(stats.requeues, 0u);
+  EXPECT_EQ(stats.rounds_failed, 1u);
+  EXPECT_EQ(stats.rejected_tasks, 1u);
+  EXPECT_EQ(stats.tasks_dispatched, 1u);
+}
+
 // With every known worker delinquent and work outstanding, the foreman
 // reports kRoundFailed instead of letting the master wait forever.
 TEST(ForemanChaos, AllWorkersDeadFailsTheRound) {
@@ -522,6 +576,62 @@ TEST(WorkerChaos, MalformedRegraftMarkerIsNacked) {
   foreman->send(kFirstWorkerRank, MessageTag::kShutdown, {});
   worker.join();
   EXPECT_EQ(stats.corrupt_tasks, 1u);
+  EXPECT_EQ(stats.tasks_evaluated, 1u);
+}
+
+// A task that decodes cleanly but makes the evaluator throw used to escape
+// the worker thread and end the process. Now the worker answers with a
+// NACK that carries the task's ids and the reason, and serves on.
+TEST(WorkerChaos, TaskTheEvaluatorRejectsIsNackedWithAReason) {
+  ChaosFixture fx;
+  ThreadFabric fabric(4);
+  auto worker_endpoint = fabric.endpoint(kFirstWorkerRank);
+  WorkerStats stats;
+  std::thread worker([&] {
+    stats = worker_main(*worker_endpoint, fx.data, SubstModel::jc69(),
+                        RateModel::uniform());
+  });
+  auto foreman = fabric.endpoint(kForemanRank);
+  const auto next = [&] { return foreman->recv_for(milliseconds(5000)); };
+  const auto send_task = [&](std::uint64_t id, const std::string& newick,
+                             int focus_taxon) {
+    TreeTask task;
+    task.task_id = id;
+    task.round_id = 1;
+    task.newick = newick;
+    task.focus_taxon = focus_taxon;
+    Packer packer;
+    task.pack(packer);
+    auto payload = packer.take();
+    seal_payload(payload);
+    foreman->send(kFirstWorkerRank, MessageTag::kTask, std::move(payload));
+  };
+  const auto expect_rejection = [&](std::uint64_t id, const std::string& what) {
+    auto message = next();
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->tag, MessageTag::kNack);
+    ASSERT_TRUE(open_payload(message->payload));
+    const TaskRejectedMessage rejected =
+        TaskRejectedMessage::unpack(message->payload);
+    EXPECT_EQ(rejected.round_id, 1u);
+    EXPECT_EQ(rejected.task_id, id);
+    EXPECT_NE(rejected.reason.find(what), std::string::npos) << rejected.reason;
+  };
+  const std::string truth = to_newick(fx.truth, fx.data.names(), 17);
+
+  const auto hello = next();
+  EXPECT_TRUE(hello.has_value() && hello->tag == MessageTag::kHello);
+  send_task(1, truth, 40);  // 8 taxa: focus taxon 40 is not in the tree
+  expect_rejection(1, "taxon 40");
+  send_task(2, "(T0001:0.1,T0002:0.1,NOSUCH:0.1);", -1);
+  expect_rejection(2, "NOSUCH");
+  send_task(3, truth, -1);
+  const auto result = next();
+  EXPECT_TRUE(result.has_value() && result->tag == MessageTag::kResult);
+  foreman->send(kFirstWorkerRank, MessageTag::kShutdown, {});
+  worker.join();
+  EXPECT_EQ(stats.rejected_tasks, 2u);
+  EXPECT_EQ(stats.corrupt_tasks, 0u);
   EXPECT_EQ(stats.tasks_evaluated, 1u);
 }
 

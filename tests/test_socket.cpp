@@ -674,6 +674,16 @@ TEST(CorruptWire, RoundFailedMessageCorpus) {
   });
 }
 
+TEST(CorruptWire, TaskRejectedMessageCorpus) {
+  TaskRejectedMessage message;
+  message.round_id = 7;
+  message.task_id = 3;
+  message.reason = "focus task: taxon 40 is not in the tree";
+  run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
+    (void)TaskRejectedMessage::unpack(b);
+  });
+}
+
 TEST(CorruptWire, TreeTaskAndResultCorpus) {
   TreeTask marked = sample_round().tasks[0];
   marked.focus_taxon = -1;
