@@ -130,6 +130,45 @@ bool write_sim_trace(const std::string& path, int processors,
   return fdml::front_end::write_trace_file(path, sim_log);
 }
 
+/// A non-master rank of a socket run: runs its role loop until the fabric
+/// shuts down, prints one summary line and writes FILE.rankN for
+/// --trace-out=FILE. Returns the process exit code.
+int run_role(const fdml::CliArgs& args, const fdml::PatternAlignment& data,
+             const fdml::SubstModel& model, const fdml::RateModel& rates) {
+  using namespace fdml;
+  const SocketRunOptions options = front_end::socket_options(args);
+  SocketRoleResult role;
+  try {
+    role = run_socket_role(data, model, rates, options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "rank %d: %s\n", options.socket.rank, error.what());
+    return 1;
+  }
+  if (role.foreman.has_value()) {
+    const ForemanStats& f = *role.foreman;
+    std::printf("foreman: %llu rounds, %llu tasks, %llu requeues, "
+                "%llu delinquencies, %llu quarantines, %llu probation passes, "
+                "%llu heartbeat pings\n",
+                static_cast<unsigned long long>(f.rounds),
+                static_cast<unsigned long long>(f.tasks_completed),
+                static_cast<unsigned long long>(f.requeues),
+                static_cast<unsigned long long>(f.delinquencies),
+                static_cast<unsigned long long>(f.quarantines),
+                static_cast<unsigned long long>(f.probation_passes),
+                static_cast<unsigned long long>(f.heartbeat_pings));
+  } else if (role.worker.has_value()) {
+    std::printf("worker %d: %llu tasks, %.2fs CPU, %llu telemetry frames\n",
+                role.rank,
+                static_cast<unsigned long long>(role.worker->tasks_evaluated),
+                role.worker->cpu_seconds,
+                static_cast<unsigned long long>(role.worker->telemetry_frames));
+  }
+  // Every process traces itself; the rank suffix keeps a cluster launched
+  // with one argv from clobbering a shared path.
+  const std::string suffix = ".rank" + std::to_string(role.rank);
+  return front_end::write_trace(args, suffix) ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,7 +232,7 @@ int main(int argc, char** argv) {
     // its role loop (foreman / monitor / worker) until the fabric shuts
     // down, then exits.
     if (args.get_int("rank", 0) != 0) {
-      return front_end::run_role(args, data, model, rates);
+      return run_role(args, data, model, rates);
     }
   }
 

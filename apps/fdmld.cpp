@@ -11,8 +11,10 @@
 //         --taxa=12 --sites=300 --max-active=2 --max-queued=8
 //         --checkpoint-dir=ckpts
 //
-//   # a non-master rank (foreman/monitor/worker), reconnect-hardened
-//   fdmld --mode=role --rank=3 --port=7100 --fabric-size=6
+//   # a non-master rank (foreman/monitor/worker), reconnect-hardened, is a
+//   # fastdnamlpp socket rank: its default model (F84, ts/tv 2, uniform
+//   # rates) is the one --mode=serve fixes
+//   fastdnamlpp --transport=socket --rank=3 --port=7100 --fabric-size=6
 //         --taxa=12 --sites=300 --reconnect --heartbeat-ms=250
 //
 //   # submit one job and wait for its tree (exit 0 done, 3 shed, 4 failed)
@@ -158,18 +160,6 @@ int run_serve(const CliArgs& args) {
   return stats.in_flight == 0 ? 0 : 1;
 }
 
-int run_role(const CliArgs& args) {
-  auto segments = maybe_start_segments(args);
-  const std::optional<Alignment> alignment = front_end::load_dataset(args);
-  if (!alignment.has_value()) return 1;
-  const PatternAlignment data(*alignment);
-  const int status = front_end::run_role(
-      args, data, SubstModel::f84_from_tstv(data.base_frequencies(), 2.0),
-      RateModel::uniform());
-  if (segments) segments->stop();
-  return status;
-}
-
 int run_submit(const CliArgs& args) {
   JobSpec spec;
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -289,11 +279,10 @@ int main(int argc, char** argv) {
   if (!front_end::init_logging(args)) return 2;
   const std::string mode = args.get("mode", "");
   if (mode == "serve") return run_serve(args);
-  if (mode == "role") return run_role(args);
   if (mode == "submit") return run_submit(args);
   if (mode == "scrape") return run_scrape(args);
   if (mode == "proxy") return run_proxy(args);
   std::fprintf(stderr,
-               "usage: fdmld --mode=serve|role|submit|scrape|proxy [flags]\n");
+               "usage: fdmld --mode=serve|submit|scrape|proxy [flags]\n");
   return 2;
 }

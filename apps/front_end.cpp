@@ -88,40 +88,6 @@ SocketRunOptions socket_options(const CliArgs& args) {
   return options;
 }
 
-int run_role(const CliArgs& args, const PatternAlignment& data,
-             const SubstModel& model, const RateModel& rates) {
-  const SocketRunOptions options = socket_options(args);
-  SocketRoleResult role;
-  try {
-    role = run_socket_role(data, model, rates, options);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "rank %d: %s\n", options.socket.rank, error.what());
-    return 1;
-  }
-  if (role.foreman.has_value()) {
-    const ForemanStats& f = *role.foreman;
-    std::printf("foreman: %llu rounds, %llu tasks, %llu requeues, "
-                "%llu delinquencies, %llu quarantines, %llu probation passes, "
-                "%llu heartbeat pings\n",
-                static_cast<unsigned long long>(f.rounds),
-                static_cast<unsigned long long>(f.tasks_completed),
-                static_cast<unsigned long long>(f.requeues),
-                static_cast<unsigned long long>(f.delinquencies),
-                static_cast<unsigned long long>(f.quarantines),
-                static_cast<unsigned long long>(f.probation_passes),
-                static_cast<unsigned long long>(f.heartbeat_pings));
-  } else if (role.worker.has_value()) {
-    std::printf("worker %d: %llu tasks, %.2fs CPU, %llu telemetry frames\n",
-                role.rank,
-                static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                role.worker->cpu_seconds,
-                static_cast<unsigned long long>(role.worker->telemetry_frames));
-  }
-  // Every process traces itself; the rank suffix keeps a cluster launched
-  // with one argv from clobbering a shared path.
-  return write_trace(args, ".rank" + std::to_string(role.rank)) ? 0 : 1;
-}
-
 std::optional<RecoveredCheckpoint> recover_for_resume(
     const std::string& path, std::uint64_t dataset_fingerprint) {
   std::optional<RecoveredCheckpoint> recovered;

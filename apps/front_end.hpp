@@ -1,8 +1,7 @@
 // The command-line front end shared by fastdnamlpp and fdmld. Every flag
 // both programs understand is parsed here, once, with one name and one
 // default: the dataset, the socket fabric, logging and tracing, --resume and
-// the canonical --out result file. A non-master rank of a socket run is the
-// same process in either program, so its role loop lives here too.
+// the canonical --out result file.
 #pragma once
 
 #include <optional>
@@ -42,12 +41,6 @@ ForemanOptions foreman_options(const CliArgs& args);
 /// --telemetry-ms, the foreman's --heartbeat-ms, plus foreman_options();
 /// each unset flag keeps the library default.
 SocketRunOptions socket_options(const CliArgs& args);
-
-/// A non-master rank of a socket run: runs its role loop until the fabric
-/// shuts down, prints one summary line and writes FILE.rankN for
-/// --trace-out=FILE. Returns the process exit code.
-int run_role(const CliArgs& args, const PatternAlignment& data,
-             const SubstModel& model, const RateModel& rates);
 
 /// --resume: the newest valid checkpoint generation at `path` for this
 /// dataset. Prints the reason and returns nullopt when there is none or it

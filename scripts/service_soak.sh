@@ -113,9 +113,11 @@ wait_for_line "$WORKDIR/proxy.log" "chaos proxy ready" 10 \
     || fail "proxy never came up"
 
 # --- the other ranks, reconnect-hardened, dialing through the proxy ------
+# A rank is a fastdnamlpp socket rank; its default model (F84, ts/tv 2,
+# uniform rates) is the one fdmld --mode=serve fixes.
 role() {
   local rank=$1 log=$2
-  setsid "$FDMLD" --mode=role --rank=$rank --port=$PROXY_PORT \
+  setsid "$FASTDNAMLPP" --transport=socket --rank=$rank --port=$PROXY_PORT \
       --fabric-size=$SIZE --taxa=$TAXA --sites=$SITES \
       --reconnect --reconnect-budget-ms=20000 --heartbeat-ms=250 \
       --telemetry-ms=$TELEMETRY_MS \

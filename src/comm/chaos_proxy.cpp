@@ -11,7 +11,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -21,10 +20,6 @@ namespace fdml {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-obs::Counter& global_counter(const char* name) {
-  return obs::MetricsRegistry::process().counter(name);
-}
 
 // Same mixing discipline as ChaosTransport (chaos.cpp): a decision is a pure
 // function of (seed, lane, index), never of wall-clock or interleaving.
@@ -150,7 +145,6 @@ void ChaosProxy::accept_loop() {
       // abrupt close makes the peer's dialer back off and retry, which is
       // exactly the behavior under test.
       refused_.fetch_add(1, std::memory_order_relaxed);
-      global_counter("chaosproxy.refused").add();
       ::close(client);
       continue;
     }
@@ -163,7 +157,6 @@ void ChaosProxy::accept_loop() {
     ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("chaosproxy.connections").add();
     auto conn = std::make_unique<Conn>();
     conn->client_fd = client;
     conn->server_fd = server;
@@ -195,7 +188,6 @@ bool ChaosProxy::forward_chunk(Conn& conn, bool inbound,
     const auto hold = plan.delay_min_ms +
                       static_cast<std::uint32_t>(rng.below(span + 1));
     delays_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("chaosproxy.delays").add();
     std::this_thread::sleep_for(std::chrono::milliseconds(hold));
   }
   if (plan.sock_corrupt > 0.0 && rng.uniform() < plan.sock_corrupt) {
@@ -203,12 +195,10 @@ bool ChaosProxy::forward_chunk(Conn& conn, bool inbound,
     data[offset] ^= static_cast<std::uint8_t>(
         1u << static_cast<unsigned>(rng.below(8)));
     corruptions_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("chaosproxy.corruptions").add();
   }
   if (!write_all(to_fd, data, size)) return false;
   if (plan.sock_close > 0.0 && rng.uniform() < plan.sock_close) {
     closes_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("chaosproxy.closes").add();
     obs::instant("chaosproxy", "close_fault", "conn",
                  static_cast<int>(conn.id));
     return false;
@@ -269,7 +259,6 @@ void ChaosProxy::sever_all() {
   for (auto& conn : conns_) {
     if (conn->severed.load(std::memory_order_acquire)) continue;
     severed_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("chaosproxy.severed").add();
     sever(*conn);
   }
 }

@@ -33,12 +33,6 @@ constexpr std::chrono::milliseconds kWriteTimeout{10000};
 /// budgets stay connect_timeout and reconnect_budget).
 constexpr std::chrono::milliseconds kDialBackoffMax{2000};
 
-/// Global traffic counters (whole-process totals; the fabric also keeps its
-/// own). Registered lazily, addresses stable for the process lifetime.
-obs::Counter& global_counter(const char* name) {
-  return obs::MetricsRegistry::process().counter(name);
-}
-
 void set_socket_options(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -147,6 +141,12 @@ bool SocketFabric::write_all(int fd, const std::uint8_t* data, std::size_t size)
   return true;
 }
 
+void SocketFabric::count(std::atomic<std::uint64_t>& counter,
+                         const char* registry_name, std::uint64_t n) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+  obs::MetricsRegistry::process().counter(registry_name).add(n);
+}
+
 void SocketFabric::deliver_local(int source, MessageTag tag,
                                  std::vector<std::uint8_t> payload) {
   Message message;
@@ -154,7 +154,7 @@ void SocketFabric::deliver_local(int source, MessageTag tag,
   message.tag = tag;
   message.payload = std::move(payload);
   if (!mailbox_.send(std::move(message))) {
-    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    count(frames_dropped_, "socket.frames_dropped");
   }
 }
 
@@ -176,8 +176,7 @@ void SocketFabric::send_message(int dest, MessageTag tag,
                                    : *peers_[0];
   if (route.dead.load(std::memory_order_acquire) ||
       !route.outbound.send(std::move(bytes))) {
-    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("socket.frames_dropped").add();
+    count(frames_dropped_, "socket.frames_dropped");
   }
 }
 
@@ -203,18 +202,16 @@ void SocketFabric::writer_loop(Peer& peer) {
     const std::uint64_t generation = peer.generation.load(std::memory_order_acquire);
     const int fd = peer.fd.load(std::memory_order_acquire);
     if (peer.dead.load(std::memory_order_acquire) || fd < 0) {
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+      count(frames_dropped_, "socket.frames_dropped");
       continue;  // drain and discard: the connection is gone
     }
     if (!write_all(fd, bytes->data(), bytes->size())) {
       mark_peer_dead(peer, generation, "write failed");
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+      count(frames_dropped_, "socket.frames_dropped");
       continue;
     }
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes->size(), std::memory_order_relaxed);
-    global_counter("socket.frames_sent").add();
-    global_counter("socket.bytes_sent").add(bytes->size());
+    count(frames_sent_, "socket.frames_sent");
+    count(bytes_sent_, "socket.bytes_sent", bytes->size());
   }
 }
 
@@ -239,8 +236,7 @@ void SocketFabric::mark_peer_dead(Peer& peer, std::uint64_t generation,
   const bool expected = closing_.load(std::memory_order_acquire) ||
                         expecting_departures_.load(std::memory_order_acquire);
   if (!expected) {
-    peer_deaths_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("socket.peer_deaths").add();
+    count(peer_deaths_, "socket.peer_deaths");
     obs::instant("socket", "peer_death");
     FDML_WARN("socket") << "rank " << options_.rank << ": peer connection died ("
                         << why << ")";
@@ -332,8 +328,7 @@ void SocketFabric::hub_connection(int fd) {
       const auto now = Clock::now();
       if (now >= handshake_deadline) {
         why = "handshake timeout";
-        handshake_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        global_counter("socket.handshake_timeouts").add();
+        count(handshake_timeouts_, "socket.handshake_timeouts");
         obs::instant("socket", "handshake_timeout");
         FDML_WARN("socket") << "hub: dropping connection that never finished "
                                "its announce";
@@ -359,12 +354,11 @@ void SocketFabric::hub_connection(int fd) {
       why = "read error";
       break;
     }
-    bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
+    count(bytes_received_, "socket.bytes_received",
+          static_cast<std::uint64_t>(n));
     std::vector<WireFrame> frames;
     if (!parser.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
-      frame_errors_.fetch_add(1, std::memory_order_relaxed);
-      global_counter("socket.frame_errors").add();
+      count(frame_errors_, "socket.frame_errors");
       obs::instant("socket", "frame_error");
       FDML_WARN("socket") << "hub: dropping connection with malformed stream ("
                           << wire_error_name(parser.error()) << ")";
@@ -373,8 +367,7 @@ void SocketFabric::hub_connection(int fd) {
     }
     bool fatal = false;
     for (WireFrame& frame : frames) {
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      global_counter("socket.frames_received").add();
+      count(frames_received_, "socket.frames_received");
       if (peer == nullptr) {
         // Handshake: the first frame must claim a rank.
         if (frame.kind != FrameKind::kAnnounce || frame.source < 1 ||
@@ -450,8 +443,7 @@ void SocketFabric::hub_connection(int fd) {
         peer = &candidate;
         conn_cv_.notify_all();
         if (readmission) {
-          readmissions_.fetch_add(1, std::memory_order_relaxed);
-          global_counter("socket.readmissions").add();
+          count(readmissions_, "socket.readmissions");
           obs::instant("socket", "readmission", "rank", frame.source);
           FDML_INFO("socket") << "hub: rank " << frame.source
                               << " re-admitted on a fresh connection";
@@ -464,7 +456,7 @@ void SocketFabric::hub_connection(int fd) {
         continue;
       }
       if (frame.kind != FrameKind::kData) {
-        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count(frames_dropped_, "socket.frames_dropped");
         continue;
       }
       route_frame(std::move(frame));
@@ -481,7 +473,7 @@ void SocketFabric::hub_connection(int fd) {
 void SocketFabric::route_frame(WireFrame frame) {
   if (frame.kind != FrameKind::kData || frame.dest < 0 ||
       frame.dest >= options_.size) {
-    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    count(frames_dropped_, "socket.frames_dropped");
     return;
   }
   if (frame.dest == 0) {
@@ -492,8 +484,7 @@ void SocketFabric::route_frame(WireFrame frame) {
   auto bytes = encode_frame(frame);
   if (route.dead.load(std::memory_order_acquire) ||
       !route.outbound.send(std::move(bytes))) {
-    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("socket.frames_dropped").add();
+    count(frames_dropped_, "socket.frames_dropped");
   }
 }
 
@@ -546,8 +537,7 @@ int SocketFabric::dial_hub(Clock::time_point deadline,
   std::chrono::milliseconds backoff = std::max(base, std::chrono::milliseconds(1));
   int fd = -1;
   while (!closing_.load(std::memory_order_acquire)) {
-    connect_attempts_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("socket.connect_attempts").add();
+    count(connect_attempts_, "socket.connect_attempts");
     obs::instant("socket", "connect_attempt", "rank", options_.rank);
     const int candidate = ::socket(AF_INET, SOCK_STREAM, 0);
     if (candidate >= 0 &&
@@ -599,8 +589,8 @@ bool SocketFabric::handshake_with_hub(int fd, Clock::time_point deadline) {
     if (ready <= 0) return false;
     const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
     if (n <= 0) return false;
-    bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
+    count(bytes_received_, "socket.bytes_received",
+          static_cast<std::uint64_t>(n));
     std::vector<WireFrame> frames;
     if (!peer_parser_.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
       return false;
@@ -615,10 +605,9 @@ bool SocketFabric::handshake_with_hub(int fd, Clock::time_point deadline) {
       }
       // Data already riding behind the welcome: deliver it now, exactly as
       // the reader loop would have.
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      global_counter("socket.frames_received").add();
+      count(frames_received_, "socket.frames_received");
       if (frame.kind != FrameKind::kData || frame.dest != options_.rank) {
-        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+        count(frames_dropped_, "socket.frames_dropped");
         continue;
       }
       deliver_local(frame.source, frame.tag, std::move(frame.payload));
@@ -693,8 +682,7 @@ bool SocketFabric::reconnect_to_hub() {
       hub.generation.fetch_add(1, std::memory_order_acq_rel);
       hub.dead.store(false, std::memory_order_release);
     }
-    readmissions_.fetch_add(1, std::memory_order_relaxed);
-    global_counter("socket.readmissions").add();
+    count(readmissions_, "socket.readmissions");
     obs::instant("socket", "reconnected", "rank", options_.rank);
     FDML_INFO("socket") << "rank " << options_.rank
                         << ": reconnected to the hub";
@@ -720,20 +708,18 @@ void SocketFabric::peer_reader_loop() {
         why = "read error";
         break;
       }
-      bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
+      count(bytes_received_, "socket.bytes_received",
+            static_cast<std::uint64_t>(n));
       std::vector<WireFrame> frames;
       if (!parser.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
-        frame_errors_.fetch_add(1, std::memory_order_relaxed);
-        global_counter("socket.frame_errors").add();
+        count(frame_errors_, "socket.frame_errors");
         why = "framing error";
         break;
       }
       for (WireFrame& frame : frames) {
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        global_counter("socket.frames_received").add();
+        count(frames_received_, "socket.frames_received");
         if (frame.kind != FrameKind::kData || frame.dest != options_.rank) {
-          frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+          count(frames_dropped_, "socket.frames_dropped");
           continue;
         }
         deliver_local(frame.source, frame.tag, std::move(frame.payload));

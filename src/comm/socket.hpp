@@ -64,8 +64,8 @@ struct SocketOptions {
   std::chrono::milliseconds reconnect_budget{15000};
 };
 
-/// Live traffic/lifecycle counters (fabric-local; the same values are also
-/// published to the process metrics registry under "socket.*").
+/// Live traffic/lifecycle counters (fabric-local; every bump also lands on
+/// the field's "socket.<field>" twin in the process metrics registry).
 struct SocketFabricStats {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -187,6 +187,11 @@ class SocketFabric {
   void retire_fd(int fd);
 
   bool write_all(int fd, const std::uint8_t* data, std::size_t size);
+
+  /// Adds `n` to one of the counters below and to its twin `registry_name`
+  /// ("socket.<field>") in the process metrics registry.
+  void count(std::atomic<std::uint64_t>& counter, const char* registry_name,
+             std::uint64_t n = 1);
 
   SocketOptions options_;
   Channel<Message> mailbox_;

@@ -56,7 +56,7 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& data,
       padded_(round_up(data.num_patterns(), kPatternPad)),
       // NB: read rates_ (the member), not the moved-from parameter.
       num_categories_(rates_.num_categories()),
-      kernels_(&kernel_table_for_patterns(data.num_patterns())) {
+      kernels_(&active_kernel_table()) {
   counters_.simd_backend = kernels_->name;
   build_tip_clvs();
   weights_.assign(padded_, 0.0);

@@ -21,9 +21,8 @@
 //     layout ([category][state][padded pattern]) in 64-byte-aligned arenas,
 //     and the hot loops run through a SIMD backend selected at runtime
 //     (scalar / SSE2 / AVX2 / AVX-512, bit-identical results —
-//     kernels.hpp); the engine captures a dispatch table at construction
-//     via kernel_table_for_patterns(), which applies the AVX-512 downclock
-//     heuristic to the alignment's pattern count;
+//     kernels.hpp); the engine captures active_kernel_table() at
+//     construction;
 //   - transition matrices are served by a TransitionCache keyed by the
 //     effective length t * rate, invalidated by epoch on set_model();
 //   - the hot path is allocation-free: edge captures and Newton evaluations
@@ -211,7 +210,7 @@ class LikelihoodEngine {
   KernelCounters counters() const;
   TransitionCache& transition_cache() { return cache_; }
   /// The SIMD kernel table this engine dispatches through (fixed at
-  /// construction from kernel_table_for_patterns(num_patterns)).
+  /// construction from active_kernel_table()).
   const KernelTable& kernels() const { return *kernels_; }
 
  private:

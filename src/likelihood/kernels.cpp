@@ -42,32 +42,11 @@ const KernelTable* kernel_table(simd::Backend backend) {
   return nullptr;
 }
 
-namespace {
-
-/// The backend's table, or scalar when the backend was not compiled in.
-const KernelTable& resolve(simd::Backend backend) {
-  if (const KernelTable* table = kernel_table(backend)) return *table;
-  return *detail::kernel_table_scalar();
-}
-
-}  // namespace
-
 const KernelTable& active_kernel_table() {
-  return resolve(simd::active_backend());
-}
-
-const KernelTable& kernel_table_for_patterns(std::size_t num_patterns) {
-  simd::Backend backend = simd::active_backend();
-  if (backend == simd::Backend::kAvx512 && !simd::backend_pinned() &&
-      num_patterns < kAvx512MinPatterns &&
-      kernel_table(simd::Backend::kAvx2) != nullptr &&
-      simd::cpu_supports(simd::Backend::kAvx2)) {
-    // Downclock heuristic: an auto-resolved AVX-512 demotes to AVX2 for
-    // small pattern counts (see kAvx512MinPatterns). An explicit
-    // FDML_SIMD=avx512 / set_backend("avx512") is honored as pinned.
-    backend = simd::Backend::kAvx2;
+  if (const KernelTable* table = kernel_table(simd::active_backend())) {
+    return *table;
   }
-  return resolve(backend);
+  return *detail::kernel_table_scalar();
 }
 
 std::vector<const KernelTable*> compiled_kernel_tables() {

@@ -57,13 +57,6 @@ inline constexpr double kClvScaleFactor = 0x1.0p+256;
 /// Log-likelihood paths subtract scale_count * kLogScaleStep.
 inline constexpr double kLogScaleStep = 256.0 * 0.6931471805599453;
 
-/// Pattern count below which an auto-resolved AVX-512 backend is demoted to
-/// AVX2 (kernel_table_for_patterns): small workloads cannot amortize the
-/// frequency drop 512-bit FP triggers on many cores, so the wider vectors
-/// only pay for themselves once enough patterns flow through each call.
-/// Pinning the backend (FDML_SIMD=avx512 / set_backend) bypasses this.
-inline constexpr std::size_t kAvx512MinPatterns = 256;
-
 /// One child of a CLV combine, category-resolved. Exactly one of
 /// {codes+tip_tab, p} is consulted: a tip child is combined through its
 /// 16-code lookup table, an internal child through a P(t)-row dot with its
@@ -151,20 +144,13 @@ struct KernelTable {
 };
 
 /// Table for one backend, or nullptr if it was not compiled in (no
-/// fallback — use active_kernel_table() or kernel_table_for_patterns() for
-/// resolving lookups).
+/// fallback — use active_kernel_table() for resolving lookups).
 const KernelTable* kernel_table(simd::Backend backend);
 
-/// Table for simd::active_backend(). An uncompiled backend falls back to
-/// scalar (always compiled).
+/// Table for simd::active_backend(): the one every engine captures at
+/// construction, whatever its pattern count. An uncompiled backend falls
+/// back to scalar (always compiled).
 const KernelTable& active_kernel_table();
-
-/// active_kernel_table() with the AVX-512 downclock heuristic applied: an
-/// auto-resolved (not pinned) AVX-512 backend is demoted to AVX2 when
-/// `num_patterns` < kAvx512MinPatterns. Engines resolve their table through
-/// this so a run over a small alignment is not taxed with the 512-bit
-/// license frequency drop for kernels too short to repay it.
-const KernelTable& kernel_table_for_patterns(std::size_t num_patterns);
 
 /// Every table compiled into this binary, scalar first: the bit-parity
 /// set. Entries for backends the running CPU lacks are still returned

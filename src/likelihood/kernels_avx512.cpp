@@ -1,8 +1,7 @@
 // AVX-512 (W = 8) kernel backend. Compiled with -mavx512f -mavx512dq when
 // FDML_SIMD allows; the TU is empty otherwise. Runtime dispatch
 // (simd::cpu_supports probes avx512f+dq) keeps these instructions off CPUs
-// that lack them, and kernel_table_for_patterns() demotes auto-resolved
-// AVX-512 to AVX2 for small pattern counts (512-bit license downclocking).
+// that lack them.
 // No FMA: see the determinism contract in util/simd.hpp.
 #if defined(FDML_HAVE_AVX512)
 

@@ -62,6 +62,7 @@ constexpr obs::CounterField<ForemanStats> kForemanFields[] = {
     {"foreman.rounds_failed", &ForemanStats::rounds_failed},
     {"foreman.unexpected_tags", &ForemanStats::unexpected_tags},
     {"foreman.heartbeat_pings", &ForemanStats::heartbeat_pings},
+    {"foreman.hellos", &ForemanStats::hellos},
 };
 
 /// Worker health state machine (DESIGN.md "Worker health model"):
@@ -361,6 +362,7 @@ class Foreman {
   }
 
   void handle_hello(int worker) {
+    counters_.bump<&ForemanStats::hellos>();
     WorkerHealth& h = health(worker);
     if (h.state == WorkerState::kSuspect) {
       enter_probation(worker, /*quarantine=*/false);

@@ -89,6 +89,9 @@ struct ForemanStats {
   std::uint64_t unexpected_tags = 0;
   /// Heartbeat pings sent to silent or suspect workers.
   std::uint64_t heartbeat_pings = 0;
+  /// Worker hellos handled: one per worker at startup, plus one per
+  /// answered ping or restart.
+  std::uint64_t hellos = 0;
 };
 
 /// Runs the foreman loop until a shutdown message arrives (which is

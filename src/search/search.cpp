@@ -59,7 +59,7 @@ class SearchRun {
             " taxa should be placed — the checkpoint is internally "
             "inconsistent");
       }
-      record_event(tree.tip_count(), lnl, checkpoint->tree_newick);
+      publish_best(lnl);
       if (checkpoint->phase == SearchPhase::kRearrange) {
         // The run died mid-rearrangement: finish that stage first, picking
         // up the exact round counter and crossing distance it left off at.
@@ -78,14 +78,14 @@ class SearchRun {
       const TaskResult initial =
           dispatch_single(RoundKind::kInitial, 3, make_task(tree, -1));
       lnl = adopt(tree, initial);
-      record_event(3, lnl, initial.newick);
+      publish_best(lnl);
     }
 
     // Steps 3-5: add each remaining taxon, then rearrange.
     for (int idx = start_index; idx < n; ++idx) {
       const int tip = order[static_cast<std::size_t>(idx)];
       lnl = add_taxon(tree, tip, idx + 1);
-      record_event(idx + 1, lnl, to_newick(tree, names_, 17));
+      publish_best(lnl);
 
       const bool last = idx == n - 1;
       const int cross =
@@ -171,9 +171,9 @@ class SearchRun {
     return result.log_likelihood;
   }
 
-  void record_event(int taxa, double lnl, std::string newick) {
+  /// Publishes the lnL of the tree just adopted to the live progress probe.
+  void publish_best(double lnl) {
     if (options_.progress != nullptr) options_.progress->set_best(lnl);
-    result_.events.push_back({taxa, lnl, std::move(newick)});
   }
 
   /// Writes the restart checkpoint after a completed taxon addition
@@ -277,7 +277,7 @@ class SearchRun {
       }
       lnl = adopt(tree, best);
       ++result_.rearrangements_accepted;
-      record_event(taxa_in_tree, lnl, best.newick);
+      publish_best(lnl);
       current_cross = cross;  // improvement: back to the base extent
       write_checkpoint(taxa_in_tree, tree, lnl, SearchPhase::kRearrange,
                        round + 1, current_cross);

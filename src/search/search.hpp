@@ -203,20 +203,11 @@ std::optional<RecoveredCheckpoint> recover_checkpoint(
     const std::string& base_path, std::uint64_t expected_fingerprint,
     Vfs* vfs = nullptr);
 
-/// Best-tree-so-far event stream — what the paper's real-time 3D viewer
-/// tails while a run is in progress.
-struct BestTreeEvent {
-  int taxa_in_tree = 0;
-  double log_likelihood = 0.0;
-  std::string newick;
-};
-
 struct SearchResult {
   std::string best_newick;
   double best_log_likelihood = 0.0;
   std::vector<int> addition_order;
   SearchTrace trace;
-  std::vector<BestTreeEvent> events;
   std::size_t trees_evaluated = 0;
   std::size_t rearrangements_accepted = 0;
 };

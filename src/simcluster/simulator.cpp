@@ -165,7 +165,7 @@ SimResult simulate_serial(const SearchTrace& trace, const SimClusterConfig& conf
   double clock = 0.0;
   for (const RoundTrace& round : trace.rounds) {
     const double begin = clock;
-    clock += round.master_seconds * config.master_speed;
+    clock += round.master_seconds;
     for (double cpu : round.task_cpu_seconds) clock += cpu;
     if (config.trace != nullptr) {
       auto& b = config.trace->add(kSimMasterTid, obs::Phase::kBegin,
@@ -217,8 +217,7 @@ SimResult simulate_trace(const SearchTrace& trace, const SimClusterConfig& confi
     ++round_id;
     const double round_begin = clock;
     MachineState machine;
-    machine.foreman_free = clock + round.master_seconds * config.master_speed +
-                           config.latency_seconds;
+    machine.foreman_free = clock + round.master_seconds + config.latency_seconds;
     machine.worker_ready.assign(static_cast<std::size_t>(workers), round_begin);
     if (config.trace != nullptr) {
       // Master-side serial slice, then the foreman round span.
@@ -286,8 +285,7 @@ SpeculativeResult simulate_trace_speculative(const SearchTrace& trace,
 
     const double round_begin = clock;
     MachineState machine;
-    machine.foreman_free = clock + round.master_seconds * config.master_speed +
-                           config.latency_seconds;
+    machine.foreman_free = clock + round.master_seconds + config.latency_seconds;
     machine.worker_ready.assign(static_cast<std::size_t>(workers), round_begin);
     const RoundOutcomeSim outcome =
         run_round_sim(round, next_round, config, machine);

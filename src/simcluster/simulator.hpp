@@ -33,8 +33,6 @@ struct SimClusterConfig {
   double latency_seconds = 5e-5;
   /// Link bandwidth (bytes/second) for task and result payloads.
   double bandwidth_bytes_per_second = 100e6;
-  /// Multiplier on the master's recorded between-round compute.
-  double master_speed = 1.0;
   /// Optional trace sink: the simulator fills it with the same span/flow
   /// vocabulary the live runtime emits (foreman "round" spans, worker
   /// "task" spans, dispatch->execute->accept flow arcs, queue depth), with

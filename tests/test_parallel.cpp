@@ -281,46 +281,17 @@ struct ParallelFixture {
   PatternAlignment data;
 };
 
-/// Counts in `helloed` the wrapped worker endpoints whose first send, the
-/// worker's hello, has returned: that hello is then in the foreman's
-/// mailbox, and the mailbox is FIFO, so the foreman registers the worker
-/// before any round sent later.
-class HelloCounter final : public Transport {
- public:
-  HelloCounter(std::unique_ptr<Transport> inner,
-               std::shared_ptr<std::atomic<int>> helloed)
-      : inner_(std::move(inner)), helloed_(std::move(helloed)) {}
-  int rank() const override { return inner_->rank(); }
-  int size() const override { return inner_->size(); }
-  void send(int dest, MessageTag tag,
-            std::vector<std::uint8_t> payload) override {
-    inner_->send(dest, tag, std::move(payload));
-    if (!counted_) {
-      counted_ = true;
-      helloed_->fetch_add(1, std::memory_order_release);
-    }
-  }
-  std::optional<Message> recv() override { return inner_->recv(); }
-  std::optional<Message> recv_for(std::chrono::milliseconds timeout) override {
-    return inner_->recv_for(timeout);
-  }
-  bool closed() const override { return inner_->closed(); }
-
- private:
-  std::unique_ptr<Transport> inner_;
-  std::shared_ptr<std::atomic<int>> helloed_;
-  bool counted_ = false;  // only the worker's thread sends
-};
-
-/// Polls `helloed` until `workers` hellos are in or `bound` has passed. A
-/// test whose assertions need work on particular workers waits for them
-/// before its search: these searches are short (one worker finishes the
-/// 8x120 one in about 20 ms), and a worker that says hello after the last
-/// round never holds a task.
-bool await_hellos(const std::atomic<int>& helloed, int workers,
+/// Polls the cluster's `foreman.hellos` until the foreman has handled
+/// `workers` hellos or `bound` has passed. A test whose assertions need
+/// work on particular workers waits for them before its search: these
+/// searches are short (one worker finishes the 8x120 one in about 20 ms),
+/// and a worker the foreman registers after the last round never holds a
+/// task.
+bool await_hellos(InProcessCluster& cluster, std::uint64_t workers,
                   std::chrono::milliseconds bound = std::chrono::seconds(10)) {
+  const obs::Counter& hellos = cluster.metrics().counter("foreman.hellos");
   const auto deadline = std::chrono::steady_clock::now() + bound;
-  while (helloed.load(std::memory_order_acquire) < workers) {
+  while (hellos.value() < workers) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -360,15 +331,9 @@ TEST(Cluster, FourWorkersFindEquallyGoodTree) {
 
   ClusterOptions cluster_options;
   cluster_options.num_workers = 4;
-  auto helloed = std::make_shared<std::atomic<int>>(0);
-  cluster_options.wrap_worker_transport =
-      [helloed](int, std::unique_ptr<Transport> inner)
-      -> std::unique_ptr<Transport> {
-    return std::make_unique<HelloCounter>(std::move(inner), helloed);
-  };
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
-  ASSERT_TRUE(await_hellos(*helloed, 4));
+  ASSERT_TRUE(await_hellos(cluster, 4));
   const SearchResult parallel_result =
       StepwiseSearch(fx.data, options).run(cluster.runner());
 
@@ -410,15 +375,13 @@ TEST(Cluster, WorkerStatsCarriedInTrace) {
 
 /// Wraps only worker rank 3's endpoint in a ChaosTransport running `plan`
 /// (which passes the hello through untouched); the other workers stay
-/// fault-free. `helloed` counts rank 3's hello.
+/// fault-free.
 std::function<std::unique_ptr<Transport>(int, std::unique_ptr<Transport>)>
-chaos_on_first_worker(FaultPlan plan,
-                      std::shared_ptr<std::atomic<int>> helloed) {
-  return [plan, helloed](int rank, std::unique_ptr<Transport> inner)
+chaos_on_first_worker(FaultPlan plan) {
+  return [plan](int rank, std::unique_ptr<Transport> inner)
              -> std::unique_ptr<Transport> {
     if (rank != kFirstWorkerRank) return inner;
-    return std::make_unique<HelloCounter>(
-        std::make_unique<ChaosTransport>(std::move(inner), plan), helloed);
+    return std::make_unique<ChaosTransport>(std::move(inner), plan);
   };
 }
 
@@ -431,11 +394,10 @@ TEST(Cluster, DroppedResultIsRequeuedToAnotherWorker) {
   // first result never arrives: a crashed worker.
   FaultPlan crash;
   crash.crash_after_sends = 2;
-  auto helloed = std::make_shared<std::atomic<int>>(0);
-  cluster_options.wrap_worker_transport = chaos_on_first_worker(crash, helloed);
+  cluster_options.wrap_worker_transport = chaos_on_first_worker(crash);
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
-  ASSERT_TRUE(await_hellos(*helloed, 1));
+  ASSERT_TRUE(await_hellos(cluster, 2));
   SearchOptions options;
   options.seed = 9;
   const SearchResult result = StepwiseSearch(fx.data, options).run(cluster.runner());
@@ -458,11 +420,10 @@ TEST(Cluster, SlowWorkerIsReinstatedAfterLateReply) {
   slow.delay = 1.0;
   slow.delay_min_ms = 250;
   slow.delay_max_ms = 250;
-  auto helloed = std::make_shared<std::atomic<int>>(0);
-  cluster_options.wrap_worker_transport = chaos_on_first_worker(slow, helloed);
+  cluster_options.wrap_worker_transport = chaos_on_first_worker(slow);
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
-  ASSERT_TRUE(await_hellos(*helloed, 1));
+  ASSERT_TRUE(await_hellos(cluster, 2));
   SearchOptions options;
   options.seed = 13;
   const SearchResult result = StepwiseSearch(fx.data, options).run(cluster.runner());

@@ -2,9 +2,13 @@
 // machinery.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
 
@@ -340,20 +344,50 @@ TEST(Search, TraceHasPaperTaskStructure) {
   EXPECT_EQ(trace.total_tasks(), result.trees_evaluated);
 }
 
-TEST(Search, EventLikelihoodsImproveWithinRearrangement) {
+// Every adopted rearrangement strictly improves on the tree it replaces,
+// and the search ends on the last tree it adopted. The checkpoint stream
+// records each adoption (a kRearrange checkpoint; with adaptive extents
+// off, a stalled round writes none) and each completed taxon (kAddition).
+TEST(Search, CheckpointedLikelihoodsImproveWithinRearrangement) {
   Fixture fx(9, 300);
   auto runner = fx.runner();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("fdml_search_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "run.ckpt").string();
+
   SearchOptions options;
-  options.seed = 9;
-  StepwiseSearch search(fx.data, options);
-  const SearchResult result = search.run(runner);
-  ASSERT_FALSE(result.events.empty());
-  EXPECT_EQ(result.events.back().log_likelihood, result.best_log_likelihood);
-  for (std::size_t i = 1; i < result.events.size(); ++i) {
-    if (result.events[i].taxa_in_tree == result.events[i - 1].taxa_in_tree) {
-      EXPECT_GT(result.events[i].log_likelihood,
-                result.events[i - 1].log_likelihood)
-          << "rearrangement events must strictly improve";
+  options.seed = 5;  // adopts three rearrangements
+  options.checkpoint_path = path;
+  std::vector<SearchCheckpoint> stream;
+  options.stop_requested = [&stream, &path] {
+    stream.push_back(recover_checkpoint(path, 0).value().checkpoint);
+    return false;
+  };
+  const SearchResult result = StepwiseSearch(fx.data, options).run(runner);
+  std::filesystem::remove_all(dir);
+
+  ASSERT_FALSE(stream.empty());
+  EXPECT_EQ(stream.back().log_likelihood, result.best_log_likelihood);
+  const auto adoptions = std::count_if(
+      stream.begin(), stream.end(), [](const SearchCheckpoint& c) {
+        return c.phase == SearchPhase::kRearrange;
+      });
+  EXPECT_EQ(static_cast<std::size_t>(adoptions),
+            result.rearrangements_accepted);
+  EXPECT_GT(adoptions, 0);
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    const SearchCheckpoint& before = stream[i - 1];
+    const SearchCheckpoint& after = stream[i];
+    if (after.next_order_index != before.next_order_index) continue;
+    if (after.phase == SearchPhase::kRearrange) {
+      EXPECT_GT(after.log_likelihood, before.log_likelihood)
+          << "rearrangement adoptions must strictly improve";
+    } else {
+      EXPECT_EQ(after.log_likelihood, before.log_likelihood)
+          << "a completed taxon keeps its last adopted tree";
     }
   }
 }

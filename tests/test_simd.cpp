@@ -95,7 +95,6 @@ TEST(Simd, BackendSelection) {
   EXPECT_EQ(simd::set_backend("avx512"), avx512_usable);
   if (avx512_usable) {
     EXPECT_EQ(simd::active_backend(), simd::Backend::kAvx512);
-    EXPECT_TRUE(simd::backend_pinned());
     EXPECT_STREQ(active_kernel_table().name, "avx512");
     EXPECT_EQ(active_kernel_table().width, 8);
   }
@@ -461,6 +460,22 @@ TEST(Simd, EngineParityAcrossBackends) {
       }
     }
   }
+}
+
+// Engines run the active backend at every pattern count: under automatic
+// selection a small alignment gets the table a large one gets (on an
+// AVX-512 host, avx512).
+TEST(Simd, SmallAlignmentEngineRunsTheActiveBackend) {
+  BackendGuard guard;
+  ASSERT_TRUE(simd::set_backend("auto"));
+  Rng tree_rng(53);
+  Tree tree(8);
+  const PatternAlignment data(parity_alignment(8, 60, 5300, tree_rng, tree));
+  ASSERT_LT(data.num_patterns(), kPatternBlock);  // less than one tile
+  const LikelihoodEngine engine(data, SubstModel::jc69(), RateModel::uniform());
+  EXPECT_EQ(&engine.kernels(), &active_kernel_table());
+  EXPECT_STREQ(engine.kernels().name,
+               simd::backend_name(simd::active_backend()));
 }
 
 TEST(Simd, DeepTreeRescalingParity) {

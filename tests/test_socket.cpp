@@ -20,6 +20,7 @@
 #include "comm/socket.hpp"
 #include "comm/wire.hpp"
 #include "model/simulate.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/protocol.hpp"
 #include "parallel/socket_cluster.hpp"
@@ -381,6 +382,47 @@ TEST(SocketFabric, MalformedStreamDropsOnlyThatConnection) {
   ::close(fd);
 }
 
+TEST(SocketFabric, DroppedFrameMovesStatsAndRegistryAlike) {
+  // After its handshake, a raw client sends a frame that is not data; the
+  // hub drops it. The fabric's counter and its "socket.frames_dropped"
+  // registry twin must move by the same amount.
+  const std::uint16_t port = pick_free_port();
+  SocketFabric hub(fabric_options(0, 2, port));
+  const obs::Counter& registry =
+      obs::MetricsRegistry::process().counter("socket.frames_dropped");
+  const std::uint64_t stats_before = hub.stats().frames_dropped;
+  const std::uint64_t registry_before = registry.value();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  WireFrame announce;
+  announce.kind = FrameKind::kAnnounce;
+  announce.source = 1;
+  announce.dest = 0;
+  announce.payload = {2, 0, 0, 0};  // u32 fabric size
+  WireFrame stray = announce;
+  stray.kind = FrameKind::kWelcome;
+  for (const WireFrame& frame : {announce, stray}) {
+    const auto bytes = encode_frame(frame);
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (hub.stats().frames_dropped == stats_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(hub.stats().frames_dropped - stats_before, 1u);
+  EXPECT_EQ(registry.value() - registry_before, 1u);
+  ::close(fd);
+}
+
 TEST(SocketFabric, HubCloseShutsPeerMailbox) {
   // The "closed mailbox" contract: when the hub goes away, a peer's recv()
   // returns nullopt so its role loop unwinds — same as ThreadFabric.
@@ -529,6 +571,13 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
   SocketRunOptions options;
   options.socket = fabric_options(0, 5, port);  // master+foreman+monitor+2w
 
+  // The foreman thread counts the hellos it has handled in the process
+  // registry. wait_ready() only means every rank finished the TCP
+  // handshake, and one worker can finish this search alone, so the search
+  // waits until the foreman has registered both workers.
+  const obs::Counter& hellos =
+      obs::MetricsRegistry::process().counter("foreman.hellos");
+  const std::uint64_t hellos_before = hellos.value();
   std::vector<std::thread> roles;
   for (int rank = 1; rank < 5; ++rank) {
     roles.emplace_back([&, rank] {
@@ -541,6 +590,13 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
   {
     SocketCluster cluster(data, model, rates, options);
     ASSERT_TRUE(cluster.wait_ready(std::chrono::milliseconds(10000)));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (hellos.value() < hellos_before + 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(hellos.value(), hellos_before + 2);
     socket_result = StepwiseSearch(data, search_options).run(cluster.runner());
     cluster.shutdown();
     EXPECT_EQ(cluster.master_stats().serial_fallbacks, 0u);
