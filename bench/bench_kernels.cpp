@@ -175,20 +175,6 @@ std::vector<SweepResult> run_backend_sweep() {
   for (int k = 0; k < 4; ++k)
     for (int i = 0; i < 4; ++i) pr[k][i] = pi[i] * right[i][k];
 
-  // Multi-edge capture operands: kBatchEdges candidate edges whose a/b
-  // planes cycle through the category planes above (distinct pointers per
-  // edge, cache-resident like a real candidate chunk).
-  constexpr std::size_t kBatchEdges = 16;
-  AlignedVector<double> batch_coeff(kBatchEdges * plane);
-  std::vector<const double*> batch_a(kBatchEdges);
-  std::vector<const double*> batch_b(kBatchEdges);
-  std::vector<double*> batch_out(kBatchEdges);
-  for (std::size_t k = 0; k < kBatchEdges; ++k) {
-    batch_a[k] = a_planes.data() + (k % kSweepCats) * plane;
-    batch_b[k] = b_planes.data() + ((k + 1) % kSweepCats) * plane;
-    batch_out[k] = batch_coeff.data() + k * plane;
-  }
-
   // Build every (kernel, backend) timing cell up front, then sample them
   // interleaved (see time_cells). Nominal FLOPs per (category, pattern)
   // match the engine's accounting: internal-internal combine 68, tip-tip
@@ -253,20 +239,6 @@ std::vector<SweepResult> run_backend_sweep() {
                              site.data(), site_d1.data(), site_d2.data());
                        }
                      }});
-
-    // batch_edge_evaluate: the multi-edge capture behind BatchEdgeEvaluator —
-    // kBatchEdges coefficient sets projected per call while the transition
-    // rows stay hot. Reported patterns/s is per-call (one pattern sweep
-    // covering all edges), so the interesting number is the vs-scalar ratio.
-    cells.push_back(
-        {"batch_edge_evaluate", table->name, 40.0 * kBatchEdges,
-         [=, &batch_a, &batch_b, &batch_out, &pr, &left] {
-           for (std::size_t cat = 0; cat < kSweepCats; ++cat) {
-             table->edge_capture_multi(padded, kBatchEdges, batch_a.data(),
-                                       batch_b.data(), &pr[0][0], &left[0][0],
-                                       0.25, batch_out.data());
-           }
-         }});
   }
   time_cells(cells);
 
@@ -429,9 +401,9 @@ bool check_against_baseline(const std::string& path,
 
   // Headline contract, independent of the baseline's numbers: the widest
   // usable backend must hold >= 2x scalar on the two dominant kernels —
-  // and, since the batched-evaluation work, on the end-to-end full_tree
-  // number too (microkernel wins that evaporate in orchestration are the
-  // exact regression this line exists to catch).
+  // and on the end-to-end full_tree number too (microkernel wins that
+  // evaporate in orchestration are the exact regression this line exists
+  // to catch).
   std::string widest = "scalar";
   for (const SweepResult& r : results) {
     if (r.kernel == "clv_combine" && r.backend != "scalar") widest = r.backend;

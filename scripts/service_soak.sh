@@ -182,9 +182,19 @@ ROLE_PIDS[$VICTIM_RANK]=$(role "$VICTIM_RANK" "$WORKDIR/rank${VICTIM_RANK}b.log"
 PIDS+=("${ROLE_PIDS[$VICTIM_RANK]}")
 
 # --- telemetry drill 2: later scrape, counters monotonic, progress moves --
-sleep 3
-"$FDMLD" --mode=scrape --service-port=$SVC_PORT \
-    --out="$WORKDIR/scrape2.prom" || fail "mid-soak scrape 2"
+# A round stalled on the killed rank makes no progress until the master's
+# 5 s watchdog trips and retries it, so scrape until the progress check
+# accepts, with a deadline past that watchdog plus its first retry (12 s),
+# then check that last scrape in full.
+SCRAPE_DEADLINE=$((SECONDS + 12))
+while :; do
+  sleep 0.5
+  "$FDMLD" --mode=scrape --service-port=$SVC_PORT \
+      --out="$WORKDIR/scrape2.prom" || fail "mid-soak scrape 2"
+  python3 scripts/check_metrics.py "$WORKDIR/scrape2.prom" \
+      --advance-from "$WORKDIR/scrape1.prom" 2> /dev/null && break
+  [ "$SECONDS" -lt "$SCRAPE_DEADLINE" ] || break
+done
 python3 scripts/check_metrics.py "$WORKDIR/scrape2.prom" \
     --advance-from "$WORKDIR/scrape1.prom" \
     || fail "scrape 2 rejected by check_metrics.py"

@@ -169,6 +169,14 @@ void LikelihoodEngine::on_length_changed(int u, int v) {
   invalidate_away(v, u);
 }
 
+void LikelihoodEngine::ensure_edge_clvs(int u, int v) {
+  const int su = tree_->find_slot(u, v);
+  const int sv = tree_->find_slot(v, u);
+  if (su < 0 || sv < 0) throw std::logic_error("ensure_edge_clvs: not an edge");
+  if (!tree_->is_tip(u)) ensure_clv(u, su);
+  if (!tree_->is_tip(v)) ensure_clv(v, sv);
+}
+
 const LikelihoodEngine::Clv& LikelihoodEngine::ensure_clv(int u, int slot) {
   Clv& clv = clvs_[key(u, slot)];
   if (clv.valid) return clv;
@@ -187,53 +195,32 @@ void LikelihoodEngine::compute_internal_clv(int u, int slot) {
     counters_.scratch_bytes_reused += clv.values.size() * sizeof(double);
   }
 
-  // The two neighbors other than the direction `slot` points to.
-  int children[2];
-  int back_slots[2];
-  double lengths[2];
-  int child_count = 0;
-  for (int s = 0; s < 3; ++s) {
-    if (s == slot) continue;
-    const int nbr = tree_->neighbor(u, s);
-    if (nbr == Tree::kNoNode) throw std::logic_error("clv: malformed internal node");
-    children[child_count] = nbr;
-    back_slots[child_count] =
-        tree_->is_tip(nbr) ? -1 : tree_->find_slot(nbr, u);
-    lengths[child_count] = tree_->slot_length(u, s);
-    ++child_count;
-  }
-
-  clv.scaled = combine_children(children, back_slots, lengths,
-                                clv.values.data(), clv.scale.data());
-  clv.valid = true;
-}
-
-bool LikelihoodEngine::combine_children(const int children[2],
-                                        const int back_slots[2],
-                                        const double lengths[2],
-                                        double* out_values,
-                                        std::int32_t* out_scale) {
-  const std::size_t cat_stride = 4 * padded_;
-
-  // Resolve child CLV storage (recursing first so pointers stay stable, and
-  // so the kernel timer below does not double-count nested computations).
-  // The counters always combine the children's full arrays, whatever their
-  // flags say, so site_log_likelihoods() (which reads the arrays) stays an
-  // independent check of the flags.
+  // Resolve the two children other than the direction `slot` points to
+  // (recursing first so pointers stay stable, and so the kernel timer below
+  // does not double-count nested computations). The counters always
+  // combine the children's full arrays, whatever their flags say, so
+  // site_log_likelihoods() (which reads the arrays) stays an independent
+  // check of the flags.
   const double* child_values[2];
   const std::uint8_t* child_codes[2];
   const std::int32_t* child_scales[2];
+  double lengths[2];
   bool child_is_tip[2];
   bool scaled = false;
-  for (int c = 0; c < 2; ++c) {
-    const int node = children[c];
+  int child_count = 0;
+  for (int s = 0; s < 3; ++s) {
+    if (s == slot) continue;
+    const int node = tree_->neighbor(u, s);
+    if (node == Tree::kNoNode) throw std::logic_error("clv: malformed internal node");
+    const int c = child_count++;
+    lengths[c] = tree_->slot_length(u, s);
     if (tree_->is_tip(node)) {
       child_values[c] = tip_planes(node);
       child_codes[c] = &tip_codes_[static_cast<std::size_t>(node) * padded_];
       child_scales[c] = nullptr;
       child_is_tip[c] = true;
     } else {
-      const Clv& child = ensure_clv(node, back_slots[c]);
+      const Clv& child = ensure_clv(node, tree_->find_slot(node, u));
       child_values[c] = child.values.data();
       child_codes[c] = nullptr;
       child_scales[c] = child.scale.data();
@@ -241,6 +228,7 @@ bool LikelihoodEngine::combine_children(const int children[2],
       scaled = scaled || child.scaled;
     }
   }
+  double* out_values = clv.values.data();
 
   const auto kernel_start = KernelClock::now();
 
@@ -292,7 +280,7 @@ bool LikelihoodEngine::combine_children(const int children[2],
     // the planes plus a movemask picks out the underflowing lanes.
     rescaled += kernels_->clv_rescale(begin, end, padded_, num_categories_,
                                       out_values, child_scales[0],
-                                      child_scales[1], out_scale);
+                                      child_scales[1], clv.scale.data());
   }
 
   counters_.clv_rescales += rescaled;
@@ -300,7 +288,8 @@ bool LikelihoodEngine::combine_children(const int children[2],
   counters_.kernel_ns += elapsed_ns(kernel_start);
   flops_ += num_categories_ * num_patterns_ *
             (4 + (child_is_tip[0] ? 4u : 32u) + (child_is_tip[1] ? 4u : 32u));
-  return scaled || rescaled != 0;
+  clv.scaled = scaled || rescaled != 0;
+  clv.valid = true;
 }
 
 double LikelihoodEngine::log_likelihood() {
@@ -371,7 +360,7 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
                            &edge_coeff_[cat * cat_stride]);
   }
 
-  const EdgeLikelihood f = make_view(&edge_ws_, a_scale, b_scale);
+  const EdgeLikelihood f = make_view(a_scale, b_scale);
 
   ++counters_.edge_captures;
   counters_.scratch_bytes_reused += edge_coeff_.size() * sizeof(double);
@@ -380,14 +369,13 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
   return f;
 }
 
-EdgeLikelihood LikelihoodEngine::make_view(EdgeLikelihood::Workspace* ws,
-                                           const std::int32_t* a_scale,
+EdgeLikelihood LikelihoodEngine::make_view(const std::int32_t* a_scale,
                                            const std::int32_t* b_scale) {
   EdgeLikelihood f;
   f.model_ = &model_;
   f.rates_ = &rates_;
   f.cache_ = &cache_;
-  f.ws_ = ws;
+  f.ws_ = &edge_ws_;
   f.counters_ = &counters_;
   f.num_patterns_ = num_patterns_;
 

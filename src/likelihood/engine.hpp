@@ -97,7 +97,6 @@ class EdgeLikelihood {
 
  private:
   friend class LikelihoodEngine;
-  friend class BatchEdgeEvaluator;  // builds per-edge views over batch planes
 
   struct Workspace;
 
@@ -155,6 +154,13 @@ class LikelihoodEngine {
   /// Captures the 1-D likelihood function along edge (u, v) for branch
   /// length optimization. Invalidates any previously returned view.
   EdgeLikelihood edge_likelihood(int u, int v);
+
+  /// Makes the two directed CLVs across edge (u, v) valid (a tip side
+  /// needs none), without capturing the edge. Splicing a node into (u, v)
+  /// reads exactly these as its children's toward-junction CLVs, so an
+  /// insertion trial computes them before save_clv_validity() to keep them
+  /// for the next trial on the same base tree.
+  void ensure_edge_clvs(int u, int v);
 
   /// Invalidate every cached CLV (topology changed).
   void invalidate_all();
@@ -231,21 +237,9 @@ class LikelihoodEngine {
 
   /// Ensures CLV(u -> v) is computed; returns it. `slot` = slot of v in u.
   const Clv& ensure_clv(int u, int slot);
+  /// Combines the two children of u away from `slot` into CLV(u -> slot).
   void compute_internal_clv(int u, int slot);
   void invalidate_away(int node, int toward);
-
-  /// Core of compute_internal_clv: combines two children into caller
-  /// storage. `back_slots[c]` names the directed CLV of child c that faces
-  /// the (possibly virtual) parent — CLV(children[c] -> parent); ignored
-  /// for tip children. `lengths[c]` is the child-to-parent branch length.
-  /// BatchEdgeEvaluator uses this to compute the CLV a junction node
-  /// *would* have on each candidate insertion edge, without mutating the
-  /// tree — bit-identical to what compute_internal_clv would produce after
-  /// the insertion, because it is the same code. Returns the scale flag of
-  /// the result (see Clv::scaled).
-  bool combine_children(const int children[2], const int back_slots[2],
-                        const double lengths[2], double* out_values,
-                        std::int32_t* out_scale);
 
   /// Scale counters of `clv` for readers that honor the flag: null when no
   /// pattern was ever rescaled.
@@ -253,10 +247,9 @@ class LikelihoodEngine {
     return clv.scaled ? clv.scale.data() : nullptr;
   }
 
-  /// A view over `ws` (engine or batch coefficient planes) between operands
-  /// with scale counters a_scale / b_scale (null = none).
-  EdgeLikelihood make_view(EdgeLikelihood::Workspace* ws,
-                           const std::int32_t* a_scale,
+  /// A view over the engine's coefficient planes between operands with
+  /// scale counters a_scale / b_scale (null = none).
+  EdgeLikelihood make_view(const std::int32_t* a_scale,
                            const std::int32_t* b_scale);
 
   /// Tip CLVs have no category dimension and never need scaling; expands a
@@ -272,8 +265,6 @@ class LikelihoodEngine {
   const double* tip_planes(int node) const {
     return &tip_clvs_[static_cast<std::size_t>(node) * 4 * padded_];
   }
-
-  friend class BatchEdgeEvaluator;  // shares arenas, CLV access, counters
 
   const PatternAlignment& data_;
   SubstModel model_;  // mutable via set_model()

@@ -1,10 +1,10 @@
 // SIMD kernel layer under the likelihood engine.
 //
 // The hot loops of Felsenstein pruning — internal-CLV combine, tip
-// lookup-table combine, eigen-coefficient edge capture (single and batched),
-// and the per-pattern dots of EdgeLikelihood::evaluate and ::derivatives —
-// are independent across site patterns, so the engine stores CLVs and edge
-// coefficients as pattern-plane SoA:
+// lookup-table combine, eigen-coefficient edge capture, and the per-pattern
+// dots of EdgeLikelihood::evaluate and ::derivatives — are independent
+// across site patterns, so the engine stores CLVs and edge coefficients as
+// pattern-plane SoA:
 //
 //   [category][state][pattern]   (pattern extent padded to kPatternPad)
 //
@@ -41,11 +41,9 @@ namespace fdml {
 /// a full cache line, so plane starts stay 64-byte aligned for any W.
 inline constexpr std::size_t kPatternPad = 8;
 
-/// Patterns per tile of the blocked kernels: one block of every category's
-/// output plus the operand blocks stays L1-resident. The engine tiles its
-/// CLV sweep by this, and edge_capture_multi interleaves its K edges at
-/// this granularity so the whole batch reuses cache-hot operand planes.
-/// Must be a multiple of kPatternPad so tile boundaries keep alignment.
+/// Patterns per tile of the blocked CLV sweep: one block of every
+/// category's output plus the operand blocks stays L1-resident. Must be a
+/// multiple of kPatternPad so tile boundaries keep alignment.
 inline constexpr std::size_t kPatternBlock = 64;
 static_assert(kPatternBlock % kPatternPad == 0);
 
@@ -103,19 +101,6 @@ struct KernelTable {
   void (*edge_capture)(std::size_t padded, const double* a_planes,
                        const double* b_planes, const double* pr,
                        const double* left, double prob, double* coeff);
-
-  /// Batched edge_capture: captures `count` edges for one category in a
-  /// single pattern-blocked pass — for each block of kPatternBlock patterns
-  /// every edge is processed before moving on, so pr/left and any operand
-  /// planes shared between edges are still cache-hot when edge e+1 reads
-  /// them. Per-edge arithmetic is identical to edge_capture (the
-  /// batched-vs-sequential bit-parity contract): coeff[e] receives exactly
-  /// what edge_capture(padded, a_planes[e], b_planes[e], ...) would write.
-  void (*edge_capture_multi)(std::size_t padded, std::size_t count,
-                             const double* const* a_planes,
-                             const double* const* b_planes, const double* pr,
-                             const double* left, double prob,
-                             double* const* coeff);
 
   /// Per-pattern 4-coefficient dot for one category, the lnL path
   /// (exp(lambda_k r t) is hoisted into e[] by the caller — the pattern loop

@@ -175,17 +175,18 @@ struct Kernels {
     return rescaled;
   }
 
-  /// Shared inner loop of edge_capture / edge_capture_multi over patterns
-  /// [begin, end). `pr` and `left` must already be caller-local copies (the
-  /// wrappers below make them) so the broadcasts do not reload per
-  /// iteration against the coeff stores.
-  static inline void capture_span(std::size_t begin, std::size_t end,
-                                  std::size_t padded, const double* a_planes,
-                                  const double* b_planes, const double* pr,
-                                  const double* left, double prob,
-                                  double* coeff) {
+  /// Eigen-coefficient capture for one category (see KernelTable). `pr`
+  /// and `left` are copied into locals first so the broadcasts do not
+  /// reload per iteration against the coeff stores.
+  static void edge_capture(std::size_t padded, const double* a_planes,
+                           const double* b_planes, const double* pr,
+                           const double* left, double prob, double* coeff) {
+    alignas(64) double prl[16];
+    alignas(64) double lfl[16];
+    std::memcpy(prl, pr, sizeof(prl));
+    std::memcpy(lfl, left, sizeof(lfl));
     const V prob_v = V::broadcast(prob);
-    for (std::size_t pat = begin; pat < end; pat += W) {
+    for (std::size_t pat = 0; pat < padded; pat += W) {
       const V a0 = V::load(a_planes + 0 * padded + pat);
       const V a1 = V::load(a_planes + 1 * padded + pat);
       const V a2 = V::load(a_planes + 2 * padded + pat);
@@ -195,51 +196,18 @@ struct Kernels {
       const V b2 = V::load(b_planes + 2 * padded + pat);
       const V b3 = V::load(b_planes + 3 * padded + pat);
       for (int k = 0; k < 4; ++k) {
-        const double* pk = pr + k * 4;
+        const double* pk = prl + k * 4;
         V u = V::broadcast(pk[0]) * a0;
         u = V::madd(V::broadcast(pk[1]), a1, u);
         u = V::madd(V::broadcast(pk[2]), a2, u);
         u = V::madd(V::broadcast(pk[3]), a3, u);
         u = prob_v * u;
-        const double* lk = left + k * 4;
+        const double* lk = lfl + k * 4;
         V v = V::broadcast(lk[0]) * b0;
         v = V::madd(V::broadcast(lk[1]), b1, v);
         v = V::madd(V::broadcast(lk[2]), b2, v);
         v = V::madd(V::broadcast(lk[3]), b3, v);
         (u * v).store(coeff + static_cast<std::size_t>(k) * padded + pat);
-      }
-    }
-  }
-
-  static void edge_capture(std::size_t padded, const double* a_planes,
-                           const double* b_planes, const double* pr,
-                           const double* left, double prob, double* coeff) {
-    alignas(64) double prl[16];
-    alignas(64) double lfl[16];
-    std::memcpy(prl, pr, sizeof(prl));
-    std::memcpy(lfl, left, sizeof(lfl));
-    capture_span(0, padded, padded, a_planes, b_planes, prl, lfl, prob, coeff);
-  }
-
-  static void edge_capture_multi(std::size_t padded, std::size_t count,
-                                 const double* const* a_planes,
-                                 const double* const* b_planes,
-                                 const double* pr, const double* left,
-                                 double prob, double* const* coeff) {
-    alignas(64) double prl[16];
-    alignas(64) double lfl[16];
-    std::memcpy(prl, pr, sizeof(prl));
-    std::memcpy(lfl, left, sizeof(lfl));
-    // Block-interleaved: every edge visits pattern block [begin, end) while
-    // the shared eigen rows — and, in the insertion-batch case, the shared
-    // operand planes — are still L1-resident. Per-edge results are exactly
-    // edge_capture's (same spans, same order within each edge).
-    for (std::size_t begin = 0; begin < padded; begin += kPatternBlock) {
-      const std::size_t end =
-          begin + kPatternBlock < padded ? begin + kPatternBlock : padded;
-      for (std::size_t e = 0; e < count; ++e) {
-        capture_span(begin, end, padded, a_planes[e], b_planes[e], prl, lfl,
-                     prob, coeff[e]);
       }
     }
   }
@@ -382,7 +350,6 @@ KernelTable make_kernel_table(const char* name, simd::Backend backend) {
   table.clv_combine = &Kernels<W>::clv_combine;
   table.clv_rescale = &Kernels<W>::clv_rescale;
   table.edge_capture = &Kernels<W>::edge_capture;
-  table.edge_capture_multi = &Kernels<W>::edge_capture_multi;
   table.edge_evaluate = &Kernels<W>::edge_evaluate;
   table.edge_derivatives = &Kernels<W>::edge_derivatives;
   return table;

@@ -5,8 +5,11 @@
 
 namespace fdml {
 
-BranchOptimizer::BranchOptimizer(LikelihoodEngine& engine) : engine_(engine) {}
+namespace {
 
+/// Safeguarded Newton solve on one captured edge-likelihood view: returns
+/// the branch length in [kMinBranchLength, kMaxBranchLength] that maximizes
+/// f, starting from t0. Commits nothing; optimize_edge does.
 double newton_branch_solve(const EdgeLikelihood& f, double t0) {
   double lo = kMinBranchLength;
   double hi = kMaxBranchLength;
@@ -42,21 +45,6 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0) {
   return std::clamp(t, kMinBranchLength, kMaxBranchLength);
 }
 
-double BranchOptimizer::optimize_edge(Tree& tree, int u, int v) {
-  const EdgeLikelihood f = engine_.edge_likelihood(u, v);
-  const double t0 = tree.length(u, v);
-  const double t = newton_branch_solve(f, t0);
-  // A solve that lands back on its start changes nothing a CLV depends on.
-  if (t != t0) {
-    tree.set_length(u, v, t);
-    engine_.on_length_changed(u, v);
-  }
-  ++edge_optimizations_;
-  return t;
-}
-
-namespace {
-
 /// Appends (node, child) for each neighbor of `node` other than `from`, in
 /// adjacency-slot order, each followed by the edges of the subtree behind
 /// that child (fastDNAml's smooth() recursion).
@@ -71,6 +59,21 @@ void append_preorder_edges(const Tree& tree, int node, int from,
 }
 
 }  // namespace
+
+BranchOptimizer::BranchOptimizer(LikelihoodEngine& engine) : engine_(engine) {}
+
+double BranchOptimizer::optimize_edge(Tree& tree, int u, int v) {
+  const EdgeLikelihood f = engine_.edge_likelihood(u, v);
+  const double t0 = tree.length(u, v);
+  const double t = newton_branch_solve(f, t0);
+  // A solve that lands back on its start changes nothing a CLV depends on.
+  if (t != t0) {
+    tree.set_length(u, v, t);
+    engine_.on_length_changed(u, v);
+  }
+  ++edge_optimizations_;
+  return t;
+}
 
 double BranchOptimizer::smooth(Tree& tree, int passes) {
   std::vector<std::pair<int, int>> order;

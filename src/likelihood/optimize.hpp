@@ -33,22 +33,15 @@ inline constexpr int kQuickAddPasses = 2;
 /// (relative).
 inline constexpr double kSmoothTolerance = 1e-4;
 
-/// Safeguarded Newton solve on one captured edge-likelihood view: returns
-/// the branch length in [kMinBranchLength, kMaxBranchLength] that maximizes
-/// f, starting from t0. Pure — commits nothing to any tree or engine; the
-/// caller decides what to do with the result. BranchOptimizer::optimize_edge
-/// and BatchEdgeEvaluator-based insertion scoring share this exact sequence
-/// so their solves are bit-identical given bit-identical views.
-double newton_branch_solve(const EdgeLikelihood& f, double t0);
-
 class BranchOptimizer {
  public:
   /// The engine must already be attached to the tree being optimized.
   explicit BranchOptimizer(LikelihoodEngine& engine);
 
-  /// Optimizes edge (u, v), commits the new length into the tree and engine
-  /// cache (a length the solve left unchanged invalidates nothing). Returns
-  /// the new length.
+  /// Optimizes edge (u, v) by a safeguarded Newton solve from its current
+  /// length, clamped to [kMinBranchLength, kMaxBranchLength], and commits
+  /// the new length into the tree and engine cache (a length the solve left
+  /// unchanged invalidates nothing). Returns the new length.
   double optimize_edge(Tree& tree, int u, int v);
 
   /// Repeated passes over all branches until converged or `passes`
@@ -63,8 +56,9 @@ class BranchOptimizer {
 
   /// Optimizes the listed edges, in list order, for up to `passes` rounds
   /// (the pass loop smooth() runs over every edge); stops early once no
-  /// branch moved more than kSmoothTolerance. On the edges around a regraft
-  /// junction it is the screen of a rearrangement candidate.
+  /// branch moved more than kSmoothTolerance. On the three edges at an
+  /// inserted tip it scores an insertion candidate; on the edges around a
+  /// regraft junction it is the screen of a rearrangement candidate.
   void smooth_edges(Tree& tree, const std::vector<std::pair<int, int>>& edges,
                     int passes);
 

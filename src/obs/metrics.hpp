@@ -7,8 +7,8 @@
 //
 // The runtime stats structs (ForemanStats, MasterStats) are *views* over
 // this registry: each role records the counter values at its start and
-// reports end-minus-start deltas, so per-incarnation semantics survive
-// foreman revival while the registry accumulates whole-run totals.
+// reports end-minus-start deltas, so a role's stats cover only its own run
+// while the registry accumulates whole-process totals.
 #pragma once
 
 #include <array>

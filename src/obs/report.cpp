@@ -441,22 +441,6 @@ TraceReport analyze_trace(const TraceLog& log, int bins) {
       depth_prev = value;
       depth_seen = true;
       report.max_queue_depth = std::max(report.max_queue_depth, value);
-    } else if (e.ph == Phase::kCounter && e.name == "batch_fill") {
-      // One sample per multi-edge capture: how many candidate edges the
-      // batched kernel pass actually carried.
-      const std::int64_t value = event_arg(e, "value").value_or(0);
-      if (report.batch_fill_hist.empty()) report.batch_fill_hist.assign(7, 0);
-      static constexpr std::int64_t kFillBounds[6] = {1, 2, 4, 8, 16, 32};
-      std::size_t bucket = 6;
-      for (std::size_t b = 0; b < 6; ++b) {
-        if (value <= kFillBounds[b]) {
-          bucket = b;
-          break;
-        }
-      }
-      ++report.batch_fill_hist[bucket];
-      report.mean_batch_fill += static_cast<double>(value);
-      ++report.batch_samples;
     }
   }
   // Spans still open at trace end extend to the end of the trace.
@@ -467,9 +451,6 @@ TraceReport analyze_trace(const TraceLog& log, int bins) {
     depth_integral_ns += depth_prev * (t1 - depth_prev_ts);
   }
   if (depth_seen) report.mean_queue_depth = depth_integral_ns / wall_ns;
-  if (report.batch_samples > 0) {
-    report.mean_batch_fill /= static_cast<double>(report.batch_samples);
-  }
 
   // The worker population: threads with task spans plus threads named
   // worker-* (so an idle worker still lowers utilization).
@@ -607,25 +588,6 @@ std::string render_report(const TraceReport& r) {
                 r.mean_queue_depth,
                 static_cast<long long>(r.max_queue_depth));
   out << buf;
-  if (r.batch_samples > 0 && r.batch_fill_hist.size() == 7) {
-    std::snprintf(buf, sizeof buf,
-                  "edge-batch fill    mean %.1f over %llu captures\n",
-                  r.mean_batch_fill,
-                  static_cast<unsigned long long>(r.batch_samples));
-    out << buf;
-    std::snprintf(
-        buf, sizeof buf,
-        "                   <=1:%llu <=2:%llu <=4:%llu <=8:%llu <=16:%llu "
-        "<=32:%llu >32:%llu\n",
-        static_cast<unsigned long long>(r.batch_fill_hist[0]),
-        static_cast<unsigned long long>(r.batch_fill_hist[1]),
-        static_cast<unsigned long long>(r.batch_fill_hist[2]),
-        static_cast<unsigned long long>(r.batch_fill_hist[3]),
-        static_cast<unsigned long long>(r.batch_fill_hist[4]),
-        static_cast<unsigned long long>(r.batch_fill_hist[5]),
-        static_cast<unsigned long long>(r.batch_fill_hist[6]));
-    out << buf;
-  }
   std::snprintf(buf, sizeof buf,
                 "flow arcs          dispatched %llu, executed %llu, "
                 "completed %llu\n",

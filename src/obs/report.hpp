@@ -49,13 +49,6 @@ struct TraceReport {
   double mean_queue_depth = 0.0;     // time-weighted
   std::int64_t max_queue_depth = 0;
 
-  // Edge-batch occupancy: one batch_fill counter sample per multi-edge
-  // capture (BatchEdgeEvaluator). Buckets are <=1, <=2, <=4, <=8, <=16,
-  // <=32, overflow — how full the batched kernel actually ran.
-  std::uint64_t batch_samples = 0;
-  double mean_batch_fill = 0.0;
-  std::vector<std::uint64_t> batch_fill_hist;
-
   std::vector<double> task_hist_bounds;     // seconds, ascending
   std::vector<std::uint64_t> task_hist;     // bounds.size() + 1 (overflow)
 

@@ -19,16 +19,13 @@ SerialTaskRunner::SerialTaskRunner(const PatternAlignment& data, SubstModel mode
 
 RoundOutcome SerialTaskRunner::run_round(const std::vector<TreeTask>& tasks) {
   if (tasks.empty()) throw std::invalid_argument("run_round: empty round");
-  // The whole round goes through the batched path in one call — candidate
-  // insertion tasks share their base-tree CLV traversal and are captured in
-  // multi-edge chunks. Results come back in task order, so the best-result
-  // selection below is identical to evaluating one task at a time
-  // (first-wins on ties, sequential order).
-  std::vector<TaskResult> results = evaluator_.evaluate_batch(tasks);
+  // One task at a time, in task order, as a worker scores them: the
+  // insertion candidates of a round share the evaluator's base-tree
+  // context, and the best-result selection is first-wins on ties.
   RoundOutcome outcome;
   bool have_best = false;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    TaskResult& result = results[i];
+    TaskResult result = evaluator_.evaluate(tasks[i]);
     result.worker = 0;
     outcome.stats.push_back(
         {tasks[i].task_id, result.cpu_seconds, wire_bytes(tasks[i], result), 0});

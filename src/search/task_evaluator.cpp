@@ -1,8 +1,6 @@
 #include "search/task_evaluator.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -107,78 +105,12 @@ bool match_subtrees(const Tree& ta, int na, int fa, const Tree& tb, int nb,
 
 TaskEvaluator::TaskEvaluator(const PatternAlignment& data, SubstModel model,
                              RateModel rates)
-    : data_(data),
-      evaluator_(data, std::move(model), std::move(rates)),
-      batch_(evaluator_.engine()) {}
+    : data_(data), evaluator_(data, std::move(model), std::move(rates)) {}
 
 TaskResult TaskEvaluator::evaluate(const TreeTask& task) {
-  std::vector<TaskResult> results = evaluate_batch({task});
-  return std::move(results.front());
-}
-
-std::vector<TaskResult> TaskEvaluator::evaluate_batch(
-    const std::vector<TreeTask>& tasks) {
-  std::vector<TaskResult> results(tasks.size());
-  std::vector<Candidate> chunk;
-  chunk.reserve(kChunk);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const TreeTask& task = tasks[i];
-    if (task.screened()) {
-      flush_chunk(chunk, results);
-      results[i] = evaluate_screened(task);
-      continue;
-    }
-    if (task.focus_taxon < 0) {
-      flush_chunk(chunk, results);
-      results[i] = evaluate_full(task);
-      continue;
-    }
-    Tree tree = tree_from_newick(task.newick, data_.names());
-    const int tip = task.focus_taxon;
-    if (tip >= tree.num_taxa() || !tree.contains(tip)) {
-      throw std::invalid_argument("focus task: taxon " + std::to_string(tip) +
-                                  " is not in the tree");
-    }
-    if (tree.tip_count() < 4) {
-      // A search's first insertion already adds the 4th taxon.
-      throw std::invalid_argument("focus task: fewer than 4 tips");
-    }
-    const int junction = tree.neighbor(tip, 0);
-    int u = -1;
-    int v = -1;
-    for (int s = 0; s < 3; ++s) {
-      const int nbr = tree.neighbor(junction, s);
-      if (nbr == tip || nbr == Tree::kNoNode) continue;
-      (u < 0 ? u : v) = nbr;
-    }
-    const double tip_length = tree.length(tip, junction);
-    const double length_u = tree.length(junction, u);
-    const double length_v = tree.length(junction, v);
-
-    // A chunk shares one focus tip and round (one batched capture).
-    if (!chunk.empty() && (chunk.front().task->focus_taxon != tip ||
-                           chunk.front().task->round_id != task.round_id)) {
-      flush_chunk(chunk, results);
-    }
-
-    Tree base = tree;
-    base.remove_tip(tip);
-    if (!(ctx_valid_ && ctx_round_ == task.round_id &&
-          verify_against_context(base))) {
-      // Pending candidates reference the old context's coordinates — score
-      // them before swapping the engine onto this task's base tree.
-      flush_chunk(chunk, results);
-      rebuild_context(std::move(base), task.round_id);
-    }
-    chunk.push_back(Candidate{
-        &task, i, std::move(tree), junction, u, v, tip_length,
-        BatchEdgeEvaluator::Insertion{map_[static_cast<std::size_t>(u)],
-                                      map_[static_cast<std::size_t>(v)],
-                                      length_u, length_v}});
-    if (chunk.size() >= kChunk) flush_chunk(chunk, results);
-  }
-  flush_chunk(chunk, results);
-  return results;
+  if (task.screened()) return evaluate_screened(task);
+  if (task.focus_taxon < 0) return evaluate_full(task);
+  return evaluate_insertion(task);
 }
 
 bool TaskEvaluator::verify_against_context(const Tree& base) {
@@ -206,110 +138,76 @@ void TaskEvaluator::rebuild_context(Tree&& base, std::uint64_t round_id) {
   std::iota(map_.begin(), map_.end(), 0);
 }
 
-void TaskEvaluator::flush_chunk(std::vector<Candidate>& chunk,
-                                std::vector<TaskResult>& results) {
-  if (chunk.empty()) return;
+TaskResult TaskEvaluator::evaluate_insertion(const TreeTask& task) {
   CpuTimer timer;
-  const int tip = chunk.front().task->focus_taxon;
-
-  // Phase A: one shared traversal + one multi-edge capture per category,
-  // then every candidate's first tip-edge solve off the hot planes.
-  std::vector<BatchEdgeEvaluator::Insertion> insertions;
-  insertions.reserve(chunk.size());
-  for (const Candidate& c : chunk) insertions.push_back(c.insertion);
-  batch_.capture_insertions(tip, insertions);
-
-  std::vector<double> t1(chunk.size());
-  for (std::size_t k = 0; k < chunk.size(); ++k) {
-    t1[k] = newton_branch_solve(batch_.view(k), chunk[k].tip_length);
-  }
-  const double phase_a_share =
-      timer.seconds() / static_cast<double>(chunk.size());
-
-  // Phase B: scoped insertion + local smoothing, one candidate at a time.
-  for (std::size_t k = 0; k < chunk.size(); ++k) {
-    results[chunk[k].result_index] =
-        evaluate_candidate(chunk[k], t1[k], phase_a_share);
-  }
-  chunk.clear();
-}
-
-TaskResult TaskEvaluator::evaluate_candidate(Candidate& c, double t1,
-                                             double phase_a_share) {
-  LikelihoodEngine& engine = evaluator_.engine();
-  CpuTimer timer;
-  Tree& ctx = *ctx_base_;
-  const TreeTask& task = *c.task;
+  Tree tree = tree_from_newick(task.newick, data_.names());
   const int tip = task.focus_taxon;
-  const BatchEdgeEvaluator::Insertion& ins = c.insertion;
+  if (tip >= tree.num_taxa() || !tree.contains(tip)) {
+    throw std::invalid_argument("focus task: taxon " + std::to_string(tip) +
+                                " is not in the tree");
+  }
+  if (tree.tip_count() < 4) {
+    // A search's first insertion already adds the 4th taxon.
+    throw std::invalid_argument("focus task: fewer than 4 tips");
+  }
+  const int junction = tree.neighbor(tip, 0);
+  int u = -1;
+  int v = -1;
+  for (int s = 0; s < 3; ++s) {
+    const int nbr = tree.neighbor(junction, s);
+    if (nbr == tip || nbr == Tree::kNoNode) continue;
+    (u < 0 ? u : v) = nbr;
+  }
 
-  const double original_length = ctx.length(ins.u, ins.v);
+  Tree base = tree;
+  base.remove_tip(tip);
+  if (!(ctx_valid_ && ctx_round_ == task.round_id &&
+        verify_against_context(base))) {
+    rebuild_context(std::move(base), task.round_id);
+  }
+
+  // Splice the candidate into the context with the task's exact local
+  // lengths. The base CLVs across the split edge are what the junction
+  // combines; computing them before the snapshot keeps them valid for the
+  // round's later candidates (the restore below would drop them otherwise).
+  LikelihoodEngine& engine = evaluator_.engine();
+  Tree& ctx = *ctx_base_;
+  const int cu = map_[static_cast<std::size_t>(u)];
+  const int cv = map_[static_cast<std::size_t>(v)];
+  const double original_length = ctx.length(cu, cv);
+  engine.ensure_edge_clvs(cu, cv);
   engine.save_clv_validity(ctx_validity_);
+  const int cj = ctx.insert_tip(tip, cu, cv);
+  engine.invalidate_node(cj);  // free-list id may carry stale flags
+  ctx.set_length(cu, cj, tree.length(junction, u));
+  ctx.set_length(cj, cv, tree.length(junction, v));
+  ctx.set_length(tip, cj, tree.length(junction, tip));
+  // Every CLV pointing away from the new tip edge now spans the tip.
+  engine.on_length_changed(cj, tip);
 
-  // Splice the candidate in with the task's exact local lengths, then apply
-  // the phase-A tip solve as if optimize_edge had just committed it. The
-  // solve is bit-identical to what optimize_edge(junction, tip) on the
-  // spliced tree would produce: same captured coefficients
-  // (BatchEdgeEvaluator's determinism contract), same Newton sequence.
-  const int junction = ctx.insert_tip(tip, ins.u, ins.v);
-  engine.invalidate_node(junction);  // free-list id may carry stale flags
-  ctx.set_length(ins.u, junction, ins.length_u);
-  ctx.set_length(junction, ins.v, ins.length_v);
-  ctx.set_length(tip, junction, t1);
-  engine.on_length_changed(junction, tip);
-
-  const double lnl = smooth_focus(ctx, tip, junction, c.tip_length);
+  // Canonical local smoothing, then the canonical final evaluation: the
+  // (tip, junction) edge exists in every representation of this candidate
+  // with the same node ids (tip ids are taxon ids), unlike
+  // log_likelihood()'s arbitrary internal root.
+  const auto [a, b] = other_neighbors(ctx, cj, tip);
+  evaluator_.optimizer().smooth_edges(ctx, {{cj, tip}, {cj, a}, {cj, b}},
+                                      kQuickAddPasses);
+  const double lnl = engine.log_likelihood_edge(tip, cj);
 
   // Write the optimized local lengths back into the parsed task tree — the
   // result stays in the task's own coordinate system, whichever context
   // scored it.
-  c.tree.set_length(tip, c.junction, ctx.length(tip, junction));
-  c.tree.set_length(c.junction, c.u, ctx.length(junction, ins.u));
-  c.tree.set_length(c.junction, c.v, ctx.length(junction, ins.v));
+  tree.set_length(tip, junction, ctx.length(tip, cj));
+  tree.set_length(junction, u, ctx.length(cj, cu));
+  tree.set_length(junction, v, ctx.length(cj, cv));
 
   // Close the scope: the base tree and its cached CLVs come back verbatim
   // (the trial only wrote junction CLVs; see save_clv_validity docs).
   ctx.remove_tip(tip);
-  ctx.set_length(ins.u, ins.v, original_length);
+  ctx.set_length(cu, cv, original_length);
   engine.restore_clv_validity(ctx_validity_);
 
-  return finish_result(task, lnl, c.tree, timer.seconds() + phase_a_share);
-}
-
-double TaskEvaluator::smooth_focus(Tree& tree, int tip, int junction,
-                                   double pass0_tip_before) {
-  const auto [a, b] = other_neighbors(tree, junction, tip);
-  BranchOptimizer& optimizer = evaluator_.optimizer();
-
-  // Same pass/convergence semantics as BranchOptimizer::smooth_edges over
-  // the canonical edge order [(junction, tip), (junction, a), (junction,
-  // b)], with the batched precomputed solve standing in for pass 0's tip
-  // edge.
-  for (int pass = 0; pass < kQuickAddPasses; ++pass) {
-    double worst_move = 0.0;
-    double tip_before;
-    double tip_after;
-    if (pass == 0) {
-      tip_before = pass0_tip_before;
-      tip_after = tree.length(junction, tip);
-    } else {
-      tip_before = tree.length(junction, tip);
-      tip_after = optimizer.optimize_edge(tree, junction, tip);
-    }
-    worst_move = std::max(worst_move, std::fabs(tip_after - tip_before) /
-                                          std::max(tip_before, 1e-3));
-    for (const int other : {a, b}) {
-      const double len_before = tree.length(junction, other);
-      const double len_after = optimizer.optimize_edge(tree, junction, other);
-      worst_move = std::max(worst_move, std::fabs(len_after - len_before) /
-                                            std::max(len_before, 1e-3));
-    }
-    if (worst_move < kSmoothTolerance) break;
-  }
-  // Canonical final evaluation: the (tip, junction) edge exists in every
-  // representation of this candidate with the same node ids (tip ids are
-  // taxon ids), unlike log_likelihood()'s arbitrary internal root.
-  return evaluator_.engine().log_likelihood_edge(tip, junction);
+  return finish_result(task, lnl, tree, timer.seconds());
 }
 
 TaskResult TaskEvaluator::evaluate_screened(const TreeTask& task) {

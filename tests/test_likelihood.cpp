@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "likelihood/batch.hpp"
 #include "likelihood/engine.hpp"
 #include "likelihood/evaluator.hpp"
 #include "likelihood/optimize.hpp"
@@ -232,35 +231,31 @@ TEST(Engine, ScalingKeepsDeepTreesFinite) {
   }
   EXPECT_NEAR(sum, lnl, 1e-6);
 
-  // A batched insertion view takes its scale offset only from operands
-  // whose scale flag is set; the per-site values of the real splice read
-  // the scale counters themselves, so they check those flags
-  // independently. The edge sits a quarter along the chain, where the
-  // junction combine rescales nothing itself: its flag has to come from
-  // the deep child's.
+  // Splice a tip into the base tree the engine has already scored, as an
+  // insertion task does. An edge view takes its scale offset only from
+  // operands whose scale flag is set; the per-site values read the scale
+  // counters themselves, so they check those flags independently. The
+  // edge sits a quarter along the chain, where the junction combine
+  // rescales nothing itself: its flag has to come from the deep child's.
   const int focus = n - 1;
   Tree base = tree;
   base.remove_tip(focus);
   const int u = base.neighbor(n / 4, 0);
   const int v = base.neighbor(n / 4 + 1, 0);
   ASSERT_GE(base.find_slot(u, v), 0) << "chain nodes not adjacent";
-  Tree spliced = base;
-  const int junction = spliced.insert_tip(focus, u, v);
-  const double tip_length = spliced.length(junction, focus);
 
-  LikelihoodEngine base_engine(data, SubstModel::jc69(), RateModel::uniform());
-  base_engine.attach(base);
-  BatchEdgeEvaluator batch(base_engine);
-  batch.capture_insertions(focus, {{u, v, spliced.length(junction, u),
-                                    spliced.length(junction, v)}});
-  const double view_lnl = batch.view(0).evaluate(tip_length);
-
-  LikelihoodEngine spliced_engine(data, SubstModel::jc69(),
-                                  RateModel::uniform());
-  spliced_engine.attach(spliced);
+  LikelihoodEngine splice_engine(data, SubstModel::jc69(), RateModel::uniform());
+  splice_engine.attach(base);
+  splice_engine.log_likelihood();
+  splice_engine.ensure_edge_clvs(u, v);
+  const int junction = base.insert_tip(focus, u, v);
+  splice_engine.invalidate_node(junction);
+  splice_engine.on_length_changed(junction, focus);
+  const double edge_lnl = splice_engine.log_likelihood_edge(junction, focus);
   double spliced_sum = 0.0;
-  for (double s : spliced_engine.site_log_likelihoods()) spliced_sum += s;
-  EXPECT_NEAR(view_lnl, spliced_sum, 1e-6);
+  for (double s : splice_engine.site_log_likelihoods()) spliced_sum += s;
+  EXPECT_TRUE(std::isfinite(edge_lnl));
+  EXPECT_NEAR(edge_lnl, spliced_sum, 1e-6);
 }
 
 TEST(Engine, EdgeLikelihoodDerivativesMatchFiniteDifferences) {

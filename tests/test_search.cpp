@@ -261,6 +261,95 @@ TEST(TaskEvaluatorTest, FullTaskImprovesOnFocusTask) {
   EXPECT_GE(full_lnl, focus_lnl - 1e-6);
 }
 
+/// One insertion round: `focus` tried at every edge of `base` (which must
+/// not contain it), as the search builds the round's tasks.
+std::vector<TreeTask> insertion_round(const Tree& base, int focus,
+                                      std::uint64_t round_id,
+                                      const std::vector<std::string>& names) {
+  std::vector<TreeTask> tasks;
+  for (const auto& [u, v] : base.edges()) {
+    Tree candidate = base;
+    candidate.insert_tip(focus, u, v);
+    TreeTask task;
+    task.task_id = tasks.size();
+    task.round_id = round_id;
+    task.newick = to_newick(candidate, names, 17);
+    task.focus_taxon = focus;
+    tasks.push_back(std::move(task));
+  }
+  return tasks;
+}
+
+TEST(TaskEvaluatorTest, InsertionResultIsAPureFunctionOfTheTask) {
+  Fixture fx(10, 300);
+  const auto names = fx.data.names();
+  Rng rng(12);
+  // Two different base trees without taxon 9, under one round id: the
+  // shared context must notice the switch by comparing trees.
+  Tree base_a = random_tree(10, rng);
+  Tree base_b = random_tree(10, rng);
+  base_a.remove_tip(9);
+  base_b.remove_tip(9);
+  std::vector<TreeTask> tasks = insertion_round(base_a, 9, 4, names);
+  const std::vector<TreeTask> tasks_b = insertion_round(base_b, 9, 4, names);
+  tasks.insert(tasks.end(), tasks_b.begin(), tasks_b.end());
+  TreeTask full;
+  full.round_id = 4;
+  full.newick = to_newick(random_tree(10, rng), names, 17);
+  TreeTask screened = marked_candidate(random_tree(10, rng), names,
+                                       std::numeric_limits<double>::infinity());
+  screened.round_id = 4;
+
+  // In order, then reversed; the full and screened tasks detach the
+  // evaluator's engine from the context in between.
+  std::vector<const TreeTask*> sequence;
+  for (const TreeTask& task : tasks) sequence.push_back(&task);
+  for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
+    sequence.push_back(&*it);
+  }
+  sequence.insert(sequence.begin() + 5, &full);
+  sequence.insert(sequence.begin() + static_cast<std::ptrdiff_t>(tasks.size()) + 3,
+                  &screened);
+
+  TaskEvaluator shared(fx.data, SubstModel::jc69(), RateModel::uniform());
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    const TreeTask& task = *sequence[i];
+    const TaskResult got = shared.evaluate(task);
+    TaskEvaluator fresh(fx.data, SubstModel::jc69(), RateModel::uniform());
+    const TaskResult want = fresh.evaluate(task);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.log_likelihood),
+              std::bit_cast<std::uint64_t>(want.log_likelihood))
+        << "position " << i;
+    EXPECT_EQ(got.newick, want.newick) << "position " << i;
+  }
+}
+
+TEST(TaskEvaluatorTest, InsertionRoundSharesBaseClvs) {
+  // The candidates of a round share one base tree: each one's splice reads
+  // the base CLVs across its edge, and those must survive the scoped
+  // restore for the next candidate. An evaluator per candidate computes
+  // them all afresh every time.
+  Fixture fx(24, 200);
+  Rng rng(4);
+  Tree base = random_tree(24, rng);
+  base.remove_tip(23);
+  const std::vector<TreeTask> tasks =
+      insertion_round(base, 23, 1, fx.data.names());
+
+  TaskEvaluator shared(fx.data, SubstModel::jc69(), RateModel::uniform());
+  for (const TreeTask& task : tasks) shared.evaluate(task);
+  const std::uint64_t shared_clvs = shared.engine().clv_computations();
+
+  std::uint64_t fresh_clvs = 0;
+  for (const TreeTask& task : tasks) {
+    TaskEvaluator fresh(fx.data, SubstModel::jc69(), RateModel::uniform());
+    fresh.evaluate(task);
+    fresh_clvs += fresh.engine().clv_computations();
+  }
+  EXPECT_LT(2 * shared_clvs, fresh_clvs)
+      << "shared " << shared_clvs << " vs fresh " << fresh_clvs;
+}
+
 TEST(Search, RecoversSimulatedTopology) {
   Fixture fx(10, 600);
   auto runner = fx.runner();

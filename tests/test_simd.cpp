@@ -518,7 +518,7 @@ TEST(Simd, DeepTreeRescalingParity) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-edge evaluation parity
+// Insertion scoring against a fresh reference
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> all_usable_backend_names() {
@@ -527,130 +527,12 @@ std::vector<std::string> all_usable_backend_names() {
   return names;
 }
 
-struct EdgeEval {
-  double lnl = 0.0;
-  double d1 = 0.0;
-  double d2 = 0.0;
-};
-
-// lnL from evaluate(), d1 and d2 from derivatives() — the Newton path.
-EdgeEval eval_edge(const EdgeLikelihood& f, double t) {
-  const EdgeDerivatives d = f.derivatives(t);
-  return {f.evaluate(t), d.d1, d.d2};
-}
-
-// The batched capture promises bit-identity — not ulp-closeness — to the
-// edge-at-a-time path *within* each backend (edge_capture_multi performs
-// each edge's arithmetic in exactly edge_capture's order; only the block
-// interleaving across edges differs). The search layer builds on that to
-// keep batched candidate scoring deterministic, so this asserts with == on
-// every compiled backend, including batch sizes that don't divide the
-// pattern-block width.
-TEST(Simd, BatchCaptureMatchesEdgeLikelihood) {
-  BackendGuard guard;
-  Rng tree_rng(29);
-  Tree tree(40);
-  const Alignment alignment = parity_alignment(40, 100, 2902, tree_rng, tree);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::discrete_gamma(0.7, 4);
-  const std::vector<std::pair<int, int>> all_edges = tree.edges();
-  ASSERT_GE(all_edges.size(), 32u);
-
-  for (const std::string& backend : all_usable_backend_names()) {
-    ASSERT_TRUE(simd::set_backend(backend));
-    LikelihoodEngine engine(data, model, rates);
-    engine.attach(tree);
-    BatchEdgeEvaluator batch(engine);
-    for (const std::size_t k_count : {1u, 2u, 7u, 32u}) {
-      std::vector<BatchEdgeEvaluator::Edge> edges;
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const auto [u, v] = all_edges[(k * 5) % all_edges.size()];
-        edges.push_back({u, v});
-      }
-      batch.capture(edges);
-      ASSERT_EQ(batch.size(), k_count);
-      // Evaluate every view before touching engine.edge_likelihood — the
-      // views share the engine's site scratch with it.
-      std::vector<EdgeEval> got(k_count);
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const double t = 0.05 + 0.01 * static_cast<double>(k);
-        got[k] = eval_edge(batch.view(k), t);
-      }
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const double t = 0.05 + 0.01 * static_cast<double>(k);
-        const EdgeLikelihood f =
-            engine.edge_likelihood(edges[k].u, edges[k].v);
-        const EdgeEval ref = eval_edge(f, t);
-        ASSERT_EQ(got[k].lnl, ref.lnl)
-            << backend << " K=" << k_count << " edge " << k;
-        ASSERT_EQ(got[k].d1, ref.d1)
-            << backend << " K=" << k_count << " edge " << k;
-        ASSERT_EQ(got[k].d2, ref.d2)
-            << backend << " K=" << k_count << " edge " << k;
-      }
-    }
-  }
-}
-
-// Same bit-identity promise under heavy per-pattern rescaling: a deep
-// caterpillar drives CLV scale counters well past zero, so the views'
-// scale offsets and the rescale-aware capture path are exercised.
-TEST(Simd, BatchCaptureRescalingParity) {
-  BackendGuard guard;
-  const int n = 300;
-  Tree tree(n);
-  tree.make_triplet(0, 1, 2, 0.4, 0.4, 0.4);
-  for (int tip = 3; tip < n; ++tip) {
-    tree.insert_tip(tip, tip - 1, tree.neighbor(tip - 1, 0), 0.4);
-  }
-  Rng rng(37);
-  SimulateOptions options;
-  options.num_sites = 40;
-  const Alignment alignment =
-      simulate_alignment(tree, default_taxon_names(n), SubstModel::jc69(),
-                         RateModel::uniform(), options, rng);
-  const PatternAlignment data(alignment);
-  const std::vector<std::pair<int, int>> all_edges = tree.edges();
-
-  for (const std::string& backend : all_usable_backend_names()) {
-    ASSERT_TRUE(simd::set_backend(backend));
-    LikelihoodEngine engine(data, SubstModel::jc69(), RateModel::uniform());
-    engine.attach(tree);
-    // Edges spread across the caterpillar's depth, including the middle
-    // where both endpoint CLVs carry large scale counts.
-    std::vector<BatchEdgeEvaluator::Edge> edges;
-    for (const std::size_t pick :
-         {std::size_t{0}, all_edges.size() / 4, all_edges.size() / 2,
-          3 * all_edges.size() / 4, all_edges.size() - 1}) {
-      edges.push_back({all_edges[pick].first, all_edges[pick].second});
-    }
-    BatchEdgeEvaluator batch(engine);
-    batch.capture(edges);
-    EXPECT_GT(engine.counters().clv_rescales, 0u)
-        << "tree not deep enough to exercise scaling";
-    std::vector<EdgeEval> got(edges.size());
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      got[k] = eval_edge(batch.view(k), 0.4);
-      ASSERT_TRUE(std::isfinite(got[k].lnl)) << backend << " edge " << k;
-    }
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      const EdgeLikelihood f = engine.edge_likelihood(edges[k].u, edges[k].v);
-      const EdgeEval ref = eval_edge(f, 0.4);
-      ASSERT_EQ(got[k].lnl, ref.lnl) << backend << " edge " << k;
-      ASSERT_EQ(got[k].d1, ref.d1) << backend << " edge " << k;
-      ASSERT_EQ(got[k].d2, ref.d2) << backend << " edge " << k;
-    }
-  }
-}
-
-// The insertion-scoring pipeline: capture_insertions builds each candidate
-// junction CLV without mutating the tree, and newton_branch_solve off the
-// captured view must land on the bit-identical branch length that a real
-// splice + BranchOptimizer::optimize_edge produces. This is the parity the
-// search layer's batched quick-add path stands on.
-TEST(Simd, BatchInsertionMatchesRealInsertion) {
+// An insertion task is scored by splicing the focus tip into the round's
+// shared base-tree context. On every backend its result must equal, bit
+// for bit, a fresh engine on the parsed task tree that smooths the three
+// attachment edges in canonical order and evaluates across (tip, junction):
+// the shared base CLVs are exactly the ones the task's own tree produces.
+TEST(Simd, InsertionResultMatchesFreshSmoothing) {
   BackendGuard guard;
   const int n = 16;
   Rng tree_rng(31);
@@ -663,56 +545,50 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
   const int focus = n - 1;
   Tree base = full;
   base.remove_tip(focus);
-
-  // Harvest the exact post-splice local lengths per candidate (insert_tip
-  // clamps tiny split halves to kMinBranchLength, so the batched path must
-  // be fed the clamped values to match).
-  struct Cand {
-    int u, v;
-    double length_u, length_v;
-  };
-  std::vector<Cand> cands;
+  std::vector<TreeTask> tasks;
   for (const auto& [u, v] : base.edges()) {
-    Tree trial = base;
-    const int j = trial.insert_tip(focus, u, v);
-    cands.push_back({u, v, trial.length(j, u), trial.length(j, v)});
+    Tree candidate = base;
+    candidate.insert_tip(focus, u, v);
+    TreeTask task;
+    task.task_id = tasks.size();
+    task.round_id = 1;
+    task.newick = to_newick(candidate, data.names(), 17);
+    task.focus_taxon = focus;
+    tasks.push_back(std::move(task));
   }
-  ASSERT_LE(cands.size(), BatchEdgeEvaluator::kMaxBatch);
 
   for (const std::string& backend : all_usable_backend_names()) {
     ASSERT_TRUE(simd::set_backend(backend));
-    LikelihoodEngine engine(data, model, rates);
-    engine.attach(base);
-    BatchEdgeEvaluator batch(engine);
-    std::vector<BatchEdgeEvaluator::Insertion> insertions;
-    for (const Cand& c : cands) {
-      insertions.push_back({c.u, c.v, c.length_u, c.length_v});
-    }
-    batch.capture_insertions(focus, insertions);
-    ASSERT_EQ(batch.size(), cands.size());
-    std::vector<double> batched_len(cands.size());
-    std::vector<EdgeEval> batched(cands.size());
-    for (std::size_t k = 0; k < cands.size(); ++k) {
-      batched_len[k] =
-          newton_branch_solve(batch.view(k), kDefaultBranchLength);
-      batched[k] = eval_edge(batch.view(k), batched_len[k]);
-    }
+    TaskEvaluator evaluator(data, model, rates);
+    for (const TreeTask& task : tasks) {
+      const TaskResult result = evaluator.evaluate(task);
 
-    // Sequential reference: really splice the tip in, re-attach, and run
-    // the production single-edge optimizer.
-    LikelihoodEngine ref_engine(data, model, rates);
-    for (std::size_t k = 0; k < cands.size(); ++k) {
-      Tree trial = base;
-      const int j = trial.insert_tip(focus, cands[k].u, cands[k].v);
-      ref_engine.attach(trial);
-      BranchOptimizer opt(ref_engine);
-      const double len = opt.optimize_edge(trial, j, focus);
-      ASSERT_EQ(batched_len[k], len) << backend << " candidate " << k;
-      const EdgeLikelihood f = ref_engine.edge_likelihood(j, focus);
-      const EdgeEval ref = eval_edge(f, len);
-      ASSERT_EQ(batched[k].lnl, ref.lnl) << backend << " candidate " << k;
-      ASSERT_EQ(batched[k].d1, ref.d1) << backend << " candidate " << k;
-      ASSERT_EQ(batched[k].d2, ref.d2) << backend << " candidate " << k;
+      Tree tree = tree_from_newick(task.newick, data.names());
+      LikelihoodEngine engine(data, model, rates);
+      engine.attach(tree);
+      BranchOptimizer optimizer(engine);
+      const int junction = tree.neighbor(focus, 0);
+      std::vector<int> others;
+      for (int s = 0; s < 3; ++s) {
+        const int nbr = tree.neighbor(junction, s);
+        if (nbr != focus) others.push_back(nbr);
+      }
+      ASSERT_EQ(others.size(), 2u);
+      if (min_taxon_behind(tree, others[0], junction) >
+          min_taxon_behind(tree, others[1], junction)) {
+        std::swap(others[0], others[1]);
+      }
+      optimizer.smooth_edges(tree,
+                             {{junction, focus},
+                              {junction, others[0]},
+                              {junction, others[1]}},
+                             kQuickAddPasses);
+      const double lnl = engine.log_likelihood_edge(focus, junction);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(result.log_likelihood),
+                std::bit_cast<std::uint64_t>(lnl))
+          << backend << " task " << task.task_id;
+      ASSERT_EQ(result.newick, to_newick(tree, data.names(), 17))
+          << backend << " task " << task.task_id;
     }
   }
 }

@@ -188,20 +188,20 @@ TEST(Prometheus, LabelEscaping) {
 
 TEST(Prometheus, SnapshotHistogramEndsAtInf) {
   MetricsRegistry registry;
-  auto& h = registry.histogram("kernel.batch_fill", {1, 2, 4});
+  auto& h = registry.histogram("test.sizes", {1, 2, 4});
   h.observe(1);
   h.observe(3);
   h.observe(100);  // overflow bucket
   const std::string text = to_prometheus(registry.snapshot(), "fdml_", "");
   // Cumulative buckets: le="1" 1, le="2" 1, le="4" 2, le="+Inf" 3.
-  EXPECT_NE(text.find("fdml_kernel_batch_fill_bucket{le=\"1\"} 1\n"),
+  EXPECT_NE(text.find("fdml_test_sizes_bucket{le=\"1\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fdml_kernel_batch_fill_bucket{le=\"4\"} 2\n"),
+  EXPECT_NE(text.find("fdml_test_sizes_bucket{le=\"4\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fdml_kernel_batch_fill_bucket{le=\"+Inf\"} 3\n"),
+  EXPECT_NE(text.find("fdml_test_sizes_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fdml_kernel_batch_fill_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("fdml_kernel_batch_fill_sum"), std::string::npos);
+  EXPECT_NE(text.find("fdml_test_sizes_count 3\n"), std::string::npos);
+  EXPECT_NE(text.find("fdml_test_sizes_sum"), std::string::npos);
 }
 
 TEST(Prometheus, SnapshotAttachesLabelsToEverySample) {
