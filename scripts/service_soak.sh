@@ -66,8 +66,15 @@ sweep() {
 }
 trap sweep EXIT INT TERM
 
+# A failure prints the foreman's log lines (rank 1 logs at info): each
+# requeue, and each task sent out again with its worker and deadline, so a
+# stalled round shows where its lost task went.
 fail() {
   echo "service_soak: FAIL: $*" >&2
+  if [ -f "$WORKDIR/rank1.log" ]; then
+    echo "service_soak: foreman lines from rank 1:" >&2
+    grep '] foreman: ' "$WORKDIR/rank1.log" >&2
+  fi
   echo "service_soak: logs in $WORKDIR" >&2
   exit 1
 }
@@ -116,17 +123,19 @@ wait_for_line "$WORKDIR/proxy.log" "chaos proxy ready" 10 \
 # A rank is a fastdnamlpp socket rank; its default model (F84, ts/tv 2,
 # uniform rates) is the one fdmld --mode=serve fixes.
 role() {
-  local rank=$1 log=$2
+  local rank=$1 log=$2 level=$3
   setsid "$FASTDNAMLPP" --transport=socket --rank=$rank --port=$PROXY_PORT \
       --fabric-size=$SIZE --taxa=$TAXA --sites=$SITES \
       --reconnect --reconnect-budget-ms=20000 --heartbeat-ms=250 \
-      --telemetry-ms=$TELEMETRY_MS \
+      --telemetry-ms=$TELEMETRY_MS --log-level=$level \
       --timeout-ms=2000 > "$log" 2>&1 &
   echo $!
 }
 declare -a ROLE_PIDS
 for ((r = 1; r < SIZE; ++r)); do
-  ROLE_PIDS[$r]=$(role "$r" "$WORKDIR/rank$r.log")
+  level=warn
+  [ "$r" -eq 1 ] && level=info  # the foreman, for fail()
+  ROLE_PIDS[$r]=$(role "$r" "$WORKDIR/rank$r.log" "$level")
   PIDS+=("${ROLE_PIDS[$r]}")
 done
 
@@ -178,7 +187,7 @@ sleep 1.2   # > stale_after (2 x telemetry period) before the scrape
 python3 scripts/check_metrics.py "$WORKDIR/scrape_stale.prom" \
     --require-stale-ranks $VICTIM_RANK \
     || fail "killed rank $VICTIM_RANK not marked stale in scrape"
-ROLE_PIDS[$VICTIM_RANK]=$(role "$VICTIM_RANK" "$WORKDIR/rank${VICTIM_RANK}b.log")
+ROLE_PIDS[$VICTIM_RANK]=$(role "$VICTIM_RANK" "$WORKDIR/rank${VICTIM_RANK}b.log" warn)
 PIDS+=("${ROLE_PIDS[$VICTIM_RANK]}")
 
 # --- telemetry drill 2: later scrape, counters monotonic, progress moves --

@@ -87,11 +87,22 @@ struct WorkerHealth {
   bool awaiting_contact = false;
 };
 
+/// One task dispatched to a worker. Only the running task's record has a
+/// clock: it starts when the task goes to an idle worker, or, for a task
+/// queued behind another, when the task ahead of it returns (the worker
+/// started it then, without waiting for the foreman).
 struct DispatchRecord {
   TreeTask task;
-  Clock::time_point dispatched_at;
-  Clock::time_point deadline_at;
+  Clock::time_point started_at{};
+  Clock::time_point deadline_at{};
   bool probe = false;
+};
+
+/// A worker's dispatch records: its running task and at most one more,
+/// sent right behind it, that waits in the worker's mailbox or socket.
+struct HeldTasks {
+  DispatchRecord running;
+  std::optional<DispatchRecord> queued;
 };
 
 struct RoundState {
@@ -224,7 +235,9 @@ class Foreman {
     auto consider = [&](Clock::time_point t) {
       if (!earliest.has_value() || t < *earliest) earliest = t;
     };
-    for (const auto& [worker, record] : in_flight_) consider(record.deadline_at);
+    for (const auto& [worker, held] : in_flight_) {
+      consider(held.running.deadline_at);
+    }
     if (const auto declare = dead_declare_at()) consider(*declare);
     if (options_.heartbeat_interval.count() > 0) consider(next_ping_);
     if (telemetry_.has_value()) consider(next_telemetry_);
@@ -276,12 +289,17 @@ class Foreman {
     transport_.send(dest, tag, std::move(payload));
   }
 
-  /// Requeues the record's task (when the round still needs it) and erases
-  /// the record. Does NOT touch worker health; callers decide that.
-  void requeue_record(std::map<int, DispatchRecord>::iterator it,
-                      const char* why) {
-    const int worker = it->first;
-    const TreeTask& task = it->second.task;
+  /// Requeues the worker's tasks at the front of the queue, running task
+  /// first, and erases its records. Does NOT touch worker health; callers
+  /// decide that.
+  void requeue_held(std::map<int, HeldTasks>::iterator it, const char* why) {
+    const HeldTasks& held = it->second;
+    if (held.queued.has_value()) requeue(it->first, held.queued->task, why);
+    requeue(it->first, held.running.task, why);
+    in_flight_.erase(it);
+  }
+
+  void requeue(int worker, const TreeTask& task, const char* why) {
     // Requeue at the front so the oldest tree goes out first — but only if
     // the round still needs it; a copy of a completed (or stale-round)
     // task would just circulate through dispatch and expiry.
@@ -298,19 +316,18 @@ class Foreman {
     FDML_INFO("foreman") << "worker " << worker << " " << why
                          << (still_needed ? "; requeued task " : "; dropped task ")
                          << task.task_id;
-    in_flight_.erase(it);
   }
 
   void expire_overdue() {
     const auto now = Clock::now();
     std::vector<int> overdue;
-    for (const auto& [worker, record] : in_flight_) {
-      if (now >= record.deadline_at) overdue.push_back(worker);
+    for (const auto& [worker, held] : in_flight_) {
+      if (now >= held.running.deadline_at) overdue.push_back(worker);
     }
     for (int worker : overdue) {
       auto it = in_flight_.find(worker);
-      const bool was_probe = it->second.probe;
-      requeue_record(it, "timed out");
+      const bool was_probe = it->second.running.probe;
+      requeue_held(it, "timed out");
       WorkerHealth& h = health(worker);
       h.state = WorkerState::kSuspect;
       h.suspect_since = now;
@@ -353,7 +370,7 @@ class Foreman {
     FDML_WARN("foreman") << "malformed payload from rank " << sender;
     if (sender < kFirstWorkerRank) return;  // master/monitor: count only
     if (auto it = in_flight_.find(sender); it != in_flight_.end()) {
-      requeue_record(it, "sent a corrupt payload");
+      requeue_held(it, "sent a corrupt payload");
     }
     ready_.erase(std::remove(ready_.begin(), ready_.end(), sender), ready_.end());
     ++health(sender).strikes;
@@ -420,11 +437,22 @@ class Foreman {
     dispatch_work();
   }
 
+  /// Starts a running record's clock: its deadline and its duration sample
+  /// run from now.
+  void start(int worker, DispatchRecord& record) {
+    record.started_at = Clock::now();
+    record.deadline_at = record.started_at + deadline_for(worker);
+  }
+
+  /// Sends the queue's front task to `worker`: as its running task when it
+  /// holds none, else queued behind the running one.
   void dispatch_to(int worker, bool probe) {
-    TreeTask task = std::move(work_queue_.front());
+    DispatchRecord record{std::move(work_queue_.front()), {}, {}, probe};
     work_queue_.pop_front();
+    const TreeTask& task = record.task;
     Packer packer;
     task.pack(packer);
+    const bool again = round_.task_bytes.count(task.task_id) != 0;
     round_.task_bytes[task.task_id] = packer.size();
     send_sealed(worker, MessageTag::kTask, packer.take());
     counters_.bump<&ForemanStats::tasks_dispatched>();
@@ -433,8 +461,40 @@ class Foreman {
     obs::flow(obs::Phase::kFlowBegin,
               obs::task_flow_id(task.round_id, task.task_id), "worker", worker);
     trace_queue_depth();
-    const auto now = Clock::now();
-    in_flight_[worker] = {std::move(task), now, now + deadline_for(worker), probe};
+    const auto held = in_flight_.find(worker);
+    const bool running = held == in_flight_.end();
+    if (running) start(worker, record);
+    if (again) {
+      // A requeued task going out again: what a stalled round's log shows.
+      FDML_INFO("foreman")
+          << "task " << task.task_id << " of round " << task.round_id
+          << " dispatched again to worker " << worker
+          << (running ? ", deadline in " +
+                            std::to_string(deadline_for(worker) /
+                                           std::chrono::milliseconds(1)) +
+                            " ms"
+                      : ", queued behind task " +
+                            std::to_string(held->second.running.task.task_id));
+    }
+    if (running) {
+      in_flight_.emplace(worker, HeldTasks{std::move(record), std::nullopt});
+    } else {
+      held->second.queued = std::move(record);
+    }
+  }
+
+  /// The worker's running task returned: the task queued behind it, if
+  /// any, becomes the running one, its clock starting now; otherwise the
+  /// worker holds nothing.
+  void promote_queued(std::map<int, HeldTasks>::iterator it) {
+    HeldTasks& held = it->second;
+    if (!held.queued.has_value()) {
+      in_flight_.erase(it);
+      return;
+    }
+    held.running = std::move(*held.queued);
+    held.queued.reset();
+    start(it->first, held.running);
   }
 
   void dispatch_work() {
@@ -455,13 +515,23 @@ class Foreman {
       counters_.bump<&ForemanStats::probation_probes>();
       dispatch_to(worker, /*probe=*/true);
     }
+    // Work is left after every ready worker has a task: queue one more
+    // behind each healthy worker's running task, so the worker starts it
+    // the moment the running one ends instead of a round trip later. A
+    // probation worker holds only its probe.
+    for (auto& [worker, held] : in_flight_) {
+      if (work_queue_.empty()) break;
+      if (held.queued.has_value()) continue;
+      if (health(worker).state != WorkerState::kHealthy) continue;
+      dispatch_to(worker, /*probe=*/false);
+    }
   }
 
   /// Returns the worker to the ready queue unless it is unhealthy, still
-  /// has a task in flight (its reply will ready it) or is already queued.
-  /// Keeping this the single entry point to ready_ is what maintains the
-  /// invariant that a worker appears at most once across ready_ and
-  /// in_flight_.
+  /// holds a task (the reply that leaves it holding none readies it) or is
+  /// already queued. Keeping this the single entry point to ready_ keeps
+  /// the invariant: a worker is in ready_ only while it holds no task, and
+  /// it never holds more than two, its running task and one queued behind.
   void mark_ready(int worker) {
     if (health(worker).state != WorkerState::kHealthy) return;
     if (in_flight_.count(worker) != 0) return;
@@ -470,18 +540,18 @@ class Foreman {
   }
 
   /// A worker could not take its task. An empty NACK means the payload
-  /// arrived malformed: requeue the task (the foreman's pristine copy
-  /// re-serializes cleanly) and keep the worker in rotation — the
+  /// arrived malformed: requeue the worker's tasks (the foreman's pristine
+  /// copies re-serialize cleanly) and keep the worker in rotation — the
   /// corruption happened in transit, not in it. A NACK carrying a
   /// TaskRejectedMessage means the worker's evaluator threw on the task:
-  /// any worker would, so a rejection of the worker's in-flight task fails
+  /// any worker would, so a rejection of the worker's running task fails
   /// the round, and a rejection of any other task is stale and dropped.
   void handle_nack(int worker, std::vector<std::uint8_t> payload) {
     counters_.bump<&ForemanStats::task_nacks>();
     obs::instant("foreman", "nack", "worker", worker);
     if (payload.empty()) {
       if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
-        requeue_record(it, "rejected a malformed task");
+        requeue_held(it, "rejected a malformed task");
       }
     } else {
       if (!open_payload(payload)) {
@@ -499,9 +569,9 @@ class Foreman {
       const auto it = in_flight_.find(worker);
       if (round_active_ && rejected.round_id == round_.round_id &&
           it != in_flight_.end() &&
-          it->second.task.round_id == rejected.round_id &&
-          it->second.task.task_id == rejected.task_id) {
-        in_flight_.erase(it);
+          it->second.running.task.round_id == rejected.round_id &&
+          it->second.running.task.task_id == rejected.task_id) {
+        promote_queued(it);
         fail_round("task " + std::to_string(rejected.task_id) +
                    " rejected: " + rejected.reason);
       } else {
@@ -544,12 +614,14 @@ class Foreman {
       counters_.bump<&ForemanStats::reinstatements>();
       obs::instant("foreman", "reinstate", "worker", worker);
     }
-    const auto flight = in_flight_.find(worker);
-    if (flight != in_flight_.end()) {
-      if (flight->second.task.task_id == result.task_id) {
-        observe_duration(h, Clock::now() - flight->second.dispatched_at);
-        const bool was_probe = flight->second.probe;
-        in_flight_.erase(flight);
+    const auto held = in_flight_.find(worker);
+    if (held != in_flight_.end()) {
+      const DispatchRecord& running = held->second.running;
+      if (running.task.round_id == result.round_id &&
+          running.task.task_id == result.task_id) {
+        observe_duration(h, Clock::now() - running.started_at);
+        const bool was_probe = running.probe;
+        promote_queued(held);
         if (was_probe) {
           h.state = WorkerState::kHealthy;
           h.strikes = 0;
@@ -560,16 +632,17 @@ class Foreman {
         }
         mark_ready(worker);
       } else {
-        // Stale reply for an earlier (requeued) task while a different task
-        // is in flight to this worker. The worker is still busy: keep the
-        // dispatch record and do NOT ready it — doing so used to double-book
-        // the worker and silently drop the in-flight task when the record
-        // was overwritten. The result itself may still complete the task
-        // (accept() deduplicates), so fall through to accept below.
+        // A reply that is not the running task's: a stale one for an
+        // earlier (requeued) task, or the queued task's overtaking a lost
+        // reply. The worker is still busy: keep both records and do NOT
+        // ready it — doing so used to double-book the worker and silently
+        // drop a held task when its record was overwritten. The result
+        // itself may still complete the task (accept() deduplicates), so
+        // fall through to accept below.
         counters_.bump<&ForemanStats::mismatched_results>();
         FDML_WARN("foreman") << "worker " << worker << " sent result for task "
                              << result.task_id << " while task "
-                             << flight->second.task.task_id << " is in flight";
+                             << running.task.task_id << " is in flight";
       }
     } else if (h.state == WorkerState::kSuspect) {
       // A delinquent worker finally replied: probation, not unconditional
@@ -743,7 +816,7 @@ class Foreman {
   std::deque<TreeTask> work_queue_;
   std::deque<int> ready_;
   std::map<int, WorkerHealth> health_;
-  std::map<int, DispatchRecord> in_flight_;
+  std::map<int, HeldTasks> in_flight_;
   RoundState round_;
   bool round_active_ = false;
   bool fabric_closed_ = false;

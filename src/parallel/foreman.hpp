@@ -7,6 +7,13 @@
 // response is received from the delinquent worker, then that worker is
 // added back into the list of workers available to analyze trees."
 //
+// Beyond the paper, a healthy worker holds up to two tasks: its running
+// one and one queued behind it in its mailbox or socket, so it starts its
+// next tree the moment the running one ends instead of a round trip later
+// (DESIGN.md §5b "Dispatch depth"). The queued task's deadline starts when
+// the task ahead of it returns; a fault requeues both, running task first;
+// a probation worker holds only its one probe.
+//
 // Hardening beyond the paper's happy path (see DESIGN.md "Worker health
 // model"):
 //   - Every inbound payload is integrity-checked and decoded behind a

@@ -1,7 +1,7 @@
 #include "tree/newick.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -11,10 +11,19 @@ namespace fdml {
 
 namespace {
 
-std::string format_length(double value, int precision) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-  return buf;
+/// Appends `value` with `precision` significant digits. std::to_chars in
+/// chars_format::general with a precision is specified as printf's "%.*g"
+/// in the C locale, so the text is the same as snprintf's, without the
+/// format parsing and the std::string per length.
+void append_length(std::string& out, double value, int precision) {
+  char buf[64];
+  const auto [end, error] = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, precision);
+  if (error != std::errc{}) {
+    throw std::invalid_argument("to_newick: precision " +
+                                std::to_string(precision) + " is too large");
+  }
+  out.append(buf, end);
 }
 
 void write_general(const GeneralTree& tree, int id, int precision,
@@ -28,7 +37,7 @@ void write_general(const GeneralTree& tree, int id, int precision,
     }
     out.push_back(')');
     if (!std::isnan(node.support)) {
-      out += format_length(node.support, 6);
+      append_length(out, node.support, 6);
     } else {
       out += node.label;
     }
@@ -37,7 +46,7 @@ void write_general(const GeneralTree& tree, int id, int precision,
   }
   if (id != tree.root()) {
     out.push_back(':');
-    out += format_length(node.length, precision);
+    append_length(out, node.length, precision);
   }
 }
 
@@ -60,7 +69,7 @@ void write_unrooted(const Tree& tree, int node, int from,
   }
   if (from >= 0) {
     out.push_back(':');
-    out += format_length(tree.length(from, node), precision);
+    append_length(out, tree.length(from, node), precision);
   }
 }
 

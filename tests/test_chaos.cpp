@@ -300,9 +300,12 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   send_task_round(*master, 1, {1, 2});
 
   EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 1u);
-  // Sit on the task until the foreman counts it overdue: delinquent. The
-  // reply follows that count at once, well before the dead-declare at
-  // roughly 2x the deadline, however loaded the scheduler is.
+  // Task 2 comes queued behind task 1.
+  EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 2u);
+  // Sit on both tasks until the foreman counts task 1 overdue: delinquent,
+  // and both tasks requeued. The reply follows that count at once, well
+  // before the dead-declare at roughly 2x the deadline, however loaded the
+  // scheduler is.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (metrics.snapshot().counter("foreman.delinquencies") < 1 &&
@@ -313,7 +316,7 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   // The late reply moves the worker to probation (the paper's
   // reinstatement, now conditional) and completes task 1.
   send_result_sealed(*worker, 1, 1);
-  // Task 2 arrives as the probation probe after the backoff.
+  // The requeued task 2 arrives as the probation probe after the backoff.
   EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 2u);
   send_result_sealed(*worker, 2, 1);
 

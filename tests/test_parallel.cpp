@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "comm/chaos.hpp"
@@ -117,13 +119,24 @@ TEST(Protocol, RoundDoneRoundTrip) {
 
 // --- scripted foreman (transport-level) ---
 
-TreeTask recv_task(Transport& endpoint) {
-  auto message = endpoint.recv();
-  EXPECT_TRUE(message.has_value());
+/// Receives the next task, failing (and returning an empty task) if none
+/// arrives within `timeout`.
+TreeTask recv_task(Transport& endpoint, std::chrono::milliseconds timeout =
+                                            std::chrono::milliseconds(5000)) {
+  auto message = endpoint.recv_for(timeout);
+  if (!message.has_value()) {
+    ADD_FAILURE() << "no task arrived within " << timeout.count() << " ms";
+    return TreeTask{};
+  }
   EXPECT_EQ(message->tag, MessageTag::kTask);
   EXPECT_TRUE(open_payload(message->payload));
   Unpacker unpacker(message->payload);
   return TreeTask::unpack(unpacker);
+}
+
+/// True when a message is already waiting at `endpoint`; never blocks.
+bool has_waiting(Transport& endpoint) {
+  return endpoint.recv_for(std::chrono::milliseconds(0)).has_value();
 }
 
 void send_result(Transport& endpoint, std::uint64_t task_id,
@@ -174,90 +187,313 @@ std::optional<RoundDoneMessage> recv_round_done(
   }
 }
 
+/// The foreman's endpoint, wrapped so a script can tell when the foreman is
+/// idle: it counts the messages the foreman has taken and knows whether the
+/// foreman is blocked waiting for the next. Once the foreman has taken n
+/// messages and is blocked again, it has sent everything that those
+/// messages, and any deadline that passed before, make it send; a worker's
+/// mailbox then holds exactly what it was dispatched.
+class IdleProbe : public Transport {
+ public:
+  explicit IdleProbe(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  int rank() const override { return inner_->rank(); }
+  int size() const override { return inner_->size(); }
+  void send(int dest, MessageTag tag,
+            std::vector<std::uint8_t> payload) override {
+    inner_->send(dest, tag, std::move(payload));
+  }
+  std::optional<Message> recv() override {
+    block();
+    return unblock(inner_->recv());
+  }
+  std::optional<Message> recv_for(std::chrono::milliseconds timeout) override {
+    block();
+    return unblock(inner_->recv_for(timeout));
+  }
+  bool closed() const override { return inner_->closed(); }
+
+  /// Waits (at most 10 s) until the foreman has taken `messages` messages
+  /// and is blocked waiting for the next one.
+  bool await_idle(std::uint64_t messages) {
+    std::unique_lock lock(mutex_);
+    return idle_.wait_for(lock, std::chrono::seconds(10), [&] {
+      return blocked_ && taken_ >= messages;
+    });
+  }
+
+ private:
+  void block() {
+    {
+      std::lock_guard lock(mutex_);
+      blocked_ = true;
+    }
+    idle_.notify_all();
+  }
+
+  std::optional<Message> unblock(std::optional<Message> message) {
+    std::lock_guard lock(mutex_);
+    blocked_ = false;
+    if (message.has_value()) ++taken_;
+    return message;
+  }
+
+  std::unique_ptr<Transport> inner_;
+  std::mutex mutex_;
+  std::condition_variable idle_;
+  bool blocked_ = false;
+  std::uint64_t taken_ = 0;
+};
+
+/// A live foreman on a thread fabric (master, foreman, monitor, then
+/// workers), its endpoint wrapped in an IdleProbe; the test scripts the
+/// master and the workers.
+struct ScriptedForeman {
+  ScriptedForeman(int workers, std::chrono::milliseconds timeout)
+      : fabric(kFirstWorkerRank + workers),
+        probe(fabric.endpoint(kForemanRank)),
+        master(fabric.endpoint(kMasterRank)) {
+    options.worker_timeout = timeout;
+    options.metrics = &metrics;
+    thread = std::thread([this] { stats = foreman_main(probe, options); });
+  }
+
+  ScriptedForeman(const ScriptedForeman&) = delete;
+  ScriptedForeman& operator=(const ScriptedForeman&) = delete;
+
+  ~ScriptedForeman() {
+    if (thread.joinable()) shutdown();
+  }
+
+  std::unique_ptr<Transport> worker(int index) {
+    return fabric.endpoint(kFirstWorkerRank + index);
+  }
+
+  /// Polls a foreman counter until it reaches `at_least` (at most 5 s).
+  bool await_counter(const char* name, std::uint64_t at_least) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (metrics.snapshot().counter(name) < at_least) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  const ForemanStats& shutdown() {
+    master->send(kForemanRank, MessageTag::kShutdown, {});
+    thread.join();
+    return stats;
+  }
+
+  ThreadFabric fabric;
+  IdleProbe probe;
+  std::unique_ptr<Transport> master;
+  obs::MetricsRegistry metrics;  // staged on counters, not sleeps
+  ForemanOptions options;
+  ForemanStats stats;
+  std::thread thread;
+};
+
 // Regression: a delinquent worker's stale result (for a task the foreman had
 // already requeued and accepted) used to push the worker onto the ready
-// queue a second time while its new task was still in flight. The next round
-// then dispatched two tasks to the same worker back-to-back, overwriting the
-// in-flight record and silently losing a task. The test scripts a single
-// worker against a live foreman and asserts exactly-once dispatch.
+// queue a second time while it still held a task. The next round then
+// dispatched past the worker's limit, overwriting a dispatch record and
+// silently losing a task. The test scripts a single worker against a live
+// foreman and asserts that the worker never holds more than two tasks: the
+// running one and one queued behind it.
 TEST(Foreman, StaleResultDoesNotDoubleBookWorker) {
-  ThreadFabric fabric(4);  // master, foreman, monitor, one worker
-  ForemanOptions options;
-  options.worker_timeout = std::chrono::milliseconds(400);
-  obs::MetricsRegistry metrics;  // staged on counters, not sleeps
-  options.metrics = &metrics;
-  auto foreman_endpoint = fabric.endpoint(kForemanRank);
-  ForemanStats stats;
-  std::thread foreman(
-      [&] { stats = foreman_main(*foreman_endpoint, options); });
-
-  auto master = fabric.endpoint(kMasterRank);
-  auto worker = fabric.endpoint(kFirstWorkerRank);
-  worker->send(kForemanRank, MessageTag::kHello, {});
-  send_round(*master, 1, {1, 2});
+  ScriptedForeman f(1, std::chrono::milliseconds(400));
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});  // message 1
+  send_round(*f.master, 1, {1, 2});                    // 2
 
   EXPECT_EQ(recv_task(*worker).task_id, 1u);
-  // Hold task 1 past the timeout: the foreman requeues it and marks the
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);  // queued behind task 1
+  // Hold both past the timeout: the foreman requeues them and marks the
   // worker delinquent.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (metrics.snapshot().counter("foreman.delinquencies") < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(metrics.snapshot().counter("foreman.delinquencies"), 1u);
-  // The late reply reinstates the worker and completes task 1 (the requeued
-  // copy is dropped from the queue); task 2 is dispatched next.
-  send_result(*worker, 1, 1);
+  EXPECT_TRUE(f.await_counter("foreman.delinquencies", 1));
+  // The late reply moves the worker to probation and completes task 1 (the
+  // requeued copy is dropped from the queue); task 2 goes out as the probe.
+  send_result(*worker, 1, 1);  // 3
   EXPECT_EQ(recv_task(*worker).task_id, 2u);
   // A stale duplicate of task 1 arrives while task 2 is in flight — the
   // mismatch that used to double-book the worker.
-  send_result(*worker, 1, 1);
-  send_result(*worker, 2, 1);
+  send_result(*worker, 1, 1);  // 4
+  send_result(*worker, 2, 1);  // 5
 
-  const auto done1 = recv_round_done(*master);
+  const auto done1 = recv_round_done(*f.master);
   ASSERT_TRUE(done1.has_value());
   EXPECT_EQ(done1->stats.size(), 2u);
 
-  send_round(*master, 2, {10, 11, 12});
+  send_round(*f.master, 2, {10, 11, 12});  // 6
+  ASSERT_TRUE(f.probe.await_idle(6));
   EXPECT_EQ(recv_task(*worker).task_id, 10u);
-  // Exactly-once dispatch: with task 10 in flight no second task may arrive.
-  const auto double_booked =
-      worker->recv_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(double_booked.has_value())
-      << "worker dispatched a second task while one is in flight";
-
-  // Finish the round, answering whatever is dispatched.
-  if (double_booked.has_value() && double_booked->tag == MessageTag::kTask) {
-    auto payload = double_booked->payload;
-    EXPECT_TRUE(open_payload(payload));
-    Unpacker unpacker(payload);
-    send_result(*worker, TreeTask::unpack(unpacker).task_id, 2);
-  }
+  EXPECT_EQ(recv_task(*worker).task_id, 11u);
+  EXPECT_FALSE(has_waiting(*worker))
+      << "worker dispatched a third task while it holds two";
+  // Each reply frees one place: task 12 follows task 10's result.
   send_result(*worker, 10, 2);
-  for (;;) {
-    auto message = worker->recv_for(std::chrono::milliseconds(500));
-    if (!message.has_value() || message->tag != MessageTag::kTask) break;
-    EXPECT_TRUE(open_payload(message->payload));
-    Unpacker unpacker(message->payload);
-    send_result(*worker, TreeTask::unpack(unpacker).task_id, 2);
-  }
+  EXPECT_EQ(recv_task(*worker).task_id, 12u);
+  send_result(*worker, 11, 2);
+  send_result(*worker, 12, 2);
 
-  const auto done2 = recv_round_done(*master);
+  const auto done2 = recv_round_done(*f.master);
   ASSERT_TRUE(done2.has_value());
   EXPECT_EQ(done2->stats.size(), 3u);
   EXPECT_EQ(done2->best.task_id, 10u);
 
-  master->send(kForemanRank, MessageTag::kShutdown, {});
-  foreman.join();
-
   // No task was lost or double-counted anywhere in the exchange.
+  const ForemanStats& stats = f.shutdown();
   EXPECT_EQ(stats.rounds, 2u);
   EXPECT_EQ(stats.tasks_completed, 5u);
   EXPECT_EQ(stats.mismatched_results, 1u);
   EXPECT_GE(stats.requeues, 1u);
   EXPECT_GE(stats.reinstatements, 1u);
   EXPECT_GE(stats.late_duplicate_results, 1u);
+}
+
+// A worker gets its next task queued behind its running one, so it never
+// waits a round trip between tasks: a round of 4 sends exactly two before
+// any reply, and each reply is answered with one more.
+TEST(Foreman, QueuesOneTaskBehindTheRunningOne) {
+  ScriptedForeman f(1, std::chrono::milliseconds(30000));
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});  // message 1
+  send_round(*f.master, 1, {1, 2, 3, 4});              // 2
+
+  ASSERT_TRUE(f.probe.await_idle(2));
+  EXPECT_EQ(recv_task(*worker).task_id, 1u);
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);
+  EXPECT_FALSE(has_waiting(*worker)) << "a third task before any reply";
+
+  send_result(*worker, 1, 1);  // 3
+  ASSERT_TRUE(f.probe.await_idle(3));
+  EXPECT_EQ(recv_task(*worker).task_id, 3u);
+  EXPECT_FALSE(has_waiting(*worker));
+  send_result(*worker, 2, 1);  // 4
+  ASSERT_TRUE(f.probe.await_idle(4));
+  EXPECT_EQ(recv_task(*worker).task_id, 4u);
+  send_result(*worker, 3, 1);
+  send_result(*worker, 4, 1);
+
+  const auto done = recv_round_done(*f.master);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->stats.size(), 4u);
+  EXPECT_EQ(done->best.task_id, 1u);
+
+  const ForemanStats& stats = f.shutdown();
+  EXPECT_EQ(stats.tasks_dispatched, 4u);
+  EXPECT_EQ(stats.tasks_completed, 4u);
+  EXPECT_EQ(stats.requeues, 0u);
+  EXPECT_EQ(stats.mismatched_results, 0u);
+}
+
+// A missed deadline requeues both of the worker's tasks at the front of the
+// queue, running task first; another worker finishes the round, and the
+// delinquent's late replies complete nothing twice.
+TEST(Foreman, MissedDeadlineRequeuesBothTasksRunningFirst) {
+  ScriptedForeman f(2, std::chrono::milliseconds(300));
+  auto slow = f.worker(0);
+  auto spare = f.worker(1);
+  slow->send(kForemanRank, MessageTag::kHello, {});  // message 1
+  send_round(*f.master, 1, {1, 2});                  // 2
+  ASSERT_TRUE(f.probe.await_idle(2));
+  EXPECT_EQ(recv_task(*slow).task_id, 1u);
+  EXPECT_EQ(recv_task(*slow).task_id, 2u);
+  // The spare joins with the queue empty, so it idles until the slow
+  // worker's running task misses its deadline.
+  spare->send(kForemanRank, MessageTag::kHello, {});  // 3
+  ASSERT_TRUE(f.probe.await_idle(3));
+  EXPECT_FALSE(has_waiting(*spare));
+
+  EXPECT_EQ(recv_task(*spare).task_id, 1u);
+  EXPECT_EQ(recv_task(*spare).task_id, 2u);
+  send_result(*spare, 1, 1);
+  send_result(*spare, 2, 1);
+  const auto done = recv_round_done(*f.master);
+  ASSERT_TRUE(done.has_value());
+  ASSERT_EQ(done->stats.size(), 2u);
+  EXPECT_EQ(done->stats[0].task_id, 1u);
+  EXPECT_EQ(done->stats[1].task_id, 2u);
+
+  send_result(*slow, 1, 1);  // 6
+  send_result(*slow, 2, 1);  // 7
+  ASSERT_TRUE(f.probe.await_idle(7));
+  const ForemanStats& stats = f.shutdown();
+  EXPECT_EQ(stats.delinquencies, 1u);
+  EXPECT_EQ(stats.requeues, 2u);
+  EXPECT_EQ(stats.tasks_dispatched, 4u);
+  EXPECT_EQ(stats.tasks_completed, 2u);
+  EXPECT_EQ(stats.late_duplicate_results, 2u);
+}
+
+// A probation worker earns its way back with exactly one probe task and
+// gets nothing queued behind it; a suspect gets no task at all.
+TEST(Foreman, ProbationWorkerGetsOneProbeAndNoQueuedTask) {
+  ScriptedForeman f(1, std::chrono::milliseconds(400));
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});  // message 1
+  send_round(*f.master, 1, {1, 2, 3});                 // 2
+  EXPECT_EQ(recv_task(*worker).task_id, 1u);
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);
+
+  // Hold both past the deadline: suspect, and no task while suspect.
+  EXPECT_TRUE(f.await_counter("foreman.delinquencies", 1));
+  ASSERT_TRUE(f.probe.await_idle(2));
+  EXPECT_FALSE(has_waiting(*worker)) << "a suspect was dispatched to";
+
+  // The late reply completes task 1 and moves the worker to probation;
+  // after the backoff, the requeued task 2 goes out as its one probe.
+  send_result(*worker, 1, 1);  // 3
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);
+  ASSERT_TRUE(f.probe.await_idle(3));
+  EXPECT_FALSE(has_waiting(*worker)) << "a task was queued behind the probe";
+  EXPECT_EQ(f.metrics.snapshot().counter("foreman.probation_probes"), 1u);
+
+  // The probe passes: healthy again, the worker gets task 3 at once.
+  send_result(*worker, 2, 1);
+  EXPECT_EQ(recv_task(*worker).task_id, 3u);
+  send_result(*worker, 3, 1);
+  const auto done = recv_round_done(*f.master);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->stats.size(), 3u);
+
+  const ForemanStats& stats = f.shutdown();
+  EXPECT_EQ(stats.delinquencies, 1u);
+  EXPECT_EQ(stats.probation_probes, 1u);
+  EXPECT_EQ(stats.probation_passes, 1u);
+  EXPECT_EQ(stats.tasks_completed, 3u);
+}
+
+// A queued task's deadline starts when the task ahead of it returns, not
+// when it was sent: two back-to-back tasks, each held for 60% of the
+// timeout, are together held past it without a delinquency. The holds are
+// the quantity under test, so they are timed; a deadline counted from the
+// dispatch would expire 100 ms before the second reply.
+TEST(Foreman, QueuedTaskDeadlineStartsAtPromotion) {
+  constexpr std::chrono::milliseconds kTimeout{500};
+  ScriptedForeman f(1, kTimeout);
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});
+  send_round(*f.master, 1, {1, 2});
+  EXPECT_EQ(recv_task(*worker).task_id, 1u);
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);
+  const auto received = std::chrono::steady_clock::now();
+
+  std::this_thread::sleep_until(received + kTimeout * 6 / 10);
+  send_result(*worker, 1, 1);
+  std::this_thread::sleep_until(received + kTimeout * 12 / 10);
+  send_result(*worker, 2, 1);
+  const auto done = recv_round_done(*f.master);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->stats.size(), 2u);
+
+  const ForemanStats& stats = f.shutdown();
+  EXPECT_EQ(stats.delinquencies, 0u);
+  EXPECT_EQ(stats.requeues, 0u);
+  EXPECT_EQ(stats.mismatched_results, 0u);
 }
 
 // --- full runtime ---

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "tree/consensus.hpp"
@@ -215,14 +219,80 @@ TEST(Newick, UnrootedRoundTripPreservesTopologyAndLengths) {
     const std::string text = to_newick(tree, names, 17);
     const Tree back = tree_from_newick(text, names);
     EXPECT_EQ(robinson_foulds(tree, back), 0) << text;
-    // Lengths survive: compare the sorted multiset of all branch lengths.
+    // Lengths survive bit for bit — serial, thread and socket runs agree
+    // only because the 17-digit round trip is exact. Compare the sorted
+    // multisets of all branch lengths.
     std::multiset<double> la;
     std::multiset<double> lb;
     for (const auto& [u, v] : tree.edges()) la.insert(tree.length(u, v));
     for (const auto& [u, v] : back.edges()) lb.insert(back.length(u, v));
-    auto ia = la.begin();
-    auto ib = lb.begin();
-    for (; ia != la.end(); ++ia, ++ib) EXPECT_NEAR(*ia, *ib, 1e-15);
+    EXPECT_EQ(la, lb) << text;
+  }
+}
+
+/// The unrooted writer's walk, with every length printed by snprintf.
+void write_with_printf(const Tree& tree, int node, int from,
+                       const std::vector<std::string>& names, int precision,
+                       std::string& out) {
+  if (tree.is_tip(node)) {
+    out += names[static_cast<std::size_t>(node)];
+  } else {
+    out += '(';
+    bool first = true;
+    for (int s = 0; s < 3; ++s) {
+      const int next = tree.neighbor(node, s);
+      if (next == Tree::kNoNode || next == from) continue;
+      if (!first) out += ',';
+      first = false;
+      write_with_printf(tree, next, node, names, precision, out);
+    }
+    out += ')';
+  }
+  if (from >= 0) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ":%.*g", precision,
+                  tree.length(from, node));
+    out += buf;
+  }
+}
+
+// Every Newick, checkpoint and --out file is byte-identical to what printf's
+// "%.*g" wrote, at the precisions the program writes: 17 (tasks and
+// checkpoints), 10 (--out) and 6 (support values).
+TEST(Newick, LengthTextMatchesPrintf) {
+  const auto names = names_for(12);
+  const double special[] = {0.0,
+                            1e-8,
+                            std::numeric_limits<double>::denorm_min(),
+                            2.5e-310,  // subnormal
+                            std::numeric_limits<double>::min(),
+                            0.1,
+                            1.0 / 3.0,
+                            123456.789,
+                            1e17,
+                            1.5e300,
+                            std::numeric_limits<double>::max()};
+  Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    Tree tree = random_tree(12, rng);
+    std::size_t i = static_cast<std::size_t>(trial);
+    for (const auto& [u, v] : tree.edges()) {
+      // Half the edges take a special value, the rest a random mantissa
+      // over a wide exponent range.
+      const double length =
+          i % 2 == 0 ? special[(i / 2) % std::size(special)]
+                     : std::ldexp(std::generate_canonical<double, 53>(rng),
+                                  static_cast<int>(rng() % 120) - 60);
+      tree.set_length(u, v, length);
+      ++i;
+    }
+    for (const int precision : {17, 10, 6}) {
+      std::string expected;
+      write_with_printf(tree, tree.any_internal(), -1, names, precision,
+                        expected);
+      expected += ';';
+      EXPECT_EQ(to_newick(tree, names, precision), expected);
+    }
   }
 }
 
