@@ -394,7 +394,7 @@ TEST(Foreman, QueuesOneTaskBehindTheRunningOne) {
 // queue, running task first; another worker finishes the round, and the
 // delinquent's late replies complete nothing twice.
 TEST(Foreman, MissedDeadlineRequeuesBothTasksRunningFirst) {
-  ScriptedForeman f(2, std::chrono::milliseconds(300));
+  ScriptedForeman f(2, std::chrono::milliseconds(500));
   auto slow = f.worker(0);
   auto spare = f.worker(1);
   slow->send(kForemanRank, MessageTag::kHello, {});  // message 1
