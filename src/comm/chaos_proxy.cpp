@@ -11,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "comm/socket.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -32,20 +33,6 @@ std::uint64_t decision_seed(std::uint64_t seed, std::uint64_t conn_id,
                             bool inbound, std::uint64_t index) {
   const std::uint64_t lane = conn_id * 2 + (inbound ? 1 : 0);
   return mix64(mix64(seed, lane), index);
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace

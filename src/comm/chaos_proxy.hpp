@@ -35,8 +35,8 @@
 
 namespace fdml {
 
+/// The proxy listens on every interface, as the socket fabric's hub does.
 struct ChaosProxyOptions {
-  std::string listen_host = "127.0.0.1";
   /// 0 = pick an ephemeral port; read it back with port().
   std::uint16_t listen_port = 0;
   std::string target_host = "127.0.0.1";

@@ -3,17 +3,25 @@
 // The paper's runs spanned flaky, geographically distributed PVM nodes; a
 // runtime that survives such fabrics cannot trust that the bytes a worker
 // sent are the bytes the foreman receives. Every payload-bearing message is
-// therefore sealed with a 64-bit FNV-1a digest appended to the payload;
-// receivers verify-and-strip before decoding, and treat a mismatch as a
-// malformed message (count + quarantine the sender) rather than a crash.
+// therefore sealed with a 64-bit FNV-1a digest appended to the payload, and
+// every receiver reads it through open_sealed, which treats a mismatch like
+// any other malformed message: the caller counts it (and quarantines the
+// sender) rather than crashing.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/fnv.hpp"
+#include "util/packer.hpp"
 
 namespace fdml {
+
+/// Size of the digest footer seal_payload appends.
+inline constexpr std::size_t kSealSize = 8;
 
 inline std::uint64_t payload_digest(const std::uint8_t* data, std::size_t size) {
   return fnv1a64(data, size);
@@ -22,24 +30,31 @@ inline std::uint64_t payload_digest(const std::uint8_t* data, std::size_t size) 
 /// Appends the digest footer (8 bytes, little-endian) to `payload`.
 inline void seal_payload(std::vector<std::uint8_t>& payload) {
   const std::uint64_t digest = payload_digest(payload.data(), payload.size());
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < kSealSize; ++i) {
     payload.push_back(static_cast<std::uint8_t>(digest >> (8 * i)));
   }
 }
 
-/// Verifies and strips the digest footer. Returns false (leaving `payload`
-/// unspecified) when the footer is missing or does not match the content.
-inline bool open_payload(std::vector<std::uint8_t>& payload) {
-  if (payload.size() < 8) return false;
-  const std::size_t body = payload.size() - 8;
+/// The one reader of sealed payloads: verifies the digest footer, decodes
+/// the body with `decode` (a T(Unpacker&), such as RoundMessage::unpack)
+/// and requires it to consume every byte. Returns nullopt on any failure —
+/// a missing or wrong footer, a decode that throws, bytes left over — and
+/// leaves the reaction to the caller.
+template <typename Decode>
+auto open_sealed(const std::vector<std::uint8_t>& payload, Decode decode)
+    -> std::optional<decltype(decode(std::declval<Unpacker&>()))> {
+  if (payload.size() < kSealSize) return std::nullopt;
+  const std::size_t body = payload.size() - kSealSize;
   std::uint64_t footer = 0;
-  for (int i = 0; i < 8; ++i) {
-    footer |= static_cast<std::uint64_t>(payload[body + static_cast<std::size_t>(i)])
-              << (8 * i);
+  for (std::size_t i = 0; i < kSealSize; ++i) {
+    footer |= static_cast<std::uint64_t>(payload[body + i]) << (8 * i);
   }
-  if (footer != payload_digest(payload.data(), body)) return false;
-  payload.resize(body);
-  return true;
+  if (footer != payload_digest(payload.data(), body)) return std::nullopt;
+  try {
+    return unpack_all(Unpacker(payload.data(), body), decode);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace fdml

@@ -124,7 +124,7 @@ std::unique_ptr<Transport> SocketFabric::endpoint() {
 
 // --- shared plumbing ---
 
-bool SocketFabric::write_all(int fd, const std::uint8_t* data, std::size_t size) {
+bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t written = 0;
   while (written < size) {
     const ssize_t n =

@@ -186,8 +186,6 @@ class SocketFabric {
   /// the old descriptor can never race a reused fd number.
   void retire_fd(int fd);
 
-  bool write_all(int fd, const std::uint8_t* data, std::size_t size);
-
   /// Adds `n` to one of the counters below and to its twin `registry_name`
   /// ("socket.<field>") in the process metrics registry.
   void count(std::atomic<std::uint64_t>& counter, const char* registry_name,
@@ -235,5 +233,10 @@ class SocketFabric {
   std::atomic<std::uint64_t> readmissions_{0};
   std::atomic<std::uint64_t> handshake_timeouts_{0};
 };
+
+/// Sends all `size` bytes on a connected TCP socket, retrying partial
+/// writes and EINTR. False on any other error (a dead peer, or EAGAIN from
+/// an SO_SNDTIMEO write timeout) or a zero-byte send. Never raises SIGPIPE.
+bool write_all(int fd, const std::uint8_t* data, std::size_t size);
 
 }  // namespace fdml

@@ -75,11 +75,6 @@ TelemetryFrame TelemetryFrame::unpack(Unpacker& in) {
   return frame;
 }
 
-TelemetryFrame TelemetryFrame::unpack(const std::vector<std::uint8_t>& payload) {
-  Unpacker in(payload);
-  return unpack(in);
-}
-
 // --- TelemetryEmitter -----------------------------------------------------
 
 TelemetryEmitter::TelemetryEmitter(MetricsRegistry& registry, int rank)

@@ -52,7 +52,6 @@ struct TelemetryFrame {
 
   std::vector<std::uint8_t> pack() const;
   static TelemetryFrame unpack(Unpacker& in);
-  static TelemetryFrame unpack(const std::vector<std::uint8_t>& payload);
 };
 
 /// Periodic delta producer over one rank's registry. Not thread-safe; owned

@@ -30,20 +30,10 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   if (options_.foreman.metrics == nullptr) options_.foreman.metrics = &metrics_;
 
   master_endpoint_ = fabric_.endpoint(kMasterRank);
-  master_ = std::make_unique<ParallelMaster>(*master_endpoint_,
-                                             options_.num_workers,
-                                             options_.master);
+  master_ = std::make_unique<ParallelMaster>(
+      *master_endpoint_, options_.num_workers, data, model, rates,
+      options_.master);
   master_->set_telemetry(&telemetry_);
-  // Degraded mode: when the parallel fabric cannot finish a round (all
-  // workers dead, foreman wedged), evaluate it in-process — same evaluator
-  // the workers run, so the search result is unchanged.
-  master_->set_fallback([this, &data, model, rates](
-                            const std::vector<TreeTask>& tasks) {
-    if (!serial_fallback_) {
-      serial_fallback_ = std::make_unique<SerialTaskRunner>(data, model, rates);
-    }
-    return serial_fallback_->run_round(tasks);
-  });
 
   // Foreman thread.
   threads_.emplace_back([this] {

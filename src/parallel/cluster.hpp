@@ -9,8 +9,8 @@
 // ClusterOptions::chaos and every worker endpoint is wrapped in a
 // ChaosTransport driven by that plan (each rank sees its own reproducible
 // fault lane). When the fabric degrades past recovery the master falls
-// back to an in-process SerialTaskRunner, so a chaos run always produces
-// an answer.
+// back to its own in-process SerialTaskRunner, so a chaos run always
+// produces an answer.
 #pragma once
 
 #include <functional>
@@ -99,8 +99,6 @@ class InProcessCluster {
   std::shared_ptr<ChaosTotals> chaos_totals_;
   std::unique_ptr<Transport> master_endpoint_;
   std::unique_ptr<ParallelMaster> master_;
-  /// Degraded-mode evaluator, built on first use.
-  std::unique_ptr<SerialTaskRunner> serial_fallback_;
   std::vector<std::thread> threads_;
   bool shut_down_ = false;
 };

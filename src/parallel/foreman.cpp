@@ -27,12 +27,8 @@ using Clock = std::chrono::steady_clock;
 /// after a streak of cheap tasks.
 constexpr double kTimeoutSlack = 4.0;
 constexpr std::chrono::milliseconds kTimeoutFloor{2000};
-/// Probation: strike n waits kProbationBackoff * 2^(n-1), capped at
-/// kProbationBackoffMax, before the worker's probe task.
-constexpr std::chrono::milliseconds kProbationBackoff{50};
-constexpr std::chrono::milliseconds kProbationBackoffMax{5000};
 /// New-round amnesty: a suspect with at most this many consecutive strikes
-/// re-enters probation (one probe after its backoff) when the next round
+/// re-enters probation (one probe at the next dispatch) when the next round
 /// begins — a dropped reply must not exile a live worker forever. Workers
 /// beyond the limit stay suspect so a genuinely dead fabric fails rounds
 /// fast instead of re-probing corpses each round.
@@ -67,7 +63,7 @@ constexpr obs::CounterField<ForemanStats> kForemanFields[] = {
 
 /// Worker health state machine (DESIGN.md "Worker health model"):
 ///   Healthy --timeout/corrupt--> Suspect/quarantine --reply--> Probation
-///   Probation --probe ok--> Healthy; --probe timeout--> Suspect (backoff x2)
+///   Probation --probe ok--> Healthy; --probe timeout--> Suspect (strike+1)
 enum class WorkerState { kHealthy, kSuspect, kProbation };
 
 struct WorkerHealth {
@@ -75,10 +71,9 @@ struct WorkerHealth {
   /// EWMA of observed task durations, driving the adaptive deadline.
   double ewma_ms = 0.0;
   bool has_ewma = false;
-  /// Consecutive delinquencies/quarantines; doubles the probation backoff.
+  /// Consecutive delinquencies/quarantines; past kAmnestyMaxStrikes a
+  /// suspect waits for its own reply or hello.
   int strikes = 0;
-  /// Earliest time a probation probe may be dispatched.
-  Clock::time_point eligible_at{};
   /// When the worker last went delinquent (feeds the all-dead grace window).
   Clock::time_point suspect_since{};
   /// In probation via new-round amnesty, i.e. without having been heard
@@ -155,7 +150,7 @@ class Foreman {
           handle_result(message->source, message->payload);
           break;
         case MessageTag::kNack:
-          handle_nack(message->source, std::move(message->payload));
+          handle_nack(message->source, message->payload);
           break;
         case MessageTag::kShutdown:
           broadcast_shutdown();
@@ -172,7 +167,7 @@ class Foreman {
 
  private:
   /// Receives with a deadline derived from in-flight dispatch records and
-  /// probation eligibility; expires overdue workers before returning.
+  /// the round's timers; expires overdue workers before returning.
   std::optional<Message> receive() {
     check_round_viability();
     const auto wake = next_wake();
@@ -227,9 +222,9 @@ class Foreman {
     }
   }
 
-  /// Earliest of: an in-flight deadline, or a probation worker becoming
-  /// eligible for a probe while work is waiting. nullopt = nothing pending,
-  /// block indefinitely.
+  /// Earliest of: an in-flight deadline, the all-delinquent declare, the
+  /// next heartbeat or telemetry frame. nullopt = nothing pending, block
+  /// indefinitely.
   std::optional<Clock::time_point> next_wake() const {
     std::optional<Clock::time_point> earliest;
     auto consider = [&](Clock::time_point t) {
@@ -241,14 +236,6 @@ class Foreman {
     if (const auto declare = dead_declare_at()) consider(*declare);
     if (options_.heartbeat_interval.count() > 0) consider(next_ping_);
     if (telemetry_.has_value()) consider(next_telemetry_);
-    if (round_active_ && !work_queue_.empty()) {
-      for (const auto& [worker, health] : health_) {
-        if (health.state == WorkerState::kProbation &&
-            in_flight_.count(worker) == 0) {
-          consider(health.eligible_at);
-        }
-      }
-    }
     return earliest;
   }
 
@@ -265,14 +252,6 @@ class Foreman {
     return std::min<std::chrono::milliseconds>(
         std::max<std::chrono::milliseconds>(adaptive, kTimeoutFloor),
         options_.worker_timeout);
-  }
-
-  Clock::duration backoff_for(int strikes) const {
-    const int doublings = std::min(std::max(strikes - 1, 0), 16);
-    const auto raw = kProbationBackoff * (1LL << doublings);
-    return std::min<std::chrono::milliseconds>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(raw),
-        kProbationBackoffMax);
   }
 
   void observe_duration(WorkerHealth& h, Clock::duration elapsed) {
@@ -343,15 +322,14 @@ class Foreman {
     }
   }
 
-  /// Moves a worker into the probation queue: it will receive one probe
-  /// task after its exponential backoff, and rejoins the ready queue only
-  /// when the probe completes within its deadline.
+  /// Moves a worker into the probation queue: it receives one probe task
+  /// at the next dispatch, and rejoins the ready queue only when the probe
+  /// completes within its deadline.
   void enter_probation(int worker, bool quarantine) {
     WorkerHealth& h = health(worker);
     h.state = WorkerState::kProbation;
     h.awaiting_contact = false;  // entered via an actual message
     if (h.strikes < 1) h.strikes = 1;
-    h.eligible_at = Clock::now() + backoff_for(h.strikes);
     counters_.bump<&ForemanStats::probations>();
     if (quarantine) {
       counters_.bump<&ForemanStats::quarantines>();
@@ -389,19 +367,14 @@ class Foreman {
     dispatch_work();
   }
 
-  void handle_round(int source, std::vector<std::uint8_t> payload) {
-    if (!open_payload(payload)) {
+  void handle_round(int source, const std::vector<std::uint8_t>& payload) {
+    std::optional<RoundMessage> message =
+        open_sealed(payload, RoundMessage::unpack);
+    if (!message.has_value()) {
       handle_corrupt(source);
       return;
     }
-    RoundMessage message;
-    try {
-      message = RoundMessage::unpack(payload);
-    } catch (const std::exception&) {
-      handle_corrupt(source);
-      return;
-    }
-    begin_round(std::move(message));
+    begin_round(std::move(*message));
   }
 
   void begin_round(RoundMessage message) {
@@ -423,7 +396,6 @@ class Foreman {
       if (h.state == WorkerState::kSuspect &&
           h.strikes <= kAmnestyMaxStrikes) {
         h.state = WorkerState::kProbation;
-        h.eligible_at = Clock::now() + backoff_for(h.strikes);
         h.awaiting_contact = true;
         counters_.bump<&ForemanStats::probations>();
         obs::instant("foreman", "probation", "worker", worker, "strikes",
@@ -504,14 +476,12 @@ class Foreman {
       dispatch_to(worker, /*probe=*/false);
     }
     if (work_queue_.empty()) return;
-    // Probation: one probe task per eligible worker; passing it is the only
-    // way back into the ready queue.
-    const auto now = Clock::now();
+    // Probation: one probe task per probation worker that holds none;
+    // passing it is the only way back into the ready queue.
     for (auto& [worker, h] : health_) {
       if (work_queue_.empty()) break;
       if (h.state != WorkerState::kProbation) continue;
       if (in_flight_.count(worker) != 0) continue;
-      if (now < h.eligible_at) continue;
       counters_.bump<&ForemanStats::probation_probes>();
       dispatch_to(worker, /*probe=*/true);
     }
@@ -546,7 +516,7 @@ class Foreman {
   /// TaskRejectedMessage means the worker's evaluator threw on the task:
   /// any worker would, so a rejection of the worker's running task fails
   /// the round, and a rejection of any other task is stale and dropped.
-  void handle_nack(int worker, std::vector<std::uint8_t> payload) {
+  void handle_nack(int worker, const std::vector<std::uint8_t>& payload) {
     counters_.bump<&ForemanStats::task_nacks>();
     obs::instant("foreman", "nack", "worker", worker);
     if (payload.empty()) {
@@ -554,29 +524,24 @@ class Foreman {
         requeue_held(it, "rejected a malformed task");
       }
     } else {
-      if (!open_payload(payload)) {
-        handle_corrupt(worker);
-        return;
-      }
-      TaskRejectedMessage rejected;
-      try {
-        rejected = TaskRejectedMessage::unpack(payload);
-      } catch (const std::exception&) {
+      const std::optional<TaskRejectedMessage> rejected =
+          open_sealed(payload, TaskRejectedMessage::unpack);
+      if (!rejected.has_value()) {
         handle_corrupt(worker);
         return;
       }
       counters_.bump<&ForemanStats::rejected_tasks>();
       const auto it = in_flight_.find(worker);
-      if (round_active_ && rejected.round_id == round_.round_id &&
+      if (round_active_ && rejected->round_id == round_.round_id &&
           it != in_flight_.end() &&
-          it->second.running.task.round_id == rejected.round_id &&
-          it->second.running.task.task_id == rejected.task_id) {
+          it->second.running.task.round_id == rejected->round_id &&
+          it->second.running.task.task_id == rejected->task_id) {
         promote_queued(it);
-        fail_round("task " + std::to_string(rejected.task_id) +
-                   " rejected: " + rejected.reason);
+        fail_round("task " + std::to_string(rejected->task_id) +
+                   " rejected: " + rejected->reason);
       } else {
         FDML_INFO("foreman") << "worker " << worker
-                             << " rejected stale task " << rejected.task_id;
+                             << " rejected stale task " << rejected->task_id;
       }
     }
     if (health(worker).state == WorkerState::kSuspect) {
@@ -587,20 +552,13 @@ class Foreman {
     dispatch_work();
   }
 
-  void handle_result(int worker, std::vector<std::uint8_t> payload) {
-    if (!open_payload(payload)) {
+  void handle_result(int worker, const std::vector<std::uint8_t>& payload) {
+    std::optional<TaskResult> opened = open_sealed(payload, TaskResult::unpack);
+    if (!opened.has_value()) {
       handle_corrupt(worker);
       return;
     }
-    TaskResult result;
-    try {
-      Unpacker unpacker(payload);
-      result = TaskResult::unpack(unpacker);
-      if (!unpacker.exhausted()) throw std::runtime_error("trailing bytes");
-    } catch (const std::exception&) {
-      handle_corrupt(worker);
-      return;
-    }
+    TaskResult& result = *opened;
     result.worker = worker;
 
     WorkerHealth& h = health(worker);
@@ -654,7 +612,7 @@ class Foreman {
     // kProbation with no record: a stale duplicate while awaiting its
     // probe — accept the data, leave the health state alone.
 
-    accept(result, payload.size());
+    accept(result, payload.size() - kSealSize);
     dispatch_work();
   }
 

@@ -16,15 +16,15 @@
 //
 // Hardening beyond the paper's happy path (see DESIGN.md "Worker health
 // model"):
-//   - Every inbound payload is integrity-checked and decoded behind a
-//     malformed-message guard; a corrupt payload quarantines its sender and
-//     bumps a counter instead of killing the foreman thread.
+//   - Every inbound payload is read through open_sealed (seal, decode, no
+//     trailing bytes); a corrupt payload quarantines its sender and bumps a
+//     counter instead of killing the foreman thread.
 //   - The single global timeout is a ceiling: each worker gets an adaptive
 //     deadline (EWMA of its observed task durations x a slack factor of 4,
 //     clamped to [2 s, worker_timeout]).
 //   - A returning delinquent is not reinstated unconditionally: it enters
-//     probation, waits out an exponential backoff, receives one probe task,
-//     and only rejoins the ready queue when the probe completes in time.
+//     probation, receives one probe task at the next dispatch, and only
+//     rejoins the ready queue when the probe completes in time.
 //   - If every known worker is delinquent while work is outstanding, the
 //     foreman reports kRoundFailed to the master instead of letting the
 //     round hang forever.

@@ -1,6 +1,8 @@
 #include "parallel/master.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -20,30 +22,42 @@ using Clock = std::chrono::steady_clock;
 constexpr std::chrono::milliseconds kRetryBackoff{100};
 constexpr std::chrono::milliseconds kRetryBackoffMax{5000};
 
+/// attempt_round's signal to run_round's supervisor loop: the fabric could
+/// not finish this attempt (watchdog trip or a foreman-reported failure).
+struct RoundFailed {
+  std::string reason;
+};
+
 }  // namespace
 
 MasterStats ParallelMaster::stats() const { return counters_.since(start_); }
 
 ParallelMaster::ParallelMaster(Transport& transport, int workers,
-                               MasterOptions options)
+                               const PatternAlignment& data, SubstModel model,
+                               RateModel rates, MasterOptions options)
     : transport_(transport),
       workers_(workers),
       options_(options),
       counters_(options.metrics != nullptr ? *options.metrics
                                            : obs::MetricsRegistry::process()),
-      start_(counters_.read()) {}
+      start_(counters_.read()),
+      data_(data),
+      model_(std::move(model)),
+      rates_(std::move(rates)) {}
 
 RoundOutcome ParallelMaster::degrade(std::uint64_t round_id,
                                      const std::vector<TreeTask>& tasks,
                                      const std::string& reason) {
-  if (!fallback_) throw RoundFailedError(round_id, reason);
   counters_.bump<&MasterStats::serial_fallbacks>();
   obs::instant("master", "serial_fallback", "round",
                static_cast<std::int64_t>(round_id));
   FDML_WARN("master") << "round " << round_id << " failed (" << reason
                       << "); evaluating " << tasks.size()
                       << " tasks in-process";
-  return fallback_(tasks);
+  if (!fallback_) {
+    fallback_ = std::make_unique<SerialTaskRunner>(data_, model_, rates_);
+  }
+  return fallback_->run_round(tasks);
 }
 
 RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
@@ -71,7 +85,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
       }
       degraded_ = false;
       return outcome;
-    } catch (const RoundFailedError& failure) {
+    } catch (const RoundFailed& failure) {
       if (attempt < options_.max_round_retries) {
         counters_.bump<&MasterStats::round_retries>();
         obs::instant("master", "round_retry", "round",
@@ -82,7 +96,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
                 kRetryBackoff * (1LL << doublings)),
             kRetryBackoffMax);
         FDML_WARN("master") << "round " << round_id << " failed ("
-                            << failure.reason() << "); retry "
+                            << failure.reason << "); retry "
                             << (attempt + 1) << "/"
                             << options_.max_round_retries << " in "
                             << backoff.count() << " ms";
@@ -91,10 +105,7 @@ RoundOutcome ParallelMaster::run_round(const std::vector<TreeTask>& tasks) {
                                       // attempt must not satisfy the retry
         continue;
       }
-      if (options_.max_round_retries > 0 && !fallback_) {
-        throw RunFailedError(round_id, failure.reason(), attempt + 1);
-      }
-      return degrade(round_id, tasks, failure.reason());
+      return degrade(round_id, tasks, failure.reason);
     }
   }
 }
@@ -128,7 +139,7 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
       FDML_WARN("master") << "watchdog: no progress on round "
                           << round.round_id << " for "
                           << options_.watchdog_timeout.count() << " ms";
-      throw RoundFailedError(round.round_id, "watchdog: no round progress");
+      throw RoundFailed{"watchdog: no round progress"};
     }
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         options_.watchdog_timeout - (now - last_progress));
@@ -142,69 +153,53 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
 
     switch (message->tag) {
       case MessageTag::kProgress: {
-        if (!open_payload(message->payload)) {
+        const std::optional<ProgressMessage> progress =
+            open_sealed(message->payload, ProgressMessage::unpack);
+        if (!progress.has_value()) {
           counters_.bump<&MasterStats::corrupt_messages>();
-          break;
-        }
-        try {
-          const ProgressMessage progress =
-              ProgressMessage::unpack(message->payload);
-          if (progress.round_id == round.round_id) {
-            counters_.bump<&MasterStats::progress_messages>();
-            last_progress = Clock::now();
-          } else {
-            counters_.bump<&MasterStats::stale_messages>();
-          }
-        } catch (const std::exception&) {
-          counters_.bump<&MasterStats::corrupt_messages>();
+        } else if (progress->round_id == round.round_id) {
+          counters_.bump<&MasterStats::progress_messages>();
+          last_progress = Clock::now();
+        } else {
+          counters_.bump<&MasterStats::stale_messages>();
         }
         break;
       }
       case MessageTag::kRoundDone: {
-        if (!open_payload(message->payload)) {
+        std::optional<RoundDoneMessage> done =
+            open_sealed(message->payload, RoundDoneMessage::unpack);
+        if (!done.has_value()) {
           counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
-        RoundDoneMessage done;
-        try {
-          done = RoundDoneMessage::unpack(message->payload);
-        } catch (const std::exception&) {
-          counters_.bump<&MasterStats::corrupt_messages>();
-          break;
-        }
-        if (done.round_id != round.round_id) {
+        if (done->round_id != round.round_id) {
           counters_.bump<&MasterStats::stale_messages>();
           break;
         }
         RoundOutcome outcome;
-        outcome.best = std::move(done.best);
-        outcome.stats = std::move(done.stats);
+        outcome.best = std::move(done->best);
+        outcome.stats = std::move(done->stats);
         return outcome;
       }
       case MessageTag::kRoundFailed: {
-        if (!open_payload(message->payload)) {
+        const std::optional<RoundFailedMessage> failed =
+            open_sealed(message->payload, RoundFailedMessage::unpack);
+        if (!failed.has_value()) {
           counters_.bump<&MasterStats::corrupt_messages>();
           break;
         }
-        RoundFailedMessage failed;
-        try {
-          failed = RoundFailedMessage::unpack(message->payload);
-        } catch (const std::exception&) {
-          counters_.bump<&MasterStats::corrupt_messages>();
-          break;
-        }
-        if (failed.round_id != round.round_id) {
+        if (failed->round_id != round.round_id) {
           counters_.bump<&MasterStats::stale_messages>();
           break;
         }
         counters_.bump<&MasterStats::rounds_failed>();
-        throw RoundFailedError(round.round_id, failed.reason);
+        throw RoundFailed{failed->reason};
       }
       case MessageTag::kTelemetry:
         // Telemetry rides the same fabric as round traffic; frames landing
         // mid-round feed the aggregator, they never reset the watchdog
         // (liveness of a worker's emitter is not round progress).
-        handle_telemetry(message->source, std::move(message->payload));
+        handle_telemetry(message->payload);
         break;
       default:
         // Previously these were discarded without a trace, which hid real
@@ -217,21 +212,14 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
   }
 }
 
-void ParallelMaster::handle_telemetry(int source,
-                                      std::vector<std::uint8_t> payload) {
-  if (!open_payload(payload)) {
+void ParallelMaster::handle_telemetry(const std::vector<std::uint8_t>& payload) {
+  const std::optional<obs::TelemetryFrame> frame =
+      open_sealed(payload, obs::TelemetryFrame::unpack);
+  if (!frame.has_value()) {
     counters_.bump<&MasterStats::corrupt_messages>();
     return;
   }
-  if (telemetry_ == nullptr) return;
-  // The integrity footer is already verified, so a frame that fails to
-  // decode only comes from a version-skewed peer: drop it.
-  try {
-    telemetry_->apply(obs::TelemetryFrame::unpack(payload));
-  } catch (const std::exception& e) {
-    FDML_WARN("master") << "undecodable telemetry frame from rank " << source
-                        << ": " << e.what();
-  }
+  if (telemetry_ != nullptr) telemetry_->apply(*frame);
 }
 
 std::size_t ParallelMaster::pump() {
@@ -244,7 +232,7 @@ std::size_t ParallelMaster::pump() {
     ++drained;
     switch (message->tag) {
       case MessageTag::kTelemetry:
-        handle_telemetry(message->source, std::move(message->payload));
+        handle_telemetry(message->payload);
         break;
       case MessageTag::kProgress:
       case MessageTag::kRoundDone:

@@ -2,17 +2,17 @@
 // and waits for the best tree to come back.
 //
 // Hardened beyond the happy path: a round watchdog (fed by the foreman's
-// kProgress heartbeats) turns "the fabric silently wedged" into either a
-// structured RoundFailedError or a graceful degradation to in-process
-// evaluation, and unexpected traffic is warned about and counted instead
-// of silently discarded.
+// kProgress heartbeats) turns "the fabric silently wedged" into a retry or
+// a graceful degradation to in-process evaluation through the master's own
+// serial fallback, so a round always ends with an answer (or with the
+// evaluator's own error, as in a serial run); unexpected traffic is warned
+// about and counted instead of silently discarded.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,8 +28,8 @@ struct MasterOptions {
   /// for this long, the round is declared wedged.
   std::chrono::milliseconds watchdog_timeout{120000};
   /// Supervision: how many times a failed/wedged round is resent under a
-  /// fresh round id before the failure is surfaced (or degrades to the
-  /// fallback). 0 = fail/degrade immediately, the pre-supervisor behavior.
+  /// fresh round id before it degrades to the serial fallback. 0 = degrade
+  /// immediately, the pre-supervisor behavior.
   /// Retry n waits 100 ms * 2^(n-1), capped at 5 s.
   int max_round_retries = 0;
   /// Metrics registry the master's counters live in; null = the process
@@ -63,51 +63,14 @@ struct MasterStats {
   std::uint64_t fabric_revivals = 0;
 };
 
-/// A round could not be completed by the parallel fabric and no fallback
-/// was available.
-class RoundFailedError : public std::runtime_error {
- public:
-  RoundFailedError(std::uint64_t round_id, const std::string& reason)
-      : std::runtime_error("round " + std::to_string(round_id) +
-                           " failed: " + reason),
-        round_id_(round_id),
-        reason_(reason) {}
-
-  std::uint64_t round_id() const { return round_id_; }
-  const std::string& reason() const { return reason_; }
-
- private:
-  std::uint64_t round_id_;
-  std::string reason_;
-};
-
-/// A round kept failing after the supervisor exhausted its retry budget
-/// (and no serial fallback was available to absorb it).
-class RunFailedError : public RoundFailedError {
- public:
-  RunFailedError(std::uint64_t round_id, const std::string& reason,
-                 int attempts)
-      : RoundFailedError(round_id, reason + " (after " +
-                                       std::to_string(attempts) +
-                                       " attempt(s))"),
-        attempts_(attempts) {}
-
-  int attempts() const { return attempts_; }
-
- private:
-  int attempts_ = 0;
-};
-
 class ParallelMaster final : public TaskRunner {
  public:
-  ParallelMaster(Transport& transport, int workers, MasterOptions options = {});
-
-  /// Installs the degraded-mode evaluator (typically a lazily constructed
-  /// SerialTaskRunner): a failed or wedged round is evaluated in-process
-  /// through it. Without one, a failed round raises RoundFailedError.
-  void set_fallback(std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback) {
-    fallback_ = std::move(fallback);
-  }
+  /// `data` must outlive the master. A round the fabric cannot finish is
+  /// evaluated in-process on it, with the evaluator the workers run, so the
+  /// search result is unchanged.
+  ParallelMaster(Transport& transport, int workers,
+                 const PatternAlignment& data, SubstModel model,
+                 RateModel rates, MasterOptions options = {});
 
   /// Installs the kTelemetry consumer: frames arriving mid-round or via
   /// pump() are verified, decoded and applied to `aggregator` (thread-safe;
@@ -131,17 +94,19 @@ class ParallelMaster final : public TaskRunner {
   MasterStats stats() const;
 
  private:
+  /// Evaluates the round through the serial fallback, built on first use.
   RoundOutcome degrade(std::uint64_t round_id,
                        const std::vector<TreeTask>& tasks,
                        const std::string& reason);
-  /// One attempt: seal, send, watch. Throws RoundFailedError on watchdog
-  /// expiry or a foreman-reported failure; the supervisor loop in
-  /// run_round decides whether to retry, degrade or surface it.
+  /// One attempt: seal, send, watch. Throws the internal RoundFailed signal
+  /// on watchdog expiry or a foreman-reported failure; the supervisor loop
+  /// in run_round decides whether to retry or degrade.
   RoundOutcome attempt_round(std::uint64_t round_id,
                              const std::vector<TreeTask>& tasks);
 
-  /// Verifies, decodes and applies one kTelemetry payload.
-  void handle_telemetry(int source, std::vector<std::uint8_t> payload);
+  /// Opens and applies one kTelemetry payload; a frame that fails to open
+  /// counts as corrupt.
+  void handle_telemetry(const std::vector<std::uint8_t>& payload);
 
   /// Where each MasterStats field lives in the registry (a delta view, the
   /// same pattern as ForemanStats).
@@ -164,7 +129,12 @@ class ParallelMaster final : public TaskRunner {
   obs::CounterSet<MasterStats, kCounterFields> counters_;
   /// Counter values at construction; stats() subtracts these.
   MasterStats start_;
-  std::function<RoundOutcome(const std::vector<TreeTask>&)> fallback_;
+  const PatternAlignment& data_;
+  SubstModel model_;
+  RateModel rates_;
+  /// Degraded-mode evaluator, built on first use so that a fault-free run
+  /// never allocates it.
+  std::unique_ptr<SerialTaskRunner> fallback_;
   obs::TelemetryAggregator* telemetry_ = nullptr;
   /// Serializes transport receives between an in-flight round
   /// (attempt_round) and the idle-period pump(); without it the pump could

@@ -10,8 +10,7 @@ std::vector<std::uint8_t> RoundMessage::pack() const {
   return packer.take();
 }
 
-RoundMessage RoundMessage::unpack(const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
+RoundMessage RoundMessage::unpack(Unpacker& unpacker) {
   RoundMessage message;
   message.round_id = unpacker.get_u64();
   const std::uint32_t count = unpacker.get_u32();
@@ -38,8 +37,7 @@ std::vector<std::uint8_t> RoundDoneMessage::pack() const {
   return packer.take();
 }
 
-RoundDoneMessage RoundDoneMessage::unpack(const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
+RoundDoneMessage RoundDoneMessage::unpack(Unpacker& unpacker) {
   RoundDoneMessage message;
   message.round_id = unpacker.get_u64();
   message.best = TaskResult::unpack(unpacker);
@@ -66,8 +64,7 @@ std::vector<std::uint8_t> ProgressMessage::pack() const {
   return packer.take();
 }
 
-ProgressMessage ProgressMessage::unpack(const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
+ProgressMessage ProgressMessage::unpack(Unpacker& unpacker) {
   ProgressMessage message;
   message.round_id = unpacker.get_u64();
   message.completed = unpacker.get_u64();
@@ -82,9 +79,7 @@ std::vector<std::uint8_t> RoundFailedMessage::pack() const {
   return packer.take();
 }
 
-RoundFailedMessage RoundFailedMessage::unpack(
-    const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
+RoundFailedMessage RoundFailedMessage::unpack(Unpacker& unpacker) {
   RoundFailedMessage message;
   message.round_id = unpacker.get_u64();
   message.reason = unpacker.get_string();
@@ -99,9 +94,7 @@ std::vector<std::uint8_t> TaskRejectedMessage::pack() const {
   return packer.take();
 }
 
-TaskRejectedMessage TaskRejectedMessage::unpack(
-    const std::vector<std::uint8_t>& payload) {
-  Unpacker unpacker(payload);
+TaskRejectedMessage TaskRejectedMessage::unpack(Unpacker& unpacker) {
   TaskRejectedMessage message;
   message.round_id = unpacker.get_u64();
   message.task_id = unpacker.get_u64();

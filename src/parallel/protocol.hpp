@@ -1,4 +1,6 @@
-// Payload codecs for the parallel runtime's messages.
+// Payload codecs for the parallel runtime's messages. Each unpack reads one
+// message from an Unpacker; receivers call it through open_sealed
+// (comm/integrity.hpp), which also rejects bytes left over.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,7 @@ struct RoundMessage {
   std::vector<TreeTask> tasks;
 
   std::vector<std::uint8_t> pack() const;
-  static RoundMessage unpack(const std::vector<std::uint8_t>& payload);
+  static RoundMessage unpack(Unpacker& unpacker);
 };
 
 /// foreman -> master: the round's best tree plus per-task accounting.
@@ -36,7 +38,7 @@ struct RoundDoneMessage {
   std::vector<TaskStat> stats;
 
   std::vector<std::uint8_t> pack() const;
-  static RoundDoneMessage unpack(const std::vector<std::uint8_t>& payload);
+  static RoundDoneMessage unpack(Unpacker& unpacker);
 };
 
 /// foreman -> master: round liveness heartbeat, sent on every accepted task
@@ -47,18 +49,18 @@ struct ProgressMessage {
   std::uint64_t expected = 0;
 
   std::vector<std::uint8_t> pack() const;
-  static ProgressMessage unpack(const std::vector<std::uint8_t>& payload);
+  static ProgressMessage unpack(Unpacker& unpacker);
 };
 
 /// foreman -> master: the round cannot complete (e.g. every worker is
-/// delinquent); the master degrades to in-process evaluation or raises a
-/// structured error instead of blocking forever.
+/// delinquent); the master retries it or evaluates it in-process instead
+/// of blocking forever.
 struct RoundFailedMessage {
   std::uint64_t round_id = 0;
   std::string reason;
 
   std::vector<std::uint8_t> pack() const;
-  static RoundFailedMessage unpack(const std::vector<std::uint8_t>& payload);
+  static RoundFailedMessage unpack(Unpacker& unpacker);
 };
 
 /// worker -> foreman, as a kNack payload: the task decoded cleanly but the
@@ -72,7 +74,7 @@ struct TaskRejectedMessage {
   std::string reason;
 
   std::vector<std::uint8_t> pack() const;
-  static TaskRejectedMessage unpack(const std::vector<std::uint8_t>& payload);
+  static TaskRejectedMessage unpack(Unpacker& unpacker);
 };
 
 }  // namespace fdml

@@ -69,17 +69,9 @@ SocketCluster::SocketCluster(const PatternAlignment& data, SubstModel model,
   }
   obs::set_thread_name("master");
   endpoint_ = fabric_.endpoint();
-  master_ = std::make_unique<ParallelMaster>(*endpoint_, num_workers(),
+  master_ = std::make_unique<ParallelMaster>(*endpoint_, num_workers(), data,
+                                             std::move(model), std::move(rates),
                                              options_.master);
-  // Same degraded mode as the in-process cluster: if the remote fabric
-  // cannot finish a round, evaluate it here so the run still answers.
-  master_->set_fallback([this, &data, model, rates](
-                            const std::vector<TreeTask>& tasks) {
-    if (!serial_fallback_) {
-      serial_fallback_ = std::make_unique<SerialTaskRunner>(data, model, rates);
-    }
-    return serial_fallback_->run_round(tasks);
-  });
   // Telemetry frames arriving on the hub (mid-round or via pump) land in
   // the aggregator.
   master_->set_telemetry(&telemetry_);

@@ -97,7 +97,6 @@ class SocketCluster {
   SocketFabric fabric_;
   std::unique_ptr<Transport> endpoint_;
   std::unique_ptr<ParallelMaster> master_;
-  std::unique_ptr<SerialTaskRunner> serial_fallback_;
   obs::TelemetryAggregator telemetry_;
   bool shut_down_ = false;
 };

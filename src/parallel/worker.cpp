@@ -41,21 +41,6 @@ void fold_kernel_counters(obs::MetricsRegistry& registry,
   last = now;
 }
 
-/// Malformed-payload guard: verify the integrity footer, then decode behind
-/// a catch. A task that was corrupted in transit must not kill the worker —
-/// the foreman holds a pristine copy and will resend on our NACK.
-std::optional<TreeTask> decode_task(std::vector<std::uint8_t> payload) {
-  if (!open_payload(payload)) return std::nullopt;
-  try {
-    Unpacker unpacker(payload);
-    TreeTask task = TreeTask::unpack(unpacker);
-    if (!unpacker.exhausted()) return std::nullopt;
-    return task;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
@@ -124,9 +109,11 @@ WorkerStats worker_main(Transport& transport, const PatternAlignment& data,
       continue;
     }
 
-    // One task per message, as the self-scheduling foreman sends them.
+    // One task per message, as the self-scheduling foreman sends them. A
+    // task corrupted in transit must not kill the worker: the foreman holds
+    // a pristine copy and resends it on our NACK.
     const std::optional<TreeTask> task =
-        decode_task(std::move(message->payload));
+        open_sealed(message->payload, TreeTask::unpack);
     if (!task.has_value()) {
       ++stats.corrupt_tasks;
       registry.counter("worker.corrupt_tasks").add(1);

@@ -19,8 +19,7 @@ std::vector<std::uint8_t> JobSpec::encode() const {
   return p.take();
 }
 
-JobSpec JobSpec::decode(const std::vector<std::uint8_t>& payload) {
-  Unpacker u(payload);
+JobSpec JobSpec::unpack(Unpacker& u) {
   if (u.get_u8() != kJobSpecVersion) {
     throw std::runtime_error("JobSpec: unknown version");
   }
@@ -29,8 +28,11 @@ JobSpec JobSpec::decode(const std::vector<std::uint8_t>& payload) {
   spec.rearrange_cross = u.get_i32();
   spec.final_rearrange_cross = u.get_i32();
   spec.name = u.get_string();
-  if (!u.exhausted()) throw std::runtime_error("JobSpec: trailing bytes");
   return spec;
+}
+
+JobSpec JobSpec::decode(const std::vector<std::uint8_t>& payload) {
+  return unpack_all(Unpacker(payload), unpack);
 }
 
 const char* reject_reason_name(RejectReason reason) {
@@ -55,8 +57,7 @@ std::vector<std::uint8_t> JobOutcome::encode() const {
   return p.take();
 }
 
-JobOutcome JobOutcome::decode(const std::vector<std::uint8_t>& payload) {
-  Unpacker u(payload);
+JobOutcome JobOutcome::unpack(Unpacker& u) {
   if (u.get_u8() != kJobOutcomeVersion) {
     throw std::runtime_error("JobOutcome: unknown version");
   }
@@ -72,8 +73,11 @@ JobOutcome JobOutcome::decode(const std::vector<std::uint8_t>& payload) {
   outcome.resume_generation = u.get_u64();
   outcome.retries = u.get_u32();
   outcome.error = u.get_string();
-  if (!u.exhausted()) throw std::runtime_error("JobOutcome: trailing bytes");
   return outcome;
+}
+
+JobOutcome JobOutcome::decode(const std::vector<std::uint8_t>& payload) {
+  return unpack_all(Unpacker(payload), unpack);
 }
 
 }  // namespace fdml

@@ -12,6 +12,8 @@
 
 namespace fdml {
 
+class Unpacker;
+
 /// One search job: a stepwise-addition run over the service's dataset with
 /// this jumble seed and rearrangement settings. Many concurrent jobs with
 /// different seeds are exactly the paper's "tens to thousands of
@@ -25,7 +27,9 @@ struct JobSpec {
   std::string name;
 
   std::vector<std::uint8_t> encode() const;
-  /// Throws std::runtime_error on a malformed payload.
+  static JobSpec unpack(Unpacker& in);
+  /// The whole of `payload` as one JobSpec; throws on malformed or
+  /// trailing bytes.
   static JobSpec decode(const std::vector<std::uint8_t>& payload);
 };
 
@@ -66,6 +70,8 @@ struct JobOutcome {
   std::string error;
 
   std::vector<std::uint8_t> encode() const;
+  static JobOutcome unpack(Unpacker& in);
+  /// The whole of `payload` as one JobOutcome; throws like JobSpec::decode.
   static JobOutcome decode(const std::vector<std::uint8_t>& payload);
 };
 

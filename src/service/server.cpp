@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "comm/integrity.hpp"
+#include "comm/socket.hpp"
 #include "comm/wire.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -23,20 +24,6 @@ namespace fdml {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 bool send_service_frame(int fd, MessageTag tag,
                         std::vector<std::uint8_t> payload) {
@@ -221,24 +208,16 @@ void ServiceServer::serve_connection(int fd) {
   }
   switch (request->tag) {
     case MessageTag::kSubmit: {
-      std::vector<std::uint8_t> payload = request->payload;
-      JobSpec spec;
-      bool ok = open_payload(payload);
-      if (ok) {
-        try {
-          spec = JobSpec::decode(payload);
-        } catch (const std::exception&) {
-          ok = false;
-        }
-      }
-      if (!ok) {
+      const std::optional<JobSpec> spec =
+          open_sealed(request->payload, JobSpec::unpack);
+      if (!spec.has_value()) {
         registry_.counter("service.bad_requests").add();
         send_service_frame(
             fd, MessageTag::kJobRejected,
             {static_cast<std::uint8_t>(RejectReason::kBadRequest)});
         break;
       }
-      const auto submission = scheduler_.submit(spec);
+      const auto submission = scheduler_.submit(*spec);
       if (submission.rejected.has_value()) {
         send_service_frame(
             fd, MessageTag::kJobRejected,
@@ -361,11 +340,11 @@ ServiceReply service_submit(const std::string& host, std::uint16_t port,
     throw std::runtime_error("service: job " + std::to_string(reply.job_id) +
                              " outcome never arrived");
   }
-  std::vector<std::uint8_t> body = done.payload;
-  if (!open_payload(body)) {
-    throw std::runtime_error("service: outcome failed integrity check");
+  reply.outcome = open_sealed(done.payload, JobOutcome::unpack);
+  if (!reply.outcome.has_value()) {
+    throw std::runtime_error("service: job " + std::to_string(reply.job_id) +
+                             " outcome is malformed");
   }
-  reply.outcome = JobOutcome::decode(body);
   return reply;
 }
 
@@ -384,11 +363,17 @@ std::string service_scrape(const std::string& host, std::uint16_t port,
   if (frame.tag != MessageTag::kMetricsReply) {
     throw std::runtime_error("service: unexpected reply to scrape");
   }
-  std::vector<std::uint8_t> body = frame.payload;
-  if (!open_payload(body)) {
-    throw std::runtime_error("service: scrape reply failed integrity check");
+  // The body is the Prometheus text itself, every byte of it.
+  std::optional<std::string> text =
+      open_sealed(frame.payload, [](Unpacker& in) {
+        std::string body(in.remaining(), '\0');
+        for (char& c : body) c = static_cast<char>(in.get_u8());
+        return body;
+      });
+  if (!text.has_value()) {
+    throw std::runtime_error("service: scrape reply is malformed");
   }
-  return std::string(body.begin(), body.end());
+  return std::move(*text);
 }
 
 }  // namespace fdml

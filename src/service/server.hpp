@@ -10,8 +10,9 @@
 //   scrape:  client kMetricsQuery()
 //            server kMetricsReply(sealed Prometheus text), closes
 //
-// Malformed traffic (bad framing, failed integrity, unknown tag) is a
-// counted reject/close, never a crash: the service outlives its clients.
+// Malformed traffic (bad framing, a payload open_sealed rejects, an unknown
+// tag) is a counted reject/close, never a crash: the service outlives its
+// clients.
 #pragma once
 
 #include <chrono>
@@ -28,8 +29,8 @@
 
 namespace fdml {
 
+/// The server listens on every interface, as the socket fabric's hub does.
 struct ServiceServerOptions {
-  std::string host = "127.0.0.1";
   /// 0 = ephemeral; read back with port().
   std::uint16_t port = 0;
   /// Cluster telemetry aggregate rendered into the kMetricsQuery

@@ -118,4 +118,15 @@ class Unpacker {
   std::size_t pos_ = 0;
 };
 
+/// Decodes everything `unpacker` holds with `decode` (a T(Unpacker&));
+/// throws if the decode throws or leaves bytes unread.
+template <typename Decode>
+auto unpack_all(Unpacker unpacker, Decode decode) {
+  auto value = decode(unpacker);
+  if (!unpacker.exhausted()) {
+    throw std::runtime_error("Unpacker: trailing bytes");
+  }
+  return value;
+}
+
 }  // namespace fdml

@@ -26,6 +26,7 @@
 #include "parallel/protocol.hpp"
 #include "parallel/worker.hpp"
 #include "search/search.hpp"
+#include "seq/alphabet.hpp"
 #include "tree/newick.hpp"
 #include "tree/random.hpp"
 #include "util/rng.hpp"
@@ -201,9 +202,10 @@ TreeTask recv_task_sealed(Transport& worker, milliseconds timeout) {
     return TreeTask{};
   }
   EXPECT_EQ(message->tag, MessageTag::kTask);
-  EXPECT_TRUE(open_payload(message->payload));
-  Unpacker unpacker(message->payload);
-  return TreeTask::unpack(unpacker);
+  const std::optional<TreeTask> task =
+      open_sealed(message->payload, TreeTask::unpack);
+  EXPECT_TRUE(task.has_value());
+  return task.value_or(TreeTask{});
 }
 
 void send_result_sealed(Transport& worker, std::uint64_t task_id,
@@ -232,8 +234,7 @@ std::optional<RoundDoneMessage> await_round_done(Transport& master,
     auto message = master.recv_for(remaining);
     if (!message.has_value()) return std::nullopt;
     if (message->tag != MessageTag::kRoundDone) continue;
-    EXPECT_TRUE(open_payload(message->payload));
-    return RoundDoneMessage::unpack(message->payload);
+    return open_sealed(message->payload, RoundDoneMessage::unpack);
   }
 }
 
@@ -316,7 +317,7 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   // The late reply moves the worker to probation (the paper's
   // reinstatement, now conditional) and completes task 1.
   send_result_sealed(*worker, 1, 1);
-  // The requeued task 2 arrives as the probation probe after the backoff.
+  // The requeued task 2 goes out at once as the probation probe.
   EXPECT_EQ(recv_task_sealed(*worker, milliseconds(2000)).task_id, 2u);
   send_result_sealed(*worker, 2, 1);
 
@@ -385,8 +386,7 @@ std::optional<RoundFailedMessage> await_round_failed(Transport& master,
     auto message = master.recv_for(remaining);
     if (!message.has_value()) return std::nullopt;
     if (message->tag != MessageTag::kRoundFailed) continue;
-    EXPECT_TRUE(open_payload(message->payload));
-    return RoundFailedMessage::unpack(message->payload);
+    return open_sealed(message->payload, RoundFailedMessage::unpack);
   }
 }
 
@@ -455,9 +455,10 @@ TEST(ForemanChaos, AllWorkersDeadFailsTheRound) {
     }
   }
   ASSERT_TRUE(failure.has_value());
-  ASSERT_TRUE(open_payload(failure->payload));
-  const RoundFailedMessage failed = RoundFailedMessage::unpack(failure->payload);
-  EXPECT_EQ(failed.round_id, 1u);
+  const std::optional<RoundFailedMessage> failed =
+      open_sealed(failure->payload, RoundFailedMessage::unpack);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->round_id, 1u);
 
   master->send(kForemanRank, MessageTag::kShutdown, {});
   foreman.join();
@@ -467,47 +468,31 @@ TEST(ForemanChaos, AllWorkersDeadFailsTheRound) {
 
 // --- master watchdog ---
 
-TEST(MasterChaos, WatchdogRaisesStructuredErrorWithoutFallback) {
+/// A three-taxon alignment (taxa a, b, c) for masters that evaluate
+/// "(a:1,b:1,c:1);" through their own serial fallback.
+PatternAlignment three_taxa() {
+  Alignment alignment;
+  alignment.add_sequence("a", string_to_codes("ACGTACGTAC"));
+  alignment.add_sequence("b", string_to_codes("ACGTACGAAC"));
+  alignment.add_sequence("c", string_to_codes("ACCTACGTTC"));
+  return PatternAlignment(alignment);
+}
+
+TEST(MasterChaos, WatchdogDegradesToFallbackWhenAvailable) {
   ThreadFabric fabric(4);  // nobody is listening on the foreman rank
   auto endpoint = fabric.endpoint(kMasterRank);
   MasterOptions options;
   options.watchdog_timeout = milliseconds(120);
-  ParallelMaster master(*endpoint, 1, options);
-
-  TreeTask task;
-  task.task_id = 1;
-  task.newick = "(a:1,b:1,c:1);";
-  try {
-    master.run_round({task});
-    FAIL() << "expected RoundFailedError";
-  } catch (const RoundFailedError& error) {
-    EXPECT_EQ(error.round_id(), 1u);
-  }
-  EXPECT_EQ(master.stats().watchdog_trips, 1u);
-}
-
-TEST(MasterChaos, WatchdogDegradesToFallbackWhenAvailable) {
-  ThreadFabric fabric(4);
-  auto endpoint = fabric.endpoint(kMasterRank);
-  MasterOptions options;
-  options.watchdog_timeout = milliseconds(120);
-  ParallelMaster master(*endpoint, 1, options);
-  int fallback_rounds = 0;
-  master.set_fallback([&](const std::vector<TreeTask>& tasks) {
-    ++fallback_rounds;
-    RoundOutcome outcome;
-    outcome.best.task_id = tasks.front().task_id;
-    outcome.best.log_likelihood = -1.0;
-    outcome.stats.resize(tasks.size());
-    return outcome;
-  });
+  const PatternAlignment data = three_taxa();
+  ParallelMaster master(*endpoint, 1, data, SubstModel::jc69(),
+                        RateModel::uniform(), options);
 
   TreeTask task;
   task.task_id = 7;
   task.newick = "(a:1,b:1,c:1);";
   const RoundOutcome outcome = master.run_round({task});
   EXPECT_EQ(outcome.best.task_id, 7u);
-  EXPECT_EQ(fallback_rounds, 1);
+  EXPECT_LT(outcome.best.log_likelihood, 0.0);
   EXPECT_EQ(master.stats().watchdog_trips, 1u);
   EXPECT_EQ(master.stats().serial_fallbacks, 1u);
 
@@ -515,7 +500,8 @@ TEST(MasterChaos, WatchdogDegradesToFallbackWhenAvailable) {
   const auto before = std::chrono::steady_clock::now();
   master.run_round({task});
   EXPECT_LT(std::chrono::steady_clock::now() - before, milliseconds(100));
-  EXPECT_EQ(fallback_rounds, 2);
+  EXPECT_EQ(master.stats().watchdog_trips, 1u);
+  EXPECT_EQ(master.stats().serial_fallbacks, 2u);
 }
 
 // --- full cluster under chaos ---
@@ -613,12 +599,13 @@ TEST(WorkerChaos, TaskTheEvaluatorRejectsIsNackedWithAReason) {
     auto message = next();
     ASSERT_TRUE(message.has_value());
     ASSERT_EQ(message->tag, MessageTag::kNack);
-    ASSERT_TRUE(open_payload(message->payload));
-    const TaskRejectedMessage rejected =
-        TaskRejectedMessage::unpack(message->payload);
-    EXPECT_EQ(rejected.round_id, 1u);
-    EXPECT_EQ(rejected.task_id, id);
-    EXPECT_NE(rejected.reason.find(what), std::string::npos) << rejected.reason;
+    const std::optional<TaskRejectedMessage> rejected =
+        open_sealed(message->payload, TaskRejectedMessage::unpack);
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_EQ(rejected->round_id, 1u);
+    EXPECT_EQ(rejected->task_id, id);
+    EXPECT_NE(rejected->reason.find(what), std::string::npos)
+        << rejected->reason;
   };
   const std::string truth = to_newick(fx.truth, fx.data.names(), 17);
 
@@ -726,6 +713,32 @@ TEST(ClusterChaos, AllWorkerCrashDegradesToSerialAndFinishes) {
   EXPECT_GE(cluster.master_stats().rounds_failed, 1u);
   EXPECT_GE(cluster.master_stats().serial_fallbacks, 1u);
   EXPECT_GE(cluster.foreman_stats().rounds_failed, 1u);
+}
+
+// A task every evaluator rejects fails its round at the foreman; the
+// master's own serial fallback then throws the evaluator's error on the
+// master's thread, as a serial run would.
+TEST(ClusterChaos, RejectedTaskThrowsTheEvaluatorsErrorOnTheMaster) {
+  ChaosFixture fx;
+  ClusterOptions cluster_options;
+  cluster_options.num_workers = 1;
+  InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
+                           cluster_options);
+  TreeTask task;
+  task.task_id = 1;
+  task.newick = to_newick(fx.truth, fx.data.names(), 17);
+  task.focus_taxon = 40;  // 8 taxa: not in the tree
+  try {
+    cluster.runner().run_round({task});
+    ADD_FAILURE() << "a rejected task completed its round";
+  } catch (const std::exception& error) {
+    EXPECT_NE(std::string(error.what()).find("taxon 40"), std::string::npos)
+        << error.what();
+  }
+  cluster.shutdown();
+  EXPECT_EQ(cluster.foreman_stats().rejected_tasks, 1u);
+  EXPECT_EQ(cluster.master_stats().rounds_failed, 1u);
+  EXPECT_EQ(cluster.master_stats().serial_fallbacks, 1u);
 }
 
 // --- kill + resume under chaos ---

@@ -9,10 +9,7 @@
 #     fault drill with nothing injected.
 #   * A --workers=2 search of data/sample24.phy at seed 3 with a 1 ms
 #     deadline, below many task times, requeues tasks (the "cluster:" line
-#     counts them) and still writes data/sample24_seed3.out exactly. Skipped
-#     for a program linked against a sanitizer runtime: there every task
-#     takes longer than 1 ms, no probe passes, the probation backoff reaches
-#     its 5 s cap and the run crawls for tens of minutes.
+#     counts them) and still writes data/sample24_seed3.out exactly.
 #   * A serial search of data/sample24.phy at seed 3 writes exactly the
 #     committed reference data/sample24_seed3.out on every SIMD backend
 #     (FDML_SIMD=scalar, sse2, avx2, avx512) this build and CPU run. A
@@ -55,17 +52,13 @@ grep -q "cannot resume" "$WORK/resume.log" || fail "no 'cannot resume' message"
 status=$?
 [ "$status" -eq 2 ] || fail "--chaos without --workers exited $status, not 2"
 
-if ldd "$BIN" 2>/dev/null | grep -q 'lib[almt]san'; then
-  echo "test_cli: sanitizer build, skipping the --timeout-ms=1 run"
-else
-  "$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet --workers=2 --timeout-ms=1 \
-      --out="$WORK/hostile.out" > "$WORK/hostile.log" 2>&1 \
-      || fail "--timeout-ms=1 run exited $?"
-  cmp "$WORK/hostile.out" "$ROOT/data/sample24_seed3.out" \
-      || fail "--timeout-ms=1 result differs from data/sample24_seed3.out"
-  grep -q '^cluster: .* [1-9][0-9]* requeues' "$WORK/hostile.log" \
-      || fail "--timeout-ms=1 run requeued nothing: $(grep '^cluster:' "$WORK/hostile.log")"
-fi
+"$BIN" "$ROOT/data/sample24.phy" --seed=3 --quiet --workers=2 --timeout-ms=1 \
+    --out="$WORK/hostile.out" > "$WORK/hostile.log" 2>&1 \
+    || fail "--timeout-ms=1 run exited $?"
+cmp "$WORK/hostile.out" "$ROOT/data/sample24_seed3.out" \
+    || fail "--timeout-ms=1 result differs from data/sample24_seed3.out"
+grep -q '^cluster: .* [1-9][0-9]* requeues' "$WORK/hostile.log" \
+    || fail "--timeout-ms=1 run requeued nothing: $(grep '^cluster:' "$WORK/hostile.log")"
 
 for backend in scalar sse2 avx2 avx512; do
   if ! FDML_SIMD=$backend "$BIN" --version \

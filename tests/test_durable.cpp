@@ -20,6 +20,7 @@
 #include "parallel/master.hpp"
 #include "parallel/protocol.hpp"
 #include "search/search.hpp"
+#include "seq/alphabet.hpp"
 #include "seq/fingerprint.hpp"
 
 namespace fdml {
@@ -453,26 +454,29 @@ TEST(DurableSearch, CrashAtEveryOpResumesToTheIdenticalResult) {
 
 // --- master supervisor ---
 
-TEST(MasterSupervisor, ExhaustedRetriesRaiseRunFailedError) {
+TEST(MasterSupervisor, ExhaustedRetriesDegradeToFallback) {
   ThreadFabric fabric(4);  // nobody home at the foreman rank
   auto endpoint = fabric.endpoint(kMasterRank);
   MasterOptions options;
   options.watchdog_timeout = milliseconds(80);
   options.max_round_retries = 1;
-  ParallelMaster master(*endpoint, 1, options);
+  Alignment alignment;
+  alignment.add_sequence("a", string_to_codes("ACGTACGTAC"));
+  alignment.add_sequence("b", string_to_codes("ACGTACGAAC"));
+  alignment.add_sequence("c", string_to_codes("ACCTACGTTC"));
+  const PatternAlignment data(alignment);
+  ParallelMaster master(*endpoint, 1, data, SubstModel::jc69(),
+                        RateModel::uniform(), options);
 
   TreeTask task;
   task.task_id = 1;
   task.newick = "(a:1,b:1,c:1);";
-  try {
-    master.run_round({task});
-    FAIL() << "a dead fabric completed a round";
-  } catch (const RunFailedError& failure) {
-    EXPECT_EQ(failure.attempts(), 2);
-    EXPECT_NE(std::string(failure.what()).find("watchdog"), std::string::npos);
-  }
+  // Both attempts trip the watchdog; the round is then evaluated in-process.
+  const RoundOutcome outcome = master.run_round({task});
+  EXPECT_EQ(outcome.best.task_id, 1u);
   EXPECT_EQ(master.stats().round_retries, 1u);
   EXPECT_EQ(master.stats().watchdog_trips, 2u);
+  EXPECT_EQ(master.stats().serial_fallbacks, 1u);
 }
 
 }  // namespace

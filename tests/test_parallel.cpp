@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "comm/chaos.hpp"
@@ -96,7 +97,8 @@ TEST(Protocol, RoundMessageRoundTrip) {
     task.focus_taxon = i;
     round.tasks.push_back(task);
   }
-  const RoundMessage back = RoundMessage::unpack(round.pack());
+  const RoundMessage back =
+      unpack_all(Unpacker(round.pack()), RoundMessage::unpack);
   EXPECT_EQ(back.round_id, 12u);
   ASSERT_EQ(back.tasks.size(), 3u);
   EXPECT_EQ(back.tasks[2].task_id, 102u);
@@ -110,7 +112,8 @@ TEST(Protocol, RoundDoneRoundTrip) {
   done.best.log_likelihood = -321.75;
   done.best.newick = "(x:1,y:1,z:1);";
   done.stats.push_back({9, 0.125, 512, 4});
-  const RoundDoneMessage back = RoundDoneMessage::unpack(done.pack());
+  const RoundDoneMessage back =
+      unpack_all(Unpacker(done.pack()), RoundDoneMessage::unpack);
   EXPECT_DOUBLE_EQ(back.best.log_likelihood, -321.75);
   ASSERT_EQ(back.stats.size(), 1u);
   EXPECT_EQ(back.stats[0].bytes, 512u);
@@ -129,9 +132,10 @@ TreeTask recv_task(Transport& endpoint, std::chrono::milliseconds timeout =
     return TreeTask{};
   }
   EXPECT_EQ(message->tag, MessageTag::kTask);
-  EXPECT_TRUE(open_payload(message->payload));
-  Unpacker unpacker(message->payload);
-  return TreeTask::unpack(unpacker);
+  const std::optional<TreeTask> task =
+      open_sealed(message->payload, TreeTask::unpack);
+  EXPECT_TRUE(task.has_value());
+  return task.value_or(TreeTask{});
 }
 
 /// True when a message is already waiting at `endpoint`; never blocks.
@@ -182,8 +186,7 @@ std::optional<RoundDoneMessage> recv_round_done(
     auto message = endpoint.recv_for(remaining);
     if (!message.has_value()) return std::nullopt;
     if (message->tag != MessageTag::kRoundDone) continue;
-    EXPECT_TRUE(open_payload(message->payload));
-    return RoundDoneMessage::unpack(message->payload);
+    return open_sealed(message->payload, RoundDoneMessage::unpack);
   }
 }
 
@@ -445,10 +448,11 @@ TEST(Foreman, ProbationWorkerGetsOneProbeAndNoQueuedTask) {
   EXPECT_FALSE(has_waiting(*worker)) << "a suspect was dispatched to";
 
   // The late reply completes task 1 and moves the worker to probation;
-  // after the backoff, the requeued task 2 goes out as its one probe.
+  // the requeued task 2 goes out as its one probe in the same dispatch,
+  // so it is already waiting once the foreman has handled the reply.
   send_result(*worker, 1, 1);  // 3
-  EXPECT_EQ(recv_task(*worker).task_id, 2u);
   ASSERT_TRUE(f.probe.await_idle(3));
+  EXPECT_EQ(recv_task(*worker, std::chrono::milliseconds(0)).task_id, 2u);
   EXPECT_FALSE(has_waiting(*worker)) << "a task was queued behind the probe";
   EXPECT_EQ(f.metrics.snapshot().counter("foreman.probation_probes"), 1u);
 

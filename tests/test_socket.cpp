@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -630,10 +631,11 @@ TEST(Integrity, SealedFinalTelemetryFrameRoundTrips) {
   obs::TelemetryEmitter emitter(registry, 4);
   std::vector<std::uint8_t> payload = emitter.collect().pack();
   seal_payload(payload);
-  ASSERT_TRUE(open_payload(payload));
-  const obs::TelemetryFrame decoded = obs::TelemetryFrame::unpack(payload);
-  EXPECT_EQ(decoded.rank, 4);
-  EXPECT_EQ(decoded.counters.at("worker.tasks_evaluated"), 17u);
+  const std::optional<obs::TelemetryFrame> decoded =
+      open_sealed(payload, obs::TelemetryFrame::unpack);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->rank, 4);
+  EXPECT_EQ(decoded->counters.at("worker.tasks_evaluated"), 17u);
 }
 
 // ---------------------------------------------------------------------------
@@ -671,44 +673,50 @@ RoundDoneMessage sample_round_done() {
   return message;
 }
 
-/// Decodes every single-byte flip and every truncation of `bytes`. The
-/// contract is narrow but absolute: a clean decode or a thrown
-/// std::exception — never a crash, hang, or corruption-sized allocation
-/// (ASan/UBSan builds of this test are the teeth).
+/// Reads every single-byte flip and every truncation of the message
+/// `bytes` through open_sealed with `decode`, each sealed as a sender
+/// would, so the codec itself sees the damage. The contract is narrow but
+/// absolute: a value or nullopt, never a crash, hang or corruption-sized
+/// allocation (ASan/UBSan builds of this test are the teeth). A truncation,
+/// a flip after sealing and the message with one byte appended must all
+/// be rejected.
 template <typename Decode>
 void run_corrupt_corpus(const std::vector<std::uint8_t>& bytes, Decode decode) {
+  const auto sealed = [](std::vector<std::uint8_t> body) {
+    seal_payload(body);
+    return body;
+  };
+  const std::vector<std::uint8_t> valid = sealed(bytes);
+  ASSERT_TRUE(open_sealed(valid, decode).has_value());
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     for (const std::uint8_t mask : {std::uint8_t{0xFF}, std::uint8_t{0x01},
                                     std::uint8_t{0x80}}) {
       auto corrupt = bytes;
       corrupt[i] ^= mask;
-      try {
-        decode(corrupt);
-      } catch (const std::exception&) {
-      }
+      (void)open_sealed(sealed(corrupt), decode);
+      auto flipped = valid;
+      flipped[i] ^= mask;
+      EXPECT_FALSE(open_sealed(flipped, decode).has_value()) << "flip at " << i;
     }
   }
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<std::uint8_t> truncated(bytes.begin(),
-                                        bytes.begin() + static_cast<long>(cut));
-    try {
-      decode(truncated);
-    } catch (const std::exception&) {
-    }
+    const std::vector<std::uint8_t> truncated(
+        bytes.begin(), bytes.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(open_sealed(sealed(truncated), decode).has_value())
+        << "cut " << cut;
   }
+  std::vector<std::uint8_t> appended = bytes;
+  appended.push_back(0);
+  EXPECT_FALSE(open_sealed(sealed(appended), decode).has_value())
+      << "a trailing byte was accepted";
 }
 
 TEST(CorruptWire, RoundMessageCorpus) {
-  run_corrupt_corpus(sample_round().pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)RoundMessage::unpack(b);
-  });
+  run_corrupt_corpus(sample_round().pack(), RoundMessage::unpack);
 }
 
 TEST(CorruptWire, RoundDoneMessageCorpus) {
-  run_corrupt_corpus(sample_round_done().pack(),
-                     [](const std::vector<std::uint8_t>& b) {
-                       (void)RoundDoneMessage::unpack(b);
-                     });
+  run_corrupt_corpus(sample_round_done().pack(), RoundDoneMessage::unpack);
 }
 
 TEST(CorruptWire, ProgressMessageCorpus) {
@@ -716,18 +724,14 @@ TEST(CorruptWire, ProgressMessageCorpus) {
   message.round_id = 7;
   message.completed = 3;
   message.expected = 9;
-  run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)ProgressMessage::unpack(b);
-  });
+  run_corrupt_corpus(message.pack(), ProgressMessage::unpack);
 }
 
 TEST(CorruptWire, RoundFailedMessageCorpus) {
   RoundFailedMessage message;
   message.round_id = 7;
   message.reason = "all workers delinquent";
-  run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)RoundFailedMessage::unpack(b);
-  });
+  run_corrupt_corpus(message.pack(), RoundFailedMessage::unpack);
 }
 
 TEST(CorruptWire, TaskRejectedMessageCorpus) {
@@ -735,9 +739,7 @@ TEST(CorruptWire, TaskRejectedMessageCorpus) {
   message.round_id = 7;
   message.task_id = 3;
   message.reason = "focus task: taxon 40 is not in the tree";
-  run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)TaskRejectedMessage::unpack(b);
-  });
+  run_corrupt_corpus(message.pack(), TaskRejectedMessage::unpack);
 }
 
 TEST(CorruptWire, TreeTaskAndResultCorpus) {
@@ -748,20 +750,21 @@ TEST(CorruptWire, TreeTaskAndResultCorpus) {
   for (const TreeTask& task : {sample_round().tasks[0], marked}) {
     Packer task_packer;
     task.pack(task_packer);
-    run_corrupt_corpus(task_packer.take(),
-                       [](const std::vector<std::uint8_t>& b) {
-                         Unpacker unpacker(b);
-                         (void)TreeTask::unpack(unpacker);
-                       });
+    run_corrupt_corpus(task_packer.take(), TreeTask::unpack);
   }
 
   Packer result_packer;
   sample_round_done().best.pack(result_packer);
-  run_corrupt_corpus(result_packer.take(),
-                     [](const std::vector<std::uint8_t>& b) {
-                       Unpacker unpacker(b);
-                       (void)TaskResult::unpack(unpacker);
-                     });
+  run_corrupt_corpus(result_packer.take(), TaskResult::unpack);
+}
+
+TEST(CorruptWire, TelemetryFrameCorpus) {
+  obs::TelemetryFrame frame;
+  frame.rank = 4;
+  frame.seq = 2;
+  frame.counters["worker.tasks_evaluated"] = 17;
+  frame.gauges["queue.depth"] = -2;
+  run_corrupt_corpus(frame.pack(), obs::TelemetryFrame::unpack);
 }
 
 TEST(CorruptWire, CorruptTaskCountFailsAsTruncationNotAllocation) {
@@ -771,7 +774,8 @@ TEST(CorruptWire, CorruptTaskCountFailsAsTruncationNotAllocation) {
   // of GB vector reserve.
   auto bytes = sample_round().pack();
   bytes[8] = bytes[9] = bytes[10] = bytes[11] = 0xFF;  // count follows round_id
-  EXPECT_THROW((void)RoundMessage::unpack(bytes), std::out_of_range);
+  EXPECT_THROW((void)unpack_all(Unpacker(bytes), RoundMessage::unpack),
+               std::out_of_range);
 }
 
 TEST(CorruptWire, CorruptStatCountFailsAsTruncationNotAllocation) {
@@ -780,7 +784,8 @@ TEST(CorruptWire, CorruptStatCountFailsAsTruncationNotAllocation) {
   auto bytes = message.pack();  // with no stats, the count is the last u32
   ASSERT_GE(bytes.size(), 4u);
   for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) bytes[i] = 0xFF;
-  EXPECT_THROW((void)RoundDoneMessage::unpack(bytes), std::out_of_range);
+  EXPECT_THROW((void)unpack_all(Unpacker(bytes), RoundDoneMessage::unpack),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -34,7 +34,8 @@ TEST(TelemetryFrame, PackUnpackRoundTrips) {
   frame.counters["worker.tasks_evaluated"] = 3;
   frame.gauges["queue.depth"] = -2;
 
-  const TelemetryFrame decoded = TelemetryFrame::unpack(frame.pack());
+  const TelemetryFrame decoded =
+      unpack_all(Unpacker(frame.pack()), TelemetryFrame::unpack);
   EXPECT_EQ(decoded.rank, 4);
   EXPECT_EQ(decoded.incarnation, frame.incarnation);
   EXPECT_EQ(decoded.seq, 7u);
@@ -55,7 +56,9 @@ TEST(TelemetryFrame, TruncatedPayloadThrowsInsteadOfOverReserving) {
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> clipped(bytes.begin(),
                                       bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW(TelemetryFrame::unpack(clipped), std::exception) << cut;
+    EXPECT_THROW(unpack_all(Unpacker(clipped), TelemetryFrame::unpack),
+                 std::exception)
+        << cut;
   }
 }
 
