@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Perf smoke: build Release, run the kernel benchmarks, and fail if SIMD
-# kernel throughput regressed against the tracked baseline.
+# kernel throughput regressed against the tracked baseline. Also prints the
+# transport cost of a task-sized exchange (bench_transport); raw µs depend
+# on the host, so they are reported, not gated.
 #
 #   scripts/bench_smoke.sh [BUILD_DIR]
 #
@@ -25,10 +27,14 @@ BASELINE=BENCH_kernels.json
 TOLERANCE=${FDML_BENCH_TOLERANCE:-0.2}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target bench_kernels bench_transition_cache
+cmake --build "$BUILD_DIR" -j --target bench_kernels bench_transition_cache \
+  bench_transport
 
 echo "== transition-cache counters =="
 "$BUILD_DIR/bench/bench_transition_cache" --passes=2 --evals=5000
+
+echo "== transport exchange (reported, not gated) =="
+"$BUILD_DIR/bench/bench_transport" --exchanges=5000
 
 echo "== SIMD kernel sweep =="
 if [[ "${FDML_BENCH_UPDATE:-0}" == "1" ]]; then

@@ -141,10 +141,12 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-void SocketFabric::count(std::atomic<std::uint64_t>& counter,
-                         const char* registry_name, std::uint64_t n) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-  obs::MetricsRegistry::process().counter(registry_name).add(n);
+SocketFabric::Tally::Tally(std::string_view registry_name)
+    : twin_(obs::MetricsRegistry::process().counter(registry_name)) {}
+
+void SocketFabric::Tally::add(std::uint64_t n) {
+  value_.fetch_add(n, std::memory_order_relaxed);
+  twin_.add(n);
 }
 
 void SocketFabric::deliver_local(int source, MessageTag tag,
@@ -154,7 +156,7 @@ void SocketFabric::deliver_local(int source, MessageTag tag,
   message.tag = tag;
   message.payload = std::move(payload);
   if (!mailbox_.send(std::move(message))) {
-    count(frames_dropped_, "socket.frames_dropped");
+    frames_dropped_.add();
   }
 }
 
@@ -170,14 +172,77 @@ void SocketFabric::send_message(int dest, MessageTag tag,
   frame.dest = dest;
   frame.tag = tag;
   frame.payload = std::move(payload);
-  auto bytes = encode_frame(frame);
   // Non-hub ranks have exactly one route: through the hub.
-  Peer& route = options_.rank == 0 ? *peers_[static_cast<std::size_t>(dest)]
-                                   : *peers_[0];
-  if (route.dead.load(std::memory_order_acquire) ||
-      !route.outbound.send(std::move(bytes))) {
-    count(frames_dropped_, "socket.frames_dropped");
+  send_frame(options_.rank == 0 ? *peers_[static_cast<std::size_t>(dest)]
+                                : *peers_[0],
+             encode_frame(frame));
+}
+
+void SocketFabric::send_frame(Peer& route, std::vector<std::uint8_t> bytes) {
+  if (route.dead.load(std::memory_order_acquire)) {
+    frames_dropped_.add();
+    return;
   }
+  Pending frame{std::move(bytes), 0};
+  // Inline only while no other thread writes to the route and nothing is
+  // queued for it: a frame queued earlier, by this thread or another, must
+  // reach the wire first.
+  std::unique_lock write(route.write_mutex, std::try_to_lock);
+  if (write.owns_lock()) {
+    bool idle = false;
+    {
+      std::lock_guard lock(route.queue_mutex);
+      if (route.queue_closed) {
+        frames_dropped_.add();
+        return;
+      }
+      idle = route.queue.empty();
+    }
+    const int fd = route.fd.load(std::memory_order_acquire);
+    if (idle && fd >= 0 && !route.dead.load(std::memory_order_acquire)) {
+      while (frame.sent < frame.bytes.size()) {
+        const ssize_t n = ::send(fd, frame.bytes.data() + frame.sent,
+                                 frame.bytes.size() - frame.sent,
+                                 MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (n > 0) {
+          frame.sent += static_cast<std::size_t>(n);
+        } else if (n < 0 && errno == EINTR) {
+          continue;
+        } else {
+          break;  // full (EAGAIN), or an error the writer meets and reports
+        }
+      }
+      if (frame.sent == frame.bytes.size()) {
+        write.unlock();
+        frames_sent_.add();
+        bytes_sent_.add(frame.bytes.size());
+        return;
+      }
+      // The frame stopped part way, or not at all. Its rest goes to the
+      // writer ahead of anything queued since the check above, so no other
+      // frame's bytes land inside it. It is taken even if close() has shut
+      // the queue since: the writer exits only under the write lock held
+      // here, so it is still there to write it.
+      {
+        std::lock_guard lock(route.queue_mutex);
+        route.queue.push_front(std::move(frame));
+      }
+      route.queue_cv.notify_one();
+      write.unlock();
+      frames_queued_.add();
+      return;
+    }
+  }
+  {
+    std::lock_guard lock(route.queue_mutex);
+    if (route.queue_closed) {
+      frames_dropped_.add();
+      return;
+    }
+    route.queue.push_back(std::move(frame));
+  }
+  route.queue_cv.notify_one();
+  frames_queued_.add();
 }
 
 void SocketFabric::start_writer(Peer& peer) {
@@ -188,30 +253,52 @@ void SocketFabric::start_writer(Peer& peer) {
     return;
   }
   // close() is under way and may already have taken the handles. It closes
-  // every outbound channel, so this writer drains and exits on its own.
+  // every route's queue, so this writer drains and exits on its own.
   lock.unlock();
   writer.join();
 }
 
 void SocketFabric::writer_loop(Peer& peer) {
-  while (auto bytes = peer.outbound.recv()) {
-    // Generation before fd: if a reconnect lands between the two loads the
-    // write goes to the fresh connection (fine — the welcome already hit the
-    // wire before the fd was installed) and a failure report carrying the
-    // stale generation is ignored instead of killing the replacement.
+  for (;;) {
+    {
+      std::unique_lock lock(peer.queue_mutex);
+      peer.queue_cv.wait(lock, [&] {
+        return !peer.queue.empty() || peer.queue_closed;
+      });
+    }
+    // The frame is taken under the write lock, so an inline sender that
+    // puts the rest of its frame at the front cannot be overtaken by a
+    // frame this thread already holds.
+    std::unique_lock write(peer.write_mutex);
+    Pending frame;
+    {
+      std::lock_guard lock(peer.queue_mutex);
+      if (peer.queue.empty()) {
+        if (peer.queue_closed) return;
+        continue;
+      }
+      frame = std::move(peer.queue.front());
+      peer.queue.pop_front();
+    }
+    // The fd cannot be swapped while the write lock is held; the generation
+    // tags a failure report so that a later reconnect makes it stale.
     const std::uint64_t generation = peer.generation.load(std::memory_order_acquire);
     const int fd = peer.fd.load(std::memory_order_acquire);
-    if (peer.dead.load(std::memory_order_acquire) || fd < 0) {
-      count(frames_dropped_, "socket.frames_dropped");
-      continue;  // drain and discard: the connection is gone
+    bool sent = false;
+    if (!peer.dead.load(std::memory_order_acquire) && fd >= 0) {
+      sent = write_all(fd, frame.bytes.data() + frame.sent,
+                       frame.bytes.size() - frame.sent);
+      if (!sent) mark_peer_dead(peer, generation, "write failed");
     }
-    if (!write_all(fd, bytes->data(), bytes->size())) {
-      mark_peer_dead(peer, generation, "write failed");
-      count(frames_dropped_, "socket.frames_dropped");
-      continue;
+    // Counted after the lock is released: a sender that sees the queue's
+    // last frame counted finds the route free.
+    write.unlock();
+    if (sent) {
+      frames_sent_.add();
+      bytes_sent_.add(frame.bytes.size());
+    } else {
+      frames_dropped_.add();  // the connection is gone: drain and discard
     }
-    count(frames_sent_, "socket.frames_sent");
-    count(bytes_sent_, "socket.bytes_sent", bytes->size());
   }
 }
 
@@ -236,7 +323,7 @@ void SocketFabric::mark_peer_dead(Peer& peer, std::uint64_t generation,
   const bool expected = closing_.load(std::memory_order_acquire) ||
                         expecting_departures_.load(std::memory_order_acquire);
   if (!expected) {
-    count(peer_deaths_, "socket.peer_deaths");
+    peer_deaths_.add();
     obs::instant("socket", "peer_death");
     FDML_WARN("socket") << "rank " << options_.rank << ": peer connection died ("
                         << why << ")";
@@ -328,7 +415,7 @@ void SocketFabric::hub_connection(int fd) {
       const auto now = Clock::now();
       if (now >= handshake_deadline) {
         why = "handshake timeout";
-        count(handshake_timeouts_, "socket.handshake_timeouts");
+        handshake_timeouts_.add();
         obs::instant("socket", "handshake_timeout");
         FDML_WARN("socket") << "hub: dropping connection that never finished "
                                "its announce";
@@ -354,11 +441,10 @@ void SocketFabric::hub_connection(int fd) {
       why = "read error";
       break;
     }
-    count(bytes_received_, "socket.bytes_received",
-          static_cast<std::uint64_t>(n));
+    bytes_received_.add(static_cast<std::uint64_t>(n));
     std::vector<WireFrame> frames;
     if (!parser.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
-      count(frame_errors_, "socket.frame_errors");
+      frame_errors_.add();
       obs::instant("socket", "frame_error");
       FDML_WARN("socket") << "hub: dropping connection with malformed stream ("
                           << wire_error_name(parser.error()) << ")";
@@ -367,7 +453,7 @@ void SocketFabric::hub_connection(int fd) {
     }
     bool fatal = false;
     for (WireFrame& frame : frames) {
-      count(frames_received_, "socket.frames_received");
+      frames_received_.add();
       if (peer == nullptr) {
         // Handshake: the first frame must claim a rank.
         if (frame.kind != FrameKind::kAnnounce || frame.source < 1 ||
@@ -401,11 +487,12 @@ void SocketFabric::hub_connection(int fd) {
                               << frame.source;
           break;
         }
-        // Welcome must hit the wire before the fd is installed: the writer
-        // thread (already running on a re-admission) is the only other
-        // producer on this route, and it cannot touch the new fd until the
-        // install below flips `dead` — so the welcome is always the
-        // connection's first outbound frame.
+        // Welcome must hit the wire before the fd is installed: inline
+        // senders and the writer thread (already running on a
+        // re-admission) are the only other producers on this route, and
+        // they cannot touch the new fd until the install below flips
+        // `dead` — so the welcome is always the connection's first
+        // outbound frame.
         WireFrame welcome;
         welcome.kind = FrameKind::kWelcome;
         welcome.source = 0;
@@ -420,7 +507,7 @@ void SocketFabric::hub_connection(int fd) {
           break;
         }
         {
-          std::lock_guard lock(conn_mutex_);
+          std::scoped_lock lock(candidate.write_mutex, conn_mutex_);
           candidate.handshaking = false;
           if (closing_.load(std::memory_order_acquire)) {
             // close() is under way and shuts down only the descriptors
@@ -443,7 +530,7 @@ void SocketFabric::hub_connection(int fd) {
         peer = &candidate;
         conn_cv_.notify_all();
         if (readmission) {
-          count(readmissions_, "socket.readmissions");
+          readmissions_.add();
           obs::instant("socket", "readmission", "rank", frame.source);
           FDML_INFO("socket") << "hub: rank " << frame.source
                               << " re-admitted on a fresh connection";
@@ -456,7 +543,7 @@ void SocketFabric::hub_connection(int fd) {
         continue;
       }
       if (frame.kind != FrameKind::kData) {
-        count(frames_dropped_, "socket.frames_dropped");
+        frames_dropped_.add();
         continue;
       }
       route_frame(std::move(frame));
@@ -473,19 +560,16 @@ void SocketFabric::hub_connection(int fd) {
 void SocketFabric::route_frame(WireFrame frame) {
   if (frame.kind != FrameKind::kData || frame.dest < 0 ||
       frame.dest >= options_.size) {
-    count(frames_dropped_, "socket.frames_dropped");
+    frames_dropped_.add();
     return;
   }
   if (frame.dest == 0) {
     deliver_local(frame.source, frame.tag, std::move(frame.payload));
     return;
   }
-  Peer& route = *peers_[static_cast<std::size_t>(frame.dest)];
-  auto bytes = encode_frame(frame);
-  if (route.dead.load(std::memory_order_acquire) ||
-      !route.outbound.send(std::move(bytes))) {
-    count(frames_dropped_, "socket.frames_dropped");
-  }
+  // The parser verified this frame's digest over exactly these bytes.
+  send_frame(*peers_[static_cast<std::size_t>(frame.dest)],
+             reencode_frame(frame));
 }
 
 bool SocketFabric::wait_ready(std::chrono::milliseconds timeout) {
@@ -533,11 +617,11 @@ int SocketFabric::dial_hub(Clock::time_point deadline,
                              options_.host);
   }
   Rng rng(static_cast<std::uint64_t>(options_.rank) * 0x9e3779b9ULL +
-          connect_attempts_.load(std::memory_order_relaxed) + 1);
+          connect_attempts_.value() + 1);
   std::chrono::milliseconds backoff = std::max(base, std::chrono::milliseconds(1));
   int fd = -1;
   while (!closing_.load(std::memory_order_acquire)) {
-    count(connect_attempts_, "socket.connect_attempts");
+    connect_attempts_.add();
     obs::instant("socket", "connect_attempt", "rank", options_.rank);
     const int candidate = ::socket(AF_INET, SOCK_STREAM, 0);
     if (candidate >= 0 &&
@@ -589,8 +673,7 @@ bool SocketFabric::handshake_with_hub(int fd, Clock::time_point deadline) {
     if (ready <= 0) return false;
     const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
     if (n <= 0) return false;
-    count(bytes_received_, "socket.bytes_received",
-          static_cast<std::uint64_t>(n));
+    bytes_received_.add(static_cast<std::uint64_t>(n));
     std::vector<WireFrame> frames;
     if (!peer_parser_.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
       return false;
@@ -605,9 +688,9 @@ bool SocketFabric::handshake_with_hub(int fd, Clock::time_point deadline) {
       }
       // Data already riding behind the welcome: deliver it now, exactly as
       // the reader loop would have.
-      count(frames_received_, "socket.frames_received");
+      frames_received_.add();
       if (frame.kind != FrameKind::kData || frame.dest != options_.rank) {
-        count(frames_dropped_, "socket.frames_dropped");
+        frames_dropped_.add();
         continue;
       }
       deliver_local(frame.source, frame.tag, std::move(frame.payload));
@@ -634,9 +717,12 @@ void SocketFabric::connect_to_hub() {
       ::close(fd);
       continue;
     }
-    hub.fd.store(fd, std::memory_order_release);
-    hub.generation.fetch_add(1, std::memory_order_acq_rel);
-    hub.announced.store(true, std::memory_order_release);
+    {
+      std::lock_guard write(hub.write_mutex);
+      hub.fd.store(fd, std::memory_order_release);
+      hub.generation.fetch_add(1, std::memory_order_acq_rel);
+      hub.announced.store(true, std::memory_order_release);
+    }
     obs::instant("socket", "connected", "rank", options_.rank);
     start_writer(hub);
     reader_thread_ = std::thread([this] { peer_reader_loop(); });
@@ -657,9 +743,9 @@ void SocketFabric::connect_to_hub() {
 /// Post-outage redial: bounded exponential backoff + jitter within
 /// reconnect_budget, then a fresh announce/welcome handshake (the hub
 /// re-admits us because our old connection is dead there). On success the
-/// new fd is installed under the connection lock with a bumped generation,
-/// and the writer thread — which kept draining and discarding while the
-/// route was dead — simply resumes.
+/// new fd is installed under the route's write lock and the connection lock
+/// with a bumped generation, and the writer thread — which kept draining
+/// and discarding while the route was dead — simply resumes.
 bool SocketFabric::reconnect_to_hub() {
   Peer& hub = *peers_[0];
   const auto deadline = Clock::now() + options_.reconnect_budget;
@@ -676,13 +762,13 @@ bool SocketFabric::reconnect_to_hub() {
       continue;
     }
     {
-      std::lock_guard lock(conn_mutex_);
+      std::scoped_lock lock(hub.write_mutex, conn_mutex_);
       const int old = hub.fd.exchange(fd, std::memory_order_acq_rel);
       if (old >= 0 && old != fd) retired_fds_.push_back(old);
       hub.generation.fetch_add(1, std::memory_order_acq_rel);
       hub.dead.store(false, std::memory_order_release);
     }
-    count(readmissions_, "socket.readmissions");
+    readmissions_.add();
     obs::instant("socket", "reconnected", "rank", options_.rank);
     FDML_INFO("socket") << "rank " << options_.rank
                         << ": reconnected to the hub";
@@ -708,18 +794,17 @@ void SocketFabric::peer_reader_loop() {
         why = "read error";
         break;
       }
-      count(bytes_received_, "socket.bytes_received",
-            static_cast<std::uint64_t>(n));
+      bytes_received_.add(static_cast<std::uint64_t>(n));
       std::vector<WireFrame> frames;
       if (!parser.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
-        count(frame_errors_, "socket.frame_errors");
+        frame_errors_.add();
         why = "framing error";
         break;
       }
       for (WireFrame& frame : frames) {
-        count(frames_received_, "socket.frames_received");
+        frames_received_.add();
         if (frame.kind != FrameKind::kData || frame.dest != options_.rank) {
-          count(frames_dropped_, "socket.frames_dropped");
+          frames_dropped_.add();
           continue;
         }
         deliver_local(frame.source, frame.tag, std::move(frame.payload));
@@ -749,12 +834,16 @@ void SocketFabric::close() {
   }
   closing_.store(true, std::memory_order_release);
 
-  // Flush first: closing an outbound channel lets its writer drain every
+  // Flush first: closing a route's queue lets its writer drain every
   // queued frame (a worker's final telemetry frame, the foreman's last
-  // round report)
-  // before the socket goes away.
+  // round report) before the socket goes away.
   for (auto& peer : peers_) {
-    if (peer) peer->outbound.close();
+    if (!peer) continue;
+    {
+      std::lock_guard lock(peer->queue_mutex);
+      peer->queue_closed = true;
+    }
+    peer->queue_cv.notify_all();
   }
   // A hub connection thread may be installing a writer right now; handles
   // are assigned and taken only under conn_mutex_ (see start_writer).
@@ -785,7 +874,9 @@ void SocketFabric::close() {
       if (thread.joinable()) thread.join();
     }
     for (auto& peer : peers_) {
-      const int fd = peer ? peer->fd.exchange(-1, std::memory_order_acq_rel) : -1;
+      if (!peer) continue;
+      std::lock_guard write(peer->write_mutex);  // no inline send mid-way
+      const int fd = peer->fd.exchange(-1, std::memory_order_acq_rel);
       if (fd >= 0) ::close(fd);
     }
     if (listen_fd_ >= 0) {
@@ -796,6 +887,7 @@ void SocketFabric::close() {
     const int fd = peers_[0]->fd.load(std::memory_order_acquire);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
     if (reader_thread_.joinable()) reader_thread_.join();
+    std::lock_guard write(peers_[0]->write_mutex);  // no inline send mid-way
     const int closing_fd = peers_[0]->fd.exchange(-1, std::memory_order_acq_rel);
     if (closing_fd >= 0) ::close(closing_fd);
   }
@@ -812,16 +904,17 @@ void SocketFabric::close() {
 
 SocketFabricStats SocketFabric::stats() const {
   SocketFabricStats s;
-  s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  s.connect_attempts = connect_attempts_.load(std::memory_order_relaxed);
-  s.peer_deaths = peer_deaths_.load(std::memory_order_relaxed);
-  s.frames_dropped = frames_dropped_.load(std::memory_order_relaxed);
-  s.frame_errors = frame_errors_.load(std::memory_order_relaxed);
-  s.readmissions = readmissions_.load(std::memory_order_relaxed);
-  s.handshake_timeouts = handshake_timeouts_.load(std::memory_order_relaxed);
+  s.frames_sent = frames_sent_.value();
+  s.frames_received = frames_received_.value();
+  s.bytes_sent = bytes_sent_.value();
+  s.bytes_received = bytes_received_.value();
+  s.connect_attempts = connect_attempts_.value();
+  s.peer_deaths = peer_deaths_.value();
+  s.frames_dropped = frames_dropped_.value();
+  s.frame_errors = frame_errors_.value();
+  s.readmissions = readmissions_.value();
+  s.handshake_timeouts = handshake_timeouts_.value();
+  s.frames_queued = frames_queued_.value();
   return s;
 }
 

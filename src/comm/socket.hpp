@@ -6,8 +6,14 @@
 // rank connects to it, announces itself (kAnnounce -> kWelcome rendezvous
 // handshake), and then exchanges length-framed messages (comm/wire.hpp).
 // Each side runs one reader thread (robust partial-read loop feeding a
-// FrameParser) and per-connection writer threads draining unbounded send
-// queues, so Transport::send() never blocks on a slow receiver.
+// FrameParser) and one writer thread per connection. A send writes its
+// frame inline, from the sending thread, when nothing is queued for the
+// route and no other thread is writing to it, with a non-blocking send();
+// whatever does not go out at once (a full socket, the rest of a partial
+// write, an error, a busy route) goes to the route's unbounded queue, which
+// the writer thread drains with blocking writes. So Transport::send() never
+// blocks on a slow receiver, a relayed frame costs no thread wake-up on an
+// idle route, and one route's frames never interleave or reorder.
 //
 // Failure mapping (the PR 2 health machine does the rest):
 //   - A peer dying (EOF/ECONNRESET at the hub) marks its route dead; frames
@@ -24,15 +30,21 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "comm/transport.hpp"
 #include "comm/wire.hpp"
 #include "util/channel.hpp"
+
+namespace fdml::obs {
+class Counter;
+}
 
 namespace fdml {
 
@@ -67,6 +79,7 @@ struct SocketOptions {
 /// Live traffic/lifecycle counters (fabric-local; every bump also lands on
 /// the field's "socket.<field>" twin in the process metrics registry).
 struct SocketFabricStats {
+  /// Frames written whole, inline or by a writer thread; each counts once.
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_sent = 0;
@@ -84,6 +97,10 @@ struct SocketFabricStats {
   /// Hub: connections closed for not completing the announce handshake
   /// within `handshake_timeout` (slow-loris guard).
   std::uint64_t handshake_timeouts = 0;
+  /// Frames a send handed to the route's writer thread instead of writing
+  /// them whole inline: the socket was full, a write was partial or
+  /// failed, the route was busy or had a queue, or it was not connected.
+  std::uint64_t frames_queued = 0;
 };
 
 /// One process's endpoint of the TCP fabric. Construct with rank 0 to
@@ -134,6 +151,13 @@ class SocketFabric {
  private:
   friend class SocketEndpoint;
 
+  /// A frame awaiting a route's writer thread; `sent` bytes of it are
+  /// already on the wire (an inline write that stopped part way).
+  struct Pending {
+    std::vector<std::uint8_t> bytes;
+    std::size_t sent = 0;
+  };
+
   struct Peer {
     std::atomic<int> fd{-1};
     /// Connection generation, bumped on every (re)connect. A death report
@@ -146,15 +170,46 @@ class SocketFabric {
     /// A connection for this rank is mid-handshake (guarded by conn_mutex_);
     /// a racing announce for the same rank is rejected as a duplicate.
     bool handshaking = false;
-    /// Encoded frames awaiting the writer thread. Exists from fabric
-    /// construction so traffic to a rank that has not rendezvoused yet is
-    /// buffered, then flushed in order when it announces.
-    Channel<std::vector<std::uint8_t>> outbound;
+    /// Held by whichever thread writes to `fd`: an inline sender for one
+    /// non-blocking send, or the writer thread for one queued frame.
+    /// Installing or closing an fd takes it too, so no write ever lands on
+    /// a swapped-out descriptor. A writer that fails marks the peer dead,
+    /// taking conn_mutex_, while it holds this lock.
+    std::mutex write_mutex;
+    /// Frames awaiting the writer thread. Exists from fabric construction
+    /// so traffic to a rank that has not rendezvoused yet is buffered, then
+    /// flushed in order when it announces. A send writes inline only while
+    /// this is empty, which keeps each sender's frames in order.
+    std::deque<Pending> queue;
+    /// Set by close(): no more frames are taken, and the writer exits once
+    /// the queue is drained.
+    bool queue_closed = false;
+    /// Guards `queue` and `queue_closed`.
+    std::mutex queue_mutex;
+    std::condition_variable queue_cv;
     /// Assigned and taken only under conn_mutex_ (see start_writer).
     std::thread writer;
   };
 
+  /// One SocketFabricStats field: this fabric's count plus its
+  /// "socket.<field>" twin in the process metrics registry, resolved once.
+  /// Several fabrics in one process share that registry, so each keeps
+  /// its own count too.
+  class Tally {
+   public:
+    explicit Tally(std::string_view registry_name);
+    void add(std::uint64_t n = 1);
+    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+   private:
+    std::atomic<std::uint64_t> value_{0};
+    obs::Counter& twin_;
+  };
+
   void send_message(int dest, MessageTag tag, std::vector<std::uint8_t> payload);
+  /// Writes an encoded frame to `route` inline if it can, else queues it
+  /// for the route's writer thread. Never blocks on the socket.
+  void send_frame(Peer& route, std::vector<std::uint8_t> bytes);
   void deliver_local(int source, MessageTag tag, std::vector<std::uint8_t> payload);
 
   void start_hub();
@@ -179,17 +234,14 @@ class SocketFabric {
   /// Starts the peer's writer thread; once close() has begun, the writer
   /// only drains and is joined here.
   void start_writer(Peer& peer);
+  /// Drains the route's queue with blocking writes, one frame per hold of
+  /// the write lock.
   void writer_loop(Peer& peer);
   void mark_peer_dead(Peer& peer, std::uint64_t generation, const char* why);
   /// Parks an fd superseded by a reconnect (or a rejected handshake) until
   /// close(): retiring instead of closing means a thread still blocked on
   /// the old descriptor can never race a reused fd number.
   void retire_fd(int fd);
-
-  /// Adds `n` to one of the counters below and to its twin `registry_name`
-  /// ("socket.<field>") in the process metrics registry.
-  void count(std::atomic<std::uint64_t>& counter, const char* registry_name,
-             std::uint64_t n = 1);
 
   SocketOptions options_;
   Channel<Message> mailbox_;
@@ -222,16 +274,17 @@ class SocketFabric {
   FrameParser peer_parser_;
 
   // --- counters ---
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> connect_attempts_{0};
-  std::atomic<std::uint64_t> peer_deaths_{0};
-  std::atomic<std::uint64_t> frames_dropped_{0};
-  std::atomic<std::uint64_t> frame_errors_{0};
-  std::atomic<std::uint64_t> readmissions_{0};
-  std::atomic<std::uint64_t> handshake_timeouts_{0};
+  Tally frames_sent_{"socket.frames_sent"};
+  Tally frames_received_{"socket.frames_received"};
+  Tally bytes_sent_{"socket.bytes_sent"};
+  Tally bytes_received_{"socket.bytes_received"};
+  Tally connect_attempts_{"socket.connect_attempts"};
+  Tally peer_deaths_{"socket.peer_deaths"};
+  Tally frames_dropped_{"socket.frames_dropped"};
+  Tally frame_errors_{"socket.frame_errors"};
+  Tally readmissions_{"socket.readmissions"};
+  Tally handshake_timeouts_{"socket.handshake_timeouts"};
+  Tally frames_queued_{"socket.frames_queued"};
 };
 
 /// Sends all `size` bytes on a connected TCP socket, retrying partial

@@ -31,9 +31,8 @@ bool valid_kind(std::uint8_t kind) {
          kind <= static_cast<std::uint8_t>(FrameKind::kData);
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_frame(const WireFrame& frame) {
+/// Header and payload, with room reserved for the footer.
+std::vector<std::uint8_t> encode_body(const WireFrame& frame) {
   std::vector<std::uint8_t> out;
   out.reserve(kWireHeaderSize + frame.payload.size() + kWireFooterSize);
   put_u32(out, kWireMagic);
@@ -45,7 +44,20 @@ std::vector<std::uint8_t> encode_frame(const WireFrame& frame) {
   put_u32(out, static_cast<std::uint32_t>(frame.dest));
   put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_frame(const WireFrame& frame) {
+  std::vector<std::uint8_t> out = encode_body(frame);
   put_u64(out, payload_digest(out.data(), out.size()));
+  return out;
+}
+
+std::vector<std::uint8_t> reencode_frame(const WireFrame& parsed) {
+  std::vector<std::uint8_t> out = encode_body(parsed);
+  put_u64(out, parsed.digest);
   return out;
 }
 
@@ -102,6 +114,7 @@ bool FrameParser::feed(const std::uint8_t* data, std::size_t size,
     frame.source = static_cast<int>(get_u32(head + 8));
     frame.dest = static_cast<int>(get_u32(head + 12));
     frame.payload.assign(head + kWireHeaderSize, head + kWireHeaderSize + length);
+    frame.digest = digest;
     out.push_back(std::move(frame));
     consumed_ += total;
     // Compact once the consumed prefix dominates so a long-lived

@@ -11,13 +11,19 @@
 //   offset 12  i32  destination rank
 //   offset 16  u32  payload length
 //   offset 20  ...  payload bytes
-//   tail       u64  FNV-1a digest over everything above (header + payload)
+//   tail       u64  payload_digest over everything above (header + payload)
+//
+// Version 2 changed the footer from FNV-1a to payload_digest
+// (comm/integrity.hpp), so a version-1 peer is refused as kBadVersion
+// rather than read as corrupt.
 //
 // The codec is pure (no sockets) so the corrupt-wire corpus tests can drive
 // it byte by byte: FrameParser is an incremental decoder that accepts
 // arbitrary partial reads, and every malformed condition — bad magic, bad
 // version, a length prefix beyond kWireMaxPayload, a digest mismatch — is a
-// clean WireError instead of a crash or a corruption-sized allocation.
+// clean WireError instead of a crash or a corruption-sized allocation. A
+// frame it emits carries the digest it verified, so the hub forwards it
+// without hashing the same bytes again.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +35,7 @@
 namespace fdml {
 
 inline constexpr std::uint32_t kWireMagic = 0x4C4D4446u;  // "FDML"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Hard ceiling on a frame's payload. Protocol messages are kilobytes; a
 /// length prefix above this is a corrupt or hostile stream, rejected before
 /// any allocation is sized by it.
@@ -53,10 +59,18 @@ struct WireFrame {
   int dest = -1;
   MessageTag tag = MessageTag::kHello;
   std::vector<std::uint8_t> payload;
+  /// Set by FrameParser: the footer it verified against these exact header
+  /// fields and payload.
+  std::uint64_t digest = 0;
 };
 
 /// Serializes a frame (header + payload + digest footer).
 std::vector<std::uint8_t> encode_frame(const WireFrame& frame);
+
+/// Serializes a frame FrameParser emitted, unchanged, with the digest the
+/// parser verified instead of hashing it again. The bytes equal
+/// encode_frame(frame).
+std::vector<std::uint8_t> reencode_frame(const WireFrame& parsed);
 
 /// Why a stream was rejected (kept as an enum so tests can assert the
 /// parser fails for the *right* reason).

@@ -182,10 +182,34 @@ class Foreman {
       message = transport_.recv_for(wait + std::chrono::milliseconds(1));
     }
     expire_overdue();
+    maybe_beat();
     maybe_heartbeat();
     maybe_emit_telemetry();
     dispatch_work();
     return message;
+  }
+
+  /// Liveness beat to the master, every quarter of the round's watchdog
+  /// budget while the round is active.
+  void maybe_beat() {
+    if (!round_active_ || beat_every_ == Clock::duration::zero()) return;
+    const auto now = Clock::now();
+    if (now >= next_beat_) beat(now);
+  }
+
+  /// Tells the master how long ago the round last made progress: the last
+  /// accepted result, or the round's arrival.
+  void beat(Clock::time_point now) {
+    next_beat_ = now + beat_every_;
+    master_news_ = last_progress_;
+    ProgressMessage progress;
+    progress.round_id = round_.round_id;
+    progress.completed = round_.completed.size();
+    progress.expected = round_.expected;
+    progress.idle_ms = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - last_progress_)
+            .count());
+    send_sealed(kMasterRank, MessageTag::kProgress, progress.pack());
   }
 
   /// Ships the registry's delta since the previous frame to the master.
@@ -223,8 +247,8 @@ class Foreman {
   }
 
   /// Earliest of: an in-flight deadline, the all-delinquent declare, the
-  /// next heartbeat or telemetry frame. nullopt = nothing pending, block
-  /// indefinitely.
+  /// next liveness beat, heartbeat or telemetry frame. nullopt = nothing
+  /// pending, block indefinitely.
   std::optional<Clock::time_point> next_wake() const {
     std::optional<Clock::time_point> earliest;
     auto consider = [&](Clock::time_point t) {
@@ -234,6 +258,9 @@ class Foreman {
       consider(held.running.deadline_at);
     }
     if (const auto declare = dead_declare_at()) consider(*declare);
+    if (round_active_ && beat_every_ != Clock::duration::zero()) {
+      consider(next_beat_);
+    }
     if (options_.heartbeat_interval.count() > 0) consider(next_ping_);
     if (telemetry_.has_value()) consider(next_telemetry_);
     return earliest;
@@ -387,6 +414,13 @@ class Foreman {
     round_.round_id = message.round_id;
     round_.expected = message.tasks.size();
     round_active_ = true;
+    // Budgets past 2^40 ms (35 years) beat no sooner, and cannot overflow
+    // the clock.
+    beat_every_ = std::chrono::milliseconds(
+                      std::min<std::uint64_t>(message.watchdog_ms, 1ULL << 40)) /
+                  4;
+    last_progress_ = master_news_ = Clock::now();
+    next_beat_ = last_progress_ + beat_every_;
     // New-round amnesty: a suspect never gets dispatched to and an idle
     // worker never speaks unprompted, so without this a single dropped
     // reply would exile a live worker for the rest of the run. Give
@@ -657,12 +691,7 @@ class Foreman {
       round_.have_best = true;
     }
 
-    ProgressMessage progress;
-    progress.round_id = round_.round_id;
-    progress.completed = round_.completed.size();
-    progress.expected = round_.expected;
-    send_sealed(kMasterRank, MessageTag::kProgress, progress.pack());
-
+    last_progress_ = Clock::now();
     if (round_.completed.size() == round_.expected) {
       RoundDoneMessage done;
       done.round_id = round_.round_id;
@@ -671,6 +700,15 @@ class Foreman {
       send_sealed(kMasterRank, MessageTag::kRoundDone, done.pack());
       end_round_span(static_cast<std::int64_t>(round_.completed.size()));
       round_active_ = false;
+      return;
+    }
+    // The master hears of this result at the next timer beat, up to a
+    // quarter budget from now. When its news is already half a budget old,
+    // that beat could land after its watchdog trips on a round that is
+    // progressing, so beat now instead.
+    if (beat_every_ != Clock::duration::zero() &&
+        last_progress_ - master_news_ >= 2 * beat_every_) {
+      beat(last_progress_);
     }
   }
 
@@ -778,6 +816,14 @@ class Foreman {
   RoundState round_;
   bool round_active_ = false;
   bool fabric_closed_ = false;
+  /// Liveness beats (DESIGN.md §5b): the interval, a quarter of the round's
+  /// watchdog budget (zero = none); when the next is due; when the round
+  /// last progressed (an accepted result, or its arrival); and that
+  /// moment as of the last beat, which is what the master knows.
+  Clock::duration beat_every_{};
+  Clock::time_point next_beat_{};
+  Clock::time_point last_progress_{};
+  Clock::time_point master_news_{};
   /// Next heartbeat ping due time (heartbeat_interval > 0 only).
   Clock::time_point next_ping_{};
   /// Telemetry plane (telemetry_interval > 0 only): periodic registry

@@ -118,6 +118,7 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
   RoundMessage round;
   round.round_id = round_id;
   round.tasks = tasks;
+  round.watchdog_ms = static_cast<std::uint64_t>(options_.watchdog_timeout.count());
   // Stamp the round id the foreman will echo back.
   for (TreeTask& task : round.tasks) task.round_id = round.round_id;
 
@@ -128,19 +129,21 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
   seal_payload(payload);
   transport_.send(kForemanRank, MessageTag::kRound, std::move(payload));
 
+  // The watchdog counts from the round's last known progress: its send,
+  // then the moment each of the foreman's beats dates, never earlier.
   auto last_progress = Clock::now();
+  const auto trip = [&] {
+    counters_.bump<&MasterStats::watchdog_trips>();
+    obs::instant("master", "watchdog_trip", "round",
+                 static_cast<std::int64_t>(round.round_id));
+    degraded_ = true;
+    FDML_WARN("master") << "watchdog: no progress on round " << round.round_id
+                        << " for " << options_.watchdog_timeout.count() << " ms";
+    throw RoundFailed{"watchdog: no round progress"};
+  };
   for (;;) {
     const auto now = Clock::now();
-    if (now - last_progress >= options_.watchdog_timeout) {
-      counters_.bump<&MasterStats::watchdog_trips>();
-      obs::instant("master", "watchdog_trip", "round",
-                   static_cast<std::int64_t>(round.round_id));
-      degraded_ = true;
-      FDML_WARN("master") << "watchdog: no progress on round "
-                          << round.round_id << " for "
-                          << options_.watchdog_timeout.count() << " ms";
-      throw RoundFailed{"watchdog: no round progress"};
-    }
+    if (now - last_progress >= options_.watchdog_timeout) trip();
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         options_.watchdog_timeout - (now - last_progress));
     auto message = transport_.recv_for(remaining + std::chrono::milliseconds(1));
@@ -159,7 +162,11 @@ RoundOutcome ParallelMaster::attempt_round(std::uint64_t round_id,
           counters_.bump<&MasterStats::corrupt_messages>();
         } else if (progress->round_id == round.round_id) {
           counters_.bump<&MasterStats::progress_messages>();
-          last_progress = Clock::now();
+          // Clamped to the budget, so no report can overflow the clock.
+          const std::chrono::milliseconds idle(
+              std::min<std::uint64_t>(progress->idle_ms, round.watchdog_ms));
+          if (idle >= options_.watchdog_timeout) trip();
+          last_progress = std::max(last_progress, Clock::now() - idle);
         } else {
           counters_.bump<&MasterStats::stale_messages>();
         }

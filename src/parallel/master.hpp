@@ -1,8 +1,8 @@
 // The master side of the parallel protocol: packs rounds for the foreman
 // and waits for the best tree to come back.
 //
-// Hardened beyond the happy path: a round watchdog (fed by the foreman's
-// kProgress heartbeats) turns "the fabric silently wedged" into a retry or
+// Hardened beyond the happy path: a round watchdog (dated by the foreman's
+// kProgress beats) turns "the fabric silently wedged" into a retry or
 // a graceful degradation to in-process evaluation through the master's own
 // serial fallback, so a round always ends with an answer (or with the
 // evaluator's own error, as in a serial run); unexpected traffic is warned
@@ -24,8 +24,10 @@
 namespace fdml {
 
 struct MasterOptions {
-  /// Watchdog: if no round traffic (progress, completion, failure) arrives
-  /// for this long, the round is declared wedged.
+  /// Watchdog: if the round has accepted no result for this long, by the
+  /// master's own count from the send or by the foreman's beats, and has
+  /// neither completed nor failed, it is declared wedged. The budget rides
+  /// in the round message; the foreman beats every quarter of it.
   std::chrono::milliseconds watchdog_timeout{120000};
   /// Supervision: how many times a failed/wedged round is resent under a
   /// fresh round id before it degrades to the serial fallback. 0 = degrade
@@ -40,7 +42,8 @@ struct MasterOptions {
 
 struct MasterStats {
   std::uint64_t rounds = 0;
-  /// kProgress heartbeats consumed for the current protocol's rounds.
+  /// kProgress beats consumed for the round in flight. A fault-free round
+  /// shorter than a quarter of the watchdog budget sends none.
   std::uint64_t progress_messages = 0;
   /// Messages whose tag the master does not understand (warned, not dropped
   /// silently).

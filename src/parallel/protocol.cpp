@@ -7,6 +7,7 @@ std::vector<std::uint8_t> RoundMessage::pack() const {
   packer.put_u64(round_id);
   packer.put_u32(static_cast<std::uint32_t>(tasks.size()));
   for (const TreeTask& task : tasks) task.pack(packer);
+  packer.put_u64(watchdog_ms);
   return packer.take();
 }
 
@@ -20,6 +21,7 @@ RoundMessage RoundMessage::unpack(Unpacker& unpacker) {
   for (std::uint32_t i = 0; i < count; ++i) {
     message.tasks.push_back(TreeTask::unpack(unpacker));
   }
+  message.watchdog_ms = unpacker.get_u64();
   return message;
 }
 
@@ -61,6 +63,7 @@ std::vector<std::uint8_t> ProgressMessage::pack() const {
   packer.put_u64(round_id);
   packer.put_u64(completed);
   packer.put_u64(expected);
+  packer.put_u64(idle_ms);
   return packer.take();
 }
 
@@ -69,6 +72,7 @@ ProgressMessage ProgressMessage::unpack(Unpacker& unpacker) {
   message.round_id = unpacker.get_u64();
   message.completed = unpacker.get_u64();
   message.expected = unpacker.get_u64();
+  message.idle_ms = unpacker.get_u64();
   return message;
 }
 

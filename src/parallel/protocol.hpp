@@ -26,6 +26,9 @@ inline constexpr int kFirstWorkerRank = 3;
 struct RoundMessage {
   std::uint64_t round_id = 0;
   std::vector<TreeTask> tasks;
+  /// The master's watchdog budget, in ms; 0 = no watchdog. While the round
+  /// is active the foreman beats every quarter of it (ProgressMessage).
+  std::uint64_t watchdog_ms = 0;
 
   std::vector<std::uint8_t> pack() const;
   static RoundMessage unpack(Unpacker& unpacker);
@@ -41,12 +44,18 @@ struct RoundDoneMessage {
   static RoundDoneMessage unpack(Unpacker& unpacker);
 };
 
-/// foreman -> master: round liveness heartbeat, sent on every accepted task
-/// so the master's watchdog can tell "slow" from "wedged".
+/// foreman -> master: round liveness beat, so the master's watchdog can
+/// tell "slow" from "wedged". The foreman beats on its own clock, every
+/// quarter of the round's watchdog budget while the round is active, not
+/// once per result; at the default budget a search sends none.
 struct ProgressMessage {
   std::uint64_t round_id = 0;
   std::uint64_t completed = 0;
   std::uint64_t expected = 0;
+  /// How long before the beat the foreman last accepted a result of the
+  /// round, or received the round if it has accepted none. The master
+  /// dates its watchdog from that moment.
+  std::uint64_t idle_ms = 0;
 
   std::vector<std::uint8_t> pack() const;
   static ProgressMessage unpack(Unpacker& unpacker);

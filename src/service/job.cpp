@@ -31,10 +31,6 @@ JobSpec JobSpec::unpack(Unpacker& u) {
   return spec;
 }
 
-JobSpec JobSpec::decode(const std::vector<std::uint8_t>& payload) {
-  return unpack_all(Unpacker(payload), unpack);
-}
-
 const char* reject_reason_name(RejectReason reason) {
   switch (reason) {
     case RejectReason::kQueueFull: return "queue_full";
@@ -74,10 +70,6 @@ JobOutcome JobOutcome::unpack(Unpacker& u) {
   outcome.retries = u.get_u32();
   outcome.error = u.get_string();
   return outcome;
-}
-
-JobOutcome JobOutcome::decode(const std::vector<std::uint8_t>& payload) {
-  return unpack_all(Unpacker(payload), unpack);
 }
 
 }  // namespace fdml

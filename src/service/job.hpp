@@ -28,9 +28,6 @@ struct JobSpec {
 
   std::vector<std::uint8_t> encode() const;
   static JobSpec unpack(Unpacker& in);
-  /// The whole of `payload` as one JobSpec; throws on malformed or
-  /// trailing bytes.
-  static JobSpec decode(const std::vector<std::uint8_t>& payload);
 };
 
 /// Why the admission controller refused a submission.
@@ -71,8 +68,6 @@ struct JobOutcome {
 
   std::vector<std::uint8_t> encode() const;
   static JobOutcome unpack(Unpacker& in);
-  /// The whole of `payload` as one JobOutcome; throws like JobSpec::decode.
-  static JobOutcome decode(const std::vector<std::uint8_t>& payload);
 };
 
 }  // namespace fdml

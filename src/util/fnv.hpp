@@ -1,7 +1,7 @@
-// FNV-1a 64-bit hashing, shared by the message-integrity footers
-// (comm/integrity.hpp) and the durable-state layer (src/durable/): one
-// digest function means a checkpoint frame and a network payload both fail
-// validation the same way.
+// FNV-1a 64-bit hashing: the durable-state layer's frame digest
+// (src/durable/), whose on-disk format fixes it, and the alignment
+// fingerprint. Messages and socket frames use payload_digest
+// (comm/integrity.hpp) instead, which takes 8 bytes per step.
 #pragma once
 
 #include <cstddef>

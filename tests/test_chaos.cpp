@@ -504,6 +504,48 @@ TEST(MasterChaos, WatchdogDegradesToFallbackWhenAvailable) {
   EXPECT_EQ(master.stats().serial_fallbacks, 2u);
 }
 
+// A beat that reports the round idle for the whole budget trips the
+// watchdog as soon as it arrives, not a budget after the master sent the
+// round: the master dates its count from the foreman's last progress.
+TEST(MasterChaos, BeatReportingAFullBudgetIdleTripsAtOnce) {
+  ThreadFabric fabric(4);
+  auto endpoint = fabric.endpoint(kMasterRank);
+  auto foreman = fabric.endpoint(kForemanRank);
+  MasterOptions options;
+  options.watchdog_timeout = milliseconds(60000);
+  const PatternAlignment data = three_taxa();
+  ParallelMaster master(*endpoint, 1, data, SubstModel::jc69(),
+                        RateModel::uniform(), options);
+
+  std::thread scripted([&] {
+    const auto message = foreman->recv_for(milliseconds(10000));
+    ASSERT_TRUE(message.has_value());
+    const std::optional<RoundMessage> round =
+        open_sealed(message->payload, RoundMessage::unpack);
+    ASSERT_TRUE(round.has_value());
+    EXPECT_EQ(round->watchdog_ms, 60000u);  // the budget rides in the round
+    ProgressMessage beat;
+    beat.round_id = round->round_id;
+    beat.expected = round->tasks.size();
+    beat.idle_ms = round->watchdog_ms;
+    auto payload = beat.pack();
+    seal_payload(payload);
+    foreman->send(kMasterRank, MessageTag::kProgress, std::move(payload));
+  });
+  TreeTask task;
+  task.task_id = 7;
+  task.newick = "(a:1,b:1,c:1);";
+  const auto before = std::chrono::steady_clock::now();
+  const RoundOutcome outcome = master.run_round({task});
+  const auto elapsed = std::chrono::steady_clock::now() - before;
+  scripted.join();
+  EXPECT_LT(elapsed, milliseconds(30000));
+  EXPECT_EQ(outcome.best.task_id, 7u);
+  EXPECT_EQ(master.stats().progress_messages, 1u);
+  EXPECT_EQ(master.stats().watchdog_trips, 1u);
+  EXPECT_EQ(master.stats().serial_fallbacks, 1u);
+}
+
 // --- full cluster under chaos ---
 
 struct ChaosFixture {

@@ -90,6 +90,7 @@ TEST(Fabric, RejectsBadRanks) {
 TEST(Protocol, RoundMessageRoundTrip) {
   RoundMessage round;
   round.round_id = 12;
+  round.watchdog_ms = 4000;
   for (int i = 0; i < 3; ++i) {
     TreeTask task;
     task.task_id = static_cast<std::uint64_t>(100 + i);
@@ -100,6 +101,7 @@ TEST(Protocol, RoundMessageRoundTrip) {
   const RoundMessage back =
       unpack_all(Unpacker(round.pack()), RoundMessage::unpack);
   EXPECT_EQ(back.round_id, 12u);
+  EXPECT_EQ(back.watchdog_ms, 4000u);
   ASSERT_EQ(back.tasks.size(), 3u);
   EXPECT_EQ(back.tasks[2].task_id, 102u);
   EXPECT_EQ(back.tasks[2].focus_taxon, 2);
@@ -157,10 +159,14 @@ void send_result(Transport& endpoint, std::uint64_t task_id,
   endpoint.send(kForemanRank, MessageTag::kResult, std::move(payload));
 }
 
+/// Sends a round as the master would; `watchdog` is the budget the round
+/// carries (zero: none, so the foreman never beats).
 void send_round(Transport& endpoint, std::uint64_t round_id,
-                std::initializer_list<std::uint64_t> task_ids) {
+                std::initializer_list<std::uint64_t> task_ids,
+                std::chrono::milliseconds watchdog = {}) {
   RoundMessage round;
   round.round_id = round_id;
+  round.watchdog_ms = static_cast<std::uint64_t>(watchdog.count());
   for (std::uint64_t id : task_ids) {
     TreeTask task;
     task.task_id = id;
@@ -173,8 +179,7 @@ void send_round(Transport& endpoint, std::uint64_t round_id,
   endpoint.send(kForemanRank, MessageTag::kRound, std::move(payload));
 }
 
-/// Waits for the round's kRoundDone, skipping the kProgress heartbeats the
-/// hardened foreman interleaves.
+/// Waits for the round's kRoundDone, skipping any kProgress beats.
 std::optional<RoundDoneMessage> recv_round_done(
     Transport& endpoint,
     std::chrono::milliseconds timeout = std::chrono::milliseconds(2000)) {
@@ -500,6 +505,65 @@ TEST(Foreman, QueuedTaskDeadlineStartsAtPromotion) {
   EXPECT_EQ(stats.mismatched_results, 0u);
 }
 
+// Liveness beats run on the foreman's clock: with a 400 ms budget in the
+// round message, a task held past a quarter of it draws one beat, dated
+// from the round's arrival, and the result then ends the round without
+// another.
+TEST(Foreman, BeatsOnceWhenATaskIsHeldPastAQuarterBudget) {
+  constexpr std::chrono::milliseconds kBudget{400};
+  ScriptedForeman f(1, std::chrono::milliseconds(30000));
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});  // message 1
+  const auto sent = std::chrono::steady_clock::now();
+  send_round(*f.master, 1, {1}, kBudget);  // 2
+  ASSERT_TRUE(f.probe.await_idle(2));
+  EXPECT_EQ(recv_task(*worker, std::chrono::milliseconds(0)).task_id, 1u);
+
+  // The worker holds its task; the beat comes from the foreman's timer.
+  const auto beat = f.master->recv_for(std::chrono::seconds(5));
+  const auto beaten = std::chrono::steady_clock::now();
+  ASSERT_TRUE(beat.has_value());
+  ASSERT_EQ(beat->tag, MessageTag::kProgress);
+  const std::optional<ProgressMessage> progress =
+      open_sealed(beat->payload, ProgressMessage::unpack);
+  ASSERT_TRUE(progress.has_value());
+  EXPECT_EQ(progress->round_id, 1u);
+  EXPECT_EQ(progress->completed, 0u);
+  EXPECT_EQ(progress->expected, 1u);
+  // The idle time covers the hold so far: a quarter budget at least, and
+  // no more than has passed since the round was sent.
+  EXPECT_GE(std::chrono::milliseconds(progress->idle_ms), kBudget / 4);
+  EXPECT_LE(std::chrono::milliseconds(progress->idle_ms), beaten - sent);
+
+  send_result(*worker, 1, 1);  // 3
+  const auto done = f.master->recv_for(std::chrono::seconds(5));
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->tag, MessageTag::kRoundDone) << "a second beat";
+  ASSERT_TRUE(f.probe.await_idle(3));
+  EXPECT_FALSE(has_waiting(*f.master));
+  f.shutdown();
+}
+
+// Results do not beat: a round whose results all arrive within a quarter
+// of its budget sends the master its round-done and nothing else. The
+// budget is far above the exchange's time, so load cannot make it beat.
+TEST(Foreman, SendsNoBeatWhenResultsArriveWithinAQuarterBudget) {
+  ScriptedForeman f(1, std::chrono::milliseconds(30000));
+  auto worker = f.worker(0);
+  worker->send(kForemanRank, MessageTag::kHello, {});     // message 1
+  send_round(*f.master, 1, {1, 2}, std::chrono::seconds(20));  // 2
+  EXPECT_EQ(recv_task(*worker).task_id, 1u);
+  EXPECT_EQ(recv_task(*worker).task_id, 2u);
+  send_result(*worker, 1, 1);  // 3
+  send_result(*worker, 2, 1);  // 4
+  ASSERT_TRUE(f.probe.await_idle(4));
+  const auto done = f.master->recv_for(std::chrono::seconds(5));
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->tag, MessageTag::kRoundDone);
+  EXPECT_FALSE(has_waiting(*f.master)) << "a beat after the round";
+  f.shutdown();
+}
+
 // --- full runtime ---
 
 struct ParallelFixture {
@@ -700,13 +764,14 @@ TEST(Cluster, ShutdownIsIdempotent) {
   cluster.shutdown();  // second call must be a no-op
 }
 
-// The fabric's traffic contract: a fault-free run sends exactly one task,
-// one result and one progress beat per task, one round and one round-done
-// per round, and a fixed start/stop set — the worker's hello, the three
-// shutdowns (master -> foreman -> monitor and worker) and the worker's
-// final telemetry frame. A side channel that re-counts the registry would
-// break the equality.
-TEST(Cluster, FaultFreeTrafficIsThreeMessagesPerTaskAndTwoPerRound) {
+// The fabric's traffic contract: a fault-free run sends exactly one task
+// and one result per task, one round and one round-done per round, a fixed
+// start/stop set — the worker's hello, the three shutdowns (master ->
+// foreman -> monitor and worker) and the worker's final telemetry frame —
+// and the foreman's liveness beats, which the master counts (none at the
+// default budget). A side channel that re-counts the registry would break
+// the equality.
+TEST(Cluster, FaultFreeTrafficIsTwoMessagesPerTaskAndTwoPerRound) {
   ParallelFixture fx;
   ClusterOptions cluster_options;
   cluster_options.num_workers = 1;
@@ -723,7 +788,8 @@ TEST(Cluster, FaultFreeTrafficIsThreeMessagesPerTaskAndTwoPerRound) {
   EXPECT_EQ(stats.rounds, result.trace.rounds.size());
   constexpr std::uint64_t kStartStop = 5;
   EXPECT_EQ(cluster.fabric_messages(),
-            3 * stats.tasks_dispatched + 2 * stats.rounds + kStartStop);
+            2 * stats.tasks_dispatched + 2 * stats.rounds + kStartStop +
+                cluster.master_stats().progress_messages);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(ServiceCodec, JobSpecRoundTrip) {
   spec.rearrange_cross = 2;
   spec.final_rearrange_cross = 5;
   spec.name = "night-run";
-  const JobSpec back = JobSpec::decode(spec.encode());
+  const JobSpec back = unpack_all(Unpacker(spec.encode()), JobSpec::unpack);
   EXPECT_EQ(back.seed, 99u);
   EXPECT_EQ(back.rearrange_cross, 2);
   EXPECT_EQ(back.final_rearrange_cross, 5);
@@ -58,7 +58,8 @@ TEST(ServiceCodec, JobOutcomeRoundTrip) {
   outcome.resume_generation = 12;
   outcome.retries = 2;
   outcome.error = "drained";
-  const JobOutcome back = JobOutcome::decode(outcome.encode());
+  const JobOutcome back =
+      unpack_all(Unpacker(outcome.encode()), JobOutcome::unpack);
   EXPECT_EQ(back.job_id, 7u);
   EXPECT_EQ(back.status, JobStatus::kInterrupted);
   EXPECT_EQ(back.newick, outcome.newick);
@@ -71,7 +72,8 @@ TEST(ServiceCodec, JobOutcomeRoundTrip) {
 TEST(ServiceCodec, CorruptBytesThrowNeverCrash) {
   // The service endpoint decodes bytes from arbitrary clients; every
   // single-byte flip and truncation must throw or decode cleanly — never
-  // crash, hang, or allocate from a corrupt length.
+  // crash, hang, or allocate from a corrupt length — and a trailing byte
+  // must throw.
   const auto exercise = [](const std::vector<std::uint8_t>& bytes,
                            auto decode) {
     for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -90,11 +92,15 @@ TEST(ServiceCodec, CorruptBytesThrowNeverCrash) {
           bytes.begin(), bytes.begin() + static_cast<long>(cut));
       EXPECT_THROW(decode(truncated), std::exception) << "cut " << cut;
     }
+    std::vector<std::uint8_t> appended = bytes;
+    appended.push_back(0);
+    EXPECT_THROW(decode(appended), std::exception) << "a trailing byte";
   };
-  exercise(JobSpec{}.encode(),
-           [](const std::vector<std::uint8_t>& b) { (void)JobSpec::decode(b); });
+  exercise(JobSpec{}.encode(), [](const std::vector<std::uint8_t>& b) {
+    (void)unpack_all(Unpacker(b), JobSpec::unpack);
+  });
   exercise(JobOutcome{}.encode(), [](const std::vector<std::uint8_t>& b) {
-    (void)JobOutcome::decode(b);
+    (void)unpack_all(Unpacker(b), JobOutcome::unpack);
   });
 }
 

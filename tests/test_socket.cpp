@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -184,6 +186,32 @@ TEST(Wire, PoisonedParserStaysPoisoned) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(Wire, ReencodedFrameMatchesFreshEncode) {
+  // The hub forwards a parsed frame with the digest the parser verified
+  // instead of hashing it again; the bytes must be exactly a fresh encode.
+  for (std::size_t size : {0, 5, 8, 1700}) {
+    WireFrame frame = sample_frame();
+    frame.payload.assign(size, 0x5C);
+    const auto bytes = encode_frame(frame);
+    FrameParser parser;
+    std::vector<WireFrame> out;
+    ASSERT_TRUE(parser.feed(bytes.data(), bytes.size(), out));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(reencode_frame(out[0]), bytes) << "payload of " << size;
+  }
+}
+
+TEST(Wire, VersionOneFrameIsRefusedAsBadVersion) {
+  // A peer from before the digest change speaks version 1: refused for its
+  // version, not read as a corrupt frame.
+  auto bytes = encode_frame(sample_frame());
+  bytes[4] = 1;
+  FrameParser parser;
+  std::vector<WireFrame> out;
+  EXPECT_FALSE(parser.feed(bytes.data(), bytes.size(), out));
+  EXPECT_EQ(parser.error(), WireError::kBadVersion);
+}
+
 // ---------------------------------------------------------------------------
 // SocketFabric over real loopback sockets (threads stand in for processes)
 
@@ -209,6 +237,59 @@ SocketOptions fabric_options(int rank, int size, std::uint16_t port) {
   options.connect_timeout = std::chrono::milliseconds(5000);
   options.connect_retry = std::chrono::milliseconds(20);
   return options;
+}
+
+/// Connects a raw socket to the hub and announces `rank` in a fabric of
+/// `size`, with a small receive buffer so that a test which does not read
+/// fills it quickly. Returns the fd; the hub's welcome waits unread in it.
+int announce_raw(std::uint16_t port, int rank, int size) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int receive_buffer = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+               sizeof(receive_buffer));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ADD_FAILURE() << "connect to the hub failed";
+  }
+  WireFrame announce;
+  announce.kind = FrameKind::kAnnounce;
+  announce.source = rank;
+  announce.dest = 0;
+  announce.payload = {static_cast<std::uint8_t>(size), 0, 0, 0};
+  const auto bytes = encode_frame(announce);
+  EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  return fd;
+}
+
+/// Reads from a raw socket into `parser` until `frames` holds `count`
+/// frames; false if the stream stalls for 5 s or breaks.
+bool read_frames(int fd, FrameParser& parser, std::vector<WireFrame>& frames,
+                 std::size_t count) {
+  std::vector<std::uint8_t> buffer(64 * 1024);
+  while (frames.size() < count) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 5000) <= 0) return false;
+    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+    if (n <= 0) return false;
+    if (!parser.feed(buffer.data(), static_cast<std::size_t>(n), frames)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A data payload that names its place in a stream: the sequence number in
+/// the first four bytes, then `size - 4` filler bytes.
+std::vector<std::uint8_t> numbered(std::uint32_t sequence, std::size_t size) {
+  std::vector<std::uint8_t> payload(size, static_cast<std::uint8_t>(sequence));
+  std::memcpy(payload.data(), &sequence, 4);
+  return payload;
 }
 
 TEST(SocketFabric, RendezvousAndPointToPoint) {
@@ -547,6 +628,106 @@ TEST(SocketFabric, PeerReconnectsThroughOutageAndIsReadmitted) {
   hub.expect_departures();
 }
 
+TEST(SocketFabric, StalledReceiverQueuesWithoutBlockingOtherRoutes) {
+  // Rank 2 announces through a raw socket and never reads. Sends to it
+  // fill its socket, then queue for the route's writer: every send returns,
+  // and the hub keeps routing the other ranks' frames.
+  constexpr int kSize = 4;
+  constexpr std::size_t kFrame = 64 * 1024;
+  const std::uint16_t port = pick_free_port();
+  SocketFabric hub(fabric_options(0, kSize, port));
+  const int stalled = announce_raw(port, 2, kSize);
+  SocketFabric peer1(fabric_options(1, kSize, port));
+  SocketFabric peer3(fabric_options(3, kSize, port));
+  ASSERT_TRUE(hub.wait_ready(std::chrono::milliseconds(5000)));
+  auto hub_endpoint = hub.endpoint();
+
+  // Inline writes until the socket is full (a few MB at most), then one
+  // frame queued; each send returns either way.
+  std::uint32_t sent = 0;
+  while (hub.stats().frames_queued == 0 && sent < 1024) {
+    hub_endpoint->send(2, MessageTag::kTask, numbered(sent++, kFrame));
+  }
+  ASSERT_EQ(hub.stats().frames_queued, 1u) << "the socket never filled";
+  // While the route has a queue, every later frame joins it.
+  for (int i = 0; i < 3; ++i) {
+    hub_endpoint->send(2, MessageTag::kTask, numbered(sent++, kFrame));
+  }
+  EXPECT_EQ(hub.stats().frames_queued, 4u);
+
+  // Frames relayed to the stalled rank queue on the hub's reader thread;
+  // the frame behind them, to another rank, still arrives.
+  auto endpoint1 = peer1.endpoint();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    endpoint1->send(2, MessageTag::kResult, numbered(i, kFrame));
+  }
+  endpoint1->send(3, MessageTag::kResult, {42});
+  endpoint1->send(0, MessageTag::kResult, {43});
+  const auto relayed = peer3.endpoint()->recv_for(std::chrono::seconds(5));
+  ASSERT_TRUE(relayed.has_value());
+  EXPECT_EQ(relayed->payload, (std::vector<std::uint8_t>{42}));
+  const auto direct = hub_endpoint->recv_for(std::chrono::seconds(5));
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_EQ(direct->payload, (std::vector<std::uint8_t>{43}));
+  EXPECT_EQ(hub.stats().frames_dropped, 0u);
+
+  hub.expect_departures();
+  ::close(stalled);  // resets the connection, so the blocked writer returns
+}
+
+TEST(SocketFabric, InlineThenQueuedThenInlineKeepsSendOrder) {
+  // One sender's frames go out inline, then queue behind a full socket,
+  // then go inline again once the writer has drained the queue. The
+  // receiver gets every frame whole and in send order.
+  const std::uint16_t port = pick_free_port();
+  SocketFabric hub(fabric_options(0, 2, port));
+  const int raw = announce_raw(port, 1, 2);
+  ASSERT_TRUE(hub.wait_ready(std::chrono::milliseconds(5000)));
+  auto endpoint = hub.endpoint();
+  std::uint32_t sent = 0;
+  std::vector<std::size_t> sizes;
+  const auto send = [&](std::size_t size) {
+    sizes.push_back(size);
+    endpoint->send(1, MessageTag::kTask, numbered(sent++, size));
+  };
+
+  for (int i = 0; i < 3; ++i) send(8);
+  EXPECT_EQ(hub.stats().frames_queued, 0u);
+  EXPECT_EQ(hub.stats().frames_sent, 3u);
+
+  while (hub.stats().frames_queued == 0 && sent < 1024) send(64 * 1024);
+  ASSERT_EQ(hub.stats().frames_queued, 1u) << "the socket never filled";
+  send(8);
+  send(64 * 1024);
+  EXPECT_EQ(hub.stats().frames_queued, 3u);
+
+  // Read everything so far (after the welcome); once the writer has
+  // counted the last queued frame, the route is free again.
+  FrameParser parser;
+  std::vector<WireFrame> frames;
+  ASSERT_TRUE(read_frames(raw, parser, frames, 1 + sent));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (hub.stats().frames_sent < sent &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(hub.stats().frames_sent, sent);
+
+  for (int i = 0; i < 3; ++i) send(8);
+  EXPECT_EQ(hub.stats().frames_queued, 3u) << "queued after the drain";
+  ASSERT_TRUE(read_frames(raw, parser, frames, 1 + sent));
+
+  EXPECT_EQ(frames[0].kind, FrameKind::kWelcome);
+  for (std::uint32_t i = 0; i < sent; ++i) {
+    const WireFrame& frame = frames[i + 1];
+    EXPECT_EQ(frame.kind, FrameKind::kData);
+    EXPECT_EQ(frame.payload, numbered(i, sizes[i])) << "frame " << i;
+  }
+  hub.expect_departures();
+  ::close(raw);
+}
+
 // ---------------------------------------------------------------------------
 // End to end: the full paper layout over TCP matches the serial search
 
@@ -636,6 +817,52 @@ TEST(Integrity, SealedFinalTelemetryFrameRoundTrips) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->rank, 4);
   EXPECT_EQ(decoded->counters.at("worker.tasks_evaluated"), 17u);
+}
+
+TEST(Integrity, PayloadDigestKnownAnswers) {
+  // MurmurHash64A with the fabric's seed, pinned so that a change to the
+  // digest (and so to the wire) cannot pass unnoticed.
+  const auto digest = [](std::string_view text) {
+    return payload_digest(reinterpret_cast<const std::uint8_t*>(text.data()),
+                          text.size());
+  };
+  EXPECT_EQ(digest(""), 0x84d69dcef1e6733aULL);
+  EXPECT_EQ(digest("abc"), 0x78886a7108057be8ULL);
+  EXPECT_EQ(digest(std::string_view("\0\0\0\0\0\0\0\0", 8)),
+            0x09e3d84c33e3f4aeULL);
+  EXPECT_EQ(digest("The quick brown fox jumps over the lazy dog"),
+            0x33c893f1a027ef1dULL);
+}
+
+TEST(Integrity, PayloadDigestDetectsEveryByteAndWordChange) {
+  // Every step of the digest is a bijection of its state, so a change
+  // confined to one 8-byte word (or the tail) always shows. A 2 KB payload
+  // with a 3-byte tail: each byte changed three ways, and each word
+  // replaced whole.
+  std::vector<std::uint8_t> payload(2048 + 3);
+  Rng rng(5);
+  for (std::uint8_t& byte : payload) byte = static_cast<std::uint8_t>(rng.below(256));
+  const std::uint64_t clean = payload_digest(payload.data(), payload.size());
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
+                                    std::uint8_t{0xFF}}) {
+      payload[i] ^= mask;
+      EXPECT_NE(payload_digest(payload.data(), payload.size()), clean)
+          << "byte " << i << " mask " << int(mask);
+      payload[i] ^= mask;
+    }
+  }
+  for (std::size_t word = 0; word + 8 <= payload.size(); word += 8) {
+    std::uint8_t saved[8];
+    std::memcpy(saved, &payload[word], 8);
+    const std::uint64_t replacement = rng();
+    std::memcpy(&payload[word], &replacement, 8);
+    if (std::memcmp(saved, &payload[word], 8) != 0) {
+      EXPECT_NE(payload_digest(payload.data(), payload.size()), clean)
+          << "word at " << word;
+    }
+    std::memcpy(&payload[word], saved, 8);
+  }
 }
 
 // ---------------------------------------------------------------------------
